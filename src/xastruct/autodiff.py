@@ -606,29 +606,28 @@ def save_params(named_params: dict, path, header: dict = None) -> None:
     doc = {
         "header": header or {},
         "params": {
-            name: {
-                "shape": list(raw(p).shape),
-                "data": [float(v) for v in raw(p).reshape(-1)],
-            }
+            name: {"shape": list(raw(p).shape), "data": raw(p).reshape(-1).tolist()}
             for name, p in named_params.items()
         },
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def load_params(path) -> tuple:
-    """Returns (header dict, name -> ndarray)."""
-    with open(path) as fh:
-        doc = json.load(fh)
+def params_from_doc(doc: dict) -> tuple:
+    """(header dict, name -> ndarray) of a parsed save_params document."""
     arrays = {
         name: np.array(rec["data"], dtype=float).reshape(rec["shape"])
         for name, rec in doc["params"].items()
     }
     return doc.get("header", {}), arrays
+
+
+def load_params(path) -> tuple:
+    """Returns (header dict, name -> ndarray)."""
+    with open(path) as fh:
+        return params_from_doc(json.load(fh))
 
 
 def load_into(named_params: dict, arrays: dict) -> None:

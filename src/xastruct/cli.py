@@ -429,10 +429,8 @@ def cmd_train(args) -> int:
             print(json.dumps(report, sort_keys=True))
     else:
         samples = load_dataset(data_dir / "manifest.jsonl")
-        if tcfg.scope == "unified" or task == "mnnd" and "scope" not in cfg:
-            scoped = {"unified": samples}
-        else:
-            scoped = pl.group_by_element(samples)
+        per_element = not (tcfg.scope == "unified" or task == "mnnd" and "scope" not in cfg)
+        scoped = pl.group_by_element(samples) if per_element else {"unified": samples}
         trained = 0
         for scope_key in sorted(scoped):
             part = scoped[scope_key]
@@ -443,6 +441,8 @@ def cmd_train(args) -> int:
             trained += 1
             train_part, val_part = split_dataset(part, seed)
             history, model, metrics = _train_one(task, train_part, val_part, tcfg)
+            if per_element:
+                model.element = scope_key  # eval scores the model on this element only
             tag = f"{task}_{scope_key}"
             ckpt = out_dir / f"{tag}.json"
             if task == "cn":
@@ -465,23 +465,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _peek_task(path) -> str:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return doc.get("header", {}).get("task", "")
-
-
 def _load_checkpoint(path):
-    task = _peek_task(path)
-    loaders = {
-        "forward": pl.ForwardModel.load,
-        "mnnd": pl.InverseMNND.load,
-        "neighbor": pl.InverseNeighbor.load,
-        "cn": pl.CNClassifier.load,
+    """(task, model) from one parse of the checkpoint, dispatched on its header."""
+    doc = pl.read_checkpoint(path)
+    header = doc.get("header") if isinstance(doc, dict) else None
+    task = header.get("task", "") if isinstance(header, dict) else ""
+    models = {
+        "forward": pl.ForwardModel,
+        "mnnd": pl.InverseMNND,
+        "neighbor": pl.InverseNeighbor,
+        "cn": pl.CNClassifier,
     }
-    if task not in loaders:
+    if task not in models:
         raise ValueError(f"checkpoint {path} has unknown task {task!r}")
-    return task, loaders[task](path)
+    return task, models[task].from_doc(doc)
 
 
 def cmd_eval(args) -> int:
@@ -500,13 +497,19 @@ def cmd_eval(args) -> int:
         scope = f"{model.element}/{model.edge}/{model.kind}"
         n_val = len(pairs)
     else:
-        samples = load_dataset(data_dir / "manifest.jsonl")
-        if task == "mnnd":
-            metrics, scope, n_val = pl.eval_mnnd(model, samples), "unified", len(samples)
-        elif task == "neighbor":
-            metrics, scope, n_val = pl.eval_neighbor(model, samples), "all", len(samples)
-        else:
-            metrics, scope, n_val = pl.eval_cn(model, samples), "all", len(samples)
+        manifest = data_dir / "manifest.jsonl"
+        samples = load_dataset(manifest)
+        scope = "unified" if task == "mnnd" else "all"
+        if model.element is not None:
+            # a per-element checkpoint is scored on its own element's samples
+            samples = pl.group_by_element(samples).get(model.element)
+            if not samples:
+                raise ValueError(
+                    f"{manifest} has no {model.element} samples to evaluate {args.checkpoint} on"
+                )
+            scope = model.element
+        score = {"mnnd": pl.eval_mnnd, "neighbor": pl.eval_neighbor, "cn": pl.eval_cn}[task]
+        metrics, n_val = score(model, samples), len(samples)
 
     report = pl.metrics_report(task, scope, metrics, n_train=0, n_val=n_val, seed=seed)
     out_path = Path(out_dir) / "metrics.json"

@@ -52,41 +52,44 @@ class RandomForest:
         self.n_classes = n_classes
 
 
-def _gini(hist: np.ndarray) -> float:
-    m = hist.sum()
-    if m == 0:
-        return 0.0
-    frac = hist / m
-    return 1.0 - float(np.dot(frac, frac))
+def _gini(hist: np.ndarray) -> np.ndarray:
+    """Gini impurity of the class histograms along the last axis (none empty).
+
+    The sum of squares is a vector-vector matmul, which numpy hands to the same
+    BLAS dot kernel as `np.dot`, so every impurity is bit-identical to a
+    one-histogram `np.dot(frac, frac)`.
+    """
+    frac = hist / hist.sum(axis=-1, keepdims=True)
+    return 1.0 - (frac[..., None, :] @ frac[..., :, None])[..., 0, 0]
 
 
 def _best_split(X, y, rows, n_classes, features, min_samples_leaf):
-    """Best (feature, threshold, gain) over `features`, or None if no valid split."""
+    """Best (feature, threshold, gain) over `features`, or None if no valid split.
+
+    Scores every boundary of every feature at once (Louppe, arXiv:1407.7502,
+    section 3): sort each feature column, take prefix class counts, and keep
+    the first maximum gain in (feature, threshold) order.
+    """
     labels = y[rows]
     node_hist = np.bincount(labels, minlength=n_classes).astype(float)
     m = rows.size
     node_gini = _gini(node_hist)
-    best = None  # (gain, feature, threshold)
-    for f in features:
-        vals = X[rows, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sl = labels[order]
-        # prefix class counts: counts[p] = histogram of the first p rows
-        onehot = np.zeros((m, n_classes))
-        onehot[np.arange(m), sl] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        boundaries = np.nonzero(sv[:-1] < sv[1:])[0] + 1  # split sizes
-        for p in boundaries:
-            if p < min_samples_leaf or m - p < min_samples_leaf:
-                continue
-            left = prefix[p - 1]
-            right = node_hist - left
-            weighted = (p * _gini(left) + (m - p) * _gini(right)) / m
-            gain = node_gini - weighted
-            if best is None or gain > best[0]:
-                best = (gain, f, 0.5 * (sv[p - 1] + sv[p]))
-    return best
+    vals = X[np.ix_(rows, features)]
+    order = np.argsort(vals, axis=0, kind="stable")
+    sv = np.take_along_axis(vals, order, axis=0)
+    # boundary i splits off the p = i + 1 smallest rows
+    p = np.arange(1, m)[:, None]
+    valid = (sv[:-1] < sv[1:]) & (p >= min_samples_leaf) & (m - p >= min_samples_leaf)
+    fi, bi = np.nonzero(valid.T)  # feature-major, so argmax keeps the first maximum
+    if fi.size == 0:
+        return None
+    # left[i, f] = class histogram of the p smallest rows on feature f
+    left = np.cumsum(np.eye(n_classes)[labels[order[:-1]]], axis=0)[bi, fi]
+    p = bi + 1
+    weighted = (p * _gini(left) + (m - p) * _gini(node_hist - left)) / m
+    gain = node_gini - weighted
+    k = int(np.argmax(gain))
+    return gain[k], features[fi[k]], 0.5 * (sv[bi[k], fi[k]] + sv[bi[k] + 1, fi[k]])
 
 
 def _grow_tree(X, y, rows, n_classes, config, rng) -> list:
@@ -211,9 +214,7 @@ def forest_from_doc(doc: dict) -> RandomForest:
 def save_forest(forest: RandomForest, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(forest_to_doc(forest), fh, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(forest_to_doc(forest), sort_keys=True) + "\n")
 
 
 def load_forest(path) -> RandomForest:

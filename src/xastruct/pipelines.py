@@ -29,10 +29,10 @@ from .autodiff import (
     backward,
     concat,
     cross_entropy_loss,
-    load_params,
     load_into,
     mse_loss,
     mul,
+    params_from_doc,
     reshape,
     save_params,
     softmax,
@@ -275,6 +275,15 @@ def _sample_matrices(samples, n_xanes: int, n_exafs: int):
     return ex, ax, ee, ae
 
 
+def read_checkpoint(path) -> dict:
+    """The parsed JSON document of a checkpoint file; each model's from_doc builds it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"checkpoint {path} is not valid JSON: {exc}") from None
+
+
 # --- forward model -------------------------------------------------------------
 
 
@@ -327,7 +336,11 @@ class ForwardModel:
 
     @classmethod
     def load(cls, path) -> "ForwardModel":
-        header, arrays = load_params(path)
+        return cls.from_doc(read_checkpoint(path))
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "ForwardModel":
+        header, arrays = params_from_doc(doc)
         if header.get("task") != "forward":
             raise ValueError(f"checkpoint task {header.get('task')!r} is not a forward model")
         cfg = TrainConfig(extras=header["arch"])
@@ -454,6 +467,7 @@ class InverseMNND:
         self.norm = {}
         self.y_mean = 0.0
         self.y_std = 1.0
+        self.element = None  # absorber symbol of a per-element model
 
     def _conv_features(self, blocks, z, training):
         h = reshape(z, (z.shape[0], 1, z.shape[1]))
@@ -511,13 +525,19 @@ class InverseMNND:
             "y_std": self.y_std,
             "arch": {k: cfg.arch(k) for k in DEFAULT_ARCH},
         }
+        if self.element is not None:
+            header["element"] = self.element
         merged = dict(self.named_parameters())
         merged.update(self._named_buffers())
         save_params(merged, path, header=header)
 
     @classmethod
     def load(cls, path) -> "InverseMNND":
-        header, arrays = load_params(path)
+        return cls.from_doc(read_checkpoint(path))
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "InverseMNND":
+        header, arrays = params_from_doc(doc)
         if header.get("task") != "mnnd":
             raise ValueError(f"checkpoint task {header.get('task')!r} is not an mnnd model")
         cfg = TrainConfig(extras=header["arch"])
@@ -533,6 +553,7 @@ class InverseMNND:
         }
         model.y_mean = float(header["y_mean"])
         model.y_std = float(header["y_std"])
+        model.element = header.get("element")
         return model
 
 
@@ -637,6 +658,7 @@ class InverseNeighbor:
         self.n_xanes = n_xanes
         self.n_exafs = n_exafs
         self.norm = {}
+        self.element = None  # absorber symbol of a per-element model
 
     def forward(self, ax, ae) -> Tensor:
         z = concat([self.f_A_xanes(ax), self.f_A_exafs(ae)], axis=1)
@@ -662,6 +684,8 @@ class InverseNeighbor:
             "classes": self.classes,
             "arch": {k: cfg.arch(k) for k in DEFAULT_ARCH},
         }
+        if self.element is not None:
+            header["element"] = self.element
         merged = dict(self.named_parameters())
         for key, std in self.norm.items():
             merged[f"norm.{key}.mean"] = std.mean
@@ -670,7 +694,11 @@ class InverseNeighbor:
 
     @classmethod
     def load(cls, path) -> "InverseNeighbor":
-        header, arrays = load_params(path)
+        return cls.from_doc(read_checkpoint(path))
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "InverseNeighbor":
+        header, arrays = params_from_doc(doc)
         if header.get("task") != "neighbor":
             raise ValueError(f"checkpoint task {header.get('task')!r} is not a neighbor model")
         cfg = TrainConfig(extras=header["arch"])
@@ -682,6 +710,7 @@ class InverseNeighbor:
             key: Standardizer(arrays[f"norm.{key}.mean"], arrays[f"norm.{key}.std"])
             for key in ("ax", "ae")
         }
+        model.element = header.get("element")
         return model
 
 
@@ -758,6 +787,7 @@ class CNClassifier:
         self.classes = [int(c) for c in classes]
         self.n_xanes = n_xanes
         self.n_exafs = n_exafs
+        self.element = None  # absorber symbol of a per-element model
 
     def features(self, sample: LabeledSample) -> np.ndarray:
         if sample.xanes.grid.n != self.n_xanes or sample.exafs.grid.n != self.n_exafs:
@@ -768,30 +798,32 @@ class CNClassifier:
         return np.concatenate([sample.xanes.mu, sample.exafs.mu])
 
     def save(self, path) -> None:
-        doc = {
-            "header": {
-                "task": "cn",
-                "classes": self.classes,
-                "n_xanes": self.n_xanes,
-                "n_exafs": self.n_exafs,
-            },
-            "forest": rf.forest_to_doc(self.forest),
+        header = {
+            "task": "cn",
+            "classes": self.classes,
+            "n_xanes": self.n_xanes,
+            "n_exafs": self.n_exafs,
         }
+        if self.element is not None:
+            header["element"] = self.element
+        doc = {"header": header, "forest": rf.forest_to_doc(self.forest)}
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "CNClassifier":
-        with open(path) as fh:
-            doc = json.load(fh)
+        return cls.from_doc(read_checkpoint(path))
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "CNClassifier":
         header = doc["header"]
         if header.get("task") != "cn":
             raise ValueError(f"checkpoint task {header.get('task')!r} is not a cn model")
         forest_model = rf.forest_from_doc(doc["forest"])
-        return cls(forest_model, header["classes"], header["n_xanes"], header["n_exafs"])
+        model = cls(forest_model, header["classes"], header["n_xanes"], header["n_exafs"])
+        model.element = header.get("element")
+        return model
 
 
 def cn_predict(model: CNClassifier, sample: LabeledSample) -> int:
@@ -811,12 +843,9 @@ def train_cn(samples, cfg: TrainConfig) -> CNClassifier:
     n_exafs = samples[0].exafs.grid.n
     X = np.stack([np.concatenate([s.xanes.mu, s.exafs.mu]) for s in samples])
     y = np.array([class_index[s.labels.cn] for s in samples])
-    fcfg = rf.ForestConfig(
-        n_trees=int(cfg.extras.get("n_trees", 100)),
-        max_depth=int(cfg.extras.get("max_depth", 16)),
-        min_samples_leaf=int(cfg.extras.get("min_samples_leaf", 2)),
-        seed=cfg.seed,
-    )
+    # keys absent from the config keep ForestConfig's defaults
+    sizes = ("n_trees", "max_depth", "min_samples_leaf")
+    fcfg = rf.ForestConfig(seed=cfg.seed, **{k: int(cfg.extras[k]) for k in sizes if k in cfg.extras})
     forest_model = rf.fit(X, y, fcfg)
     return CNClassifier(forest_model, classes, n_xanes, n_exafs)
 
@@ -853,7 +882,8 @@ def eval_neighbor(model: InverseNeighbor, samples) -> Metrics:
 
 
 def eval_cn(model: CNClassifier, samples) -> Metrics:
-    preds = [cn_predict(model, s) for s in samples]
     proba = np.stack([cn_proba(model, s) for s in samples])
+    # argmax keeps the lowest class on ties, as rf.predict does
+    preds = [model.classes[i] for i in np.argmax(proba, axis=1)]
     targets = [s.labels.cn for s in samples]
     return evaluate(preds, targets, "classification", proba=proba, classes=model.classes)

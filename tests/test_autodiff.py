@@ -453,6 +453,21 @@ class TestCheckpoints:
         save_params(params, tmp_path / "y.json", header={"k": 1})
         assert (tmp_path / "x.json").read_bytes() == (tmp_path / "y.json").read_bytes()
 
+    def test_pinned_bytes(self, tmp_path):
+        params = {
+            "w": Parameter(np.array([[0.1, -2.5, 1e-300], [1.0 / 3.0, -0.0, 12345.678901234567]])),
+            "b": Parameter(np.array([7.0, 2.0 ** -40])),
+            "scale": np.array(3),
+        }
+        save_params(params, tmp_path / "pin.json", header={"task": "demo", "grid": [0.5, 1.25], "n": 2})
+        assert (tmp_path / "pin.json").read_text() == (
+            '{"header": {"grid": [0.5, 1.25], "n": 2, "task": "demo"}, "params": '
+            '{"b": {"data": [7.0, 9.094947017729282e-13], "shape": [2]}, '
+            '"scale": {"data": [3.0], "shape": []}, '
+            '"w": {"data": [0.1, -2.5, 1e-300, 0.3333333333333333, -0.0, 12345.678901234567], '
+            '"shape": [2, 3]}}}\n'
+        )
+
     def test_shape_mismatch_rejected(self, tmp_path):
         save_params({"w": Parameter(np.zeros(3))}, tmp_path / "m.json")
         _, arrays = load_params(tmp_path / "m.json")

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface, run in-process."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,16 @@ def cu_data(tmp_path_factory):
     rc = cli.main(["synth", "--out", str(out), "--seed", "11",
                    "--set", "n_samples=12", "--set", "n_grid=40",
                    "--set", "elements=Cu", "--set", "templates=sc,fcc"])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def two_element_data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data") / "ni_se"
+    rc = cli.main(["synth", "--out", str(out), "--seed", "9",
+                   "--set", "n_samples=30", "--set", "n_grid=40",
+                   "--set", "elements=Ni,Se"])
     assert rc == 0
     return out
 
@@ -203,6 +214,66 @@ class TestEvalPredict:
             report = json.load(fh)
         assert report["n_val"] == 24
         assert report["n_train"] == 0
+
+    @pytest.mark.parametrize("task,settings", [
+        ("cn", ["--set", "n_trees=5", "--set", "max_depth=4"]),
+        ("neighbor", ["--set", "epochs=1", "--set", "embed_dim=8", "--set", "embed_hidden=16",
+                      "--set", "head_hidden=16", "--set", "batch_size=8"]),
+    ])
+    def test_per_element_checkpoint_is_scored_on_its_element(
+        self, two_element_data, task, settings, tmp_path
+    ):
+        run = tmp_path / task
+        rc = cli.main(["train", "--task", task, "--data", str(two_element_data),
+                       "--out", str(run), "--seed", "1", *settings])
+        assert rc == 0
+        counts = Counter(s.xanes.absorber.symbol
+                         for s in load_dataset(two_element_data / "manifest.jsonl"))
+        assert sorted(counts) == ["Ni", "Se"]
+        for element, n in counts.items():
+            ckpt = run / f"{task}_{element}.json"
+            assert json.loads(ckpt.read_text())["header"]["element"] == element
+            out = tmp_path / f"eval_{element}"
+            rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(two_element_data),
+                           "--out", str(out)])
+            assert rc == 0
+            report = json.loads((out / "metrics.json").read_text())
+            assert (report["scope"], report["n_val"]) == (element, n)
+
+        # a header without an element, as older checkpoints have, scores every sample
+        doc = json.loads((run / f"{task}_Ni.json").read_text())
+        del doc["header"]["element"]
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(doc, sort_keys=True))
+        rc = cli.main(["eval", "--checkpoint", str(legacy), "--data", str(two_element_data),
+                       "--out", str(tmp_path / "eval_legacy")])
+        assert rc == 0
+        report = json.loads((tmp_path / "eval_legacy" / "metrics.json").read_text())
+        assert (report["scope"], report["n_val"]) == ("all", sum(counts.values()))
+
+    def test_eval_without_the_checkpoint_element_exits_1(self, two_element_data, cu_data,
+                                                          tmp_path, capsys):
+        run = tmp_path / "cn"
+        assert cli.main(["train", "--task", "cn", "--data", str(two_element_data),
+                         "--out", str(run), "--set", "n_trees=3", "--set", "max_depth=3"]) == 0
+        ckpt = run / "cn_Ni.json"
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(cu_data),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "Ni" in err
+
+    def test_unreadable_or_unknown_checkpoint_exits_1_naming_it(self, mixed_data, tmp_path,
+                                                                capsys):
+        bogus = tmp_path / "bogus.json"
+        truncated = tmp_path / "truncated.json"
+        bogus.write_text(json.dumps({"header": {"task": "bogus"}}))
+        truncated.write_text('{"header": {"task": "cn"')
+        for ckpt in (bogus, truncated):
+            rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(mixed_data),
+                           "--out", str(tmp_path / "eval")])
+            assert rc == 1
+            assert str(ckpt) in capsys.readouterr().err
 
     def test_eval_rerun_byte_identical(self, mixed_data, mnnd_run, tmp_path):
         outs = []

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -5,13 +8,51 @@ from xastruct.forest import (
     DecisionTree,
     ForestConfig,
     RandomForest,
+    _best_split,
     fit,
+    forest_to_doc,
     load_forest,
     predict,
     predict_many,
     predict_proba,
     save_forest,
 )
+
+
+def reference_gini(hist):
+    m = hist.sum()
+    if m == 0:
+        return 0.0
+    frac = hist / m
+    return 1.0 - float(np.dot(frac, frac))
+
+
+def reference_best_split(X, y, rows, n_classes, features, min_samples_leaf):
+    """The per-feature, per-threshold loop that the vectorized search replaced."""
+    labels = y[rows]
+    node_hist = np.bincount(labels, minlength=n_classes).astype(float)
+    m = rows.size
+    node_gini = reference_gini(node_hist)
+    best = None  # (gain, feature, threshold)
+    for f in features:
+        vals = X[rows, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sl = labels[order]
+        onehot = np.zeros((m, n_classes))
+        onehot[np.arange(m), sl] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        boundaries = np.nonzero(sv[:-1] < sv[1:])[0] + 1
+        for p in boundaries:
+            if p < min_samples_leaf or m - p < min_samples_leaf:
+                continue
+            left = prefix[p - 1]
+            right = node_hist - left
+            weighted = (p * reference_gini(left) + (m - p) * reference_gini(right)) / m
+            gain = node_gini - weighted
+            if best is None or gain > best[0]:
+                best = (gain, f, 0.5 * (sv[p - 1] + sv[p]))
+    return best
 
 
 def pure_leaf_tree(class_index, n_classes=2):
@@ -85,6 +126,44 @@ class TestFit:
         assert leaf_total == 30
 
 
+class TestSplitSearch:
+    def test_vectorized_search_equals_reference_loop(self):
+        outcomes = set()
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n_classes = 2 + seed % 4
+            min_samples_leaf = 1 + seed % 3
+            n, d = int(rng.integers(2, 60)), int(rng.integers(1, 9))
+            X = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))  # repeated values
+            X[:, rng.integers(d)] = 0.25  # one constant feature
+            y = rng.integers(0, n_classes, size=n)
+            rows = rng.integers(0, n, size=n)  # bootstrap rows repeat
+            features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+            got = _best_split(X, y, rows, n_classes, features, min_samples_leaf)
+            want = reference_best_split(X, y, rows, n_classes, features, min_samples_leaf)
+            if want is None:
+                assert got is None, seed
+            else:
+                gain, feature, threshold = got
+                assert (float(gain), int(feature), float(threshold)) == (
+                    float(want[0]), int(want[1]), float(want[2])
+                ), seed
+            outcomes.add(want is None)
+        assert outcomes == {True, False}  # both split and no-split nodes were exercised
+
+    def test_seeded_forest_json_is_pinned(self):
+        # hash of the forest grown by the per-threshold loop before vectorization
+        rng = np.random.default_rng(21)
+        X = np.round(rng.normal(size=(90, 12)), 1)
+        X[:, 3] = 0.0
+        y = rng.integers(0, 3, size=90)
+        forest = fit(X, y, ForestConfig(n_trees=6, max_depth=6, seed=5))
+        text = json.dumps(forest_to_doc(forest), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "31a9c49721fc62fa0986d4c3bbd015d260b8dbe969078607a6ad9bec2ef098a5"
+        )
+
+
 class TestPredict:
     def test_one_tree_forest_returns_its_distribution(self):
         tree = DecisionTree(
@@ -148,8 +227,6 @@ class TestCheckpoint:
             assert np.allclose(predict_proba(forest, row), predict_proba(loaded, row), atol=1e-15)
 
     def test_header_fields(self, tmp_path):
-        import json
-
         forest = fit(np.zeros((4, 2)) + np.arange(4)[:, None], np.array([0, 0, 1, 1]))
         save_forest(forest, tmp_path / "f.json")
         doc = json.loads((tmp_path / "f.json").read_text())
