@@ -3,13 +3,16 @@
 Small on purpose: exactly the operations the spectra models need, nothing
 generic. Every op returns a Tensor wired to its parents with a local
 backward closure; backward(loss) topologically sorts that implicit tape
-and accumulates gradients. Parameters are leaf tensors carrying AdamW
-moment state.
+and accumulates gradients. A closure is handed its output's gradient and
+never refers to its output tensor, so a tape holds no reference cycle and
+is freed by reference counting as soon as the loss is dropped. Parameters
+are leaf tensors carrying AdamW moment state.
 
 All data is float64. Gradient checks against central finite differences
 are the ground truth for every op here; see finite_difference_check.
 """
 
+import base64
 import json
 import math
 from pathlib import Path
@@ -102,9 +105,9 @@ def add(a, b) -> Tensor:
         raise _shape_error("add", a.shape, b.shape)
     out = Tensor(data, (a, b))
 
-    def backward():
-        a.grad += _unbroadcast(out.grad, a.shape)
-        b.grad += _unbroadcast(out.grad, b.shape)
+    def backward(g):
+        a.grad += _unbroadcast(g, a.shape)
+        b.grad += _unbroadcast(g, b.shape)
 
     out._backward = backward
     return out
@@ -118,9 +121,9 @@ def mul(a, b) -> Tensor:
         raise _shape_error("mul", a.shape, b.shape)
     out = Tensor(data, (a, b))
 
-    def backward():
-        a.grad += _unbroadcast(out.grad * b.data, a.shape)
-        b.grad += _unbroadcast(out.grad * a.data, b.shape)
+    def backward(g):
+        a.grad += _unbroadcast(g * b.data, a.shape)
+        b.grad += _unbroadcast(g * a.data, b.shape)
 
     out._backward = backward
     return out
@@ -132,9 +135,9 @@ def matmul(a, b) -> Tensor:
         raise _shape_error("matmul", a.shape, b.shape)
     out = Tensor(a.data @ b.data, (a, b))
 
-    def backward():
-        a.grad += out.grad @ b.data.T
-        b.grad += a.data.T @ out.grad
+    def backward(g):
+        a.grad += g @ b.data.T
+        b.grad += a.data.T @ g
 
     out._backward = backward
     return out
@@ -154,8 +157,7 @@ def linear(x, W, b=None) -> Tensor:
     parents = (x, W) if b is None else (x, W, b)
     out = Tensor(data, parents)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if x.ndim == 1:
             W.grad += np.outer(g, x.data)
             x.grad += g @ W.data
@@ -183,11 +185,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
+    def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * out.grad.ndim
+            idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            t.grad += out.grad[tuple(idx)]
+            t.grad += g[tuple(idx)]
 
     out._backward = backward
     return out
@@ -197,21 +199,18 @@ def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     out = Tensor(x.data.reshape(shape), (x,))
 
-    def backward():
-        x.grad += out.grad.reshape(x.shape)
+    def backward(g):
+        x.grad += g.reshape(x.shape)
 
     out._backward = backward
     return out
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # stable in both tails
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # stable in both tails: 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z)
+    # below, so exp only ever sees -|z|
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x) -> Tensor:
@@ -219,8 +218,8 @@ def sigmoid(x) -> Tensor:
     y = _sigmoid(x.data)
     out = Tensor(y, (x,))
 
-    def backward():
-        x.grad += out.grad * y * (1.0 - y)
+    def backward(g):
+        x.grad += g * y * (1.0 - y)
 
     out._backward = backward
     return out
@@ -230,8 +229,8 @@ def relu(x) -> Tensor:
     x = as_tensor(x)
     out = Tensor(np.maximum(x.data, 0.0), (x,))
 
-    def backward():
-        x.grad += out.grad * (x.data > 0)
+    def backward(g):
+        x.grad += g * (x.data > 0)
 
     out._backward = backward
     return out
@@ -246,10 +245,10 @@ def swish_beta(x, beta) -> Tensor:
     s = _sigmoid(b * x.data)
     out = Tensor(x.data * s, (x, beta))
 
-    def backward():
+    def backward(g):
         ds = s * (1.0 - s)
-        x.grad += out.grad * (s + b * x.data * ds)
-        beta.grad += np.sum(out.grad * x.data * x.data * ds).reshape(beta.shape)
+        x.grad += g * (s + b * x.data * ds)
+        beta.grad += np.sum(g * x.data * x.data * ds).reshape(beta.shape)
 
     out._backward = backward
     return out
@@ -267,8 +266,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-8) -> Tensor:
     xhat = (x.data - mu) * inv_std
     out = Tensor(gain.data * xhat + bias.data, (x, gain, bias))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         dxhat = g * gain.data
         x.grad += inv_std * (
             dxhat
@@ -325,8 +323,7 @@ def batch_norm_1d(x, gamma, beta, state: BatchNormState, training: bool) -> Tens
     out = Tensor(gamma.data.reshape(stat_shape) * xhat + beta.data.reshape(stat_shape), (x, gamma, beta))
     n_reduced = int(np.prod([x.shape[a] for a in axes]))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         dxhat = g * gamma.data.reshape(stat_shape)
         if training:
             # gradient through the batch statistics themselves
@@ -366,8 +363,7 @@ def conv1d(x, W, b) -> Tensor:
     data += b.data.reshape(1, -1, 1)
     out = Tensor(data, (x, W, b))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         dxp = np.zeros_like(xp)
         for t in range(kernel):
             W.grad[:, :, t] += np.einsum("bol,bcl->oc", g, xp[:, :, t : t + length])
@@ -389,9 +385,9 @@ def avg_pool1d(x) -> Tensor:
     odd = x.data[:, :, 1 : 2 * l_out : 2]
     out = Tensor(0.5 * (even + odd), (x,))
 
-    def backward():
-        x.grad[:, :, 0 : 2 * l_out : 2] += 0.5 * out.grad
-        x.grad[:, :, 1 : 2 * l_out : 2] += 0.5 * out.grad
+    def backward(g):
+        x.grad[:, :, 0 : 2 * l_out : 2] += 0.5 * g
+        x.grad[:, :, 1 : 2 * l_out : 2] += 0.5 * g
 
     out._backward = backward
     return out
@@ -415,9 +411,9 @@ def masked_mean(H, m, by_mask_sum: bool = False) -> Tensor:
         denom = float(H.shape[0])
     out = Tensor((m.data[:, None] * H.data).sum(axis=0) / denom, (H, m))
 
-    def backward():
-        H.grad += m.data[:, None] * out.grad[None, :] / denom
-        m.grad += (H.data @ out.grad) / denom
+    def backward(g):
+        H.grad += m.data[:, None] * g[None, :] / denom
+        m.grad += (H.data @ g) / denom
 
     out._backward = backward
     return out
@@ -433,8 +429,8 @@ def gather_rows(table, indices) -> Tensor:
         raise ValueError(f"gather_rows index out of range for table of {table.shape[0]} rows")
     out = Tensor(table.data[idx], (table,))
 
-    def backward():
-        np.add.at(table.grad, idx, out.grad)
+    def backward(g):
+        np.add.at(table.grad, idx, g)
 
     out._backward = backward
     return out
@@ -445,8 +441,8 @@ def total(x) -> Tensor:
     x = as_tensor(x)
     out = Tensor(x.data.sum(), (x,))
 
-    def backward():
-        x.grad += out.grad
+    def backward(g):
+        x.grad += g
 
     out._backward = backward
     return out
@@ -463,8 +459,8 @@ def mse_loss(pred, target) -> Tensor:
     diff = pred.data - target_data
     out = Tensor(np.mean(diff * diff), (pred,))
 
-    def backward():
-        pred.grad += out.grad * 2.0 * diff / diff.size
+    def backward(g):
+        pred.grad += g * 2.0 * diff / diff.size
 
     out._backward = backward
     return out
@@ -496,10 +492,10 @@ def cross_entropy_loss(logits, labels) -> Tensor:
     ce = -np.log(p[np.arange(n), idx])
     out = Tensor(np.mean(ce), (logits,))
 
-    def backward():
+    def backward(g):
         grad = p.copy()
         grad[np.arange(n), idx] -= 1.0
-        grad *= out.grad / n
+        grad *= g / n
         logits.grad += grad[0] if logits.ndim == 1 else grad
 
     out._backward = backward
@@ -531,7 +527,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 def zero_grad(params) -> None:
@@ -597,30 +593,45 @@ def finite_difference_check(build_loss, params, eps: float = 1e-4, rel_tol: floa
 def save_params(named_params: dict, path, header: dict = None) -> None:
     """JSON checkpoint: {"header": ..., "params": name -> {shape, data}}, sorted.
 
-    Values may be Parameters/Tensors or plain arrays (e.g. running stats).
+    `data` is the base64 of the array's little-endian float64 bytes in C
+    order, so values round-trip bit for bit. Values may be
+    Parameters/Tensors or plain arrays (e.g. running stats).
     """
 
-    def raw(p):
-        return p.data if isinstance(p, Tensor) else np.asarray(p, dtype=float)
+    def record(p):
+        a = np.asarray(p.data if isinstance(p, Tensor) else p, dtype="<f8")
+        # tobytes() is in C order for any layout; ascontiguousarray would make a 0-d array 1-d
+        return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
     doc = {
         "header": header or {},
-        "params": {
-            name: {"shape": list(raw(p).shape), "data": raw(p).reshape(-1).tolist()}
-            for name, p in named_params.items()
-        },
+        "params": {name: record(p) for name, p in named_params.items()},
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _array_from_record(rec: dict) -> np.ndarray:
+    shape, data = rec["shape"], rec["data"]
+    if isinstance(data, list):  # checkpoints written before the base64 codec
+        return np.array(data, dtype=float).reshape(shape)
+    raw = base64.b64decode(data, validate=True)
+    n = math.prod(shape)
+    if len(raw) != 8 * n:
+        raise ValueError(f"{len(raw)} data bytes for shape {shape}, expected {8 * n}")
+    # copied out of the bytes object: callers keep and update these arrays
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
 def params_from_doc(doc: dict) -> tuple:
     """(header dict, name -> ndarray) of a parsed save_params document."""
-    arrays = {
-        name: np.array(rec["data"], dtype=float).reshape(rec["shape"])
-        for name, rec in doc["params"].items()
-    }
+    arrays = {}
+    for name, rec in doc["params"].items():
+        try:
+            arrays[name] = _array_from_record(rec)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"parameter {name!r}: {exc}") from None
     return doc.get("header", {}), arrays
 
 
@@ -634,9 +645,9 @@ def load_into(named_params: dict, arrays: dict) -> None:
     """Copy checkpoint arrays into live Parameters, shape-checked."""
     missing = sorted(set(named_params) - set(arrays))
     if missing:
-        raise KeyError(f"checkpoint missing parameters: {missing}")
+        raise KeyError(f"parameters {missing}")
     for name, p in named_params.items():
         arr = arrays[name]
         if arr.shape != p.data.shape:
-            raise _shape_error(f"checkpoint {name}", arr.shape, p.data.shape)
+            raise _shape_error(f"parameter {name!r}", arr.shape, p.data.shape)
         p.data[...] = arr

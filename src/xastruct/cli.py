@@ -367,7 +367,8 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _forward_pairs_from_dataset(data_dir: Path, kind: str, cutoff: float):
+def _forward_pairs_from_dataset(data_dir: Path, kind: str, cutoff: float, element: str = None):
+    """absorber symbol -> [(graph, spectrum)]; with `element`, that absorber's pairs only."""
     samples = load_dataset(data_dir / "manifest.jsonl")
     structures = {s.id: (s, a) for s, a in load_structures_with_absorbers(data_dir / "structures.jsonl")}
     groups = {}
@@ -375,6 +376,8 @@ def _forward_pairs_from_dataset(data_dir: Path, kind: str, cutoff: float):
         sp = sample.xanes if kind == "XANES" else sample.exafs
         if sp.structure_id not in structures:
             raise ValueError(f"spectrum references unknown structure id {sp.structure_id!r}")
+        if element is not None and sp.absorber.symbol != element:
+            continue
         s, absorber = structures[sp.structure_id]
         g = build_graph(s, absorber, cutoff)
         groups.setdefault(sp.absorber.symbol, []).append((g, sp))
@@ -478,7 +481,13 @@ def _load_checkpoint(path):
     }
     if task not in models:
         raise ValueError(f"checkpoint {path} has unknown task {task!r}")
-    return task, models[task].from_doc(doc)
+    try:
+        return task, models[task].from_doc(doc)
+    except KeyError as exc:
+        # str() of a KeyError is only the quoted key, as in "error: 'forest'"
+        raise ValueError(f"checkpoint {path}: missing {exc.args[0]}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
 
 
 def cmd_eval(args) -> int:
@@ -489,7 +498,7 @@ def cmd_eval(args) -> int:
     seed = int(cfg["seed"])
 
     if task == "forward":
-        groups = _forward_pairs_from_dataset(data_dir, model.kind, float(cfg["cutoff"]))
+        groups = _forward_pairs_from_dataset(data_dir, model.kind, float(cfg["cutoff"]), model.element)
         if model.element not in groups:
             raise ValueError(f"dataset has no {model.element} {model.kind} samples to evaluate")
         pairs = groups[model.element]
@@ -695,8 +704,8 @@ def _corrupted_case():
     def loss():
         out = Tensor(x.data * 2.0, (x,))
 
-        def _backward():
-            x.grad += 1.9 * out.grad  # wrong on purpose: forward scale is 2.0
+        def _backward(g):
+            x.grad += 1.9 * g  # wrong on purpose: forward scale is 2.0
 
         out._backward = _backward
         return total(mul(out, out))

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from xastruct.autodiff import (
     load_into,
     load_params,
     masked_mean,
+    params_from_doc,
     matmul,
     mse_loss,
     mul,
@@ -75,6 +77,22 @@ class TestForwardValues:
     def test_sigmoid_saturation_is_stable(self):
         y = sigmoid(Tensor([-800.0, 800.0]))
         assert np.allclose(y.data, [0.0, 1.0])
+
+    def test_sigmoid_matches_masked_reference_bit_for_bit(self):
+        def reference(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        rng = np.random.default_rng(40)
+        for scale in (0.1, 1.0, 10.0, 100.0, 800.0):
+            z = rng.normal(scale=scale, size=(400, 64))
+            assert sigmoid(Tensor(z)).data.tobytes() == reference(z).tobytes()
+        edges = np.array([0.0, -0.0, 745.0, -745.0])
+        assert sigmoid(Tensor(edges)).data.tobytes() == reference(edges).tobytes()
 
     def test_swish_at_zero(self):
         for beta in (0.0, 1.0, 7.5):
@@ -185,6 +203,22 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ShapeError):
             backward(Tensor(np.ones(3)))
+
+    def test_tape_is_freed_without_the_cyclic_collector(self):
+        rng = np.random.default_rng(41)
+        W = Parameter(rng.normal(size=(4, 3)))
+        b = Parameter(rng.normal(size=4))
+        x = rng.normal(size=(5, 3))
+        gc.collect()
+        gc.disable()
+        try:
+            h = sigmoid(linear(Tensor(x), W, b))
+            loss = mse_loss(concat([h, relu(h)], axis=1), np.zeros((5, 8)))
+            backward(loss)
+            del h, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFiniteDifferences:
@@ -462,11 +496,50 @@ class TestCheckpoints:
         save_params(params, tmp_path / "pin.json", header={"task": "demo", "grid": [0.5, 1.25], "n": 2})
         assert (tmp_path / "pin.json").read_text() == (
             '{"header": {"grid": [0.5, 1.25], "n": 2, "task": "demo"}, "params": '
+            '{"b": {"data": "AAAAAAAAHEAAAAAAAABwPQ==", "shape": [2]}, '
+            '"scale": {"data": "AAAAAAAACEA=", "shape": []}, '
+            '"w": {"data": "mpmZmZmZuT8AAAAAAAAEwFnz+MIfbqUBVVVVVVVV1T8AAAAAAAAAgNdTPObWHMhA", '
+            '"shape": [2, 3]}}}\n'
+        )
+
+    def test_list_checkpoint_still_loads(self, tmp_path):
+        # the bytes save_params wrote before data became base64
+        (tmp_path / "old.json").write_text(
+            '{"header": {"grid": [0.5, 1.25], "n": 2, "task": "demo"}, "params": '
             '{"b": {"data": [7.0, 9.094947017729282e-13], "shape": [2]}, '
             '"scale": {"data": [3.0], "shape": []}, '
             '"w": {"data": [0.1, -2.5, 1e-300, 0.3333333333333333, -0.0, 12345.678901234567], '
             '"shape": [2, 3]}}}\n'
         )
+        header, arrays = load_params(tmp_path / "old.json")
+        assert header == {"grid": [0.5, 1.25], "n": 2, "task": "demo"}
+        w = np.array([[0.1, -2.5, 1e-300], [1.0 / 3.0, -0.0, 12345.678901234567]])
+        assert arrays["w"].tobytes() == w.tobytes()
+        assert arrays["b"].tobytes() == np.array([7.0, 2.0 ** -40]).tobytes()
+        assert arrays["scale"].shape == () and float(arrays["scale"]) == 3.0
+
+    def test_special_values_round_trip_bit_for_bit(self, tmp_path):
+        special = np.array([5e-324, -0.0, 1e-300, 1.7976931348623157e308, -5e-324, 0.0])
+        values = {"v": special, "grid": special[::-1].reshape(2, 3).T, "empty": np.zeros((0, 3))}
+        save_params(values, tmp_path / "s.json")
+        _, arrays = load_params(tmp_path / "s.json")
+        for name, a in values.items():
+            assert arrays[name].shape == a.shape
+            assert arrays[name].tobytes() == a.tobytes()
+            # decoded arrays are owned copies that callers may update in place
+            assert arrays[name].dtype == np.float64 and arrays[name].flags.writeable
+
+    @pytest.mark.parametrize("data,match", [
+        ("AAAAAAAAHEAAAAAAAABwPQ==", r"16 data bytes for shape \[3\], expected 24"),
+        ("AAAAAAAAHEAAAAAAAABw", r"15 data bytes"),
+        ("AAAAAAAAHEAAAAAAAABwPQ", r"padding"),
+        ("AAAAAAAAHEAAAAAA*AABwPQ==", r"base64"),
+        (7.0, r""),
+    ])
+    def test_bad_data_names_the_parameter(self, data, match):
+        doc = {"params": {"layer.W": {"shape": [3], "data": data}}}
+        with pytest.raises(ValueError, match=r"^parameter 'layer\.W': .*" + match):
+            params_from_doc(doc)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         save_params({"w": Parameter(np.zeros(3))}, tmp_path / "m.json")

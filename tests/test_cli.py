@@ -69,6 +69,15 @@ def mnnd_run(mixed_data, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def forward_run(cu_data, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run") / "fwd"
+    rc = cli.main(["train", "--task", "forward", "--data", str(cu_data),
+                   "--out", str(out), "--seed", "2", *TINY_FORWARD])
+    assert rc == 0
+    return out
+
+
 class TestSynth:
     def test_reproducible_byte_for_byte(self, mixed_data, tmp_path):
         again = tmp_path / "again"
@@ -274,6 +283,46 @@ class TestEvalPredict:
                            "--out", str(tmp_path / "eval")])
             assert rc == 1
             assert str(ckpt) in capsys.readouterr().err
+
+    def test_malformed_checkpoint_exits_1_naming_file_and_field(
+        self, mixed_data, mnnd_run, forward_run, tmp_path, capsys
+    ):
+        cn_run = tmp_path / "cn"
+        assert cli.main(["train", "--task", "cn", "--data", str(mixed_data), "--out", str(cn_run),
+                         "--set", "n_trees=3", "--set", "max_depth=3"]) == 0
+        no_forest = json.loads((cn_run / "cn_Cu.json").read_text())
+        del no_forest["forest"]
+        truncated = json.loads((forward_run / "forward_Cu_XANES.json").read_text())
+        rec = truncated["params"]["head.final.W_v"]
+        rec["data"] = rec["data"][:-7]
+        no_param = json.loads((mnnd_run / "mnnd_unified.json").read_text())
+        del no_param["params"]["conv_exafs0.W"]
+        for doc, field in ((no_forest, "forest"), (truncated, "head.final.W_v"),
+                           (no_param, "conv_exafs0.W")):
+            ckpt = tmp_path / f"bad_{doc['header']['task']}.json"
+            ckpt.write_text(json.dumps(doc))
+            for command in (["eval", "--data", str(mixed_data)],
+                            ["predict", "--input", str(ckpt)]):
+                rc = cli.main([*command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+                assert rc == 1
+                err = capsys.readouterr().err
+                assert f"checkpoint {ckpt}:" in err and field in err, err
+
+    def test_forward_eval_builds_graphs_of_its_element_only(
+        self, mixed_data, forward_run, tmp_path, monkeypatch
+    ):
+        built = []
+        build_graph = cli.build_graph
+        monkeypatch.setattr(cli, "build_graph", lambda *a: built.append(a) or build_graph(*a))
+        out = tmp_path / "eval"
+        rc = cli.main(["eval", "--checkpoint", str(forward_run / "forward_Cu_XANES.json"),
+                       "--data", str(mixed_data), "--out", str(out)])
+        assert rc == 0
+        n_cu = sum(s.xanes.absorber.symbol == "Cu"
+                   for s in load_dataset(mixed_data / "manifest.jsonl"))
+        report = json.loads((out / "metrics.json").read_text())
+        assert (report["scope"], report["n_val"]) == ("Cu/K/XANES", n_cu)
+        assert len(built) == n_cu
 
     def test_eval_rerun_byte_identical(self, mixed_data, mnnd_run, tmp_path):
         outs = []

@@ -15,6 +15,7 @@ from helpers import (
 )
 
 from xastruct import pipelines as pl
+from xastruct.autodiff import params_from_doc
 from xastruct.crystal import Element, StructureGraph, build_graph
 from xastruct.spectra import InsufficientDataError
 
@@ -390,6 +391,42 @@ def test_neighbor_training_deterministic(neighbor_samples):
     h2, m2 = pl.train_neighbor(neighbor_samples, cfg)
     assert h1 == h2
     assert np.array_equal(m1.logits(neighbor_samples[:2]), m2.logits(neighbor_samples[:2]))
+
+
+# --- checkpoint codec ------------------------------------------------------------
+
+
+def _with_list_params(path, out):
+    """`path` rewritten with `data` as JSON lists, as checkpoints were before base64."""
+    doc = json.loads(path.read_text())
+    _, arrays = params_from_doc(doc)
+    for name, rec in doc["params"].items():
+        rec["data"] = arrays[name].reshape(-1).tolist()
+    out.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("task", ["forward", "mnnd", "neighbor"])
+def test_loaded_predictions_bit_identical_in_both_formats(task, mnnd_samples, neighbor_samples,
+                                                         tmp_path):
+    if task == "forward":
+        pairs = forward_pairs([2.4, 2.8, 3.0])
+        cfg = _forward_cfg(epochs=3)
+        _, model = pl.train_forward(pairs, cfg)
+        predict = lambda m: np.stack([pl.forward_predict(m, g) for g, _ in pairs])
+    elif task == "mnnd":
+        cfg = _inverse_cfg(epochs=3)
+        _, model = pl.train_mnnd(mnnd_samples, cfg)
+        predict = lambda m: pl.predict_mnnd_batch(m, mnnd_samples)
+    else:
+        cfg = _inverse_cfg(epochs=3)
+        _, model = pl.train_neighbor(neighbor_samples, cfg)
+        predict = lambda m: m.logits(neighbor_samples)
+    path = tmp_path / "model.json"
+    model.save(path, cfg)
+    expected = predict(model).tobytes()
+    for ckpt in (path, _with_list_params(path, tmp_path / "list.json")):
+        assert predict(type(model).load(ckpt)).tobytes() == expected
 
 
 # --- coordination number forest -----------------------------------------------------
