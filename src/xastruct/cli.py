@@ -10,9 +10,9 @@
 
 Every command accepts --config (flat key = value text), --seed, and --set
 key=value overrides; precedence is flags > config file > defaults. Each run
-writes a RunManifest (run.json) next to its outputs with content hashes of
-the inputs, so reruns are auditable. Exit codes: 0 success, 1 runtime or
-validation failure, 2 usage error.
+writes run.json next to its outputs: the command name, the config file path,
+the seed, git-style content hashes of the inputs, and the output paths. Exit
+codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
 
 import argparse
@@ -52,12 +52,14 @@ from .autodiff import (
     total,
 )
 from .crystal import (
+    DESCRIPTOR_CUTOFF,
     CrystalStructure,
     Element,
     Lattice,
     Site,
     build_graph,
     extract_descriptors,
+    neighbor_list,
     structure_from_dict,
     structure_to_dict,
 )
@@ -146,7 +148,7 @@ def content_hash(path) -> str:
         return _blob_hash(path)
     if path.is_dir():
         entries = []
-        for child in sorted(path.rglob("*")):
+        for child in sorted(path.rglob("*"), key=lambda p: p.parts):  # Path order, no Path.__lt__
             if child.is_file():
                 entries.append(f"{child.relative_to(path)}:{_blob_hash(child)}")
         body = "\n".join(entries).encode()
@@ -243,7 +245,8 @@ def synth_structure(rng, template: str, absorber: Element, scatterer: Element,
     """One perturbed template cell whose first shell matches the template's CN.
 
     Draws until the jittered cell still extracts the nominal coordination
-    number, so label classes stay clean; the draw count is bounded.
+    number, so label classes stay clean; the draw count is bounded. Returns
+    (structure, absorber, labels, absorber's neighbor_list at DESCRIPTOR_CUTOFF).
     """
     builder, _ = TEMPLATES[template]
     for _ in range(64):
@@ -258,9 +261,10 @@ def synth_structure(rng, template: str, absorber: Element, scatterer: Element,
             for site, delta in zip(sites, frac_jitter)
         )
         s = CrystalStructure(lattice=lattice, sites=jittered, id=sid)
-        labels = extract_descriptors(s, absorber_index)
+        neighbors = neighbor_list(s, absorber_index, DESCRIPTOR_CUTOFF)
+        labels = extract_descriptors(s, absorber_index, neighbors=neighbors)
         if labels.cn == nominal_cn:
-            return s, absorber_index, labels
+            return s, absorber_index, labels, neighbors
     raise RuntimeError(f"template {template} failed to produce cn={nominal_cn} after 64 draws")
 
 
@@ -292,7 +296,7 @@ def synth_samples(cfg: dict):
             others = [el for el in elements if el.atomic_number != absorber.atomic_number]
             scatterer = others[rng.integers(len(others))]
         sid = f"{template}-{absorber.symbol}-{i:06d}"
-        s, absorber_index, labels = synth_structure(
+        s, absorber_index, labels, neighbors = synth_structure(
             rng, template, absorber, scatterer, mnnd_range, strain, jitter, sid
         )
         params = oracle.OracleParams.from_config(
@@ -305,6 +309,7 @@ def synth_samples(cfg: dict):
         exafs = oracle.synth_exafs(
             s, absorber_index, params,
             oracle.default_exafs_grid(params.e0_ev, n=n_grid), cutoff=cutoff,
+            neighbors=neighbors if cutoff == DESCRIPTOR_CUTOFF else None,
         )
         samples.append(LabeledSample(xanes=xanes, exafs=exafs, labels=labels))
         structures.append((s, absorber_index))

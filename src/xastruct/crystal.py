@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 MIN_SITE_SEPARATION = 0.5  # angstrom; guards the 1/R^2 terms downstream
+DESCRIPTOR_CUTOFF = 6.0  # angstrom; neighbor search radius of extract_descriptors
 
 _SYMBOLS = (
     "H", "He", "Li", "Be", "B", "C", "N", "O", "F", "Ne",
@@ -94,8 +95,8 @@ class Lattice:
 
         height_i = volume / |a_j x a_k|; bounds the periodic-image search.
         """
-        a = self.basis
-        cross = np.stack([np.cross(a[1], a[2]), np.cross(a[2], a[0]), np.cross(a[0], a[1])])
+        b, c = self.basis[[1, 2, 0]], self.basis[[2, 0, 1]]  # row i: a_j x a_k
+        cross = b[:, [1, 2, 0]] * c[:, [2, 0, 1]] - b[:, [2, 0, 1]] * c[:, [1, 2, 0]]
         return self.volume / np.linalg.norm(cross, axis=1)
 
     def to_cart(self, frac: np.ndarray) -> np.ndarray:
@@ -142,15 +143,11 @@ class CrystalStructure:
         frac = self.frac_coords()
         diff = frac[:, None, :] - frac[None, :, :]
         diff -= np.round(diff)  # minimum image in fractional space
-        best = np.inf
         # nearby images cover skewed cells where rounding alone is not minimal
-        for shift in np.ndindex(3, 3, 3):
-            t = np.array(shift) - 1
-            cart = (diff + t) @ self.lattice.basis
-            d = np.linalg.norm(cart, axis=-1)
-            d[np.eye(n, dtype=bool)] = np.inf
-            best = min(best, float(d.min()))
-        return best
+        shifts = np.array(list(np.ndindex(3, 3, 3))) - 1
+        d = np.linalg.norm((diff + shifts[:, None, None, :]) @ self.lattice.basis, axis=-1)
+        d[:, np.eye(n, dtype=bool)] = np.inf
+        return float(d.min())
 
     def frac_coords(self) -> np.ndarray:
         return np.array([s.frac_coords for s in self.sites])
@@ -207,17 +204,13 @@ class DescriptorLabels:
             raise ValueError("mnnd must be the mean of the shell distances")
 
 
-def neighbor_list(s: CrystalStructure, center: int, cutoff: float) -> list:
-    """All (site, periodic image) pairs within ``cutoff`` of site ``center``.
+def _image_pairs(s: CrystalStructure, centers, cutoff: float) -> list:
+    """(center, offset, site, distance) arrays of all pairs within ``cutoff`` of ``centers``.
 
-    The self-image at zero offset is excluded. Sorted by (distance, index,
-    offset) so output order is deterministic.
+    The self-image at zero offset is excluded. One [T, N] block per center.
     """
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    if not 0 <= center < len(s):
-        raise ValueError(f"center index {center} out of range")
-
     # |T_i| <= ceil(cutoff / height_i) + 1 covers all images: fractional
     # site differences lie in (-1, 1) and |delta_i| <= cutoff / height_i.
     bounds = [int(math.ceil(cutoff / h)) + 1 for h in s.lattice.heights()]
@@ -225,16 +218,30 @@ def neighbor_list(s: CrystalStructure, center: int, cutoff: float) -> list:
     offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
     frac = s.frac_coords()
-    disp_frac = frac[None, :, :] + offsets[:, None, :] - frac[center]  # [T, N, 3]
-    dists = np.linalg.norm(disp_frac @ s.lattice.basis, axis=-1)
+    parts = []
+    for center in centers:
+        disp_frac = frac[None, :, :] + offsets[:, None, :] - frac[center]  # [T, N, 3]
+        dists = np.linalg.norm(disp_frac @ s.lattice.basis, axis=-1)
+        t_idx, site_idx = np.nonzero((dists <= cutoff) & (dists > 0))
+        parts.append((np.full(t_idx.size, center), offsets[t_idx], site_idx, dists[t_idx, site_idx]))
+    return [np.concatenate(column) for column in zip(*parts)]
 
-    t_idx, site_idx = np.nonzero((dists <= cutoff) & (dists > 0))
-    out = [
-        Neighbor(int(j), tuple(int(c) for c in offsets[t]), float(dists[t, j]))
-        for t, j in zip(t_idx, site_idx)
-    ]
-    out.sort(key=lambda nb: (nb.distance, nb.index, nb.offset))
-    return out
+
+def _neighbors(offsets, sites, dists, rows) -> list:
+    return list(map(Neighbor, sites[rows].tolist(), map(tuple, offsets[rows].tolist()),
+                    dists[rows].tolist()))
+
+
+def neighbor_list(s: CrystalStructure, center: int, cutoff: float) -> list:
+    """All (site, periodic image) pairs within ``cutoff`` of site ``center``.
+
+    The self-image at zero offset is excluded. Sorted by (distance, index,
+    offset) so output order is deterministic.
+    """
+    if not 0 <= center < len(s):
+        raise ValueError(f"center index {center} out of range")
+    _, offsets, sites, dists = _image_pairs(s, [center], cutoff)
+    return _neighbors(offsets, sites, dists, np.lexsort((*offsets.T[::-1], sites, dists)))
 
 
 def first_shell(neighbors: Sequence[Neighbor], tol_factor: float = 1.1) -> list:
@@ -258,24 +265,22 @@ def build_graph(
     if not 0 <= absorber < len(s):
         raise ValueError(f"absorber index {absorber} out of range")
 
-    edges = []
-    per_site = []
-    for i in range(len(s)):
-        nbs = neighbor_list(s, i, cutoff)
-        per_site.append(nbs)
-        edges.extend(GraphEdge(i, nb.index, nb.distance, nb.offset) for nb in nbs)
-    edges.sort(key=lambda e: (e.i, e.j, e.offset))
+    centers, offsets, sites, dists = _image_pairs(s, range(len(s)), cutoff)
+    order = np.lexsort((*offsets.T[::-1], sites, centers))
+    edges = tuple(map(GraphEdge, centers[order].tolist(), sites[order].tolist(),
+                      dists[order].tolist(), map(tuple, offsets[order].tolist())))
 
     mask = np.zeros(len(s), dtype=float)
     mask[absorber] = 1.0
-    if per_site[absorber]:
-        for nb in first_shell(per_site[absorber], tol_factor):
+    own = np.flatnonzero(centers == absorber)
+    if own.size:
+        for nb in first_shell(_neighbors(offsets, sites, dists, own), tol_factor):
             mask[nb.index] = 1.0
 
     return StructureGraph(
         node_elements=tuple(site.element for site in s.sites),
         node_cart=s.cart_coords(),
-        edges=tuple(edges),
+        edges=edges,
         absorber_index=absorber,
         mask=mask,
     )
@@ -285,14 +290,16 @@ def extract_descriptors(
     s: CrystalStructure,
     absorber: int,
     tol_factor: float = 1.1,
-    cutoff: float = 6.0,
+    cutoff: float = DESCRIPTOR_CUTOFF,
+    neighbors: Sequence[Neighbor] = None,
 ) -> DescriptorLabels:
     """First-shell CN, mean distance, and dominant neighbor species.
 
     Ties in the species count break toward the lowest atomic number so the
-    label always collapses to a single class.
+    label always collapses to a single class. ``neighbors``, if given, is
+    ``neighbor_list(s, absorber, cutoff)`` computed by the caller.
     """
-    nbs = neighbor_list(s, absorber, cutoff)
+    nbs = neighbor_list(s, absorber, cutoff) if neighbors is None else neighbors
     if not nbs:
         raise NoNeighborsError(
             f"site {absorber} has no neighbors within {cutoff} A"

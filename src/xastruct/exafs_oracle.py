@@ -116,36 +116,42 @@ def wavenumber(E, e0: float):
     return float(k) if k.ndim == 0 else k
 
 
+def _chi_rows(shells, params: OracleParams, k: np.ndarray) -> np.ndarray:
+    """chi_shell of each shell at wavenumbers k > 0, one row per shell, in one broadcast."""
+    # Python's pow for radius**2, as seeded spectra were made: r * r can differ in the last bit
+    columns = [(sh.n_atoms, sh.radius, sh.radius**2, sh.z_scatter, sh.sigma2) for sh in shells]
+    n, r, r2, z, s2 = np.array(columns).T.reshape((5, -1) + (1,) * k.ndim)
+    lam = params.lambda_a * k + params.lambda_b
+    amplitude = (
+        n * params.s0_squared * params.amp_scale * z / ((1.0 + k * k) * k * r2)
+        * np.exp(-2.0 * r / lam)
+        * np.exp(-2.0 * s2 * k * k)
+    )
+    phase = 2.0 * k * r - 2.0 * k * params.r_phase
+    return amplitude * np.sin(phase)
+
+
 def chi_shell(shell: ScatteringShell, params: OracleParams, k):
     """Single-shell EXAFS contribution at wavenumber(s) k > 0."""
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
         raise ValueError("chi_shell requires k > 0")
-    lam = params.lambda_a * k + params.lambda_b
-    amplitude = (
-        shell.n_atoms
-        * params.s0_squared
-        * params.amp_scale
-        * shell.z_scatter
-        / ((1.0 + k * k) * k * shell.radius**2)
-        * np.exp(-2.0 * shell.radius / lam)
-        * np.exp(-2.0 * shell.sigma2 * k * k)
-    )
-    phase = 2.0 * k * shell.radius - 2.0 * k * params.r_phase
-    chi = amplitude * np.sin(phase)
+    chi = _chi_rows([shell], params, k)[0]
     return float(chi) if chi.ndim == 0 else chi
 
 
 def shells_from_structure(
-    s: CrystalStructure, absorber: int, params: OracleParams, cutoff: float = SHELL_CUTOFF
+    s: CrystalStructure, absorber: int, params: OracleParams, cutoff: float = SHELL_CUTOFF,
+    neighbors=None,
 ) -> list:
     """Collapse the periodic neighbor environment into discrete shells.
 
     Neighbors are grouped by (species, distance binned at 0.01 Angstrom);
     each shell's radius is the mean distance of its members, so lattice
-    jitter moves the shell rather than splitting it.
+    jitter moves the shell rather than splitting it. ``neighbors``, if
+    given, is ``neighbor_list(s, absorber, cutoff)`` computed by the caller.
     """
-    neighbors = neighbor_list(s, absorber, cutoff)
+    neighbors = neighbor_list(s, absorber, cutoff) if neighbors is None else neighbors
     if not neighbors:
         raise NoNeighborsError(f"no neighbors within {cutoff} A of site {absorber}")
     groups = {}
@@ -173,15 +179,16 @@ def synth_exafs(
     grid: EnergyGrid,
     cutoff: float = SHELL_CUTOFF,
     edge: str = "K",
+    neighbors=None,
 ) -> Spectrum:
     """Oracle EXAFS spectrum: mu(E) = 1 + sum over shells of chi_shell(k(E))."""
     if grid.values[0] <= params.e0_ev:
         raise BelowEdgeError("EXAFS grid must lie strictly above the edge")
-    shells = shells_from_structure(s, absorber, params, cutoff)
+    shells = shells_from_structure(s, absorber, params, cutoff, neighbors)
     k = wavenumber(grid.values, params.e0_ev)
     chi = np.zeros_like(k)
-    for shell in shells:
-        chi += chi_shell(shell, params, k)
+    for row in _chi_rows(shells, params, k):  # summed in shell order
+        chi += row
     return Spectrum(grid, 1.0 + chi, EXAFS, edge, s.sites[absorber].element, s.id)
 
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface, run in-process."""
 
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -29,6 +30,23 @@ def dataset_bytes(root: Path, skip=("run.json",)) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file() and p.name not in skip
     }
+
+
+def tree_sha256(root: Path) -> str:
+    h = hashlib.sha256()
+    for name, data in dataset_bytes(root).items():
+        h.update(name.encode() + b"\0")
+        h.update(hashlib.sha256(data).digest())
+    return h.hexdigest()
+
+
+# tree_sha256 of `synth --seed 7 --set n_samples=24 --set n_grid=40`, plus the
+# cutoff override, recorded before synth shared one neighbor search per draw
+# and summed its shells from one broadcast
+GOLDEN_SYNTH = {
+    "6.0": "b478fad5938d78add9bc5c64029de27696efc1d0238978c1de494aaac11903db",
+    "5.0": "412adcc1651eaea63b8ed04476bb25963cf5605dd17832213e1a5a8a9ad9230e",
+}
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +104,30 @@ class TestSynth:
         assert rc == 0
         assert dataset_bytes(again) == dataset_bytes(mixed_data)
 
+    def test_golden_bytes(self, mixed_data, tmp_path):
+        assert tree_sha256(mixed_data) == GOLDEN_SYNTH["6.0"]
+        out = tmp_path / "cut5"
+        assert cli.main(["synth", "--out", str(out), "--seed", "7", "--set", "n_samples=24",
+                         "--set", "n_grid=40", "--set", "cutoff=5.0"]) == 0
+        assert tree_sha256(out) == GOLDEN_SYNTH["5.0"]
+
+    def test_one_neighbor_search_per_draw(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "neighbor_list", counted("synth", cli.neighbor_list))
+        monkeypatch.setattr(cli.oracle, "neighbor_list", counted("exafs", cli.oracle.neighbor_list))
+        cfg = dict(cli.CONFIG_DEFAULTS, n_samples="6", n_grid="40")
+        cli.synth_samples(cfg)
+        assert calls["synth"] >= 6 and calls["exafs"] == 0
+        cli.synth_samples(dict(cfg, cutoff="5.0"))  # the EXAFS shells need their own search
+        assert calls["exafs"] == 6
+
     def test_different_seed_differs(self, mixed_data, tmp_path):
         other = tmp_path / "other"
         cli.main(["synth", "--out", str(other), "--seed", "8",
@@ -139,6 +181,18 @@ class TestSynth:
         assert manifest["seed"] == 7
         for path, digest in manifest["inputs"].items():
             assert cli.content_hash(path) == digest
+
+
+def test_content_hash_orders_entries_by_path_parts(tmp_path):
+    # as strings "a-b" < "a.b" < "a/b"; as paths a/b sorts first
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "b").write_text("inner\n")
+    (tmp_path / "a-b").write_text("outer\n")
+    (tmp_path / "a.b").write_text("dot\n")
+    blobs = [f"{name}:{cli._blob_hash(tmp_path / name)}" for name in ("a/b", "a-b", "a.b")]
+    body = "\n".join(blobs).encode()
+    assert cli.content_hash(tmp_path) == hashlib.sha1(b"tree %d\0" % len(body) + body).hexdigest()
+    assert cli.content_hash(tmp_path) == "cf6b644edd05b42033f180af9f758a1485a2d98f"
 
 
 class TestExtract:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from xastruct.crystal import (
     CrystalStructure,
     Element,
+    GraphEdge,
     InvalidStructureError,
     Lattice,
+    Neighbor,
     NoNeighborsError,
     Site,
     build_graph,
@@ -26,6 +29,65 @@ from conftest import brute_force_neighbors, cubic_structure, random_structure, r
 
 def as_set(neighbors):
     return {(nb[0], tuple(nb[1]), round(nb[2], 9)) for nb in neighbors}
+
+
+def reference_heights(basis):
+    vol = np.linalg.det(basis)
+    cross = np.stack([np.cross(basis[1], basis[2]), np.cross(basis[2], basis[0]),
+                      np.cross(basis[0], basis[1])])
+    return vol / np.linalg.norm(cross, axis=1)
+
+
+def reference_neighbor_list(s, center, cutoff):
+    """The per-pair loop and Python sort that the array search replaced."""
+    bounds = [int(math.ceil(cutoff / h)) + 1 for h in reference_heights(s.lattice.basis)]
+    axes = [np.arange(-b, b + 1) for b in bounds]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    frac = s.frac_coords()
+    disp_frac = frac[None, :, :] + offsets[:, None, :] - frac[center]
+    dists = np.linalg.norm(disp_frac @ s.lattice.basis, axis=-1)
+    t_idx, site_idx = np.nonzero((dists <= cutoff) & (dists > 0))
+    out = [
+        Neighbor(int(j), tuple(int(c) for c in offsets[t]), float(dists[t, j]))
+        for t, j in zip(t_idx, site_idx)
+    ]
+    out.sort(key=lambda nb: (nb.distance, nb.index, nb.offset))
+    return out
+
+
+def reference_build_graph(s, absorber, cutoff, tol_factor=1.1):
+    """(edges, mask) assembled from one reference neighbor list per site."""
+    edges, per_site = [], []
+    for i in range(len(s)):
+        nbs = reference_neighbor_list(s, i, cutoff)
+        per_site.append(nbs)
+        edges.extend(GraphEdge(i, nb.index, nb.distance, nb.offset) for nb in nbs)
+    edges.sort(key=lambda e: (e.i, e.j, e.offset))
+    mask = np.zeros(len(s), dtype=float)
+    mask[absorber] = 1.0
+    if per_site[absorber]:
+        for nb in first_shell(per_site[absorber], tol_factor):
+            mask[nb.index] = 1.0
+    return tuple(edges), mask
+
+
+def reference_min_pair_distance(s):
+    """The loop over 27 image shifts that the broadcast replaced."""
+    frac = s.frac_coords()
+    diff = frac[:, None, :] - frac[None, :, :]
+    diff -= np.round(diff)
+    best = np.inf
+    for shift in np.ndindex(3, 3, 3):
+        d = np.linalg.norm((diff + (np.array(shift) - 1)) @ s.lattice.basis, axis=-1)
+        d[np.eye(len(s), dtype=bool)] = np.inf
+        best = min(best, float(d.min()))
+    return best
+
+
+# a2 nearly parallel to a1: the site at frac (0.45, 0.45, 0) is 3.48 A from
+# the origin after rounding the fractional difference, but 0.405 A from the
+# origin's image at -a2, a shift that rounding alone does not reach
+SKEWED = np.array([[4.0, 0.0, 0.0], [3.7, 0.6, 0.0], [0.0, 0.0, 4.0]])
 
 
 class TestElement:
@@ -67,6 +129,33 @@ class TestStructureValidation:
     def test_empty_structure_rejected(self):
         with pytest.raises(InvalidStructureError):
             CrystalStructure(lattice=Lattice(np.eye(3) * 3.0), sites=())
+
+    def test_sites_close_only_through_a_skewed_image_rejected(self):
+        el = Element(29)
+        sites = (Site(el, np.zeros(3)), Site(el, np.array([0.45, 0.45, 0.0])))
+        frac_diff = sites[1].frac_coords - np.round(sites[1].frac_coords)
+        assert np.linalg.norm(frac_diff @ SKEWED) > 3.0
+        with pytest.raises(InvalidStructureError, match="0.405"):
+            CrystalStructure(lattice=Lattice(SKEWED), sites=sites)
+
+    def test_single_site_skewed_cell_passes(self):
+        # its own images are 0.67 A away (a2 - a1) but never count
+        s = CrystalStructure(lattice=Lattice(SKEWED), sites=(Site(Element(29), np.zeros(3)),))
+        assert s._min_pair_distance() is None
+
+    def test_min_pair_distance_equals_the_shift_loop(self, rng):
+        for _ in range(40):
+            s = random_structure(rng)
+            if len(s) > 1:
+                assert s._min_pair_distance() == reference_min_pair_distance(s)
+        el = Element(8)
+        s = CrystalStructure(Lattice(SKEWED), (Site(el, np.zeros(3)), Site(el, np.array([0.3, 0.5, 0.5]))))
+        assert s._min_pair_distance() == reference_min_pair_distance(s)
+
+    def test_heights_equal_the_cross_product_formula(self, rng):
+        for _ in range(20):
+            basis = random_structure(rng).lattice.basis
+            assert Lattice(basis).heights().tolist() == reference_heights(basis).tolist()
 
 
 class TestNeighborList:
@@ -119,6 +208,17 @@ class TestNeighborList:
         with pytest.raises(ValueError):
             neighbor_list(s, 5, 3.0)
 
+    def test_equals_the_per_pair_loop_exactly(self, rng):
+        # == on Neighbor tuples: same order, same ints, same float bits
+        for _ in range(30):
+            s = random_structure(rng)
+            center = int(rng.integers(0, len(s)))
+            for cutoff in rng.uniform(2.0, 8.0, size=2):
+                got = neighbor_list(s, center, float(cutoff))
+                assert got == reference_neighbor_list(s, center, float(cutoff))
+                assert all(type(nb.index) is int and type(nb.distance) is float for nb in got)
+                assert all(type(c) is int for nb in got for c in nb.offset)
+
 
 class TestFirstShell:
     def test_tolerance_keeps_near_minimum(self):
@@ -169,6 +269,33 @@ class TestBuildGraph:
         g = build_graph(cubic_structure(a=3.0), 0, 1.0)
         assert g.edges == ()
         assert g.mask.tolist() == [1.0]
+
+    def test_equals_per_site_neighbor_lists_exactly(self, rng):
+        for _ in range(30):
+            s = random_structure(rng)
+            absorber = int(rng.integers(0, len(s)))
+            nearest = min(
+                reference_neighbor_list(s, c, 10.0)[0].distance for c in range(len(s))
+            )
+            cutoffs = [float(c) for c in rng.uniform(2.0, 8.0, size=2)] + [0.99 * nearest]
+            for cutoff in cutoffs:
+                g = build_graph(s, absorber, cutoff)
+                edges, mask = reference_build_graph(s, absorber, cutoff)
+                assert g.edges == edges
+                assert g.mask.tobytes() == mask.tobytes()
+                assert g.node_cart.tobytes() == s.cart_coords().tobytes()
+            # below the nearest-neighbor distance: no edges, absorber alone
+            assert g.edges == () and g.mask.sum() == 1.0
+            assert all(neighbor_list(s, c, cutoffs[-1]) == [] for c in range(len(s)))
+
+    def test_bad_arguments(self):
+        s = rocksalt_structure()
+        for cutoff in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                build_graph(s, 0, cutoff)
+        for absorber in (-1, 2):
+            with pytest.raises(ValueError):
+                build_graph(s, absorber, 3.0)
 
     def test_rocksalt_mask_covers_both_sites(self):
         g = build_graph(rocksalt_structure(), 0, 3.0)

@@ -24,9 +24,38 @@ from xastruct.exafs_oracle import (
 )
 from xastruct.spectra import EnergyGrid, normalize_edge_jump
 
-from conftest import brute_force_neighbors, cubic_structure, rocksalt_structure
+from conftest import brute_force_neighbors, cubic_structure, random_structure, rocksalt_structure
 
 P = OracleParams()
+
+# radii whose Python radius**2 differs from radius * radius in the last bit
+POW_SENSITIVE_RADII = (3.416353081323097, 2.402410973962667, 2.4723344269563374)
+
+
+def reference_chi_shell(shell, params, k):
+    """The single-shell formula, one shell per call, as synth_exafs once looped over it."""
+    k = np.asarray(k, dtype=float)
+    lam = params.lambda_a * k + params.lambda_b
+    amplitude = (
+        shell.n_atoms
+        * params.s0_squared
+        * params.amp_scale
+        * shell.z_scatter
+        / ((1.0 + k * k) * k * shell.radius**2)
+        * np.exp(-2.0 * shell.radius / lam)
+        * np.exp(-2.0 * shell.sigma2 * k * k)
+    )
+    phase = 2.0 * k * shell.radius - 2.0 * k * params.r_phase
+    chi = amplitude * np.sin(phase)
+    return float(chi) if chi.ndim == 0 else chi
+
+
+def reference_mu(s, absorber, params, grid, cutoff=6.0):
+    k = wavenumber(grid.values, params.e0_ev)
+    chi = np.zeros_like(k)
+    for shell in shells_from_structure(s, absorber, params, cutoff):
+        chi += reference_chi_shell(shell, params, k)
+    return 1.0 + chi
 
 
 class TestWavenumber:
@@ -120,6 +149,19 @@ class TestChiShell:
         ]
         assert all(a > b for a, b in zip(env, env[1:]))
 
+    def test_equals_the_scalar_formula_exactly(self):
+        rng = np.random.default_rng(5)
+        params = OracleParams(s0_squared=0.83, lambda_a=0.7, lambda_b=2.6, amp_scale=1.3,
+                              sigma2=0.004, r_phase=0.31)
+        radii = list(POW_SENSITIVE_RADII) + list(rng.uniform(1.5, 6.0, size=5))
+        k = np.linspace(2.5, 12.5, 100)
+        for i, radius in enumerate(radii):
+            shell = ScatteringShell(int(rng.integers(1, 13)), float(radius), int(rng.integers(1, 90)),
+                                    float(rng.uniform(0.0, 0.01)))
+            for p in (P, params):
+                assert chi_shell(shell, p, k).tobytes() == reference_chi_shell(shell, p, k).tobytes()
+                assert chi_shell(shell, p, float(k[i])) == reference_chi_shell(shell, p, float(k[i]))
+
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ValueError):
             chi_shell(ScatteringShell(6, 2.5, 8, 0.003), P, 0.0)
@@ -165,6 +207,33 @@ class TestSynthExafs:
             shell = ScatteringShell(len(dists), float(np.mean(dists)), z, P.sigma2)
             total += chi_shell(shell, P, k)
         assert np.max(np.abs((sp.mu - 1.0) - total)) < 1e-12
+
+    def test_mu_equals_the_per_shell_loop_exactly(self, rng):
+        params = OracleParams(e0_ev=7112.0, sigma2=0.005, r_phase=0.4)
+        grid = default_exafs_grid(params.e0_ev, n=120)
+        checked = 0
+        for _ in range(30):
+            s = random_structure(rng)
+            absorber = int(rng.integers(0, len(s)))
+            for cutoff in (6.0, 4.5):
+                try:
+                    mu = synth_exafs(s, absorber, params, grid, cutoff=cutoff).mu
+                except NoNeighborsError:
+                    continue
+                assert mu.tobytes() == reference_mu(s, absorber, params, grid, cutoff).tobytes()
+                checked += 1
+        assert checked > 30
+
+    def test_given_neighbors_replace_the_search(self, monkeypatch):
+        from xastruct import exafs_oracle
+        from xastruct.crystal import neighbor_list
+
+        s = rocksalt_structure()
+        grid = default_exafs_grid(P.e0_ev)
+        nbs = neighbor_list(s, 0, 6.0)
+        want = synth_exafs(s, 0, P, grid).mu
+        monkeypatch.setattr(exafs_oracle, "neighbor_list", None)
+        assert synth_exafs(s, 0, P, grid, neighbors=nbs).mu.tobytes() == want.tobytes()
 
     def test_translation_invariance(self):
         import numpy as np
