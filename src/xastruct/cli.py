@@ -390,17 +390,14 @@ def _forward_pairs_from_dataset(data_dir: Path, kind: str, cutoff: float, elemen
 
 
 def _train_one(task, train_part, val_part, tcfg):
-    if task == "mnnd":
-        history, model = pl.train_mnnd(train_part, tcfg, val_samples=val_part)
-        metrics = pl.eval_mnnd(model, val_part) if val_part else pl.eval_mnnd(model, train_part)
-    elif task == "neighbor":
-        history, model = pl.train_neighbor(train_part, tcfg, val_samples=val_part)
-        metrics = pl.eval_neighbor(model, val_part) if val_part else pl.eval_neighbor(model, train_part)
+    """(history, model, metrics on the validation part, or on the training part if it is empty)."""
+    if task == "cn":
+        history, model = [], pl.train_cn(train_part, tcfg)
     else:
-        model = pl.train_cn(train_part, tcfg)
-        history = []
-        metrics = pl.eval_cn(model, val_part) if val_part else pl.eval_cn(model, train_part)
-    return history, model, metrics
+        train = pl.train_mnnd if task == "mnnd" else pl.train_neighbor
+        history, model = train(train_part, tcfg, val_samples=val_part)
+    score = {"mnnd": pl.eval_mnnd, "neighbor": pl.eval_neighbor, "cn": pl.eval_cn}[task]
+    return history, model, score(model, val_part or train_part)
 
 
 def cmd_train(args) -> int:
@@ -426,7 +423,7 @@ def cmd_train(args) -> int:
             metrics = pl.eval_forward(model, val_part)
             tag = f"forward_{symbol}_{kind}"
             ckpt = out_dir / f"{tag}.json"
-            model.save(ckpt, tcfg)
+            model.save(ckpt)
             report = pl.metrics_report(
                 "forward", f"{symbol}/{EDGE}/{kind}", metrics,
                 n_train=len(train_part), n_val=len(val_part), seed=seed,
@@ -453,10 +450,7 @@ def cmd_train(args) -> int:
                 model.element = scope_key  # eval scores the model on this element only
             tag = f"{task}_{scope_key}"
             ckpt = out_dir / f"{tag}.json"
-            if task == "cn":
-                model.save(ckpt)
-            else:
-                model.save(ckpt, tcfg)
+            model.save(ckpt)
             report = pl.metrics_report(
                 task, scope_key, metrics, n_train=len(train_part), n_val=len(val_part), seed=seed
             )

@@ -230,12 +230,6 @@ def default_exafs_grid(e0: float, n: int = 100, k_min: float = 2.5, k_max: float
 # --- signal analysis -------------------------------------------------------
 
 
-def chi_from_spectrum(sp: Spectrum, params: OracleParams) -> tuple:
-    """Recover (k, chi) from an oracle EXAFS spectrum."""
-    k = wavenumber(sp.grid.values, params.e0_ev)
-    return k, sp.mu - 1.0
-
-
 def zero_crossings(k, chi) -> np.ndarray:
     """k-positions where chi changes sign, by linear interpolation."""
     k = np.asarray(k, dtype=float)
@@ -255,36 +249,3 @@ def median_crossing_spacing(k, chi) -> float:
 def radius_from_spacing(spacing: float, r_phase: float) -> float:
     """Invert spacing = pi / (2R - 2 r_phase) for the shell radius R."""
     return 0.5 * math.pi / spacing + r_phase
-
-
-def estimate_dominant_radius(sp: Spectrum, params: OracleParams) -> float:
-    """Shell radius implied by the median zero-crossing spacing of chi(k).
-
-    Reliable for single-shell signals only; crossings of a shell mixture
-    are pulled toward the outer shells. Use dominant_radius_fft there.
-    """
-    k, chi = chi_from_spectrum(sp, params)
-    return radius_from_spacing(median_crossing_spacing(k, chi), params.r_phase)
-
-
-def dominant_radius_fft(k, chi, r_phase: float, pad: int = 16) -> float:
-    """Radius of the strongest shell, from the peak of |FFT(k^2 chi)|.
-
-    chi(k) ~ sin(2k(R - r_phase)) transforms to a peak at frequency
-    (R - r_phase)/pi cycles per unit k. Requires a uniform k grid.
-    k^2 weighting flattens the decaying envelope; a Hann window keeps
-    leakage from burying neighboring shells.
-    """
-    k = np.asarray(k, dtype=float)
-    chi = np.asarray(chi, dtype=float)
-    spacing = np.diff(k)
-    if np.max(spacing) - np.min(spacing) > 1e-9 * np.mean(spacing):
-        raise ValueError("dominant_radius_fft requires a uniform k grid")
-    windowed = chi * k**2 * np.hanning(k.size)
-    n_fft = k.size * pad
-    magnitude = np.abs(np.fft.rfft(windowed, n_fft))
-    freqs = np.fft.rfftfreq(n_fft, d=float(np.mean(spacing)))
-    # skip the DC leakage zone below 1 Angstrom effective radius
-    lo = int(np.searchsorted(freqs, (1.0 - r_phase) / math.pi))
-    peak = lo + int(np.argmax(magnitude[lo:]))
-    return math.pi * float(freqs[peak]) + r_phase

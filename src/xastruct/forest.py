@@ -9,9 +9,7 @@ identical forest, and split ties resolve to the lowest feature index,
 then the lowest threshold.
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -176,11 +174,6 @@ def predict(forest: RandomForest, x) -> int:
     return int(np.argmax(predict_proba(forest, x)))
 
 
-def predict_many(forest: RandomForest, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    return np.array([predict(forest, row) for row in X], dtype=int)
-
-
 def forest_to_doc(forest: RandomForest) -> dict:
     return {
         "header": {
@@ -209,15 +202,3 @@ def forest_from_doc(doc: dict) -> RandomForest:
     )
     trees = [DecisionTree(nodes, h["n_classes"]) for nodes in doc["trees"]]
     return RandomForest(trees, config, h["n_features"], h["n_classes"])
-
-
-def save_forest(forest: RandomForest, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(forest_to_doc(forest), sort_keys=True) + "\n")
-
-
-def load_forest(path) -> RandomForest:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return forest_from_doc(doc)

@@ -2,9 +2,10 @@
 and a message-passing encoder that turns a structure graph into per-node
 embeddings.
 
-Layer classes own their Parameters and expose named_parameters() for the
-optimizer and checkpoints. Forward passes are built entirely from autodiff
-ops, so gradients come for free.
+Every layer and model subclasses Module, which names Parameters and
+buffers after the attributes that hold them, for the optimizer and for
+checkpoints. Forward passes are built entirely from autodiff ops, so
+gradients come for free.
 """
 
 import math
@@ -40,7 +41,45 @@ def glorot_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-class GatedLinearLayer:
+class Module:
+    """Names Parameters and buffers after attributes, in assignment order.
+
+    A Parameter attribute `x` is named `x`; a sub-Module `x` contributes its
+    own names under `x.`; item i of a list `x` of Modules goes under `x{i}.`.
+    Other attributes, lists of labels included, hold no parameters.
+    """
+
+    def _members(self):
+        for name, value in vars(self).items():
+            if isinstance(value, (Parameter, Module)):
+                yield name, value
+            elif isinstance(value, list):
+                yield from ((f"{name}{i}", v) for i, v in enumerate(value) if isinstance(v, Module))
+
+    def named_parameters(self, prefix: str = "") -> dict:
+        out = {}
+        for name, value in self._members():
+            if isinstance(value, Parameter):
+                out[prefix + name] = value
+            else:
+                out.update(value.named_parameters(f"{prefix}{name}."))
+        return out
+
+    def named_buffers(self, prefix: str = "") -> dict:
+        """Non-trained state, such as BatchNorm running statistics."""
+        out = {}
+        for name, value in self._members():
+            if isinstance(value, Module):
+                out.update(value.named_buffers(f"{prefix}{name}."))
+        return out
+
+    def load_buffers(self, arrays: dict, prefix: str = "") -> None:
+        for name, value in self._members():
+            if isinstance(value, Module):
+                value.load_buffers(arrays, f"{prefix}{name}.")
+
+
+class GatedLinearLayer(Module):
     """(W_v x + b_v) * sigmoid(W_g x + b_g)."""
 
     def __init__(self, rng, d_in: int, d_out: int):
@@ -52,16 +91,8 @@ class GatedLinearLayer:
     def __call__(self, x) -> Tensor:
         return mul(linear(x, self.W_v, self.b_v), sigmoid(linear(x, self.W_g, self.b_g)))
 
-    def named_parameters(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}W_v": self.W_v,
-            f"{prefix}W_g": self.W_g,
-            f"{prefix}b_v": self.b_v,
-            f"{prefix}b_g": self.b_g,
-        }
 
-
-class SwiGLULayer:
+class SwiGLULayer(Module):
     """swish_beta(x W_g + b_g) * (x W_v + b_v), with beta learnable."""
 
     def __init__(self, rng, d_in: int, d_out: int):
@@ -75,17 +106,8 @@ class SwiGLULayer:
         gate = swish_beta(linear(x, self.W_g, self.b_g), self.beta)
         return mul(gate, linear(x, self.W_v, self.b_v))
 
-    def named_parameters(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}W_v": self.W_v,
-            f"{prefix}W_g": self.W_g,
-            f"{prefix}b_v": self.b_v,
-            f"{prefix}b_g": self.b_g,
-            f"{prefix}beta": self.beta,
-        }
 
-
-class SBlock:
+class SBlock(Module):
     """SwiGLU(LayerNorm(GatedLinear(x)))."""
 
     def __init__(self, rng, d_in: int, d_out: int):
@@ -97,15 +119,8 @@ class SBlock:
     def __call__(self, x) -> Tensor:
         return self.swiglu(layer_norm(self.gated(x), self.ln_gain, self.ln_bias))
 
-    def named_parameters(self, prefix: str = "") -> dict:
-        out = self.gated.named_parameters(f"{prefix}gated.")
-        out[f"{prefix}ln_gain"] = self.ln_gain
-        out[f"{prefix}ln_bias"] = self.ln_bias
-        out.update(self.swiglu.named_parameters(f"{prefix}swiglu."))
-        return out
 
-
-class SGMLP:
+class SGMLP(Module):
     """k-layer gated MLP: (k-1) SBlocks followed by a final GatedLinear.
 
     k = 1 degenerates to a single GatedLinear from d_in to d_out.
@@ -114,27 +129,20 @@ class SGMLP:
     def __init__(self, rng, d_in: int, hidden: int, d_out: int, k: int):
         if k < 1:
             raise ValueError(f"SGMLP depth k must be >= 1, got {k}")
-        self.blocks = []
+        self.block = []
         width = d_in
         for _ in range(k - 1):
-            self.blocks.append(SBlock(rng, width, hidden))
+            self.block.append(SBlock(rng, width, hidden))
             width = hidden
         self.final = GatedLinearLayer(rng, width, d_out)
 
     def __call__(self, x) -> Tensor:
-        for block in self.blocks:
+        for block in self.block:
             x = block(x)
         return self.final(x)
 
-    def named_parameters(self, prefix: str = "") -> dict:
-        out = {}
-        for i, block in enumerate(self.blocks):
-            out.update(block.named_parameters(f"{prefix}block{i}."))
-        out.update(self.final.named_parameters(f"{prefix}final."))
-        return out
 
-
-class ConvBlock:
+class ConvBlock(Module):
     """AvgPool(ReLU(BatchNorm(Conv1D(z)))): [B, c_in, L] -> [B, c_out, L//2]."""
 
     def __init__(self, rng, c_in: int, c_out: int, kernel: int = 3):
@@ -149,14 +157,6 @@ class ConvBlock:
         y = conv1d(x, self.W, self.b)
         y = batch_norm_1d(y, self.bn_gamma, self.bn_beta, self.bn_state, training)
         return avg_pool1d(relu(y))
-
-    def named_parameters(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}W": self.W,
-            f"{prefix}b": self.b,
-            f"{prefix}bn_gamma": self.bn_gamma,
-            f"{prefix}bn_beta": self.bn_beta,
-        }
 
     def named_buffers(self, prefix: str = "") -> dict:
         return {
@@ -178,7 +178,17 @@ def rbf_features(distances, centers: np.ndarray, width: float) -> np.ndarray:
     return np.exp(-(((d - centers[None, :]) / width) ** 2))
 
 
-class MPEncoder:
+class MessageRound(Module):
+    """One message-passing round's layers: message and update SGMLPs, LayerNorm."""
+
+    def __init__(self, rng, d: int, n_rbf: int, hidden: int, k: int):
+        self.message = SGMLP(rng, 2 * d + n_rbf, hidden, d, k)
+        self.update = SGMLP(rng, 2 * d, hidden, d, k)
+        self.ln_gain = Parameter(np.ones(d))
+        self.ln_bias = Parameter(np.zeros(d))
+
+
+class MPEncoder(Module):
     """Message-passing encoder over a structure graph.
 
     T rounds of: m_ij = SGMLP([h_i | h_j | rbf(d_ij)]), summed over the
@@ -203,16 +213,7 @@ class MPEncoder:
         self.centers = np.linspace(0.0, r_max, n_rbf)
         self.width = self.centers[1] - self.centers[0]
         self.embedding = Parameter(glorot_uniform(rng, (n_elements + 1, d), d, d))
-        self.rounds = []
-        for _ in range(t_rounds):
-            self.rounds.append(
-                {
-                    "message": SGMLP(rng, 2 * d + n_rbf, hidden, d, k),
-                    "update": SGMLP(rng, 2 * d, hidden, d, k),
-                    "ln_gain": Parameter(np.ones(d)),
-                    "ln_bias": Parameter(np.zeros(d)),
-                }
-            )
+        self.round = [MessageRound(rng, d, n_rbf, hidden, k) for _ in range(t_rounds)]
 
     def __call__(self, g: StructureGraph) -> Tensor:
         n_nodes = len(g.node_elements)
@@ -231,24 +232,15 @@ class MPEncoder:
             receive[idx_i, np.arange(len(g.edges))] = 1.0
         receive = Tensor(receive)
 
-        for rnd in self.rounds:
+        for rnd in self.round:
             h_i = gather_rows(H, idx_i)
             h_j = gather_rows(H, idx_j)
-            messages = rnd["message"](concat([h_i, h_j, feats], axis=1))
+            messages = rnd.message(concat([h_i, h_j, feats], axis=1))
             agg = matmul(receive, messages)
-            update = rnd["update"](concat([H, agg], axis=1))
-            H = layer_norm(add(H, update), rnd["ln_gain"], rnd["ln_bias"])
+            update = rnd.update(concat([H, agg], axis=1))
+            H = layer_norm(add(H, update), rnd.ln_gain, rnd.ln_bias)
         return H
 
     def pooled(self, g: StructureGraph, by_mask_sum: bool = False) -> Tensor:
         """Masked mean of the node embeddings: the graph-level vector."""
         return masked_mean(self(g), Tensor(g.mask), by_mask_sum=by_mask_sum)
-
-    def named_parameters(self, prefix: str = "") -> dict:
-        out = {f"{prefix}embedding": self.embedding}
-        for t, rnd in enumerate(self.rounds):
-            out.update(rnd["message"].named_parameters(f"{prefix}round{t}.message."))
-            out.update(rnd["update"].named_parameters(f"{prefix}round{t}.update."))
-            out[f"{prefix}round{t}.ln_gain"] = rnd["ln_gain"]
-            out[f"{prefix}round{t}.ln_bias"] = rnd["ln_bias"]
-        return out

@@ -10,8 +10,9 @@ Four predictors:
   * CNClassifier      spectrum pair -> coordination number, random forest
                       on the concatenated raw spectra
 
-Training is plain AdamW with minibatch shuffling, optional early stopping
-on a validation metric, and deterministic behavior for a fixed seed.
+The three neural models train through one loop, `fit`: plain AdamW with
+minibatch shuffling, optional early stopping on a validation metric, and
+deterministic behavior for a fixed seed.
 """
 
 import csv
@@ -39,7 +40,7 @@ from .autodiff import (
     zero_grad,
 )
 from .crystal import Element, StructureGraph
-from .nn import ConvBlock, MPEncoder, SGMLP
+from .nn import ConvBlock, Module, MPEncoder, SGMLP
 from .spectra import InsufficientDataError, LabeledSample
 
 
@@ -251,13 +252,50 @@ def _epoch_batches(n: int, batch_size: int, rng) -> list:
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _snapshot(params: dict) -> dict:
-    return {name: p.data.copy() for name, p in params.items()}
+def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, val_metric=None) -> list:
+    """AdamW over shuffled minibatches of range(n); returns one history row per epoch.
 
-
-def _restore(params: dict, snap: dict) -> None:
-    for name, p in params.items():
-        p.data[...] = snap[name]
+    batch_loss(indices) builds the scalar loss of one minibatch. With
+    val_metric, each epoch ends with val_metric() (lower is better); after
+    `patience` epochs without a new best, training stops, and the best
+    epoch's parameters and buffers are restored. A positive
+    `train_loss_stop` config key also stops training, once an epoch's mean
+    training loss falls below it.
+    """
+    params = model.named_parameters()
+    plist = list(params.values())
+    loss_stop = float(cfg.extras.get("train_loss_stop", 0.0) or 0.0)
+    history = []
+    best_metric, best = np.inf, None
+    patience_left = cfg.patience
+    for epoch in range(cfg.epochs):
+        epoch_losses = []
+        for batch in _epoch_batches(n, cfg.batch_size, rng):
+            loss = batch_loss(batch)
+            zero_grad(plist)
+            backward(loss)
+            adamw_step(plist, lr=cfg.lr, weight_decay=cfg.weight_decay)
+            epoch_losses.append(loss.item())
+        metric = None if val_metric is None else val_metric()
+        if metric is not None:
+            if metric < best_metric:
+                best_metric = metric
+                best = ({name: p.data.copy() for name, p in params.items()},
+                        {name: b.copy() for name, b in model.named_buffers().items()})
+                patience_left = cfg.patience
+            else:
+                patience_left -= 1
+        history.append(
+            {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)), "val_metric": metric}
+        )
+        if metric is not None and patience_left <= 0:
+            break
+        if loss_stop and history[-1]["train_loss"] < loss_stop:
+            break
+    if best is not None:
+        load_into(params, best[0])
+        model.load_buffers(best[1])
+    return history
 
 
 def _sample_matrices(samples, n_xanes: int, n_exafs: int):
@@ -284,10 +322,52 @@ def read_checkpoint(path) -> dict:
             raise ValueError(f"checkpoint {path} is not valid JSON: {exc}") from None
 
 
+def _header(model, **fields) -> dict:
+    """Checkpoint header fields, plus the absorber of a per-element model."""
+    if model.element is not None:
+        fields["element"] = model.element
+    return fields
+
+
+def _check_task(header: dict, task: str) -> None:
+    if header.get("task") != task:
+        raise ValueError(f"checkpoint task {header.get('task')!r} is not a {task!r} model")
+
+
+def _save_neural(model: Module, path, header: dict, extra: dict) -> None:
+    """Header with the model's arch; parameters, buffers and `extra` arrays by name."""
+    arrays = {**model.named_parameters(), **model.named_buffers(), **extra}
+    save_params(arrays, path, header=_header(model, arch=model.arch, **header))
+
+
+def _neural_from_doc(doc: dict, task: str, build) -> tuple:
+    """(header, arrays, model): build(header, cfg) constructs it, then the arrays load in."""
+    header, arrays = params_from_doc(doc)
+    _check_task(header, task)
+    model = build(header, TrainConfig(extras=header["arch"]))
+    load_into(model.named_parameters(), arrays)
+    model.load_buffers(arrays)
+    model.element = header.get("element")
+    return header, arrays, model
+
+
+def _norm_arrays(norm: dict) -> dict:
+    """Standardizer statistics as checkpoint arrays norm.<key>.mean / .std."""
+    return {
+        f"norm.{key}.{stat}": getattr(std, stat) for key, std in norm.items() for stat in ("mean", "std")
+    }
+
+
+def _norm_from_arrays(arrays: dict, keys) -> dict:
+    return {
+        key: Standardizer(arrays[f"norm.{key}.mean"], arrays[f"norm.{key}.std"]) for key in keys
+    }
+
+
 # --- forward model -------------------------------------------------------------
 
 
-class ForwardModel:
+class ForwardModel(Module):
     """Graph encoder + SGMLP head predicting an n-point spectrum."""
 
     def __init__(self, rng, n_out: int, cfg: TrainConfig, element: str, edge: str, kind: str, grid_values):
@@ -300,6 +380,7 @@ class ForwardModel:
             k=cfg.arch("encoder_k"),
         )
         self.head = SGMLP(rng, cfg.arch("encoder_dim"), cfg.arch("forward_hidden"), n_out, cfg.arch("forward_k"))
+        self.arch = {key: cfg.arch(key) for key in DEFAULT_ARCH}
         self.by_mask_sum = bool(cfg.arch("masked_mean_by_mask_sum"))
         self.n_out = n_out
         self.element = element
@@ -315,24 +396,10 @@ class ForwardModel:
             raise ValueError("graph mask selects no nodes: empty absorber environment")
         return self.head(self.encoder.pooled(g, by_mask_sum=self.by_mask_sum))
 
-    def named_parameters(self) -> dict:
-        out = self.encoder.named_parameters("encoder.")
-        out.update(self.head.named_parameters("head."))
-        return out
-
-    def save(self, path, cfg: TrainConfig) -> None:
-        header = {
-            "task": "forward",
-            "element": self.element,
-            "edge": self.edge,
-            "kind": self.kind,
-            "n_out": self.n_out,
-            "grid": [float(v) for v in self.grid_values],
-            "arch": {k: cfg.arch(k) for k in DEFAULT_ARCH},
-        }
-        merged = dict(self.named_parameters())
-        merged["y_center"] = self.y_center
-        save_params(merged, path, header=header)
+    def save(self, path) -> None:
+        header = {"task": "forward", "edge": self.edge, "kind": self.kind, "n_out": self.n_out,
+                  "grid": [float(v) for v in self.grid_values]}
+        _save_neural(self, path, header, {"y_center": self.y_center})
 
     @classmethod
     def load(cls, path) -> "ForwardModel":
@@ -340,20 +407,9 @@ class ForwardModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ForwardModel":
-        header, arrays = params_from_doc(doc)
-        if header.get("task") != "forward":
-            raise ValueError(f"checkpoint task {header.get('task')!r} is not a forward model")
-        cfg = TrainConfig(extras=header["arch"])
-        model = cls(
-            np.random.default_rng(0),
-            n_out=header["n_out"],
-            cfg=cfg,
-            element=header["element"],
-            edge=header["edge"],
-            kind=header["kind"],
-            grid_values=header["grid"],
-        )
-        load_into(model.named_parameters(), arrays)
+        _, arrays, model = _neural_from_doc(doc, "forward", lambda h, cfg: cls(
+            np.random.default_rng(0), h["n_out"], cfg, h["element"], h["edge"], h["kind"], h["grid"]
+        ))
         model.y_center = arrays["y_center"]
         return model
 
@@ -385,56 +441,26 @@ def train_forward(pairs, cfg: TrainConfig, val_pairs=None):
     rng = np.random.default_rng(cfg.seed)
     model = ForwardModel(rng, first.grid.n, cfg, *triple, grid_values=first.grid.values)
     model.y_center = np.mean([sp.mu for _, sp in pairs], axis=0)
-    history = _fit_forward(model, pairs, cfg, val_pairs, rng)
-    return history, model
-
-
-def _fit_forward(model, pairs, cfg, val_pairs, rng):
-    params = model.named_parameters()
-    plist = list(params.values())
     graphs = [g for g, _ in pairs]
     # MSE(head + center, mu) == MSE(head, mu - center): train on residuals
     targets = [sp.mu - model.y_center for _, sp in pairs]
-    # optional stopping target on the epoch training loss, e.g. for overfit probes
-    loss_stop = float(cfg.extras.get("train_loss_stop", 0.0) or 0.0)
-    history = []
-    best = (np.inf, None)
-    patience_left = cfg.patience
-    for epoch in range(cfg.epochs):
-        epoch_losses = []
-        for batch in _epoch_batches(len(pairs), cfg.batch_size, rng):
-            losses = [mse_loss(model.predict_tensor(graphs[i]), targets[i]) for i in batch]
-            loss = _mean_loss(losses)
-            zero_grad(plist)
-            backward(loss)
-            adamw_step(plist, lr=cfg.lr, weight_decay=cfg.weight_decay)
-            epoch_losses.append(loss.item())
-        val_metric = None
-        if val_pairs:
-            val_metric = float(
-                np.mean([np.abs(forward_predict(model, g) - sp.mu).mean() for g, sp in val_pairs])
-            )
-            if val_metric < best[0]:
-                best = (val_metric, _snapshot(params))
-                patience_left = cfg.patience
-            else:
-                patience_left -= 1
-        history.append(
-            {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)), "val_metric": val_metric}
+
+    def batch_loss(batch):
+        return _mean_loss([mse_loss(model.predict_tensor(graphs[i]), targets[i]) for i in batch])
+
+    def val_mae():
+        return float(
+            np.mean([np.abs(forward_predict(model, g) - sp.mu).mean() for g, sp in val_pairs])
         )
-        if val_pairs and patience_left <= 0:
-            break
-        if loss_stop and history[-1]["train_loss"] < loss_stop:
-            break
-    if best[1] is not None:
-        _restore(params, best[1])
-    return history
+
+    history = fit(model, cfg, rng, len(pairs), batch_loss, val_mae if val_pairs else None)
+    return history, model
 
 
 # --- inverse MNND ---------------------------------------------------------------
 
 
-class InverseMNND:
+class InverseMNND(Module):
     """Energy+absorption embeddings per kind, conv stacks, scalar distance head."""
 
     def __init__(self, rng, n_xanes: int, n_exafs: int, cfg: TrainConfig):
@@ -460,6 +486,7 @@ class InverseMNND:
             raise ValueError("too many conv blocks for the embedding width")
         feat = 2 * channels * length
         self.f_d = SGMLP(rng, feat, cfg.arch("head_hidden"), 1, cfg.arch("head_k"))
+        self.arch = {key: cfg.arch(key) for key in DEFAULT_ARCH}
         self.d = d
         self.n_xanes = n_xanes
         self.n_exafs = n_exafs
@@ -492,44 +519,10 @@ class InverseMNND:
             Tensor(self.norm["ae"].apply(ae)),
         )
 
-    def named_parameters(self) -> dict:
-        out = {}
-        out.update(self.f_E_xanes.named_parameters("f_E_xanes."))
-        out.update(self.f_A_xanes.named_parameters("f_A_xanes."))
-        out.update(self.f_E_exafs.named_parameters("f_E_exafs."))
-        out.update(self.f_A_exafs.named_parameters("f_A_exafs."))
-        for i, block in enumerate(self.conv_xanes):
-            out.update(block.named_parameters(f"conv_xanes{i}."))
-        for i, block in enumerate(self.conv_exafs):
-            out.update(block.named_parameters(f"conv_exafs{i}."))
-        out.update(self.f_d.named_parameters("f_d."))
-        return out
-
-    def _named_buffers(self) -> dict:
-        out = {}
-        for i, block in enumerate(self.conv_xanes):
-            out.update(block.named_buffers(f"conv_xanes{i}."))
-        for i, block in enumerate(self.conv_exafs):
-            out.update(block.named_buffers(f"conv_exafs{i}."))
-        for key, std in self.norm.items():
-            out[f"norm.{key}.mean"] = std.mean
-            out[f"norm.{key}.std"] = std.std
-        return out
-
-    def save(self, path, cfg: TrainConfig) -> None:
-        header = {
-            "task": "mnnd",
-            "n_xanes": self.n_xanes,
-            "n_exafs": self.n_exafs,
-            "y_mean": self.y_mean,
-            "y_std": self.y_std,
-            "arch": {k: cfg.arch(k) for k in DEFAULT_ARCH},
-        }
-        if self.element is not None:
-            header["element"] = self.element
-        merged = dict(self.named_parameters())
-        merged.update(self._named_buffers())
-        save_params(merged, path, header=header)
+    def save(self, path) -> None:
+        header = {"task": "mnnd", "n_xanes": self.n_xanes, "n_exafs": self.n_exafs,
+                  "y_mean": self.y_mean, "y_std": self.y_std}
+        _save_neural(self, path, header, _norm_arrays(self.norm))
 
     @classmethod
     def load(cls, path) -> "InverseMNND":
@@ -537,23 +530,12 @@ class InverseMNND:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "InverseMNND":
-        header, arrays = params_from_doc(doc)
-        if header.get("task") != "mnnd":
-            raise ValueError(f"checkpoint task {header.get('task')!r} is not an mnnd model")
-        cfg = TrainConfig(extras=header["arch"])
-        model = cls(np.random.default_rng(0), header["n_xanes"], header["n_exafs"], cfg)
-        load_into(model.named_parameters(), arrays)
-        for i, block in enumerate(model.conv_xanes):
-            block.load_buffers(arrays, f"conv_xanes{i}.")
-        for i, block in enumerate(model.conv_exafs):
-            block.load_buffers(arrays, f"conv_exafs{i}.")
-        model.norm = {
-            key: Standardizer(arrays[f"norm.{key}.mean"], arrays[f"norm.{key}.std"])
-            for key in ("ex", "ax", "ee", "ae")
-        }
+        header, arrays, model = _neural_from_doc(doc, "mnnd", lambda h, cfg: cls(
+            np.random.default_rng(0), h["n_xanes"], h["n_exafs"], cfg
+        ))
+        model.norm = _norm_from_arrays(arrays, ("ex", "ax", "ee", "ae"))
         model.y_mean = float(header["y_mean"])
         model.y_std = float(header["y_std"])
-        model.element = header.get("element")
         return model
 
 
@@ -589,46 +571,17 @@ def train_mnnd(samples, cfg: TrainConfig, val_samples=None):
         model.norm["ee"].apply(ee),
         model.norm["ae"].apply(ae),
     ]
-    params = model.named_parameters()
-    plist = list(params.values())
-    history = []
-    best = (np.inf, None, None)
-    patience_left = cfg.patience
-    for epoch in range(cfg.epochs):
-        epoch_losses = []
-        for batch in _epoch_batches(len(samples), cfg.batch_size, rng):
-            inputs = [Tensor(mat[batch]) for mat in X]
-            pred = model.forward(*inputs, training=True)
-            loss = mse_loss(pred, y_norm[batch])
-            zero_grad(plist)
-            backward(loss)
-            adamw_step(plist, lr=cfg.lr, weight_decay=cfg.weight_decay)
-            epoch_losses.append(loss.item())
-        val_metric = None
-        if val_samples:
-            preds = predict_mnnd_batch(model, val_samples)
-            val_metric = float(np.mean(np.abs(preds - np.array([s.labels.mnnd for s in val_samples]))))
-            if val_metric < best[0]:
-                best = (val_metric, _snapshot(params), model._named_buffers())
-                patience_left = cfg.patience
-            else:
-                patience_left -= 1
-        history.append(
-            {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)), "val_metric": val_metric}
-        )
-        if val_samples and patience_left <= 0:
-            break
-    if best[1] is not None:
-        _restore(params, best[1])
-        _restore_buffers(model, best[2])
+
+    def batch_loss(batch):
+        pred = model.forward(*[Tensor(mat[batch]) for mat in X], training=True)
+        return mse_loss(pred, y_norm[batch])
+
+    def val_mae():
+        preds = predict_mnnd_batch(model, val_samples)
+        return float(np.mean(np.abs(preds - np.array([s.labels.mnnd for s in val_samples]))))
+
+    history = fit(model, cfg, rng, len(samples), batch_loss, val_mae if val_samples else None)
     return history, model
-
-
-def _restore_buffers(model: InverseMNND, buffers: dict) -> None:
-    for i, block in enumerate(model.conv_xanes):
-        block.load_buffers(buffers, f"conv_xanes{i}.")
-    for i, block in enumerate(model.conv_exafs):
-        block.load_buffers(buffers, f"conv_exafs{i}.")
 
 
 def predict_mnnd_batch(model: InverseMNND, samples) -> np.ndarray:
@@ -640,7 +593,7 @@ def predict_mnnd_batch(model: InverseMNND, samples) -> np.ndarray:
 # --- inverse neighbor type -------------------------------------------------------
 
 
-class InverseNeighbor:
+class InverseNeighbor(Module):
     """Absorption-only embeddings into a species classifier.
 
     Deliberately never sees the energy axes: the classifier consumes
@@ -654,6 +607,7 @@ class InverseNeighbor:
         self.f_A_xanes = SGMLP(rng, n_xanes, hidden, d, k)
         self.f_A_exafs = SGMLP(rng, n_exafs, hidden, d, k)
         self.f_t = SGMLP(rng, 2 * d, cfg.arch("head_hidden"), len(classes), cfg.arch("head_k"))
+        self.arch = {key: cfg.arch(key) for key in DEFAULT_ARCH}
         self.classes = [int(z) for z in classes]  # atomic numbers, sorted
         self.n_xanes = n_xanes
         self.n_exafs = n_exafs
@@ -669,28 +623,10 @@ class InverseNeighbor:
         out = self.forward(Tensor(self.norm["ax"].apply(ax)), Tensor(self.norm["ae"].apply(ae)))
         return out.data
 
-    def named_parameters(self) -> dict:
-        out = {}
-        out.update(self.f_A_xanes.named_parameters("f_A_xanes."))
-        out.update(self.f_A_exafs.named_parameters("f_A_exafs."))
-        out.update(self.f_t.named_parameters("f_t."))
-        return out
-
-    def save(self, path, cfg: TrainConfig) -> None:
-        header = {
-            "task": "neighbor",
-            "n_xanes": self.n_xanes,
-            "n_exafs": self.n_exafs,
-            "classes": self.classes,
-            "arch": {k: cfg.arch(k) for k in DEFAULT_ARCH},
-        }
-        if self.element is not None:
-            header["element"] = self.element
-        merged = dict(self.named_parameters())
-        for key, std in self.norm.items():
-            merged[f"norm.{key}.mean"] = std.mean
-            merged[f"norm.{key}.std"] = std.std
-        save_params(merged, path, header=header)
+    def save(self, path) -> None:
+        header = {"task": "neighbor", "n_xanes": self.n_xanes, "n_exafs": self.n_exafs,
+                  "classes": self.classes}
+        _save_neural(self, path, header, _norm_arrays(self.norm))
 
     @classmethod
     def load(cls, path) -> "InverseNeighbor":
@@ -698,19 +634,10 @@ class InverseNeighbor:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "InverseNeighbor":
-        header, arrays = params_from_doc(doc)
-        if header.get("task") != "neighbor":
-            raise ValueError(f"checkpoint task {header.get('task')!r} is not a neighbor model")
-        cfg = TrainConfig(extras=header["arch"])
-        model = cls(
-            np.random.default_rng(0), header["n_xanes"], header["n_exafs"], header["classes"], cfg
-        )
-        load_into(model.named_parameters(), arrays)
-        model.norm = {
-            key: Standardizer(arrays[f"norm.{key}.mean"], arrays[f"norm.{key}.std"])
-            for key in ("ax", "ae")
-        }
-        model.element = header.get("element")
+        _, arrays, model = _neural_from_doc(doc, "neighbor", lambda h, cfg: cls(
+            np.random.default_rng(0), h["n_xanes"], h["n_exafs"], h["classes"], cfg
+        ))
+        model.norm = _norm_from_arrays(arrays, ("ax", "ae"))
         return model
 
 
@@ -735,44 +662,22 @@ def train_neighbor(samples, cfg: TrainConfig, val_samples=None):
     Xe = model.norm["ae"].apply(ae)
     y = np.array([class_index[s.labels.neighbor_type.atomic_number] for s in samples])
 
-    params = model.named_parameters()
-    plist = list(params.values())
-    history = []
-    best = (np.inf, None)
-    patience_left = cfg.patience
-    for epoch in range(cfg.epochs):
-        epoch_losses = []
-        for batch in _epoch_batches(len(samples), cfg.batch_size, rng):
-            logits = model.forward(Tensor(Xa[batch]), Tensor(Xe[batch]))
-            loss = cross_entropy_loss(logits, y[batch])
-            zero_grad(plist)
-            backward(loss)
-            adamw_step(plist, lr=cfg.lr, weight_decay=cfg.weight_decay)
-            epoch_losses.append(loss.item())
-        val_metric = None
-        if val_samples:
-            logits = model.logits(val_samples)
-            yv = np.array(
-                [class_index.get(s.labels.neighbor_type.atomic_number, -1) for s in val_samples]
-            )
-            p = softmax(logits)
-            known = yv >= 0
-            if known.any():
-                val_metric = float(-np.mean(np.log(np.maximum(p[known, yv[known]], 1e-300))))
-            else:
-                val_metric = float("inf")
-            if val_metric < best[0]:
-                best = (val_metric, _snapshot(params))
-                patience_left = cfg.patience
-            else:
-                patience_left -= 1
-        history.append(
-            {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)), "val_metric": val_metric}
+    def batch_loss(batch):
+        return cross_entropy_loss(model.forward(Tensor(Xa[batch]), Tensor(Xe[batch])), y[batch])
+
+    def val_cross_entropy():
+        """Mean over the samples of classes seen in training; inf if there are none."""
+        yv = np.array(
+            [class_index.get(s.labels.neighbor_type.atomic_number, -1) for s in val_samples]
         )
-        if val_samples and patience_left <= 0:
-            break
-    if best[1] is not None:
-        _restore(params, best[1])
+        p = softmax(model.logits(val_samples))
+        known = yv >= 0
+        if not known.any():
+            return float("inf")
+        return float(-np.mean(np.log(np.maximum(p[known, yv[known]], 1e-300))))
+
+    val_metric = val_cross_entropy if val_samples else None
+    history = fit(model, cfg, rng, len(samples), batch_loss, val_metric)
     return history, model
 
 
@@ -798,14 +703,9 @@ class CNClassifier:
         return np.concatenate([sample.xanes.mu, sample.exafs.mu])
 
     def save(self, path) -> None:
-        header = {
-            "task": "cn",
-            "classes": self.classes,
-            "n_xanes": self.n_xanes,
-            "n_exafs": self.n_exafs,
-        }
-        if self.element is not None:
-            header["element"] = self.element
+        header = _header(
+            self, task="cn", classes=self.classes, n_xanes=self.n_xanes, n_exafs=self.n_exafs
+        )
         doc = {"header": header, "forest": rf.forest_to_doc(self.forest)}
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -818,8 +718,7 @@ class CNClassifier:
     @classmethod
     def from_doc(cls, doc: dict) -> "CNClassifier":
         header = doc["header"]
-        if header.get("task") != "cn":
-            raise ValueError(f"checkpoint task {header.get('task')!r} is not a cn model")
+        _check_task(header, "cn")
         forest_model = rf.forest_from_doc(doc["forest"])
         model = cls(forest_model, header["classes"], header["n_xanes"], header["n_exafs"])
         model.element = header.get("element")

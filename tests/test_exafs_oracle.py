@@ -8,14 +8,12 @@ from xastruct.exafs_oracle import (
     BelowEdgeError,
     OracleParams,
     ScatteringShell,
-    chi_from_spectrum,
     chi_shell,
     default_edge_energy,
     default_exafs_grid,
     default_xanes_grid,
-    dominant_radius_fft,
-    estimate_dominant_radius,
     median_crossing_spacing,
+    radius_from_spacing,
     shells_from_structure,
     synth_exafs,
     synth_xanes,
@@ -179,15 +177,23 @@ class TestSynthExafs:
             synth_exafs(s, 0, P, EnergyGrid(np.array([P.e0_ev - 1.0, P.e0_ev + 50.0])))
 
     def test_simple_cubic_dominant_radius(self):
-        sp = synth_exafs(cubic_structure(a=3.0), 0, P, default_exafs_grid(P.e0_ev))
-        k, chi = chi_from_spectrum(sp, P)
-        est = dominant_radius_fft(k, chi, P.r_phase)
+        grid = default_exafs_grid(P.e0_ev)
+        sp = synth_exafs(cubic_structure(a=3.0), 0, P, grid)
+        k = wavenumber(grid.values, P.e0_ev)
+        # chi ~ sin(2k(R - r_phase)) peaks at (R - r_phase)/pi cycles per unit k in
+        # |FFT(k^2 chi)|; k^2 flattens the envelope, Hann keeps the shells apart
+        n_fft = 16 * k.size
+        magnitude = np.abs(np.fft.rfft((sp.mu - 1.0) * k**2 * np.hanning(k.size), n_fft))
+        freqs = np.fft.rfftfreq(n_fft, d=float(np.mean(np.diff(k))))
+        lo = int(np.searchsorted(freqs, (1.0 - P.r_phase) / math.pi))  # skip DC leakage
+        est = math.pi * float(freqs[lo + int(np.argmax(magnitude[lo:]))]) + P.r_phase
         assert abs(est - 3.0) / 3.0 < 0.05
 
     def test_lattice_scaling_compresses_spacing(self):
         grid = default_exafs_grid(P.e0_ev, n=400)
-        d1 = median_crossing_spacing(*chi_from_spectrum(synth_exafs(cubic_structure(3.0), 0, P, grid), P))
-        d2 = median_crossing_spacing(*chi_from_spectrum(synth_exafs(cubic_structure(3.3), 0, P, grid), P))
+        k = wavenumber(grid.values, P.e0_ev)
+        d1 = median_crossing_spacing(k, synth_exafs(cubic_structure(3.0), 0, P, grid).mu - 1.0)
+        d2 = median_crossing_spacing(k, synth_exafs(cubic_structure(3.3), 0, P, grid).mu - 1.0)
         assert d2 / d1 == pytest.approx(1.0 / 1.1, rel=0.03)
 
     def test_additivity_against_independent_shells(self):
@@ -330,11 +336,6 @@ class TestDefaults:
         assert np.allclose(np.diff(k), np.diff(k)[0], atol=1e-9)
         assert k[0] == pytest.approx(2.5) and k[-1] == pytest.approx(12.5)
 
-    def test_fft_requires_uniform_grid(self):
-        k = np.array([1.0, 2.0, 2.5, 4.0])
-        with pytest.raises(ValueError):
-            dominant_radius_fft(k, np.sin(k), 0.35)
-
     def test_single_shell_estimate_round_trip(self):
         from xastruct.spectra import Spectrum
 
@@ -343,5 +344,5 @@ class TestDefaults:
         for R in (2.0, 2.5, 3.0):
             chi = chi_shell(ScatteringShell(6, R, 8, 0.003), P, k)
             sp = Spectrum(grid, 1.0 + chi, "EXAFS", "K", Element.from_symbol("Cu"), "stub")
-            est = estimate_dominant_radius(sp, P)
+            est = radius_from_spacing(median_crossing_spacing(k, sp.mu - 1.0), P.r_phase)
             assert abs(est - R) / R < 0.05

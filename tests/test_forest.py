@@ -10,12 +10,10 @@ from xastruct.forest import (
     RandomForest,
     _best_split,
     fit,
+    forest_from_doc,
     forest_to_doc,
-    load_forest,
     predict,
-    predict_many,
     predict_proba,
-    save_forest,
 )
 
 
@@ -75,17 +73,15 @@ class TestFit:
         X = X[np.abs(X.sum(axis=1)) > 0.1]  # margin keeps the task clean
         y = (X.sum(axis=1) > 0).astype(int)
         forest = fit(X, y, ForestConfig(n_trees=30, max_depth=8, min_samples_leaf=1, seed=3))
-        assert np.mean(predict_many(forest, X) == y) == 1.0
+        assert np.mean(np.array([predict(forest, x) for x in X]) == y) == 1.0
 
-    def test_fixed_seed_reproduces_forest(self, tmp_path):
+    def test_fixed_seed_reproduces_forest(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(40, 5))
         y = rng.integers(0, 3, size=40)
         cfg = ForestConfig(n_trees=7, seed=11)
         a, b = fit(X, y, cfg), fit(X, y, cfg)
-        save_forest(a, tmp_path / "a.json")
-        save_forest(b, tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert json.dumps(forest_to_doc(a)) == json.dumps(forest_to_doc(b))
 
     def test_memorizes_consistent_data(self):
         # XOR: zero Gini gain at the root, still must split and reach purity
@@ -95,7 +91,7 @@ class TestFit:
             n_trees=1, max_depth=None, min_samples_leaf=1, max_features=None, bootstrap=False
         )
         forest = fit(X, y, cfg)
-        assert list(predict_many(forest, X)) == [0, 1, 1, 0]
+        assert [predict(forest, x) for x in X] == [0, 1, 1, 0]
 
     def test_memorizes_random_consistent_data(self):
         rng = np.random.default_rng(5)
@@ -105,7 +101,7 @@ class TestFit:
             n_trees=3, max_depth=None, min_samples_leaf=1, max_features=None, bootstrap=False
         )
         forest = fit(X, y, cfg)
-        assert np.mean(predict_many(forest, X) == y) == 1.0
+        assert np.mean(np.array([predict(forest, x) for x in X]) == y) == 1.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -205,7 +201,7 @@ class TestPredict:
         forest = fit(X, y, ForestConfig(n_trees=5, seed=12))
         doubled = RandomForest(forest.trees * 2, forest.config, forest.n_features, 3)
         queries = rng.normal(size=(20, 3))
-        assert np.array_equal(predict_many(forest, queries), predict_many(doubled, queries))
+        assert [predict(forest, x) for x in queries] == [predict(doubled, x) for x in queries]
 
     def test_dimension_mismatch(self):
         forest = RandomForest([pure_leaf_tree(0)], ForestConfig(n_trees=1), 2, 2)
@@ -214,22 +210,20 @@ class TestPredict:
 
 
 class TestCheckpoint:
-    def test_round_trip_preserves_predictions(self, tmp_path):
+    def test_round_trip_preserves_predictions(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(60, 6))
         y = rng.integers(0, 4, size=60)
         forest = fit(X, y, ForestConfig(n_trees=11, seed=14))
-        save_forest(forest, tmp_path / "f.json")
-        loaded = load_forest(tmp_path / "f.json")
+        loaded = forest_from_doc(json.loads(json.dumps(forest_to_doc(forest))))
         queries = rng.normal(size=(25, 6))
-        assert np.array_equal(predict_many(forest, queries), predict_many(loaded, queries))
+        assert [predict(forest, x) for x in queries] == [predict(loaded, x) for x in queries]
         for row in queries[:5]:
             assert np.allclose(predict_proba(forest, row), predict_proba(loaded, row), atol=1e-15)
 
-    def test_header_fields(self, tmp_path):
+    def test_header_fields(self):
         forest = fit(np.zeros((4, 2)) + np.arange(4)[:, None], np.array([0, 0, 1, 1]))
-        save_forest(forest, tmp_path / "f.json")
-        doc = json.loads((tmp_path / "f.json").read_text())
+        doc = json.loads(json.dumps(forest_to_doc(forest)))
         assert doc["header"]["n_features"] == 2
         assert doc["header"]["n_classes"] == 2
         assert doc["header"]["max_features"] == "sqrt"

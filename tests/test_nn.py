@@ -105,8 +105,8 @@ class TestSGMLP:
 
     def test_k3_structure(self):
         net = SGMLP(np.random.default_rng(8), 4, 8, 3, k=3)
-        assert len(net.blocks) == 2
-        assert isinstance(net.blocks[0], SBlock)
+        assert len(net.block) == 2
+        assert isinstance(net.block[0], SBlock)
         assert net.final.W_v.shape == (3, 8)
 
     def test_k_must_be_positive(self):

@@ -224,13 +224,13 @@ def test_forward_checkpoint_roundtrip(tmp_path):
     cfg = _forward_cfg(epochs=3)
     _, model = pl.train_forward(pairs, cfg)
     path = tmp_path / "fwd.json"
-    model.save(path, cfg)
+    model.save(path)
     loaded = pl.ForwardModel.load(path)
     assert loaded.element == "Cu" and loaded.kind == "XANES"
     for g, _ in pairs:
         assert np.array_equal(pl.forward_predict(model, g), pl.forward_predict(loaded, g))
     path2 = tmp_path / "fwd2.json"
-    loaded.save(path2, cfg)
+    loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -322,12 +322,12 @@ def test_mnnd_checkpoint_roundtrip(mnnd_samples, tmp_path):
     cfg = _inverse_cfg(epochs=3)
     _, model = pl.train_mnnd(mnnd_samples, cfg)
     path = tmp_path / "mnnd.json"
-    model.save(path, cfg)
+    model.save(path)
     loaded = pl.InverseMNND.load(path)
     for s in mnnd_samples[:4]:
         assert pl.mnnd_predict(loaded, s) == pl.mnnd_predict(model, s)
     path2 = tmp_path / "mnnd2.json"
-    loaded.save(path2, cfg)
+    loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -378,7 +378,7 @@ def test_neighbor_checkpoint_roundtrip(neighbor_samples, tmp_path):
     cfg = _inverse_cfg(epochs=3)
     _, model = pl.train_neighbor(neighbor_samples, cfg)
     path = tmp_path / "nb.json"
-    model.save(path, cfg)
+    model.save(path)
     loaded = pl.InverseNeighbor.load(path)
     assert loaded.classes == model.classes
     for s in neighbor_samples[:3]:
@@ -391,6 +391,15 @@ def test_neighbor_training_deterministic(neighbor_samples):
     h2, m2 = pl.train_neighbor(neighbor_samples, cfg)
     assert h1 == h2
     assert np.array_equal(m1.logits(neighbor_samples[:2]), m2.logits(neighbor_samples[:2]))
+
+
+def test_inverse_train_loss_stop_halts_training(mnnd_samples, neighbor_samples):
+    extras = {**TINY_INVERSE_ARCH, "train_loss_stop": "1e9"}  # any epoch clears it
+    cfg = _inverse_cfg(epochs=50, extras=extras)
+    history, _ = pl.train_mnnd(mnnd_samples, cfg)
+    assert len(history) == 1
+    history, _ = pl.train_neighbor(neighbor_samples, cfg)
+    assert len(history) == 1
 
 
 # --- checkpoint codec ------------------------------------------------------------
@@ -423,7 +432,7 @@ def test_loaded_predictions_bit_identical_in_both_formats(task, mnnd_samples, ne
         _, model = pl.train_neighbor(neighbor_samples, cfg)
         predict = lambda m: m.logits(neighbor_samples)
     path = tmp_path / "model.json"
-    model.save(path, cfg)
+    model.save(path)
     expected = predict(model).tobytes()
     for ckpt in (path, _with_list_params(path, tmp_path / "list.json")):
         assert predict(type(model).load(ckpt)).tobytes() == expected
