@@ -436,6 +436,84 @@ def gather_rows(table, indices) -> Tensor:
     return out
 
 
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """out[k] = sum of the rows g[e] with idx[e] == k: g [E, d], idx [E] -> [n, d]."""
+    d = g.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
+
+
+def segment_sum(x, seg, n: int) -> Tensor:
+    """Rows of x [E, d] summed by sorted segment id seg [E] -> [n, d].
+
+    Segment k is the run of rows with seg == k; an empty segment gives a
+    zero row. The backward pass gathers each row's segment gradient.
+    """
+    x = as_tensor(x)
+    seg = np.asarray(seg, dtype=int)
+    if x.ndim != 2 or seg.shape != (x.shape[0],):
+        raise _shape_error("segment_sum", x.shape, seg.shape)
+    if seg.size and (seg[0] < 0 or seg[-1] >= n or np.any(seg[1:] < seg[:-1])):
+        raise ValueError(f"segment_sum ids must be sorted and in [0, {n})")
+    counts = np.bincount(seg, minlength=n)
+    filled = counts > 0
+    data = np.zeros((n, x.shape[1]))
+    if seg.size:
+        data[filled] = np.add.reduceat(x.data, (np.cumsum(counts) - counts)[filled], axis=0)
+    out = Tensor(data, (x,))
+
+    def backward(g):
+        x.grad += g[seg]
+
+    out._backward = backward
+    return out
+
+
+def edge_linear(H, R, i, j, W, b=None) -> Tensor:
+    """[H[i] | H[j] | R] @ W.T + b without building the concatenation.
+
+    H [V, d] holds node rows, R [E, r] edge rows, and i, j [E] the node
+    indices of each edge; W is [d_out, 2d + r]. Computed as
+    (H W_i^T)[i] + (H W_j^T)[j] + R W_r^T + b from the column blocks W_i,
+    W_j, W_r of W: node-level products and an r-column edge product.
+    """
+    H, R, W = as_tensor(H), as_tensor(R), as_tensor(W)
+    i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
+    shapes = (H.shape, R.shape, i.shape, j.shape, W.shape)
+    if H.ndim != 2 or R.ndim != 2 or W.ndim != 2:
+        raise _shape_error("edge_linear", *shapes)
+    (n_nodes, d), n_edges = H.shape, R.shape[0]
+    if W.shape[1] != 2 * d + R.shape[1] or i.shape != (n_edges,) or j.shape != (n_edges,):
+        raise _shape_error("edge_linear", *shapes)
+    if n_edges and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n_nodes):
+        raise ValueError(f"edge_linear node index out of range for {n_nodes} nodes")
+    W_i, W_j, W_r = W.data[:, :d], W.data[:, d : 2 * d], W.data[:, 2 * d :]
+    # summed in place: a fresh [E, d_out] array per term costs as much as the add
+    data = (H.data @ W_i.T)[i]
+    data += (H.data @ W_j.T)[j]
+    data += R.data @ W_r.T
+    if b is not None:
+        b = as_tensor(b)
+        if b.shape != (W.shape[0],):
+            raise _shape_error("edge_linear bias", b.shape, (W.shape[0],))
+        data += b.data
+    out = Tensor(data, (H, R, W) if b is None else (H, R, W, b))
+
+    def backward(g):
+        g_i = _scatter_rows(g, i, n_nodes)
+        g_j = _scatter_rows(g, j, n_nodes)
+        W.grad[:, :d] += g_i.T @ H.data
+        W.grad[:, d : 2 * d] += g_j.T @ H.data
+        W.grad[:, 2 * d :] += g.T @ R.data
+        H.grad += g_i @ W_i + g_j @ W_j
+        R.grad += g @ W_r
+        if b is not None:
+            b.grad += g.sum(axis=0)
+
+    out._backward = backward
+    return out
+
+
 def total(x) -> Tensor:
     """Sum of all entries, as a scalar tensor. The building block for test losses."""
     x = as_tensor(x)

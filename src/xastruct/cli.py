@@ -37,6 +37,7 @@ from .autodiff import (
     concat,
     conv1d,
     cross_entropy_loss,
+    edge_linear,
     finite_difference_check,
     gather_rows,
     layer_norm,
@@ -47,6 +48,7 @@ from .autodiff import (
     mul,
     relu,
     reshape,
+    segment_sum,
     sigmoid,
     swish_beta,
     total,
@@ -329,13 +331,17 @@ def synth_dataset(cfg: dict, out_dir: Path):
 
 
 def load_structures_with_absorbers(path) -> list:
+    """(structure, absorber index) per JSON line; a bad line raises naming the file and line."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            out.append((structure_from_dict(record), int(record.get("absorber", 0))))
+            try:
+                record = json.loads(line)
+                out.append((structure_from_dict(record), int(record.get("absorber", 0))))
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -420,7 +426,7 @@ def cmd_train(args) -> int:
         for symbol, pairs in sorted(groups.items()):
             train_part, val_part = split_dataset(pairs, seed)
             history, model = pl.train_forward(train_part, tcfg, val_pairs=val_part)
-            metrics = pl.eval_forward(model, val_part)
+            metrics = pl.eval_forward(model, val_part, tcfg.batch_size)
             tag = f"forward_{symbol}_{kind}"
             ckpt = out_dir / f"{tag}.json"
             model.save(ckpt)
@@ -501,7 +507,7 @@ def cmd_eval(args) -> int:
         if model.element not in groups:
             raise ValueError(f"dataset has no {model.element} {model.kind} samples to evaluate")
         pairs = groups[model.element]
-        metrics = pl.eval_forward(model, pairs)
+        metrics = pl.eval_forward(model, pairs, pl.TrainConfig.from_config(cfg).batch_size)
         scope = f"{model.element}/{model.edge}/{model.kind}"
         n_val = len(pairs)
     else:
@@ -689,11 +695,21 @@ def _gradcheck_cases(seed: int):
     )
     graph = build_graph(cell, 0, cutoff=3.2)
     encoder = MPEncoder(rng, d=3, t_rounds=1, n_rbf=2, hidden=3, k=2, n_elements=4)
-    case(
-        "MPEncoder",
-        tuple(encoder.named_parameters().values()),
-        lambda: encoder.pooled(graph),
-    )
+    case("MPEncoder", tuple(encoder.named_parameters().values()), lambda: encoder.pooled([graph]))
+
+    seg_x = p(5, 3)
+    # segments 1 and 4 are empty
+    case("segment_sum", (seg_x,), lambda: segment_sum(seg_x, [0, 0, 2, 3, 3], 5))
+    el_h, el_r, el_w, el_b = p(3, 2), p(4, 2), p(3, 6), p(3)
+    case("edge_linear", (el_h, el_r, el_w, el_b),
+         lambda: edge_linear(el_h, el_r, [0, 0, 1, 2], [1, 2, 0, 0], el_w, el_b))
+    # two graphs as one union, and k = 1: the factorized layer is the message's final one
+    lone = CrystalStructure(lattice=Lattice(np.eye(3) * 2.9),
+                            sites=(Site(Element(3), np.zeros(3)),))
+    batch = [graph, build_graph(lone, 0, cutoff=3.2)]
+    shallow = MPEncoder(rng, d=3, t_rounds=1, n_rbf=2, hidden=3, k=1, n_elements=4)
+    case("MPEncoder batch", tuple(shallow.named_parameters().values()),
+         lambda: shallow.pooled(batch))
     return cases
 
 

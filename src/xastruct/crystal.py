@@ -4,6 +4,8 @@ Conventions: lattice rows are lattice vectors in angstroms, fractional
 coordinates live in [0, 1), and cartesian positions are ``frac @ basis``.
 Neighbor searches enumerate periodic images exhaustively inside a bound
 derived from the perpendicular cell heights; correctness over cleverness.
+Structure graphs hold their edges as index, distance and offset arrays, so
+a batch of graphs joins into one graph by offsetting node indices.
 """
 
 from __future__ import annotations
@@ -165,23 +167,23 @@ class Neighbor(NamedTuple):
     distance: float
 
 
-class GraphEdge(NamedTuple):
-    i: int
-    j: int
-    distance: float
-    offset: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class StructureGraph:
     """Distance-cutoff graph over a structure's sites with periodic images.
 
-    ``mask`` is 1 on the absorber and its first-shell neighbors, 0 elsewhere.
+    One directed edge per (site i, image of site j) pair within the cutoff,
+    stored as arrays sorted by (i, j, offset): ``edges`` [E, 2] int holds
+    (i, j), ``edge_dist`` [E] the distance and ``edge_offset`` [E, 3] int
+    the lattice offset of j's image. Each node's incoming edges are one run
+    of rows, so messages sum by segment. ``mask`` is 1 on the absorber and
+    its first-shell neighbors, 0 elsewhere.
     """
 
     node_elements: tuple
     node_cart: np.ndarray
-    edges: tuple
+    edges: np.ndarray
+    edge_dist: np.ndarray
+    edge_offset: np.ndarray
     absorber_index: int
     mask: np.ndarray
 
@@ -261,14 +263,12 @@ def build_graph(
     cutoff: float,
     tol_factor: float = 1.1,
 ) -> StructureGraph:
-    """Cutoff graph with one node per site and per-image directed edge records."""
+    """Cutoff graph with one node per site and one directed edge per periodic image."""
     if not 0 <= absorber < len(s):
         raise ValueError(f"absorber index {absorber} out of range")
 
     centers, offsets, sites, dists = _image_pairs(s, range(len(s)), cutoff)
     order = np.lexsort((*offsets.T[::-1], sites, centers))
-    edges = tuple(map(GraphEdge, centers[order].tolist(), sites[order].tolist(),
-                      dists[order].tolist(), map(tuple, offsets[order].tolist())))
 
     mask = np.zeros(len(s), dtype=float)
     mask[absorber] = 1.0
@@ -280,7 +280,9 @@ def build_graph(
     return StructureGraph(
         node_elements=tuple(site.element for site in s.sites),
         node_cart=s.cart_coords(),
-        edges=edges,
+        edges=np.stack([centers[order], sites[order]], axis=1),
+        edge_dist=dists[order],
+        edge_offset=offsets[order],
         absorber_index=absorber,
         mask=mask,
     )

@@ -1,6 +1,6 @@
 """Neural building blocks: gated linear units, SwiGLU stacks, conv blocks,
-and a message-passing encoder that turns a structure graph into per-node
-embeddings.
+and a message-passing encoder that turns a batch of structure graphs into
+per-node embeddings.
 
 Every layer and model subclasses Module, which names Parameters and
 buffers after the attributes that hold them, for the optimizer and for
@@ -9,6 +9,7 @@ gradients come for free.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,17 +22,16 @@ from .autodiff import (
     batch_norm_1d,
     concat,
     conv1d,
+    edge_linear,
     gather_rows,
     layer_norm,
     linear,
-    masked_mean,
-    matmul,
     mul,
     relu,
+    segment_sum,
     sigmoid,
     swish_beta,
 )
-from .crystal import StructureGraph
 
 N_ELEMENTS = 118
 
@@ -79,8 +79,27 @@ class Module:
                 value.load_buffers(arrays, f"{prefix}{name}.")
 
 
+class EdgeConcat(NamedTuple):
+    """Edge rows [H[i] | H[j] | R], described but not built.
+
+    A GatedLinearLayer given one computes its linears with edge_linear, from
+    node-level products of H and an edge-level product of R.
+    """
+
+    H: Tensor
+    R: Tensor
+    i: np.ndarray
+    j: np.ndarray
+
+
+def _linear(x, W, b) -> Tensor:
+    if isinstance(x, EdgeConcat):
+        return edge_linear(x.H, x.R, x.i, x.j, W, b)
+    return linear(x, W, b)
+
+
 class GatedLinearLayer(Module):
-    """(W_v x + b_v) * sigmoid(W_g x + b_g)."""
+    """(W_v x + b_v) * sigmoid(W_g x + b_g); x may be a Tensor or an EdgeConcat."""
 
     def __init__(self, rng, d_in: int, d_out: int):
         self.W_v = Parameter(glorot_uniform(rng, (d_out, d_in), d_in, d_out))
@@ -89,7 +108,7 @@ class GatedLinearLayer(Module):
         self.b_g = Parameter(np.zeros(d_out))
 
     def __call__(self, x) -> Tensor:
-        return mul(linear(x, self.W_v, self.b_v), sigmoid(linear(x, self.W_g, self.b_g)))
+        return mul(_linear(x, self.W_v, self.b_v), sigmoid(_linear(x, self.W_g, self.b_g)))
 
 
 class SwiGLULayer(Module):
@@ -189,12 +208,17 @@ class MessageRound(Module):
 
 
 class MPEncoder(Module):
-    """Message-passing encoder over a structure graph.
+    """Message-passing encoder over a batch of structure graphs.
 
-    T rounds of: m_ij = SGMLP([h_i | h_j | rbf(d_ij)]), summed over the
-    neighbors of i, then h_i <- LayerNorm(h_i + SGMLP([h_i | sum_j m_ij])).
-    Node features start from a per-element embedding table. Permutation
-    equivariant: relabeling nodes relabels rows of the output.
+    The batch is encoded as one graph, the disjoint union of its graphs
+    with node indices offset graph by graph. T rounds of:
+    m_ij = SGMLP([h_i | h_j | rbf(d_ij)]), summed over the neighbors of i,
+    then h_i <- LayerNorm(h_i + SGMLP([h_i | sum_j m_ij])). The message
+    SGMLP's first gated layer is factorized (see EdgeConcat), so the
+    [E, 2d + n_rbf] edge input is never built; edges arrive sorted by i,
+    so the sum over neighbors is a segment sum. Node features start from a
+    per-element embedding table. Permutation equivariant: relabeling nodes
+    relabels rows of the output.
     """
 
     def __init__(
@@ -215,32 +239,35 @@ class MPEncoder(Module):
         self.embedding = Parameter(glorot_uniform(rng, (n_elements + 1, d), d, d))
         self.round = [MessageRound(rng, d, n_rbf, hidden, k) for _ in range(t_rounds)]
 
-    def __call__(self, g: StructureGraph) -> Tensor:
-        n_nodes = len(g.node_elements)
-        if n_nodes == 0:
-            raise ValueError("cannot encode an empty graph")
-        z = [el.atomic_number for el in g.node_elements]
+    def __call__(self, graphs) -> Tensor:
+        """Node embeddings [sum of V, d] of a list of graphs, graph after graph."""
+        sizes = [len(g.node_elements) for g in graphs]
+        if not sizes or min(sizes) == 0:
+            raise ValueError("cannot encode an empty graph or an empty batch")
+        starts = np.cumsum([0] + sizes[:-1])
+        z = [el.atomic_number for g in graphs for el in g.node_elements]
+        edges = np.concatenate([g.edges + start for g, start in zip(graphs, starts)])
+        dists = np.concatenate([g.edge_dist for g in graphs])
         H = gather_rows(self.embedding, z)
-
-        idx_i = np.array([e.i for e in g.edges], dtype=int)
-        idx_j = np.array([e.j for e in g.edges], dtype=int)
-        dists = np.array([e.distance for e in g.edges], dtype=float)
         feats = Tensor(rbf_features(dists, self.centers, self.width))
-        # receiver matrix: row i sums the messages arriving at node i
-        receive = np.zeros((n_nodes, len(g.edges)))
-        if len(g.edges):
-            receive[idx_i, np.arange(len(g.edges))] = 1.0
-        receive = Tensor(receive)
-
+        i, j = edges[:, 0], edges[:, 1]
         for rnd in self.round:
-            h_i = gather_rows(H, idx_i)
-            h_j = gather_rows(H, idx_j)
-            messages = rnd.message(concat([h_i, h_j, feats], axis=1))
-            agg = matmul(receive, messages)
+            messages = rnd.message(EdgeConcat(H, feats, i, j))
+            agg = segment_sum(messages, i, len(z))
             update = rnd.update(concat([H, agg], axis=1))
             H = layer_norm(add(H, update), rnd.ln_gain, rnd.ln_bias)
         return H
 
-    def pooled(self, g: StructureGraph, by_mask_sum: bool = False) -> Tensor:
-        """Masked mean of the node embeddings: the graph-level vector."""
-        return masked_mean(self(g), Tensor(g.mask), by_mask_sum=by_mask_sum)
+    def pooled(self, graphs, by_mask_sum: bool = False) -> Tensor:
+        """Per-graph masked mean of the node embeddings: [B, d] for B graphs.
+
+        Graph b's vector is sum_i m_i h_i over its nodes, divided by its node
+        count, or by its mask sum with by_mask_sum.
+        """
+        masks = [g.mask for g in graphs]
+        denom = np.array([m.sum() if by_mask_sum else m.size for m in masks], dtype=float)
+        if by_mask_sum and np.any(denom <= 0):
+            raise ValueError("masked mean by mask sum requires a nonempty mask")
+        graph_of = np.repeat(np.arange(len(graphs)), [m.size for m in masks])
+        weights = np.concatenate(masks) / denom[graph_of]
+        return segment_sum(mul(self(graphs), Tensor(weights[:, None])), graph_of, len(graphs))

@@ -25,14 +25,12 @@ import numpy as np
 from . import forest as rf
 from .autodiff import (
     Tensor,
-    add,
     adamw_step,
     backward,
     concat,
     cross_entropy_loss,
     load_into,
     mse_loss,
-    mul,
     params_from_doc,
     reshape,
     save_params,
@@ -240,13 +238,6 @@ class Standardizer:
         return (np.asarray(X, dtype=float) - self.mean) / self.std
 
 
-def _mean_loss(losses):
-    out = losses[0]
-    for item in losses[1:]:
-        out = add(out, item)
-    return mul(out, Tensor(np.array(1.0 / len(losses))))
-
-
 def _epoch_batches(n: int, batch_size: int, rng) -> list:
     order = rng.permutation(n)
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
@@ -390,11 +381,18 @@ class ForwardModel(Module):
         # the head learns the residual around the mean training spectrum
         self.y_center = np.zeros(n_out)
 
-    def predict_tensor(self, g: StructureGraph) -> Tensor:
-        """Residual prediction; add y_center for the spectrum itself."""
-        if not np.any(g.mask):
+    def __call__(self, graphs) -> Tensor:
+        """Residual predictions [B, n_out] of B graphs, encoded as one batch.
+
+        Add y_center for the spectra themselves.
+        """
+        if not all(np.any(g.mask) for g in graphs):
             raise ValueError("graph mask selects no nodes: empty absorber environment")
-        return self.head(self.encoder.pooled(g, by_mask_sum=self.by_mask_sum))
+        return self.head(self.encoder.pooled(graphs, by_mask_sum=self.by_mask_sum))
+
+    def predict_tensor(self, g: StructureGraph) -> Tensor:
+        """Residual prediction [n_out] of one graph."""
+        return reshape(self([g]), (self.n_out,))
 
     def save(self, path) -> None:
         header = {"task": "forward", "edge": self.edge, "kind": self.kind, "n_out": self.n_out,
@@ -414,8 +412,17 @@ class ForwardModel(Module):
         return model
 
 
-def forward_predict(model: ForwardModel, g: StructureGraph) -> np.ndarray:
-    return model.predict_tensor(g).data + model.y_center
+def forward_predict(model: ForwardModel, graphs,
+                    batch_size: int = TrainConfig.batch_size) -> np.ndarray:
+    """Spectrum [n_out] of one graph, or spectra [B, n_out] of a list of graphs.
+
+    A list is encoded batch_size graphs at a time, which bounds the size of
+    one batch's tape.
+    """
+    if isinstance(graphs, StructureGraph):
+        return forward_predict(model, [graphs])[0]
+    chunks = [model(graphs[k : k + batch_size]).data for k in range(0, len(graphs), batch_size)]
+    return np.concatenate(chunks) + model.y_center
 
 
 def train_forward(pairs, cfg: TrainConfig, val_pairs=None):
@@ -423,7 +430,8 @@ def train_forward(pairs, cfg: TrainConfig, val_pairs=None):
 
     One model covers exactly one absorber/edge/kind combination; mixing
     them in the training set is a scope error, not something to average
-    over. Minibatch AdamW on the mean squared error of the mu values.
+    over. Minibatch AdamW on the mean squared error of the mu values; each
+    minibatch is encoded as one batch of graphs.
     """
     if not pairs:
         raise InsufficientDataError("forward training needs at least one sample")
@@ -442,16 +450,16 @@ def train_forward(pairs, cfg: TrainConfig, val_pairs=None):
     model = ForwardModel(rng, first.grid.n, cfg, *triple, grid_values=first.grid.values)
     model.y_center = np.mean([sp.mu for _, sp in pairs], axis=0)
     graphs = [g for g, _ in pairs]
-    # MSE(head + center, mu) == MSE(head, mu - center): train on residuals
-    targets = [sp.mu - model.y_center for _, sp in pairs]
+    # MSE(head + center, mu) == MSE(head, mu - center): train on residuals.
+    # One MSE over the [B, n_out] batch is the mean of the per-graph MSEs.
+    targets = np.stack([sp.mu for _, sp in pairs]) - model.y_center
 
     def batch_loss(batch):
-        return _mean_loss([mse_loss(model.predict_tensor(graphs[i]), targets[i]) for i in batch])
+        return mse_loss(model([graphs[i] for i in batch]), targets[batch])
 
     def val_mae():
-        return float(
-            np.mean([np.abs(forward_predict(model, g) - sp.mu).mean() for g, sp in val_pairs])
-        )
+        preds = forward_predict(model, [g for g, _ in val_pairs], cfg.batch_size)
+        return float(np.mean(np.abs(preds - np.stack([sp.mu for _, sp in val_pairs])).mean(axis=1)))
 
     history = fit(model, cfg, rng, len(pairs), batch_loss, val_mae if val_pairs else None)
     return history, model
@@ -760,8 +768,8 @@ def group_by_element(samples) -> dict:
     return groups
 
 
-def eval_forward(model: ForwardModel, pairs) -> Metrics:
-    preds = np.concatenate([forward_predict(model, g) for g, _ in pairs])
+def eval_forward(model: ForwardModel, pairs, batch_size: int = TrainConfig.batch_size) -> Metrics:
+    preds = forward_predict(model, [g for g, _ in pairs], batch_size).reshape(-1)
     targets = np.concatenate([sp.mu for _, sp in pairs])
     return evaluate(preds, targets, "regression")
 

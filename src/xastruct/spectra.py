@@ -166,26 +166,52 @@ def save_spectrum(sp: Spectrum, csv_path) -> None:
 
 
 def load_spectrum(csv_path) -> Spectrum:
+    """A spectrum from its CSV and JSON sidecar.
+
+    Malformed content raises a ValueError that names the file, and the line
+    where one line is at fault.
+    """
     csv_path = Path(csv_path)
     energies, mu = [], []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["energy_ev", "mu"]:
-            raise ValueError(f"unexpected spectrum CSV header {header}")
-        for row in reader:
-            energies.append(float(row[0]))
-            mu.append(float(row[1]))
-    with open(csv_path.with_suffix(".json")) as fh:
-        meta = json.load(fh)
-    return Spectrum(
-        grid=EnergyGrid(np.array(energies)),
-        mu=np.array(mu),
-        kind=meta["kind"],
-        edge=meta["edge"],
-        absorber=Element.from_symbol(meta["absorber"]),
-        structure_id=meta.get("structure_id", ""),
-    )
+            raise ValueError(f"{csv_path}:1: unexpected spectrum CSV header {header}")
+        try:
+            for row in reader:
+                energies.append(float(row[0]))
+                mu.append(float(row[1]))
+        except IndexError:
+            where = f"{csv_path}:{reader.line_num}"
+            raise ValueError(f"{where}: expected 2 fields, got {len(row)}") from None
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{csv_path}:{reader.line_num}: malformed row: {exc}") from None
+    energies, mu = np.array(energies), np.array(mu)
+    sidecar = csv_path.with_suffix(".json")
+    with open(sidecar) as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar}:{exc.lineno}: {exc.msg}") from None
+    try:
+        return Spectrum(
+            grid=EnergyGrid(energies),
+            mu=mu,
+            kind=meta["kind"],
+            edge=meta["edge"],
+            absorber=Element.from_symbol(meta["absorber"]),
+            structure_id=meta.get("structure_id", ""),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{sidecar}: missing field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        # a NaN energy fails as a non-increasing grid: name the first non-finite
+        # line (line 1 is the header)
+        bad = np.flatnonzero(~(np.isfinite(energies) & np.isfinite(mu)))
+        if bad.size:
+            raise ValueError(f"{csv_path}:{bad[0] + 2}: non-finite value") from None
+        raise ValueError(f"{csv_path}: {exc}") from None
 
 
 def labels_to_dict(labels: DescriptorLabels) -> dict:
@@ -226,20 +252,27 @@ def save_dataset(samples, manifest_path) -> None:
 
 
 def load_dataset(manifest_path) -> list:
+    """The samples of a manifest; a bad line raises a ValueError naming the file and line."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     samples = []
     with open(manifest_path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            samples.append(
-                LabeledSample(
-                    xanes=load_spectrum(root / record["xanes"]),
-                    exafs=load_spectrum(root / record["exafs"]),
-                    labels=labels_from_dict(record["labels"]),
+            try:
+                record = json.loads(line)
+                samples.append(
+                    LabeledSample(
+                        xanes=load_spectrum(root / record["xanes"]),
+                        exafs=load_spectrum(root / record["exafs"]),
+                        labels=labels_from_dict(record["labels"]),
+                    )
                 )
-            )
+            except KeyError as exc:
+                field = exc.args[0]
+                raise ValueError(f"{manifest_path}:{lineno}: missing field {field!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{manifest_path}:{lineno}: {exc}") from None
     return samples

@@ -17,6 +17,7 @@ from xastruct.autodiff import (
     concat,
     conv1d,
     cross_entropy_loss,
+    edge_linear,
     finite_difference_check,
     gather_rows,
     layer_norm,
@@ -31,6 +32,7 @@ from xastruct.autodiff import (
     relu,
     reshape,
     save_params,
+    segment_sum,
     sigmoid,
     softmax,
     swish_beta,
@@ -120,6 +122,50 @@ class TestForwardValues:
     def test_masked_mean_empty_mask_sum_rejected(self):
         with pytest.raises(ValueError):
             masked_mean(Tensor(np.ones((3, 2))), Tensor(np.zeros(3)), by_mask_sum=True)
+
+    def test_segment_sum_matches_loop_with_empty_segments(self):
+        x = Tensor(np.arange(15.0).reshape(5, 3))
+        seg = [1, 1, 1, 3, 5]
+        got = segment_sum(x, seg, 7).data
+        want = np.zeros((7, 3))
+        for row, k in zip(x.data, seg):
+            want[k] += row
+        assert got.tolist() == want.tolist()
+        assert segment_sum(Tensor(np.zeros((0, 2))), [], 3).data.tolist() == [[0.0, 0.0]] * 3
+
+    def test_segment_sum_rejects_unsorted_or_out_of_range_ids(self):
+        x = Tensor(np.ones((3, 2)))
+        for seg, n in (([1, 0, 2], 3), ([0, 1, 3], 3), ([-1, 0, 1], 3)):
+            with pytest.raises(ValueError):
+                segment_sum(x, seg, n)
+        with pytest.raises(ShapeError):
+            segment_sum(x, [0, 1], 3)
+
+    def test_edge_linear_matches_gather_concat_linear(self):
+        rng = np.random.default_rng(3)
+        i, j = [0, 0, 1, 3, 3, 3], [2, 1, 1, 0, 2, 3]
+        H, R = Parameter(rng.normal(size=(4, 3))), Parameter(rng.normal(size=(6, 2)))
+        W, b = Parameter(rng.normal(size=(5, 8))), Parameter(rng.normal(size=5))
+        c = Tensor(rng.normal(size=(6, 5)))
+        ref = lambda: linear(concat([gather_rows(H, i), gather_rows(H, j), R], axis=1), W, b)
+        grads = []
+        for build in (ref, lambda: edge_linear(H, R, i, j, W, b)):
+            zero_grad([H, R, W, b])
+            out = build()
+            backward(total(mul(out, c)))
+            grads.append([out.data] + [p.grad.copy() for p in (H, R, W, b)])
+        for want, got in zip(*grads):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_edge_linear_rejects_bad_shapes_and_indices(self):
+        H, R = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 1)))
+        W, b = Tensor(np.ones((4, 5))), Tensor(np.ones(4))
+        with pytest.raises(ShapeError):
+            edge_linear(H, R, [0, 1], [1, 2], Tensor(np.ones((4, 6))), b)
+        with pytest.raises(ShapeError):
+            edge_linear(H, R, [0, 1, 2], [1, 2, 0], W, b)
+        with pytest.raises(ValueError):
+            edge_linear(H, R, [0, 3], [1, 2], W, b)
 
     def test_conv1d_identity_kernel(self):
         rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -209,6 +210,50 @@ class TestExtract:
     def test_missing_file_exits_1(self, tmp_path):
         rc = cli.main(["extract", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+
+def _cut_inside_first_column(text):
+    lines = text.splitlines()
+    return "\n".join(lines[:10] + [lines[10][:3]]), 11
+
+
+def _set_line(lineno, row):
+    def corrupt(text):
+        lines = text.splitlines()
+        lines[lineno - 1] = row(lines[lineno - 1])
+        return "\n".join(lines) + "\n", lineno
+
+    return corrupt
+
+
+def _cut_last_line(text):
+    lines = text.splitlines()
+    return "\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]), len(lines)
+
+
+# (file in the dataset, corruption returning (new text, line at fault), command)
+MALFORMED = {
+    "short row": ("sample_000003_xanes.csv", _cut_inside_first_column, "cn"),
+    "corrupt number": ("sample_000004_exafs.csv", _set_line(5, lambda r: "7266.03.5,0.5"), "cn"),
+    "nan in mu": ("sample_000005_xanes.csv", _set_line(7, lambda r: r.split(",")[0] + ",nan"),
+                  "cn"),
+    "re-headed csv": ("sample_000006_xanes.csv", _set_line(1, lambda r: "E,mu"), "cn"),
+    "truncated manifest line": ("manifest.jsonl", _cut_last_line, "cn"),
+    "truncated structure line": ("structures.jsonl", _cut_last_line, "forward"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1_naming_file_and_line(case, mixed_data, tmp_path, capsys):
+    name, corrupt, task = MALFORMED[case]
+    data = tmp_path / "data"
+    shutil.copytree(mixed_data, data)
+    text, lineno = corrupt((data / name).read_text())
+    (data / name).write_text(text)
+    rc = cli.main(["train", "--task", task, "--data", str(data), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"{data / name}:{lineno}:" in err and "Traceback" not in err, err
 
 
 class TestTrain:
@@ -453,6 +498,7 @@ class TestGradcheck:
             "batch_norm(eval)", "conv1d", "avg_pool1d", "masked_mean",
             "gather_rows", "mse_loss", "cross_entropy_loss", "GatedLinear",
             "SwiGLU", "SBlock", "SGMLP", "ConvBlock", "MPEncoder",
+            "segment_sum", "edge_linear", "MPEncoder batch",
         }
         assert names == expected
 

@@ -7,7 +7,6 @@ import pytest
 from xastruct.crystal import (
     CrystalStructure,
     Element,
-    GraphEdge,
     InvalidStructureError,
     Lattice,
     Neighbor,
@@ -56,19 +55,27 @@ def reference_neighbor_list(s, center, cutoff):
 
 
 def reference_build_graph(s, absorber, cutoff, tol_factor=1.1):
-    """(edges, mask) assembled from one reference neighbor list per site."""
-    edges, per_site = [], []
+    """(edges, edge_dist, edge_offset, mask) assembled from one reference neighbor list per site."""
+    records, per_site = [], []
     for i in range(len(s)):
         nbs = reference_neighbor_list(s, i, cutoff)
         per_site.append(nbs)
-        edges.extend(GraphEdge(i, nb.index, nb.distance, nb.offset) for nb in nbs)
-    edges.sort(key=lambda e: (e.i, e.j, e.offset))
+        records.extend((i, nb.index, nb.offset, nb.distance) for nb in nbs)
+    records.sort(key=lambda r: r[:3])
+    edges = np.array([r[:2] for r in records], dtype=int).reshape(-1, 2)
+    offsets = np.array([r[2] for r in records], dtype=int).reshape(-1, 3)
+    dists = np.array([r[3] for r in records], dtype=float)
     mask = np.zeros(len(s), dtype=float)
     mask[absorber] = 1.0
     if per_site[absorber]:
         for nb in first_shell(per_site[absorber], tol_factor):
             mask[nb.index] = 1.0
-    return tuple(edges), mask
+    return edges, dists, offsets, mask
+
+
+def assert_same_array(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert (got == want).all()
 
 
 def reference_min_pair_distance(s):
@@ -263,11 +270,15 @@ class TestBuildGraph:
         assert len(g.node_elements) == 1
         assert len(g.edges) == 6
         assert g.mask.tolist() == [1.0]
-        assert all(e.i == 0 and e.j == 0 for e in g.edges)
+        assert g.edges.tolist() == [[0, 0]] * 6
+        assert sorted(map(tuple, g.edge_offset.tolist())) == sorted(
+            t for axis in np.eye(3, dtype=int) for t in (tuple(-axis), tuple(axis)))
+        assert g.edge_dist.tolist() == [3.0] * 6
 
     def test_no_edges_below_cutoff(self):
         g = build_graph(cubic_structure(a=3.0), 0, 1.0)
-        assert g.edges == ()
+        assert g.edges.shape == (0, 2) and g.edge_dist.shape == (0,)
+        assert g.edge_offset.shape == (0, 3)
         assert g.mask.tolist() == [1.0]
 
     def test_equals_per_site_neighbor_lists_exactly(self, rng):
@@ -280,12 +291,14 @@ class TestBuildGraph:
             cutoffs = [float(c) for c in rng.uniform(2.0, 8.0, size=2)] + [0.99 * nearest]
             for cutoff in cutoffs:
                 g = build_graph(s, absorber, cutoff)
-                edges, mask = reference_build_graph(s, absorber, cutoff)
-                assert g.edges == edges
+                edges, dists, offsets, mask = reference_build_graph(s, absorber, cutoff)
+                assert_same_array(g.edges, edges)
+                assert_same_array(g.edge_dist, dists)
+                assert_same_array(g.edge_offset, offsets)
                 assert g.mask.tobytes() == mask.tobytes()
                 assert g.node_cart.tobytes() == s.cart_coords().tobytes()
             # below the nearest-neighbor distance: no edges, absorber alone
-            assert g.edges == () and g.mask.sum() == 1.0
+            assert len(g.edges) == 0 and g.mask.sum() == 1.0
             assert all(neighbor_list(s, c, cutoffs[-1]) == [] for c in range(len(s)))
 
     def test_bad_arguments(self):
@@ -304,7 +317,8 @@ class TestBuildGraph:
     def test_edges_symmetric_as_set(self, rng):
         s = random_structure(rng, max_sites=5)
         g = build_graph(s, 0, 5.0)
-        records = {(e.i, e.j, round(e.distance, 9), e.offset) for e in g.edges}
+        records = {(i, j, round(d, 9), tuple(t)) for (i, j), d, t
+                   in zip(g.edges.tolist(), g.edge_dist.tolist(), g.edge_offset.tolist())}
         for i, j, d, t in records:
             assert (j, i, d, tuple(-c for c in t)) in records
 
@@ -320,8 +334,8 @@ class TestBuildGraph:
         new_absorber = int(np.nonzero(perm == absorber)[0][0])
         g0 = build_graph(s, absorber, 5.0)
         g1 = build_graph(permuted, new_absorber, 5.0)
-        d0 = sorted(round(e.distance, 9) for e in g0.edges)
-        d1 = sorted(round(e.distance, 9) for e in g1.edges)
+        d0 = sorted(round(d, 9) for d in g0.edge_dist.tolist())
+        d1 = sorted(round(d, 9) for d in g1.edge_dist.tolist())
         assert d0 == d1
         assert int(g0.mask.sum()) == int(g1.mask.sum())
 

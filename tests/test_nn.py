@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from xastruct.autodiff import Tensor, finite_difference_check, mul, total
+from xastruct.autodiff import (
+    Tensor,
+    add,
+    concat,
+    finite_difference_check,
+    gather_rows,
+    layer_norm,
+    masked_mean,
+    matmul,
+    mul,
+    total,
+)
 from xastruct.crystal import CrystalStructure, Site, build_graph
 from xastruct.nn import (
     ConvBlock,
@@ -199,8 +210,8 @@ class TestMPEncoder:
         sites = (Site(Element.from_symbol("Cu"), np.zeros(3)),)
         g1 = build_graph(CrystalStructure(lattice=Lattice(np.eye(3) * 9.0), sites=sites), 0, 2.0)
         g2 = build_graph(CrystalStructure(lattice=Lattice(np.eye(3) * 12.0), sites=sites), 0, 2.0)
-        assert g1.edges == () and g2.edges == ()
-        h1, h2 = enc(g1), enc(g2)
+        assert g1.edges.shape == (0, 2) and g2.edges.shape == (0, 2)
+        h1, h2 = enc([g1]), enc([g2])
         assert h1.shape == (1, 8)
         # with no edges the output depends only on the element embedding
         assert np.array_equal(h1.data, h2.data)
@@ -215,8 +226,8 @@ class TestMPEncoder:
             )
             absorber = 0
             new_absorber = int(np.nonzero(perm == absorber)[0][0])
-            h = enc(build_graph(s, absorber, 5.0)).data
-            hp = enc(build_graph(permuted, new_absorber, 5.0)).data
+            h = enc([build_graph(s, absorber, 5.0)]).data
+            hp = enc([build_graph(permuted, new_absorber, 5.0)]).data
             # new row p holds what old row perm[p] held
             assert np.max(np.abs(hp - h[perm])) < 1e-9
 
@@ -228,8 +239,8 @@ class TestMPEncoder:
             lattice=s.lattice, sites=tuple(s.sites[p] for p in perm), id=s.id
         )
         new_absorber = int(np.nonzero(perm == 0)[0][0])
-        h = enc(build_graph(s, 0, 5.0)).data
-        hp = enc(build_graph(permuted, new_absorber, 5.0)).data
+        h = enc([build_graph(s, 0, 5.0)]).data
+        hp = enc([build_graph(permuted, new_absorber, 5.0)]).data
         a = np.array(sorted(h.tolist()))
         b = np.array(sorted(hp.tolist()))
         assert np.max(np.abs(a - b)) < 1e-9
@@ -242,15 +253,18 @@ class TestMPEncoder:
             lattice=s.lattice, sites=tuple(s.sites[p] for p in perm), id=s.id
         )
         new_absorber = int(np.nonzero(perm == 0)[0][0])
-        za = enc.pooled(build_graph(s, 0, 5.0)).data
-        zb = enc.pooled(build_graph(permuted, new_absorber, 5.0)).data
+        za = enc.pooled([build_graph(s, 0, 5.0)]).data
+        zb = enc.pooled([build_graph(permuted, new_absorber, 5.0)]).data
         assert np.max(np.abs(za - zb)) < 1e-9
 
     def test_empty_graph_rejected(self):
         enc = self.encoder()
-        fake = type("G", (), {"node_elements": (), "edges": (), "mask": np.zeros(0)})()
+        fake = type("G", (), {"node_elements": (), "edges": np.zeros((0, 2), dtype=int),
+                              "edge_dist": np.zeros(0), "mask": np.zeros(0)})()
         with pytest.raises(ValueError):
-            enc(fake)
+            enc([fake])
+        with pytest.raises(ValueError):
+            enc([])
 
     def test_gradients_match_finite_differences(self):
         # tiny element table keeps the finite-difference sweep fast
@@ -269,6 +283,117 @@ class TestMPEncoder:
         coeff = Tensor(rng.normal(size=(2, 4)))
         params = list(enc.named_parameters().values())
         worst, failures = finite_difference_check(
-            lambda: total(mul(enc(g), coeff)), params, eps=1e-4, rel_tol=1e-4
+            lambda: total(mul(enc([g]), coeff)), params, eps=1e-4, rel_tol=1e-4
         )
         assert worst < 1e-4, failures[:3]
+
+
+# --- the per-graph encoder that batching replaced, kept as the reference ----------
+
+
+def reference_encode(enc, g):
+    """One graph, one tape: a dense [V, E] receive matmul and a gather+concat first layer."""
+    n_nodes, n_edges = len(g.node_elements), len(g.edges)
+    H = gather_rows(enc.embedding, [el.atomic_number for el in g.node_elements])
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    feats = Tensor(rbf_features(g.edge_dist, enc.centers, enc.width))
+    receive = np.zeros((n_nodes, n_edges))
+    receive[i, np.arange(n_edges)] = 1.0
+    receive = Tensor(receive)
+    for rnd in enc.round:
+        messages = rnd.message(concat([gather_rows(H, i), gather_rows(H, j), feats], axis=1))
+        update = rnd.update(concat([H, matmul(receive, messages)], axis=1))
+        H = layer_norm(add(H, update), rnd.ln_gain, rnd.ln_bias)
+    return H
+
+
+def reference_predict(model, g):
+    pooled = masked_mean(reference_encode(model.encoder, g), Tensor(g.mask),
+                         by_mask_sum=model.by_mask_sum)
+    return model.head(pooled)
+
+
+def reference_mean_loss(losses):
+    out = losses[0]
+    for item in losses[1:]:
+        out = add(out, item)
+    return mul(out, Tensor(np.array(1.0 / len(losses))))
+
+
+def lone_site_graph():
+    """One Cu site in a 9 A cell: a 1-node graph with no edges at a 6 A cutoff."""
+    from xastruct.crystal import Element, Lattice
+
+    s = CrystalStructure(lattice=Lattice(np.eye(3) * 9.0),
+                         sites=(Site(Element.from_symbol("Cu"), np.zeros(3)),))
+    return build_graph(s, 0, 6.0)
+
+
+def assert_close_to_largest(got, want, what):
+    scale = np.max(np.abs(want), initial=0.0)
+    err = np.max(np.abs(got - want), initial=0.0)
+    assert err <= 1e-12 * scale, f"{what}: off by {err:.2e}, largest entry {scale:.2e}"
+
+
+class TestBatchedMatchesPerGraphReference:
+    """Batched predictions and gradients on fixed parameters, against one tape per graph."""
+
+    def model(self, k, by_mask_sum, seed=31):
+        from xastruct import pipelines as pl
+
+        arch = {"encoder_dim": 8, "encoder_rounds": 2, "encoder_rbf": 6, "encoder_hidden": 8,
+                "encoder_k": k, "forward_hidden": 10, "forward_k": 2,
+                "masked_mean_by_mask_sum": by_mask_sum}
+        cfg = pl.TrainConfig(extras=arch)
+        return pl.ForwardModel(np.random.default_rng(seed), 7, cfg, "Cu", "K", "XANES",
+                               np.linspace(0.0, 1.0, 7))
+
+    def graphs(self, rng, n):
+        out = []
+        for _ in range(n):
+            s = random_structure(rng, max_sites=5)
+            out.append(build_graph(s, int(rng.integers(0, len(s))), float(rng.uniform(3.0, 5.0))))
+        return out
+
+    def check(self, model, graphs, rng):
+        from xastruct.autodiff import backward, mse_loss, zero_grad
+
+        params = model.named_parameters()
+        targets = rng.normal(size=(len(graphs), model.n_out))
+        reference = np.stack([reference_predict(model, g).data for g in graphs])
+        assert_close_to_largest(model(graphs).data, reference, "predictions")
+
+        zero_grad(params.values())
+        backward(mse_loss(model(graphs), targets))
+        batched = {name: p.grad.copy() for name, p in params.items()}
+        zero_grad(params.values())
+        backward(reference_mean_loss(
+            [mse_loss(reference_predict(model, g), t) for g, t in zip(graphs, targets)]))
+        for name, p in params.items():
+            assert_close_to_largest(batched[name], p.grad, f"gradient of {name}")
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("by_mask_sum", [0, 1])
+    def test_seeded_random_cells(self, k, by_mask_sum):
+        rng = np.random.default_rng(40 + k + 2 * by_mask_sum)
+        model = self.model(k, by_mask_sum)
+        graphs = self.graphs(rng, 6)
+        assert sum(len(g.edges) for g in graphs) > 0
+        self.check(model, graphs, rng)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_lone_node_alone_and_among_larger_graphs(self, k):
+        rng = np.random.default_rng(50 + k)
+        model = self.model(k, 0)
+        lone = lone_site_graph()
+        assert lone.edges.shape == (0, 2)
+        self.check(model, [lone], rng)
+        larger = self.graphs(rng, 3)
+        self.check(model, [larger[0], lone, larger[1], lone, larger[2]], rng)
+
+    def test_encoder_rows_match_per_graph_reference(self, rng):
+        enc = MPEncoder(np.random.default_rng(18), d=8, t_rounds=2, n_rbf=4, k=2)
+        graphs = self.graphs(rng, 4) + [lone_site_graph()]
+        rows = enc(graphs).data
+        reference = np.concatenate([reference_encode(enc, g).data for g in graphs])
+        assert_close_to_largest(rows, reference, "node embeddings")

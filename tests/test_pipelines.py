@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -16,7 +17,7 @@ from helpers import (
 
 from xastruct import pipelines as pl
 from xastruct.autodiff import params_from_doc
-from xastruct.crystal import Element, StructureGraph, build_graph
+from xastruct.crystal import Element, build_graph
 from xastruct.spectra import InsufficientDataError
 
 
@@ -208,13 +209,7 @@ def test_forward_empty_environment_rejected():
     pairs = forward_pairs([2.4, 2.8])
     _, model = pl.train_forward(pairs, _forward_cfg(epochs=2))
     g = build_graph(simple_cubic(2.5), 0, 6.0)
-    hollow = StructureGraph(
-        node_elements=g.node_elements,
-        node_cart=g.node_cart,
-        edges=g.edges,
-        absorber_index=g.absorber_index,
-        mask=np.zeros_like(g.mask),
-    )
+    hollow = dataclasses.replace(g, mask=np.zeros_like(g.mask))
     with pytest.raises(ValueError, match="empty"):
         pl.forward_predict(model, hollow)
 

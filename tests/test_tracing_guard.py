@@ -3,7 +3,9 @@
 perfbench/tracing.py wraps xastruct's public functions by name and the
 `save`/`load`/`__call__` methods that each model class defines itself. A
 rename, a deleted function or a method moved into a base class breaks it;
-this test finds that without a traced benchmark run.
+these tests find that without a traced benchmark run. The second one also
+runs the forward stages under the tracer and checks what its hooks read
+off their results, such as the edge count of a graph.
 """
 
 import importlib
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import TINY_FORWARD_ARCH, cscl, forward_pairs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,3 +51,24 @@ def test_instrument_patches_and_restores(tracing):
     after = _state(modules)
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if before[key] is not value] == []
+
+
+def test_traced_forward_train_predict_and_graph_build(tracing):
+    modules = {name: importlib.import_module(f"xastruct.{name}") for name in tracing.MODULES}
+    crystal, pl = modules["crystal"], modules["pipelines"]
+    spectra = [sp for _, sp in forward_pairs([2.3, 2.5, 2.7, 2.9, 3.1])]  # targets only
+    cfg = pl.TrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=1, extras=TINY_FORWARD_ARCH)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer, modules):
+        structures = [cscl(a, "Cu", "O") for a in (2.3, 2.5, 2.7, 2.9, 3.1)]
+        graphs = [crystal.build_graph(s, 0, 6.0) for s in structures]
+        pairs = list(zip(graphs, spectra))
+        _, model = pl.train_forward(pairs[:3], cfg, val_pairs=pairs[3:])
+        graphs.append(crystal.build_graph(structures[0], 1, 6.0))
+        one = pl.forward_predict(model, graphs[-1])
+        metrics = tracing.layer_metrics(tracer)
+    assert one.shape == (model.n_out,)
+    assert metrics["crystal.build_graph.calls"][0] == len(graphs)
+    assert metrics["crystal.build_graph.edges"][0] == sum(len(g.edges) for g in graphs) > 0
+    assert metrics["pipelines.train_forward.s"][0] > 0
+    assert metrics["nn.MPEncoder.calls"][0] > 0 and metrics["autodiff.backward.calls"][0] > 0
