@@ -8,11 +8,25 @@ never refers to its output tensor, so a tape holds no reference cycle and
 is freed by reference counting as soon as the loss is dropped. Parameters
 are leaf tensors carrying AdamW moment state.
 
+A step pays only for the tape it uses:
+  * Gradient buffers are lazy. An op output gets its buffer when the first
+    gradient reaches it (see _accumulate), and reading `grad` before that
+    gives zeros; backward() skips nodes no gradient reached. Parameters
+    keep an eager buffer, which zero_grad and the optimizer update in place.
+  * Inside `with no_grad():` ops compute the same values with the same
+    checks but record no parents and no closure, so inference builds no
+    tape. Blocks nest and restore the previous mode on exit.
+  * Every op output is still checked for finiteness. A check only at the
+    loss would miss a gate input that overflows to inf, since the sigmoid
+    squashes it to 1.0; the check costs one sum unless that sum is not
+    finite.
+
 All data is float64. Gradient checks against central finite differences
 are the ground truth for every op here; see finite_difference_check.
 """
 
 import base64
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -28,19 +42,42 @@ def _shape_error(op, *shapes):
     return ShapeError(f"{op}: incompatible shapes {' vs '.join(str(s) for s in shapes)}")
 
 
+_recording = True  # False inside no_grad()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside build no tape: outputs have no parents and no backward closure."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 class Tensor:
     """Dense array plus gradient and the links that make up the tape."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        # inf and NaN propagate through a sum, so only a non-finite sum needs
+        # the elementwise scan (finite values can still overflow the sum)
+        if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
             raise ValueError("tensor entries must be finite")
         self.data = arr
-        self.grad = np.zeros_like(arr)
-        self._parents = tuple(parents)
-        self._backward = backward
+        self._grad = None
+        self._parents = tuple(parents) if _recording else ()
+        self._backward = backward if _recording else None
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The accumulated gradient; zeros until a gradient reaches this tensor."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
 
     @property
     def shape(self):
@@ -75,6 +112,7 @@ class Parameter(Tensor):
 
     def __init__(self, data):
         super().__init__(data)
+        self._grad = np.zeros_like(self.data)
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
         self.t = 0
@@ -82,6 +120,19 @@ class Parameter(Tensor):
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _accumulate(t: Tensor, g) -> None:
+    """t.grad += g, allocating t's buffer on the first gradient to reach it.
+
+    The first gradient is copied, never stored: add hands one array to both
+    parents, and reshape and segment_sum hand over views. Adding 0.0 makes
+    the copy bit for bit what zeros + g gave, -0.0 turned into +0.0.
+    """
+    if t._grad is None:
+        t._grad = np.add(np.broadcast_to(g, t.data.shape), 0.0)
+    else:
+        t._grad += g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -103,14 +154,12 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise _shape_error("add", a.shape, b.shape)
-    out = Tensor(data, (a, b))
 
     def backward(g):
-        a.grad += _unbroadcast(g, a.shape)
-        b.grad += _unbroadcast(g, b.shape)
+        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(b, _unbroadcast(g, b.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -119,28 +168,24 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise _shape_error("mul", a.shape, b.shape)
-    out = Tensor(data, (a, b))
 
     def backward(g):
-        a.grad += _unbroadcast(g * b.data, a.shape)
-        b.grad += _unbroadcast(g * a.data, b.shape)
+        _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(data, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise _shape_error("matmul", a.shape, b.shape)
-    out = Tensor(a.data @ b.data, (a, b))
 
     def backward(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data @ b.data, (a, b), backward)
 
 
 def linear(x, W, b=None) -> Tensor:
@@ -155,22 +200,20 @@ def linear(x, W, b=None) -> Tensor:
             raise _shape_error("linear bias", b.shape, (W.shape[0],))
         data = data + b.data
     parents = (x, W) if b is None else (x, W, b)
-    out = Tensor(data, parents)
 
     def backward(g):
         if x.ndim == 1:
-            W.grad += np.outer(g, x.data)
-            x.grad += g @ W.data
+            _accumulate(W, np.outer(g, x.data))
+            _accumulate(x, g @ W.data)
             if b is not None:
-                b.grad += g
+                _accumulate(b, g)
         else:
-            W.grad += g.T @ x.data
-            x.grad += g @ W.data
+            _accumulate(W, g.T @ x.data)
+            _accumulate(x, g @ W.data)
             if b is not None:
-                b.grad += g.sum(axis=0)
+                _accumulate(b, g.sum(axis=0))
 
-    out._backward = backward
-    return out
+    return Tensor(data, parents, backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -181,7 +224,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError:
         raise _shape_error("concat", *[t.shape for t in tensors])
-    out = Tensor(data, tuple(tensors))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -189,51 +231,54 @@ def concat(tensors, axis: int = 0) -> Tensor:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            t.grad += g[tuple(idx)]
+            _accumulate(t, g[tuple(idx)])
 
-    out._backward = backward
-    return out
+    return Tensor(data, tuple(tensors), backward)
 
 
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data.reshape(shape), (x,))
 
     def backward(g):
-        x.grad += g.reshape(x.shape)
+        _accumulate(x, g.reshape(x.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(x.data.reshape(shape), (x,), backward)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # stable in both tails: 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z)
-    # below, so exp only ever sees -|z|
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # below, so exp only ever sees -|z|. With e = e^-|z| the numerator
+    # e^min(z, 0) is exactly 1 or e, with no mask. Computed in place; out=
+    # keeps a 0-d input an array, where a plain ufunc would return a scalar.
+    e = np.abs(z, out=np.empty_like(z))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.minimum(z, 0.0, out=np.empty_like(z))
+    np.exp(num, out=num)
+    e += 1.0
+    num /= e
+    return num
 
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
     y = _sigmoid(x.data)
-    out = Tensor(y, (x,))
 
     def backward(g):
-        x.grad += g * y * (1.0 - y)
+        dx = g * y
+        dx *= 1.0 - y
+        _accumulate(x, dx)
 
-    out._backward = backward
-    return out
+    return Tensor(y, (x,), backward)
 
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0), (x,))
 
     def backward(g):
-        x.grad += g * (x.data > 0)
+        _accumulate(x, g * (x.data > 0))
 
-    out._backward = backward
-    return out
+    return Tensor(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def swish_beta(x, beta) -> Tensor:
@@ -243,15 +288,13 @@ def swish_beta(x, beta) -> Tensor:
         raise _shape_error("swish_beta: beta must be scalar", beta.shape)
     b = float(beta.data)
     s = _sigmoid(b * x.data)
-    out = Tensor(x.data * s, (x, beta))
 
     def backward(g):
         ds = s * (1.0 - s)
-        x.grad += g * (s + b * x.data * ds)
-        beta.grad += np.sum(g * x.data * x.data * ds).reshape(beta.shape)
+        _accumulate(x, g * (s + b * x.data * ds))
+        _accumulate(beta, np.sum(g * x.data * x.data * ds).reshape(beta.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(x.data * s, (x, beta), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-8) -> Tensor:
@@ -264,21 +307,19 @@ def layer_norm(x, gain, bias, eps: float = 1e-8) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv_std
-    out = Tensor(gain.data * xhat + bias.data, (x, gain, bias))
 
     def backward(g):
         dxhat = g * gain.data
-        x.grad += inv_std * (
+        _accumulate(x, inv_std * (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        ))
         reduce_axes = tuple(range(g.ndim - 1))
-        gain.grad += (g * xhat).sum(axis=reduce_axes)
-        bias.grad += g.sum(axis=reduce_axes)
+        _accumulate(gain, (g * xhat).sum(axis=reduce_axes))
+        _accumulate(bias, g.sum(axis=reduce_axes))
 
-    out._backward = backward
-    return out
+    return Tensor(gain.data * xhat + bias.data, (x, gain, bias), backward)
 
 
 class BatchNormState:
@@ -320,25 +361,24 @@ def batch_norm_1d(x, gamma, beta, state: BatchNormState, training: bool) -> Tens
 
     inv_std = 1.0 / np.sqrt(var + state.eps)
     xhat = (x.data - mean.reshape(stat_shape)) * inv_std.reshape(stat_shape)
-    out = Tensor(gamma.data.reshape(stat_shape) * xhat + beta.data.reshape(stat_shape), (x, gamma, beta))
     n_reduced = int(np.prod([x.shape[a] for a in axes]))
 
     def backward(g):
         dxhat = g * gamma.data.reshape(stat_shape)
         if training:
             # gradient through the batch statistics themselves
-            x.grad += (inv_std.reshape(stat_shape) / n_reduced) * (
+            _accumulate(x, (inv_std.reshape(stat_shape) / n_reduced) * (
                 n_reduced * dxhat
                 - dxhat.sum(axis=axes, keepdims=True)
                 - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
-            )
+            ))
         else:
-            x.grad += dxhat * inv_std.reshape(stat_shape)
-        gamma.grad += (g * xhat).sum(axis=axes)
-        beta.grad += g.sum(axis=axes)
+            _accumulate(x, dxhat * inv_std.reshape(stat_shape))
+        _accumulate(gamma, (g * xhat).sum(axis=axes))
+        _accumulate(beta, g.sum(axis=axes))
 
-    out._backward = backward
-    return out
+    data = gamma.data.reshape(stat_shape) * xhat + beta.data.reshape(stat_shape)
+    return Tensor(data, (x, gamma, beta), backward)
 
 
 def conv1d(x, W, b) -> Tensor:
@@ -361,18 +401,16 @@ def conv1d(x, W, b) -> Tensor:
     for t in range(kernel):
         data += np.einsum("bcl,oc->bol", xp[:, :, t : t + length], W.data[:, :, t])
     data += b.data.reshape(1, -1, 1)
-    out = Tensor(data, (x, W, b))
 
     def backward(g):
         dxp = np.zeros_like(xp)
         for t in range(kernel):
             W.grad[:, :, t] += np.einsum("bol,bcl->oc", g, xp[:, :, t : t + length])
             dxp[:, :, t : t + length] += np.einsum("bol,oc->bcl", g, W.data[:, :, t])
-        x.grad += dxp[:, :, pad : pad + length]
-        b.grad += g.sum(axis=(0, 2))
+        _accumulate(x, dxp[:, :, pad : pad + length])
+        _accumulate(b, g.sum(axis=(0, 2)))
 
-    out._backward = backward
-    return out
+    return Tensor(data, (x, W, b), backward)
 
 
 def avg_pool1d(x) -> Tensor:
@@ -383,14 +421,12 @@ def avg_pool1d(x) -> Tensor:
     l_out = x.shape[2] // 2
     even = x.data[:, :, 0 : 2 * l_out : 2]
     odd = x.data[:, :, 1 : 2 * l_out : 2]
-    out = Tensor(0.5 * (even + odd), (x,))
 
     def backward(g):
         x.grad[:, :, 0 : 2 * l_out : 2] += 0.5 * g
         x.grad[:, :, 1 : 2 * l_out : 2] += 0.5 * g
 
-    out._backward = backward
-    return out
+    return Tensor(0.5 * (even + odd), (x,), backward)
 
 
 def masked_mean(H, m, by_mask_sum: bool = False) -> Tensor:
@@ -409,14 +445,12 @@ def masked_mean(H, m, by_mask_sum: bool = False) -> Tensor:
             raise ValueError("masked_mean by_mask_sum requires a nonempty mask")
     else:
         denom = float(H.shape[0])
-    out = Tensor((m.data[:, None] * H.data).sum(axis=0) / denom, (H, m))
 
     def backward(g):
-        H.grad += m.data[:, None] * g[None, :] / denom
-        m.grad += (H.data @ g) / denom
+        _accumulate(H, m.data[:, None] * g[None, :] / denom)
+        _accumulate(m, (H.data @ g) / denom)
 
-    out._backward = backward
-    return out
+    return Tensor((m.data[:, None] * H.data).sum(axis=0) / denom, (H, m), backward)
 
 
 def gather_rows(table, indices) -> Tensor:
@@ -427,13 +461,11 @@ def gather_rows(table, indices) -> Tensor:
         raise _shape_error("gather_rows", table.shape, idx.shape)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValueError(f"gather_rows index out of range for table of {table.shape[0]} rows")
-    out = Tensor(table.data[idx], (table,))
 
     def backward(g):
         np.add.at(table.grad, idx, g)
 
-    out._backward = backward
-    return out
+    return Tensor(table.data[idx], (table,), backward)
 
 
 def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
@@ -460,13 +492,11 @@ def segment_sum(x, seg, n: int) -> Tensor:
     data = np.zeros((n, x.shape[1]))
     if seg.size:
         data[filled] = np.add.reduceat(x.data, (np.cumsum(counts) - counts)[filled], axis=0)
-    out = Tensor(data, (x,))
 
     def backward(g):
-        x.grad += g[seg]
+        _accumulate(x, g[seg])
 
-    out._backward = backward
-    return out
+    return Tensor(data, (x,), backward)
 
 
 def edge_linear(H, R, i, j, W, b=None) -> Tensor:
@@ -497,7 +527,6 @@ def edge_linear(H, R, i, j, W, b=None) -> Tensor:
         if b.shape != (W.shape[0],):
             raise _shape_error("edge_linear bias", b.shape, (W.shape[0],))
         data += b.data
-    out = Tensor(data, (H, R, W) if b is None else (H, R, W, b))
 
     def backward(g):
         g_i = _scatter_rows(g, i, n_nodes)
@@ -505,25 +534,22 @@ def edge_linear(H, R, i, j, W, b=None) -> Tensor:
         W.grad[:, :d] += g_i.T @ H.data
         W.grad[:, d : 2 * d] += g_j.T @ H.data
         W.grad[:, 2 * d :] += g.T @ R.data
-        H.grad += g_i @ W_i + g_j @ W_j
-        R.grad += g @ W_r
+        _accumulate(H, g_i @ W_i + g_j @ W_j)
+        _accumulate(R, g @ W_r)
         if b is not None:
-            b.grad += g.sum(axis=0)
+            _accumulate(b, g.sum(axis=0))
 
-    out._backward = backward
-    return out
+    return Tensor(data, (H, R, W) if b is None else (H, R, W, b), backward)
 
 
 def total(x) -> Tensor:
     """Sum of all entries, as a scalar tensor. The building block for test losses."""
     x = as_tensor(x)
-    out = Tensor(x.data.sum(), (x,))
 
     def backward(g):
-        x.grad += g
+        _accumulate(x, g)
 
-    out._backward = backward
-    return out
+    return Tensor(x.data.sum(), (x,), backward)
 
 
 # --- losses -----------------------------------------------------------------
@@ -535,13 +561,11 @@ def mse_loss(pred, target) -> Tensor:
     if pred.shape != target_data.shape:
         raise _shape_error("mse_loss", pred.shape, target_data.shape)
     diff = pred.data - target_data
-    out = Tensor(np.mean(diff * diff), (pred,))
 
     def backward(g):
-        pred.grad += g * 2.0 * diff / diff.size
+        _accumulate(pred, g * 2.0 * diff / diff.size)
 
-    out._backward = backward
-    return out
+    return Tensor(np.mean(diff * diff), (pred,), backward)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -568,16 +592,14 @@ def cross_entropy_loss(logits, labels) -> Tensor:
         raise ValueError(f"class index out of range for {c} classes")
     p = softmax(rows)
     ce = -np.log(p[np.arange(n), idx])
-    out = Tensor(np.mean(ce), (logits,))
 
     def backward(g):
         grad = p.copy()
         grad[np.arange(n), idx] -= 1.0
         grad *= g / n
-        logits.grad += grad[0] if logits.ndim == 1 else grad
+        _accumulate(logits, grad[0] if logits.ndim == 1 else grad)
 
-    out._backward = backward
-    return out
+    return Tensor(np.mean(ce), (logits,), backward)
 
 
 # --- backward pass and optimizer ---------------------------------------------
@@ -602,10 +624,11 @@ def backward(loss: Tensor) -> None:
         for parent in node._parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
-    loss.grad = np.ones_like(loss.data)
+    loss._grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+        # a node no gradient reached would only pass zeros on
+        if node._backward is not None and node._grad is not None:
+            node._backward(node._grad)
 
 
 def zero_grad(params) -> None:
@@ -654,10 +677,12 @@ def finite_difference_check(build_loss, params, eps: float = 1e-4, rel_tol: floa
         flat_grad = analytic[pi].reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + eps
-            loss_plus = build_loss().item()
-            flat[i] = saved - eps
-            loss_minus = build_loss().item()
+            # the probes only read the loss value, so they build no tape
+            with no_grad():
+                flat[i] = saved + eps
+                loss_plus = build_loss().item()
+                flat[i] = saved - eps
+                loss_minus = build_loss().item()
             flat[i] = saved
             fd = (loss_plus - loss_minus) / (2.0 * eps)
             ad = flat_grad[i]

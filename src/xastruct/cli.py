@@ -717,12 +717,10 @@ def _corrupted_case():
     x = Parameter(np.array([0.7, -0.4, 1.2]))
 
     def loss():
-        out = Tensor(x.data * 2.0, (x,))
-
         def _backward(g):
-            x.grad += 1.9 * g  # wrong on purpose: forward scale is 2.0
+            x.grad[...] += 1.9 * g  # wrong on purpose: forward scale is 2.0
 
-        out._backward = _backward
+        out = Tensor(x.data * 2.0, (x,), _backward)
         return total(mul(out, out))
 
     return (x,), loss

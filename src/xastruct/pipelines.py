@@ -31,6 +31,7 @@ from .autodiff import (
     cross_entropy_loss,
     load_into,
     mse_loss,
+    no_grad,
     params_from_doc,
     reshape,
     save_params,
@@ -83,6 +84,8 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.scope not in ("per-element", "unified"):
             raise ValueError(f"scope must be per-element or unified, got {self.scope!r}")
 
@@ -417,11 +420,12 @@ def forward_predict(model: ForwardModel, graphs,
     """Spectrum [n_out] of one graph, or spectra [B, n_out] of a list of graphs.
 
     A list is encoded batch_size graphs at a time, which bounds the size of
-    one batch's tape.
+    one batch's arrays. No tape is built.
     """
     if isinstance(graphs, StructureGraph):
         return forward_predict(model, [graphs])[0]
-    chunks = [model(graphs[k : k + batch_size]).data for k in range(0, len(graphs), batch_size)]
+    with no_grad():
+        chunks = [model(graphs[k : k + batch_size]).data for k in range(0, len(graphs), batch_size)]
     return np.concatenate(chunks) + model.y_center
 
 
@@ -548,9 +552,7 @@ class InverseMNND(Module):
 
 
 def mnnd_predict(model: InverseMNND, sample: LabeledSample) -> float:
-    inputs = model.standardized_inputs([sample])
-    out = model.forward(*inputs, training=False)
-    return float(out.data[0]) * model.y_std + model.y_mean
+    return float(predict_mnnd_batch(model, [sample])[0])
 
 
 def train_mnnd(samples, cfg: TrainConfig, val_samples=None):
@@ -594,7 +596,8 @@ def train_mnnd(samples, cfg: TrainConfig, val_samples=None):
 
 def predict_mnnd_batch(model: InverseMNND, samples) -> np.ndarray:
     inputs = model.standardized_inputs(samples)
-    out = model.forward(*inputs, training=False)
+    with no_grad():
+        out = model.forward(*inputs, training=False)
     return out.data * model.y_std + model.y_mean
 
 
@@ -628,7 +631,8 @@ class InverseNeighbor(Module):
 
     def logits(self, samples) -> np.ndarray:
         _, ax, _, ae = _sample_matrices(samples, self.n_xanes, self.n_exafs)
-        out = self.forward(Tensor(self.norm["ax"].apply(ax)), Tensor(self.norm["ae"].apply(ae)))
+        with no_grad():
+            out = self.forward(Tensor(self.norm["ax"].apply(ax)), Tensor(self.norm["ae"].apply(ae)))
         return out.data
 
     def save(self, path) -> None:

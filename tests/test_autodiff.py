@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import TINY_FORWARD_ARCH, TINY_INVERSE_ARCH, forward_pairs, labeled_sample, rocksalt
 
+from xastruct import pipelines as pl
 from xastruct.autodiff import (
     BatchNormState,
     Parameter,
@@ -29,6 +31,7 @@ from xastruct.autodiff import (
     matmul,
     mse_loss,
     mul,
+    no_grad,
     relu,
     reshape,
     save_params,
@@ -56,6 +59,14 @@ class TestTensorBasics:
     def test_finite_enforced(self):
         with pytest.raises(ValueError):
             Tensor([1.0, np.inf])
+
+    def test_finite_check_scans_only_when_the_sum_is_not_finite(self):
+        # finite entries whose sum overflows are accepted; inf and NaN are not
+        with np.errstate(over="ignore"):
+            Tensor([1e308, 1e308])
+        for bad in ([np.inf, -np.inf], [np.nan], [1.0, -np.inf]):
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                Tensor(bad)
 
     def test_item_requires_scalar(self):
         with pytest.raises(ShapeError):
@@ -265,6 +276,78 @@ class TestBackward:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestLazyGradients:
+    def test_add_gives_each_parent_its_own_buffer(self):
+        a, b = Tensor(np.ones(3)), Tensor(np.full(3, 2.0))
+        backward(total(add(a, b)))
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        a.grad[0] = 7.0
+        assert np.array_equal(b.grad, np.ones(3))
+
+    def test_first_negative_zero_gradient_reads_as_positive_zero(self):
+        x = Tensor(np.array([1.0, 2.0]))
+        backward(total(mul(x, Tensor(np.array([-0.0, 3.0])))))
+        assert x.grad.tobytes() == np.array([0.0, 3.0]).tobytes()
+
+    def test_fresh_output_grad_reads_as_zeros(self):
+        y = mul(Tensor(np.ones((2, 3))), Tensor(2.0))
+        assert y.grad.shape == (2, 3) and not y.grad.any()
+
+
+class TestNoGrad:
+    def test_ops_record_no_parents_and_no_closure(self):
+        rng = np.random.default_rng(42)
+        W = Parameter(rng.normal(size=(4, 3)))
+        x = Tensor(rng.normal(size=(5, 3)))
+        with no_grad():
+            h = sigmoid(linear(x, W))
+            loss = mse_loss(h, np.zeros((5, 4)))
+        for t in (h, loss):
+            assert t._parents == () and t._backward is None
+        taped = sigmoid(linear(x, W))
+        assert taped._parents and taped._backward is not None
+        assert h.data.tobytes() == taped.data.tobytes()
+
+    def test_recording_resumes_after_nested_blocks_and_errors(self):
+        a = Tensor(np.ones(2))
+        with no_grad():
+            with no_grad():
+                pass
+            assert add(a, a)._parents == ()
+        assert add(a, a)._parents == (a, a)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside the block")
+        assert add(a, a)._backward is not None
+
+    def test_model_predictions_equal_a_tape_built_pass(self):
+        """forward, mnnd and neighbor inference under no_grad, bit for bit."""
+        pairs = forward_pairs([2.4, 2.7, 3.0])
+        cfg = pl.TrainConfig(lr=3e-3, epochs=1, batch_size=2, extras=dict(TINY_FORWARD_ARCH))
+        _, fwd = pl.train_forward(pairs, cfg)
+        graphs = [g for g, _ in pairs]
+        taped = fwd(graphs)
+        assert taped._backward is not None
+        got = pl.forward_predict(fwd, graphs, batch_size=len(graphs))
+        assert got.tobytes() == (taped.data + fwd.y_center).tobytes()
+
+        samples = [labeled_sample(rocksalt(a, "Ni", other))
+                   for other in ("O", "S") for a in (3.9, 4.2, 4.5)]
+        cfg = pl.TrainConfig(lr=3e-3, epochs=1, batch_size=4, scope="unified",
+                             extras=dict(TINY_INVERSE_ARCH))
+        _, mnnd = pl.train_mnnd(samples, cfg)
+        for batch in (samples, samples[:1]):
+            taped = mnnd.forward(*mnnd.standardized_inputs(batch), training=False)
+            want = taped.data * mnnd.y_std + mnnd.y_mean
+            assert pl.predict_mnnd_batch(mnnd, batch).tobytes() == want.tobytes()
+        assert pl.mnnd_predict(mnnd, samples[0]) == float(want[0])
+
+        _, nbr = pl.train_neighbor(samples, cfg)
+        _, ax, _, ae = pl._sample_matrices(samples, nbr.n_xanes, nbr.n_exafs)
+        taped = nbr.forward(Tensor(nbr.norm["ax"].apply(ax)), Tensor(nbr.norm["ae"].apply(ae)))
+        assert nbr.logits(samples).tobytes() == taped.data.tobytes()
 
 
 class TestFiniteDifferences:

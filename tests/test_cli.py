@@ -267,6 +267,13 @@ class TestTrain:
         rc = cli.main(["train", "--data", str(mixed_data), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_zero_batch_size_exits_1_naming_the_key(self, mixed_data, tmp_path, capsys):
+        rc = cli.main(["train", "--task", "mnnd", "--data", str(mixed_data),
+                       "--out", str(tmp_path / "x"), "--set", "batch_size=0"])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert "batch_size" in err and "Traceback" not in err, err
+
     def test_mnnd_outputs(self, mnnd_run):
         assert (mnnd_run / "mnnd_unified.json").exists()
         assert (mnnd_run / "history_mnnd_unified.csv").exists()

@@ -142,6 +142,8 @@ def test_train_config_validation():
         pl.TrainConfig(weight_decay=-0.1)
     with pytest.raises(ValueError):
         pl.TrainConfig(scope="global")
+    with pytest.raises(ValueError, match="batch_size"):
+        pl.TrainConfig(batch_size=0)
 
 
 def test_train_config_from_flat_dict():
