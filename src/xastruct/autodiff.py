@@ -6,13 +6,17 @@ backward closure; backward(loss) topologically sorts that implicit tape
 and accumulates gradients. A closure is handed its output's gradient and
 never refers to its output tensor, so a tape holds no reference cycle and
 is freed by reference counting as soon as the loss is dropped. Parameters
-are leaf tensors carrying AdamW moment state.
+are leaf tensors; the AdamW moments of a training run live in one
+AdamWState, whose flat buffers the parameters' values and gradients are
+views of.
 
 A step pays only for the tape it uses:
   * Gradient buffers are lazy. An op output gets its buffer when the first
     gradient reaches it (see _accumulate), and reading `grad` before that
     gives zeros; backward() skips nodes no gradient reached. Parameters
-    keep an eager buffer, which zero_grad and the optimizer update in place.
+    keep an eager buffer, which zero_grad updates in place.
+  * The optimizer step costs a fixed dozen-odd ufunc calls, however many
+    parameters a model has: adamw_step works on AdamWState's flat buffers.
   * Inside `with no_grad():` ops compute the same values with the same
     checks but record no parents and no closure, so inference builds no
     tape. Blocks nest and restore the previous mode on exit.
@@ -106,16 +110,17 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf: carries AdamW first/second moments and a step count."""
+    """Trainable leaf with an eager gradient buffer.
 
-    __slots__ = ("m", "v", "t")
+    An AdamWState rebinds `data` and the buffer to views of its flat arrays;
+    everything else updates both in place, so the views stay bound.
+    """
+
+    __slots__ = ()
 
     def __init__(self, data):
         super().__init__(data)
         self._grad = np.zeros_like(self.data)
-        self.m = np.zeros_like(self.data)
-        self.v = np.zeros_like(self.data)
-        self.t = 0
 
 
 def as_tensor(x) -> Tensor:
@@ -636,23 +641,71 @@ def zero_grad(params) -> None:
         p.grad[...] = 0.0
 
 
+class AdamWState:
+    """AdamW state of a parameter list, held in flat float64 buffers.
+
+    Building it copies every parameter's values and gradient into one
+    `data` and one `grad` buffer and rebinds `p.data` and `p._grad` to
+    reshaped views of them, so backward() accumulates straight into `grad`
+    and adamw_step updates all parameters with a few whole-buffer ufuncs.
+    `m` and `v` are the first and second moments, `t` the step count.
+    """
+
+    __slots__ = ("data", "grad", "m", "v", "t", "_a", "_b")
+
+    def __init__(self, params):
+        params = list(params)
+        if len({id(p) for p in params}) != len(params):
+            raise ValueError("AdamWState: a parameter is listed twice")
+        n = sum(p.data.size for p in params)
+        self.data, self.grad = np.empty(n), np.empty(n)
+        lo = 0
+        for p in params:
+            hi = lo + p.data.size
+            self.data[lo:hi] = p.data.reshape(-1)
+            self.grad[lo:hi] = p.grad.reshape(-1)
+            p.data = self.data[lo:hi].reshape(p.data.shape)
+            p._grad = self.grad[lo:hi].reshape(p.data.shape)
+            lo = hi
+        self.m, self.v = np.zeros(n), np.zeros(n)
+        self.t = 0
+        self._a, self._b = np.empty(n), np.empty(n)  # scratch
+
+
 def adamw_step(
-    params,
+    state: AdamWState,
     lr: float,
     weight_decay: float = 0.0,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One AdamW update: bias-corrected Adam step plus decoupled decay."""
-    for p in params:
-        p.t += 1
-        g = p.grad
-        p.m = beta1 * p.m + (1.0 - beta1) * g
-        p.v = beta2 * p.v + (1.0 - beta2) * g * g
-        m_hat = p.m / (1.0 - beta1**p.t)
-        v_hat = p.v / (1.0 - beta2**p.t)
-        p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
+    """One AdamW update: bias-corrected Adam step plus decoupled decay.
+
+    In place over the flat buffers, each element in the operation order of
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        data -= lr * (m/(1-b1**t) / (sqrt(v/(1-b2**t)) + eps) + wd*data)
+    That order fixes every rounding, and with it the bytes of a seeded
+    checkpoint.
+    """
+    state.t += 1
+    g, m, v, data, a, b = state.grad, state.m, state.v, state.data, state._a, state._b
+    np.multiply(m, beta1, out=m)
+    np.multiply(g, 1.0 - beta1, out=a)
+    np.add(m, a, out=m)
+    np.multiply(v, beta2, out=v)
+    np.multiply(g, 1.0 - beta2, out=a)
+    np.multiply(a, g, out=a)
+    np.add(v, a, out=v)
+    np.divide(m, 1.0 - beta1**state.t, out=a)
+    np.divide(v, 1.0 - beta2**state.t, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, eps, out=b)
+    np.divide(a, b, out=a)
+    np.multiply(data, weight_decay, out=b)
+    np.add(a, b, out=a)
+    np.multiply(a, lr, out=a)
+    np.subtract(data, a, out=data)
 
 
 # --- verification and checkpoints --------------------------------------------

@@ -18,6 +18,7 @@ codes: 0 success, 1 runtime or validation failure, 2 usage error.
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,12 +136,35 @@ def resolve_config(args) -> dict:
 # --- run manifest ----------------------------------------------------------------
 
 
-def _blob_hash(path: Path) -> str:
-    data = path.read_bytes()
+def _blob_hash(path) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
     h = hashlib.sha1()
     h.update(b"blob %d\0" % len(data))
     h.update(data)
     return h.hexdigest()
+
+
+def _tree_entries(directory, prefix: str, entries: list) -> None:
+    """Append "relative/path:blob" for every file below `directory`, in Path.parts order.
+
+    Depth first with each directory's names sorted is the order of sorting
+    the paths by their parts. As Path.rglob does, it does not descend into
+    a symlinked directory, hashes a symlinked file by its target and skips
+    a directory it may not read.
+    """
+    try:
+        with os.scandir(directory) as it:
+            children = sorted(it, key=lambda entry: entry.name)
+    except PermissionError:
+        return
+    for entry in children:
+        if entry.is_file(follow_symlinks=False) or (
+            entry.is_symlink() and Path(entry.path).is_file()
+        ):
+            entries.append(f"{prefix}{entry.name}:{_blob_hash(entry.path)}")
+        elif entry.is_dir(follow_symlinks=False):
+            _tree_entries(entry.path, f"{prefix}{entry.name}{os.sep}", entries)
 
 
 def content_hash(path) -> str:
@@ -150,9 +174,7 @@ def content_hash(path) -> str:
         return _blob_hash(path)
     if path.is_dir():
         entries = []
-        for child in sorted(path.rglob("*"), key=lambda p: p.parts):  # Path order, no Path.__lt__
-            if child.is_file():
-                entries.append(f"{child.relative_to(path)}:{_blob_hash(child)}")
+        _tree_entries(path, "", entries)
         body = "\n".join(entries).encode()
         h = hashlib.sha1()
         h.update(b"tree %d\0" % len(body))
@@ -533,15 +555,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _read_json_input(path):
+    """The JSON document of a predict input; a parse error names the file and line."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+
+
 def _sample_from_input(path):
     """A spectrum-pair JSON {"xanes": csv, "exafs": csv}, paths relative to it."""
     path = Path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json_input(path)
     if not isinstance(doc, dict) or "xanes" not in doc or "exafs" not in doc:
         raise ValueError(
             f"{path} is not a spectrum-pair input; expected JSON with xanes/exafs keys"
         )
+    for key in ("xanes", "exafs"):
+        if not isinstance(doc[key], str):
+            raise ValueError(f"{path}: {key!r} must be a CSV path, got {doc[key]!r}")
     return SimpleNamespace(
         xanes=load_spectrum(path.parent / doc["xanes"]),
         exafs=load_spectrum(path.parent / doc["exafs"]),
@@ -557,9 +590,11 @@ def cmd_predict(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if task == "forward":
-        with open(args.input) as fh:
-            record = json.loads(fh.read())
-        s = structure_from_dict(record)
+        record = _read_json_input(args.input)
+        try:
+            s = structure_from_dict(record)
+        except ValueError as exc:
+            raise ValueError(f"{args.input}: {exc}") from None
         absorber = int(cfg["absorber"] or record.get("absorber", 0))
         g = build_graph(s, absorber, float(cfg["cutoff"]))
         mu = pl.forward_predict(model, g)
@@ -892,7 +927,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+
+def _retain_freed_heap() -> None:
+    """Keep freed heap memory mapped for the rest of the process (glibc only).
+
+    A training step frees its whole tape, over 100 MB for a forward
+    minibatch, and by default glibc hands the top of the heap back to the
+    system once that much is free there, so the next step faults every page
+    back in. Whether a live allocation happens to sit above the tape and
+    prevent it is an accident of layout: training a forward model faulted
+    40k to 300k pages depending on it. Fixed thresholds remove the accident:
+    blocks up to 32 MiB (glibc's own dynamic maximum) come from the heap,
+    and up to 1 GiB of free heap stays mapped.
+    """
+    import ctypes  # here, so that `import xastruct.cli` does not load it
+
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return  # another C library: keep its defaults
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
+    _retain_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

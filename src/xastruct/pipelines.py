@@ -12,7 +12,10 @@ Four predictors:
 
 The three neural models train through one loop, `fit`: plain AdamW with
 minibatch shuffling, optional early stopping on a validation metric, and
-deterministic behavior for a fixed seed.
+deterministic behavior for a fixed seed. `fit` builds one AdamWState per
+run, which moves the model's parameters into flat buffers; they stay views
+of those buffers after training, and the early-stop restore writes through
+them.
 """
 
 import csv
@@ -24,6 +27,7 @@ import numpy as np
 
 from . import forest as rf
 from .autodiff import (
+    AdamWState,
     Tensor,
     adamw_step,
     backward,
@@ -258,6 +262,7 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, val_metric=Non
     """
     params = model.named_parameters()
     plist = list(params.values())
+    state = AdamWState(plist)
     loss_stop = float(cfg.extras.get("train_loss_stop", 0.0) or 0.0)
     history = []
     best_metric, best = np.inf, None
@@ -268,7 +273,7 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, val_metric=Non
             loss = batch_loss(batch)
             zero_grad(plist)
             backward(loss)
-            adamw_step(plist, lr=cfg.lr, weight_decay=cfg.weight_decay)
+            adamw_step(state, lr=cfg.lr, weight_decay=cfg.weight_decay)
             epoch_losses.append(loss.item())
         metric = None if val_metric is None else val_metric()
         if metric is not None:

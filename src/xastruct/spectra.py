@@ -165,13 +165,17 @@ def save_spectrum(sp: Spectrum, csv_path) -> None:
         fh.write("\n")
 
 
-def load_spectrum(csv_path) -> Spectrum:
-    """A spectrum from its CSV and JSON sidecar.
+# Every byte but the four that delimit or quote CSV fields; deleting them
+# leaves a file's field separators.
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b',\r\n"')))
 
-    Malformed content raises a ValueError that names the file, and the line
-    where one line is at fault.
+
+def _read_columns_csv(csv_path: Path) -> tuple:
+    """(energies, mu) of a spectrum CSV, row by row through csv.reader.
+
+    It defines the accepted format and the errors: a file that the single
+    pass of _read_columns does not take is read here instead.
     """
-    csv_path = Path(csv_path)
     energies, mu = [], []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -187,7 +191,47 @@ def load_spectrum(csv_path) -> Spectrum:
             raise ValueError(f"{where}: expected 2 fields, got {len(row)}") from None
         except (csv.Error, ValueError) as exc:
             raise ValueError(f"{csv_path}:{reader.line_num}: malformed row: {exc}") from None
-    energies, mu = np.array(energies), np.array(mu)
+    return np.array(energies), np.array(mu)
+
+
+def _read_columns(csv_path: Path) -> tuple:
+    """(energies, mu) of a spectrum CSV, read in one pass over its bytes.
+
+    A regular file goes through one np.array(fields, dtype=float), which
+    parses each field as float() does: ASCII, the header, then rows of two
+    unquoted fields, each line ended by LF or each by CRLF (float() strips
+    the CR). Anything else, and any field that does not parse, goes to
+    _read_columns_csv, which gives the same values or the error that names
+    the line.
+    """
+    with open(csv_path, "rb") as fh:
+        raw = fh.read()
+    header, _, body = raw.partition(b"\n")
+    rows = body.count(b"\n")
+    if (
+        raw.endswith(b"\n")
+        and header in (b"energy_ev,mu", b"energy_ev,mu\r")
+        and body.translate(None, _NOT_SEPARATORS) in (b",\n" * rows, b",\r\n" * rows)
+        and raw.isascii()
+    ):
+        fields = body.decode("ascii").replace("\n", ",").split(",")[:-1]
+        try:
+            values = np.array(fields, dtype=float)
+        except ValueError:
+            pass
+        else:
+            return np.ascontiguousarray(values[0::2]), np.ascontiguousarray(values[1::2])
+    return _read_columns_csv(csv_path)
+
+
+def load_spectrum(csv_path) -> Spectrum:
+    """A spectrum from its CSV and JSON sidecar.
+
+    Malformed content raises a ValueError that names the file, and the line
+    where one line is at fault.
+    """
+    csv_path = Path(csv_path)
+    energies, mu = _read_columns(csv_path)
     sidecar = csv_path.with_suffix(".json")
     with open(sidecar) as fh:
         try:

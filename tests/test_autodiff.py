@@ -7,6 +7,7 @@ from helpers import TINY_FORWARD_ARCH, TINY_INVERSE_ARCH, forward_pairs, labeled
 
 from xastruct import pipelines as pl
 from xastruct.autodiff import (
+    AdamWState,
     BatchNormState,
     Parameter,
     ShapeError,
@@ -74,8 +75,6 @@ class TestTensorBasics:
 
     def test_parameter_state(self):
         p = Parameter(np.ones((2, 2)))
-        assert p.t == 0
-        assert np.all(p.m == 0) and np.all(p.v == 0)
         assert p.grad.shape == (2, 2)
 
     def test_shape_errors_report_both_shapes(self):
@@ -538,24 +537,46 @@ class TestLosses:
         assert batch == pytest.approx(np.mean(per_row), abs=1e-12)
 
 
+def reference_adamw_step(params, moments, lr, weight_decay=0.0, beta1=0.9, beta2=0.999,
+                         eps=1e-8):
+    """The per-parameter AdamW update that AdamWState replaced, line for line.
+
+    `moments` maps id(p) to that parameter's [m, v, t], which Parameter
+    itself used to carry.
+    """
+    for p in params:
+        m, v, t = moments.setdefault(id(p), [np.zeros_like(p.data), np.zeros_like(p.data), 0])
+        t += 1
+        g = p.grad
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
+        moments[id(p)] = [m, v, t]
+
+
 class TestAdamW:
     def test_pure_decay_with_zero_grad(self):
         p = Parameter(np.array([2.0, -4.0]))
+        state = AdamWState([p])
         zero_grad([p])
-        adamw_step([p], lr=0.1, weight_decay=0.01)
+        adamw_step(state, lr=0.1, weight_decay=0.01)
         assert np.allclose(p.data, [2.0, -4.0] - 0.1 * 0.01 * np.array([2.0, -4.0]), atol=1e-15)
 
     def test_descends_on_quadratic(self):
         w = Parameter(np.array(1.0))
+        state = AdamWState([w])
         zero_grad([w])
         backward(mul(w, w))
-        adamw_step([w], lr=0.1, weight_decay=0.0)
+        adamw_step(state, lr=0.1, weight_decay=0.0)
         assert float(w.data) < 1.0
 
     def test_converges_on_two_parameter_quadratic(self):
         # f(a, b) = (a - 3)^2 + 2 (b + 1)^2, minimum 0
         a = Parameter(np.array(0.0))
         b = Parameter(np.array(0.0))
+        state = AdamWState([a, b])
 
         def loss():
             da = add(a, Tensor(np.array(-3.0)))
@@ -566,7 +587,7 @@ class TestAdamW:
         for _ in range(200):
             zero_grad([a, b])
             backward(loss())
-            adamw_step([a, b], lr=0.1, weight_decay=0.0)
+            adamw_step(state, lr=0.1, weight_decay=0.0)
         assert loss().item() < 1e-3 * initial
 
     def test_matches_reference_adam_when_decay_is_zero(self):
@@ -576,6 +597,7 @@ class TestAdamW:
         target = rng.normal(size=4)
 
         p = Parameter(w0.copy())
+        state = AdamWState([p])
         ref_w = w0.copy()
         ref_m = np.zeros(4)
         ref_v = np.zeros(4)
@@ -583,13 +605,75 @@ class TestAdamW:
         for t in range(1, 51):
             zero_grad([p])
             backward(mse_loss(p, target))
-            adamw_step([p], lr=lr, weight_decay=0.0, beta1=b1, beta2=b2, eps=eps)
+            adamw_step(state, lr=lr, weight_decay=0.0, beta1=b1, beta2=b2, eps=eps)
 
             g = 2.0 * (ref_w - target) / 4.0
             ref_m = b1 * ref_m + (1 - b1) * g
             ref_v = b2 * ref_v + (1 - b2) * g * g
             ref_w = ref_w - lr * (ref_m / (1 - b1**t)) / (np.sqrt(ref_v / (1 - b2**t)) + eps)
             assert np.allclose(p.data, ref_w, atol=1e-14), f"diverged at step {t}"
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_flat_state_matches_per_parameter_update_bit_for_bit(self, weight_decay):
+        rng = np.random.default_rng(41)
+        shapes = [(), (5,), (3, 4), (2, 3, 4), (1,), ()]
+        init = [rng.normal(size=shape) for shape in shapes]
+        flat = [Parameter(a.copy()) for a in init]
+        ref = [Parameter(a.copy()) for a in init]
+        state, moments = AdamWState(flat), {}
+        for step in range(10):
+            # gradients of both signs and scales, some exactly zero
+            grads = [np.asarray(rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3))
+                     for shape in shapes]
+            grads[step % len(grads)] = np.zeros(shapes[step % len(grads)])
+            for p, q, g in zip(flat, ref, grads):
+                p.grad[...] = g
+                q.grad[...] = g
+            adamw_step(state, lr=3e-3, weight_decay=weight_decay)
+            reference_adamw_step(ref, moments, lr=3e-3, weight_decay=weight_decay)
+        for p, q in zip(flat, ref):
+            assert p.data.shape == q.data.shape
+            assert p.data.tobytes() == q.data.tobytes()
+        assert state.t == 10
+
+    def test_state_rebinds_parameters_to_views_of_its_buffers(self):
+        a, b = Parameter(np.arange(6.0).reshape(2, 3)), Parameter(np.array(7.0))
+        a.grad[...] = 1.0
+        state = AdamWState([a, b])
+        assert state.data.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+        assert state.grad.tolist() == [1.0] * 6 + [0.0]
+        assert np.shares_memory(a.data, state.data) and np.shares_memory(b.grad, state.grad)
+        backward(mul(b, b))
+        assert state.grad[-1] == 14.0
+        with pytest.raises(ValueError, match="twice"):
+            AdamWState([a, a])
+
+    def test_fit_keeps_views_and_early_stop_restore_writes_through(self):
+        # the metric is best after the first epoch, so patience 2 stops after
+        # the third and the first epoch's values are restored
+        model = pl.InverseMNND(np.random.default_rng(5), 40, 40,
+                               pl.TrainConfig(extras=TINY_INVERSE_ARCH))
+        params = list(model.named_parameters().values())
+        snapshots = []
+
+        def batch_loss(idx):
+            p = params[0]
+            return mse_loss(reshape(p, (-1,)), np.full(p.data.size, float(len(idx))))
+
+        def val_metric():
+            snapshots.append([p.data.copy() for p in params])
+            return float(len(snapshots) > 1)
+
+        cfg = pl.TrainConfig(lr=1e-2, epochs=10, batch_size=4, patience=2)
+        history = pl.fit(model, cfg, np.random.default_rng(0), 8, batch_loss, val_metric)
+        assert len(history) == 3
+        base = params[0].data.base
+        assert base is not None and base.size == sum(p.data.size for p in params)
+        for p, best in zip(params, snapshots[0]):
+            assert p.data.base is base
+            assert p.grad.base is params[0].grad.base
+            assert np.array_equal(p.data, best)
+        assert not np.array_equal(snapshots[0][0], snapshots[-1][0])
 
 
 class TestCheckpoints:

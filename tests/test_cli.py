@@ -194,6 +194,17 @@ def test_content_hash_orders_entries_by_path_parts(tmp_path):
     body = "\n".join(blobs).encode()
     assert cli.content_hash(tmp_path) == hashlib.sha1(b"tree %d\0" % len(body) + body).hexdigest()
     assert cli.content_hash(tmp_path) == "cf6b644edd05b42033f180af9f758a1485a2d98f"
+    # a nested directory sorts by its parts too ("c" < "c-link"); a symlinked
+    # file is hashed by its target, and a symlinked directory is not walked
+    (tmp_path / "a" / "c" / "d").mkdir(parents=True)
+    (tmp_path / "a" / "c" / "d" / "e").write_text("deep\n")
+    (tmp_path / "a" / "c-link").symlink_to("../a-b")
+    (tmp_path / "z").symlink_to("a", target_is_directory=True)
+    names = ("a/b", "a/c/d/e", "a/c-link", "a-b", "a.b")
+    blobs = [f"{name}:{cli._blob_hash(tmp_path / name)}" for name in names]
+    body = "\n".join(blobs).encode()
+    assert cli.content_hash(tmp_path) == hashlib.sha1(b"tree %d\0" % len(body) + body).hexdigest()
+    assert cli.content_hash(tmp_path) == "51b788c3514360f258acfdab53c96c9d5fffb35d"
 
 
 class TestExtract:
@@ -231,7 +242,22 @@ def _cut_last_line(text):
     return "\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]), len(lines)
 
 
-# (file in the dataset, corruption returning (new text, line at fault), command)
+def _set_field(key, value):
+    def corrupt(text):
+        return json.dumps({**json.loads(text), key: value}), None
+
+    return corrupt
+
+
+def _write_predict_inputs(data):
+    """pair.json (the first sample's spectra) and one.json (the first structure) in `data`."""
+    row = json.loads((data / "manifest.jsonl").read_text().splitlines()[0])
+    (data / "pair.json").write_text(json.dumps({"xanes": row["xanes"], "exafs": row["exafs"]}))
+    (data / "one.json").write_text((data / "structures.jsonl").read_text().splitlines()[0])
+
+
+# (file in the dataset, corruption returning (new text, line at fault or None),
+# the train task that reads it or "predict <checkpoint task>")
 MALFORMED = {
     "short row": ("sample_000003_xanes.csv", _cut_inside_first_column, "cn"),
     "corrupt number": ("sample_000004_exafs.csv", _set_line(5, lambda r: "7266.03.5,0.5"), "cn"),
@@ -240,20 +266,34 @@ MALFORMED = {
     "re-headed csv": ("sample_000006_xanes.csv", _set_line(1, lambda r: "E,mu"), "cn"),
     "truncated manifest line": ("manifest.jsonl", _cut_last_line, "cn"),
     "truncated structure line": ("structures.jsonl", _cut_last_line, "forward"),
+    "non-path xanes in pair": ("pair.json", _set_field("xanes", 3), "predict mnnd"),
+    "truncated pair json": ("pair.json", _cut_last_line, "predict mnnd"),
+    "truncated structure json": ("one.json", _cut_last_line, "predict forward"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exits_1_naming_file_and_line(case, mixed_data, tmp_path, capsys):
-    name, corrupt, task = MALFORMED[case]
+def test_malformed_input_exits_1_naming_file_and_line(case, mixed_data, tmp_path, capsys,
+                                                      request):
+    name, corrupt, command = MALFORMED[case]
     data = tmp_path / "data"
     shutil.copytree(mixed_data, data)
+    _write_predict_inputs(data)
     text, lineno = corrupt((data / name).read_text())
     (data / name).write_text(text)
-    rc = cli.main(["train", "--task", task, "--data", str(data), "--out", str(tmp_path / "run")])
+    out = str(tmp_path / "run")
+    if command.startswith("predict"):
+        task = command.split()[1]
+        ckpt = {"mnnd": "mnnd_unified.json", "forward": "forward_Cu_XANES.json"}[task]
+        run = request.getfixturevalue(f"{task}_run")
+        argv = ["predict", "--checkpoint", str(run / ckpt), "--input", str(data / name)]
+    else:
+        argv = ["train", "--task", command, "--data", str(data)]
+    rc = cli.main([*argv, "--out", out])
     err = capsys.readouterr().err
     assert rc == 1, err
-    assert f"{data / name}:{lineno}:" in err and "Traceback" not in err, err
+    where = f"{data / name}:" if lineno is None else f"{data / name}:{lineno}:"
+    assert where in err and "Traceback" not in err, err
 
 
 class TestTrain:

@@ -1,6 +1,13 @@
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from xastruct import spectra
 from xastruct.crystal import DescriptorLabels, Element
 from xastruct.spectra import (
     EXAFS,
@@ -203,3 +210,153 @@ class TestIo:
         assert loaded[1].labels.cn == 2
         assert abs(loaded[1].labels.mnnd - 2.5) < 1e-12
         assert np.allclose(loaded[2].exafs.mu, samples[2].exafs.mu, atol=1e-9)
+
+
+def reference_load_spectrum(csv_path) -> Spectrum:
+    """load_spectrum as it was before the single-pass reader: a csv.reader loop."""
+    csv_path = Path(csv_path)
+    energies, mu = [], []
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["energy_ev", "mu"]:
+            raise ValueError(f"{csv_path}:1: unexpected spectrum CSV header {header}")
+        try:
+            for row in reader:
+                energies.append(float(row[0]))
+                mu.append(float(row[1]))
+        except IndexError:
+            where = f"{csv_path}:{reader.line_num}"
+            raise ValueError(f"{where}: expected 2 fields, got {len(row)}") from None
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{csv_path}:{reader.line_num}: malformed row: {exc}") from None
+    energies, mu = np.array(energies), np.array(mu)
+    sidecar = csv_path.with_suffix(".json")
+    with open(sidecar) as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar}:{exc.lineno}: {exc.msg}") from None
+    try:
+        return Spectrum(
+            grid=EnergyGrid(energies),
+            mu=mu,
+            kind=meta["kind"],
+            edge=meta["edge"],
+            absorber=Element.from_symbol(meta["absorber"]),
+            structure_id=meta.get("structure_id", ""),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{sidecar}: missing field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        bad = np.flatnonzero(~(np.isfinite(energies) & np.isfinite(mu)))
+        if bad.size:
+            raise ValueError(f"{csv_path}:{bad[0] + 2}: non-finite value") from None
+        raise ValueError(f"{csv_path}: {exc}") from None
+
+
+def _outcome(load, path):
+    """("ok", grid bytes, mu bytes) of a load, or ("error", its ValueError text)."""
+    try:
+        sp = load(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", sp.grid.values.tobytes(), sp.mu.tobytes(), sp.grid.values.dtype, sp.mu.dtype
+
+
+BAD_FIELDS = ["nan", "inf", "-Infinity", "", " ", "1.2.3", "0x10", "1_0", "1,5", "abc", "\t",
+              "+.5e+3", '"1.5"', '"1,5"', '"1\n5"', "1\x00", "\u0661\u0662", "1.5\u00a0"]
+FAULTS = ["short row", "long row", "blank line", "bad field", "header", "no final newline",
+          "blank last line", "bare CR", "mixed endings"]
+
+
+def _number_text(draw, x):
+    """One way a CSV may spell x: repr, %.10g, %e or %.3f, maybe with spaces around it."""
+    text = draw(st.sampled_from([repr(x), f"{x:.10g}", f"{x:e}", f"{x:.3f}"]))
+    return draw(st.sampled_from(["", "", " ", "\t"])) + text + draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def spectrum_csv_text(draw):
+    """Spectrum CSV text with increasing energies, clean or with one or more faults."""
+    n = draw(st.integers(0, 10))
+    steps = draw(st.lists(st.floats(0.001, 50.0), min_size=n, max_size=n))
+    mu = draw(st.lists(st.floats(-1e6, 1e6) | st.floats(allow_nan=True, allow_infinity=True),
+                       min_size=n, max_size=n))
+    rows = [[_number_text(draw, float(e)), _number_text(draw, m)]
+            for e, m in zip(8000.0 + np.cumsum(steps), mu)]
+    header = "energy_ev,mu"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [newline] * (n + 1)  # the header's and each row's line ending
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=4)):
+        i = draw(st.integers(0, n))  # a line; 0 is the header
+        if fault == "short row" and i:
+            rows[i - 1] = rows[i - 1][:1]
+        elif fault == "long row" and i:
+            rows[i - 1].append(_number_text(draw, 1.0))
+        elif fault == "blank line" and i:
+            rows[i - 1] = []
+        elif fault == "bad field" and i and rows[i - 1]:
+            rows[i - 1][draw(st.integers(0, len(rows[i - 1]) - 1))] = draw(st.sampled_from(BAD_FIELDS))
+        elif fault == "header":
+            header = draw(st.sampled_from(
+                ["E,mu", "energy_ev, mu", '"energy_ev","mu"', "energy_ev,mu,", "", "energy_ev"]))
+        elif fault == "no final newline":
+            ends[-1] = ""
+        elif fault == "blank last line":
+            ends[-1] += newline
+        elif fault == "bare CR":
+            ends[i] = "\r"
+        elif fault == "mixed endings":
+            ends[i] = "\r\n" if ends[i] == "\n" else "\n"
+    lines = [header, *(",".join(row) for row in rows)]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestReaderMatchesCsvReference:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=spectrum_csv_text())
+    @example(text="energy_ev,mu\n1,2\n3,4\n5")  # short last row, no final newline
+    @example(text="energy_ev,mu\r\n1,2\r\n3,4")
+    @example(text="energy_ev,mu\n1,2\n\n")
+    @example(text="energy_ev,mu\n1,2\r3,4\n")
+    @example(text="energy_ev,mu")
+    @example(text="energy_ev,mu\n\u0661,2\n3,4\u00a0\n")  # float() takes both
+    def test_same_bits_or_same_error(self, tmp_path, text):
+        path = tmp_path / "sp.csv"
+        path.write_bytes(text.encode())
+        path.with_suffix(".json").write_text(
+            json.dumps({"kind": XANES, "edge": "K", "absorber": "Cu", "structure_id": "s"}))
+        assert _outcome(load_spectrum, path) == _outcome(reference_load_spectrum, path)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        steps=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+        start=st.floats(-1e5, 1e5),
+        data=st.data(),
+    )
+    def test_save_then_load_rounds_to_ten_digits(self, tmp_path, steps, start, data):
+        energies = np.array([float(f"{x:.10g}") for x in start + np.cumsum([0.0, *steps])])
+        mu = np.array(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=energies.size,
+                                         max_size=energies.size)))
+        path = tmp_path / "rt.csv"
+        save_spectrum(make_spectrum(energies, mu), path)
+        loaded = load_spectrum(path)
+        expect = np.array([float(f"{x:.10g}") for x in mu])
+        assert loaded.grid.values.tobytes() == energies.tobytes()
+        assert loaded.mu.tobytes() == expect.tobytes()
+
+    def test_written_files_take_the_single_pass(self, tmp_path, monkeypatch):
+        sp = step_spectrum()
+        save_spectrum(sp, tmp_path / "cu.csv")
+        expect = reference_load_spectrum(tmp_path / "cu.csv")
+
+        def no_fallback(path):
+            raise AssertionError(f"{path} went to the csv.reader path")
+
+        monkeypatch.setattr(spectra, "_read_columns_csv", no_fallback)
+        loaded = load_spectrum(tmp_path / "cu.csv")
+        assert loaded.grid.values.tobytes() == expect.grid.values.tobytes()
+        assert loaded.mu.tobytes() == expect.mu.tobytes()
