@@ -20,10 +20,17 @@ A step pays only for the tape it uses:
   * Inside `with no_grad():` ops compute the same values with the same
     checks but record no parents and no closure, so inference builds no
     tape. Blocks nest and restore the previous mode on exit.
-  * Every op output is still checked for finiteness. A check only at the
-    loss would miss a gate input that overflows to inf, since the sigmoid
-    squashes it to 1.0; the check costs one sum unless that sum is not
-    finite.
+  * A gated layer is one tape node: gated_linear and swiglu fuse the two
+    products (dense, or factorized over an EdgeConcat as edge_linear does),
+    the sigmoid or swish and the product of the branches, so a layer pays
+    one node's bookkeeping and makes no first-gradient copies of its
+    intermediates. Their arithmetic is bit for bit that of the composed
+    primitives, which stay for tests and the gradient check.
+  * Every op output is still checked for finiteness, and so are the fused
+    layers' intermediates: both pre-activations, the sigmoid or swish
+    output, and the result. A check only at the loss would miss a gate
+    input that overflows to inf, since the sigmoid squashes it to 1.0; the
+    check costs one sum unless that sum is not finite.
 
 All data is float64. Gradient checks against central finite differences
 are the ground truth for every op here; see finite_difference_check.
@@ -34,6 +41,7 @@ import contextlib
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +68,13 @@ def no_grad():
         _recording = previous
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    # inf and NaN propagate through a sum, so only a non-finite sum needs
+    # the elementwise scan (finite values can still overflow the sum)
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+        raise ValueError("tensor entries must be finite")
+
+
 class Tensor:
     """Dense array plus gradient and the links that make up the tape."""
 
@@ -67,10 +82,7 @@ class Tensor:
 
     def __init__(self, data, parents=(), backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        # inf and NaN propagate through a sum, so only a non-finite sum needs
-        # the elementwise scan (finite values can still overflow the sum)
-        if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
-            raise ValueError("tensor entries must be finite")
+        _check_finite(arr)
         self.data = arr
         self._grad = None
         self._parents = tuple(parents) if _recording else ()
@@ -135,7 +147,9 @@ def _accumulate(t: Tensor, g) -> None:
     the copy bit for bit what zeros + g gave, -0.0 turned into +0.0.
     """
     if t._grad is None:
-        t._grad = np.add(np.broadcast_to(g, t.data.shape), 0.0)
+        if g.shape != t.data.shape:
+            g = np.broadcast_to(g, t.data.shape)
+        t._grad = np.add(g, 0.0)
     else:
         t._grad += g
 
@@ -193,18 +207,20 @@ def matmul(a, b) -> Tensor:
     return Tensor(a.data @ b.data, (a, b), backward)
 
 
-def linear(x, W, b=None) -> Tensor:
-    """x @ W.T + b with W stored [d_out, d_in]; x may be [d_in] or [B, d_in]."""
+def _dense_affine(x, W, b, op: str):
+    """x @ W.T + b for x [d_in] or [B, d_in]: (data, parents, backward).
+
+    backward(g) accumulates the gradients of W, x and b, in that order.
+    """
     x, W = as_tensor(x), as_tensor(W)
     if W.ndim != 2 or x.shape[-1] != W.shape[1] or x.ndim not in (1, 2):
-        raise _shape_error("linear", x.shape, W.shape)
+        raise _shape_error(op, x.shape, W.shape)
     data = x.data @ W.data.T
     if b is not None:
         b = as_tensor(b)
         if b.shape != (W.shape[0],):
-            raise _shape_error("linear bias", b.shape, (W.shape[0],))
-        data = data + b.data
-    parents = (x, W) if b is None else (x, W, b)
+            raise _shape_error(f"{op} bias", b.shape, (W.shape[0],))
+        data += b.data
 
     def backward(g):
         if x.ndim == 1:
@@ -218,7 +234,12 @@ def linear(x, W, b=None) -> Tensor:
             if b is not None:
                 _accumulate(b, g.sum(axis=0))
 
-    return Tensor(data, parents, backward)
+    return data, ((x, W) if b is None else (x, W, b)), backward
+
+
+def linear(x, W, b=None) -> Tensor:
+    """x @ W.T + b with W stored [d_out, d_in]; x may be [d_in] or [B, d_in]."""
+    return Tensor(*_dense_affine(x, W, b, "linear"))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -308,10 +329,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-8) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise _shape_error("layer_norm", x.shape, gain.shape, bias.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # the reductions np.mean and np.var run, with the deviations formed once
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
+    xhat *= inv_std
 
     def backward(g):
         dxhat = g * gain.data
@@ -504,24 +526,31 @@ def segment_sum(x, seg, n: int) -> Tensor:
     return Tensor(data, (x,), backward)
 
 
-def edge_linear(H, R, i, j, W, b=None) -> Tensor:
-    """[H[i] | H[j] | R] @ W.T + b without building the concatenation.
+class EdgeConcat(NamedTuple):
+    """Edge rows [H[i] | H[j] | R], described but not built.
 
-    H [V, d] holds node rows, R [E, r] edge rows, and i, j [E] the node
-    indices of each edge; W is [d_out, 2d + r]. Computed as
-    (H W_i^T)[i] + (H W_j^T)[j] + R W_r^T + b from the column blocks W_i,
-    W_j, W_r of W: node-level products and an r-column edge product.
+    gated_linear and swiglu given one compute their products as edge_linear
+    does, from node-level products of H and an edge-level product of R.
     """
+
+    H: Tensor
+    R: Tensor
+    i: np.ndarray
+    j: np.ndarray
+
+
+def _edge_affine(H, R, i, j, W, b, op: str):
+    """[H[i] | H[j] | R] @ W.T + b, factorized: (data, parents, backward)."""
     H, R, W = as_tensor(H), as_tensor(R), as_tensor(W)
     i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
     shapes = (H.shape, R.shape, i.shape, j.shape, W.shape)
     if H.ndim != 2 or R.ndim != 2 or W.ndim != 2:
-        raise _shape_error("edge_linear", *shapes)
+        raise _shape_error(op, *shapes)
     (n_nodes, d), n_edges = H.shape, R.shape[0]
     if W.shape[1] != 2 * d + R.shape[1] or i.shape != (n_edges,) or j.shape != (n_edges,):
-        raise _shape_error("edge_linear", *shapes)
+        raise _shape_error(op, *shapes)
     if n_edges and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n_nodes):
-        raise ValueError(f"edge_linear node index out of range for {n_nodes} nodes")
+        raise ValueError(f"{op} node index out of range for {n_nodes} nodes")
     W_i, W_j, W_r = W.data[:, :d], W.data[:, d : 2 * d], W.data[:, 2 * d :]
     # summed in place: a fresh [E, d_out] array per term costs as much as the add
     data = (H.data @ W_i.T)[i]
@@ -530,7 +559,7 @@ def edge_linear(H, R, i, j, W, b=None) -> Tensor:
     if b is not None:
         b = as_tensor(b)
         if b.shape != (W.shape[0],):
-            raise _shape_error("edge_linear bias", b.shape, (W.shape[0],))
+            raise _shape_error(f"{op} bias", b.shape, (W.shape[0],))
         data += b.data
 
     def backward(g):
@@ -544,7 +573,85 @@ def edge_linear(H, R, i, j, W, b=None) -> Tensor:
         if b is not None:
             _accumulate(b, g.sum(axis=0))
 
-    return Tensor(data, (H, R, W) if b is None else (H, R, W, b), backward)
+    return data, ((H, R, W) if b is None else (H, R, W, b)), backward
+
+
+def edge_linear(H, R, i, j, W, b=None) -> Tensor:
+    """[H[i] | H[j] | R] @ W.T + b without building the concatenation.
+
+    H [V, d] holds node rows, R [E, r] edge rows, and i, j [E] the node
+    indices of each edge; W is [d_out, 2d + r]. Computed as
+    (H W_i^T)[i] + (H W_j^T)[j] + R W_r^T + b from the column blocks W_i,
+    W_j, W_r of W: node-level products and an r-column edge product.
+    """
+    return Tensor(*_edge_affine(H, R, i, j, W, b, "edge_linear"))
+
+
+def _affine(x, W, b, op: str):
+    """x W^T + b for a Tensor or an EdgeConcat x: (data, parents, backward)."""
+    if isinstance(x, EdgeConcat):
+        return _edge_affine(*x, W, b, op)
+    return _dense_affine(x, W, b, op)
+
+
+# --- fused layers -------------------------------------------------------------
+
+
+def gated_linear(x, W_v, b_v, W_g, b_g) -> Tensor:
+    """(x W_v^T + b_v) * sigmoid(x W_g^T + b_g); x is a Tensor or an EdgeConcat.
+
+    Bit for bit mul(linear(x, W_v, b_v), sigmoid(linear(x, W_g, b_g))), with
+    edge_linear in place of linear for an EdgeConcat.
+    """
+    v, v_parents, v_backward = _affine(x, W_v, b_v, "gated_linear")
+    _check_finite(v)
+    z, z_parents, z_backward = _affine(x, W_g, b_g, "gated_linear")
+    _check_finite(z)
+    s = _sigmoid(z)
+    _check_finite(s)
+
+    def backward(g):
+        # the composed tape's order: value branch, then gate branch; the
+        # order in which x's gradient is summed fixes its bits
+        v_backward(g * s)
+        dz = g * v
+        dz *= s
+        dz *= 1.0 - s
+        z_backward(dz)
+
+    # dict keys keep the first of each repeated input, in order
+    return Tensor(v * s, tuple(dict.fromkeys(v_parents + z_parents)), backward)
+
+
+def swiglu(x, W_g, b_g, beta, W_v, b_v) -> Tensor:
+    """swish_beta(x W_g^T + b_g) * (x W_v^T + b_v); x is a Tensor or an EdgeConcat.
+
+    Bit for bit mul(swish_beta(linear(x, W_g, b_g), beta), linear(x, W_v, b_v)),
+    with edge_linear in place of linear for an EdgeConcat.
+    """
+    beta = as_tensor(beta)
+    if beta.data.size != 1:
+        raise _shape_error("swiglu: beta must be scalar", beta.shape)
+    z, z_parents, z_backward = _affine(x, W_g, b_g, "swiglu")
+    _check_finite(z)
+    b = float(beta.data)
+    s = _sigmoid(b * z)
+    gate = z * s
+    _check_finite(gate)
+    v, v_parents, v_backward = _affine(x, W_v, b_v, "swiglu")
+    _check_finite(v)
+
+    def backward(g):
+        # the composed tape's order: gate branch and beta, then value branch
+        dgate = g * v
+        ds = s * (1.0 - s)
+        dz = dgate * (s + b * z * ds)
+        _accumulate(beta, np.sum(dgate * z * z * ds).reshape(beta.shape))
+        z_backward(dz)
+        v_backward(g * gate)
+
+    parents = tuple(dict.fromkeys(z_parents + (beta,) + v_parents))
+    return Tensor(gate * v, parents, backward)
 
 
 def total(x) -> Tensor:

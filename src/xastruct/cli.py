@@ -30,6 +30,7 @@ from . import exafs_oracle as oracle
 from . import pipelines as pl
 from .autodiff import (
     BatchNormState,
+    EdgeConcat,
     Parameter,
     Tensor,
     add,
@@ -40,6 +41,7 @@ from .autodiff import (
     cross_entropy_loss,
     edge_linear,
     finite_difference_check,
+    gated_linear,
     gather_rows,
     layer_norm,
     linear,
@@ -51,6 +53,7 @@ from .autodiff import (
     reshape,
     segment_sum,
     sigmoid,
+    swiglu,
     swish_beta,
     total,
 )
@@ -352,6 +355,17 @@ def synth_dataset(cfg: dict, out_dir: Path):
     return samples, structures
 
 
+def _absorber_index(value, n_sites: int, source: str) -> int:
+    """`value` as the index of one of n_sites sites; an error names `source`."""
+    try:
+        index = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{source} must be a site index, got {value!r}") from None
+    if not 0 <= index < n_sites:
+        raise ValueError(f"{source} is {index}, out of range for {n_sites} sites")
+    return index
+
+
 def load_structures_with_absorbers(path) -> list:
     """(structure, absorber index) per JSON line; a bad line raises naming the file and line."""
     out = []
@@ -361,7 +375,9 @@ def load_structures_with_absorbers(path) -> list:
                 continue
             try:
                 record = json.loads(line)
-                out.append((structure_from_dict(record), int(record.get("absorber", 0))))
+                s = structure_from_dict(record)
+                absorber = _absorber_index(record.get("absorber", 0), len(s), "field 'absorber'")
+                out.append((s, absorber))
             except (AttributeError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
@@ -390,7 +406,7 @@ def cmd_extract(args) -> int:
     with open(out_path, "w") as fh:
         for s, absorber in records:
             if cfg["absorber"]:
-                absorber = int(cfg["absorber"])
+                absorber = _absorber_index(cfg["absorber"], len(s), "config key 'absorber'")
             labels = extract_descriptors(s, absorber)
             row = {"id": s.id, "absorber": absorber}
             row.update(labels_to_dict(labels))
@@ -595,7 +611,11 @@ def cmd_predict(args) -> int:
             s = structure_from_dict(record)
         except ValueError as exc:
             raise ValueError(f"{args.input}: {exc}") from None
-        absorber = int(cfg["absorber"] or record.get("absorber", 0))
+        if cfg["absorber"]:
+            absorber = _absorber_index(cfg["absorber"], len(s), "config key 'absorber'")
+        else:
+            absorber = _absorber_index(record.get("absorber", 0), len(s),
+                                       f"{args.input}: field 'absorber'")
         g = build_graph(s, absorber, float(cfg["cutoff"]))
         mu = pl.forward_predict(model, g)
         sp = Spectrum(
@@ -745,6 +765,16 @@ def _gradcheck_cases(seed: int):
     shallow = MPEncoder(rng, d=3, t_rounds=1, n_rbf=2, hidden=3, k=1, n_elements=4)
     case("MPEncoder batch", tuple(shallow.named_parameters().values()),
          lambda: shallow.pooled(batch))
+    gl = p(2, 3), p(4, 3), p(4), p(4, 3), p(4)
+    case("gated_linear", gl, lambda: gated_linear(*gl))
+    # repeated node indices: the gradient of H sums over every edge that reads a row
+    ge_h, ge_r = p(3, 2), p(4, 2)
+    ge = p(3, 6), p(3), p(3, 6), p(3)
+    edges = EdgeConcat(ge_h, ge_r, [0, 0, 1, 2], [1, 2, 0, 0])
+    case("gated_linear(edge)", (ge_h, ge_r, *ge), lambda: gated_linear(edges, *ge))
+    sw_x, sw_beta = p(2, 3), Parameter(np.array(0.8))
+    sw = p(4, 3), p(4), sw_beta, p(4, 3), p(4)
+    case("swiglu", (sw_x, *sw), lambda: swiglu(sw_x, *sw))
     return cases
 
 

@@ -154,22 +154,26 @@ def shells_from_structure(
     neighbors = neighbor_list(s, absorber, cutoff) if neighbors is None else neighbors
     if not neighbors:
         raise NoNeighborsError(f"no neighbors within {cutoff} A of site {absorber}")
-    groups = {}
-    for nb in neighbors:
-        el = s.sites[nb.index].element
-        key = (el.atomic_number, round(nb.distance / SHELL_BIN))
-        groups.setdefault(key, []).append(nb.distance)
-    shells = []
-    for (z, _), dists in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        shells.append(
-            ScatteringShell(
-                n_atoms=len(dists),
-                radius=float(np.mean(dists)),
-                z_scatter=z,
-                sigma2=params.sigma2,
-            )
-        )
-    return shells
+    dist = np.array([nb.distance for nb in neighbors])
+    site_z = np.array([site.element.atomic_number for site in s.sites])
+    z = site_z[[nb.index for nb in neighbors]]
+    bins = np.rint(dist / SHELL_BIN)  # round half to even, as round() does
+    # stable: a shell's members keep the neighbor order that np.mean summed them in
+    order = np.lexsort((z, bins))
+    dist, z, bins = dist[order], z[order], bins[order]
+    is_bound = np.ones(dist.size + 1, dtype=bool)  # a shell starts or the list ends
+    is_bound[1:-1] = (bins[1:] != bins[:-1]) | (z[1:] != z[:-1])
+    bounds = np.flatnonzero(is_bound)
+    starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
+    # each row of a [shells, c] gather is summed pairwise, as np.mean sums a group
+    radius = np.empty(starts.size)
+    for c in np.unique(counts):
+        of_size = counts == c
+        radius[of_size] = dist[starts[of_size, None] + np.arange(c)].mean(axis=1)
+    return [
+        ScatteringShell(n_atoms=n, radius=r, z_scatter=zs, sigma2=params.sigma2)
+        for n, r, zs in zip(counts.tolist(), radius.tolist(), z[starts].tolist())
+    ]
 
 
 def synth_exafs(

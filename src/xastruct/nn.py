@@ -9,12 +9,12 @@ gradients come for free.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .autodiff import (
     BatchNormState,
+    EdgeConcat,
     Parameter,
     Tensor,
     add,
@@ -22,15 +22,13 @@ from .autodiff import (
     batch_norm_1d,
     concat,
     conv1d,
-    edge_linear,
+    gated_linear,
     gather_rows,
     layer_norm,
-    linear,
     mul,
     relu,
     segment_sum,
-    sigmoid,
-    swish_beta,
+    swiglu,
 )
 
 N_ELEMENTS = 118
@@ -79,25 +77,6 @@ class Module:
                 value.load_buffers(arrays, f"{prefix}{name}.")
 
 
-class EdgeConcat(NamedTuple):
-    """Edge rows [H[i] | H[j] | R], described but not built.
-
-    A GatedLinearLayer given one computes its linears with edge_linear, from
-    node-level products of H and an edge-level product of R.
-    """
-
-    H: Tensor
-    R: Tensor
-    i: np.ndarray
-    j: np.ndarray
-
-
-def _linear(x, W, b) -> Tensor:
-    if isinstance(x, EdgeConcat):
-        return edge_linear(x.H, x.R, x.i, x.j, W, b)
-    return linear(x, W, b)
-
-
 class GatedLinearLayer(Module):
     """(W_v x + b_v) * sigmoid(W_g x + b_g); x may be a Tensor or an EdgeConcat."""
 
@@ -108,11 +87,11 @@ class GatedLinearLayer(Module):
         self.b_g = Parameter(np.zeros(d_out))
 
     def __call__(self, x) -> Tensor:
-        return mul(_linear(x, self.W_v, self.b_v), sigmoid(_linear(x, self.W_g, self.b_g)))
+        return gated_linear(x, self.W_v, self.b_v, self.W_g, self.b_g)
 
 
 class SwiGLULayer(Module):
-    """swish_beta(x W_g + b_g) * (x W_v + b_v), with beta learnable."""
+    """swish_beta(x W_g + b_g) * (x W_v + b_v), beta learnable; x may be an EdgeConcat."""
 
     def __init__(self, rng, d_in: int, d_out: int):
         self.W_v = Parameter(glorot_uniform(rng, (d_out, d_in), d_in, d_out))
@@ -122,8 +101,7 @@ class SwiGLULayer(Module):
         self.beta = Parameter(np.array(1.0))
 
     def __call__(self, x) -> Tensor:
-        gate = swish_beta(linear(x, self.W_g, self.b_g), self.beta)
-        return mul(gate, linear(x, self.W_v, self.b_v))
+        return swiglu(x, self.W_g, self.b_g, self.beta, self.W_v, self.b_v)
 
 
 class SBlock(Module):

@@ -9,6 +9,7 @@ from xastruct import pipelines as pl
 from xastruct.autodiff import (
     AdamWState,
     BatchNormState,
+    EdgeConcat,
     Parameter,
     ShapeError,
     Tensor,
@@ -22,6 +23,7 @@ from xastruct.autodiff import (
     cross_entropy_loss,
     edge_linear,
     finite_difference_check,
+    gated_linear,
     gather_rows,
     layer_norm,
     linear,
@@ -39,6 +41,7 @@ from xastruct.autodiff import (
     segment_sum,
     sigmoid,
     softmax,
+    swiglu,
     swish_beta,
     total,
     zero_grad,
@@ -347,6 +350,83 @@ class TestNoGrad:
         _, ax, _, ae = pl._sample_matrices(samples, nbr.n_xanes, nbr.n_exafs)
         taped = nbr.forward(Tensor(nbr.norm["ax"].apply(ax)), Tensor(nbr.norm["ae"].apply(ae)))
         assert nbr.logits(samples).tobytes() == taped.data.tobytes()
+
+
+def _composed_linear(x, W, b):
+    return edge_linear(*x, W, b) if isinstance(x, EdgeConcat) else linear(x, W, b)
+
+
+def composed_gated_linear(x, W_v, b_v, W_g, b_g):
+    """The composition that gated_linear fuses, as the reference."""
+    return mul(_composed_linear(x, W_v, b_v), sigmoid(_composed_linear(x, W_g, b_g)))
+
+
+def composed_swiglu(x, W_g, b_g, beta, W_v, b_v):
+    """The composition that swiglu fuses, as the reference."""
+    return mul(swish_beta(_composed_linear(x, W_g, b_g), beta), _composed_linear(x, W_v, b_v))
+
+
+FUSED = {"gated_linear": (gated_linear, composed_gated_linear),
+         "swiglu": (swiglu, composed_swiglu)}
+
+
+def fused_layer_args(op, rng, d_in, d_out=4):
+    W_v, W_g = Parameter(rng.normal(size=(d_out, d_in))), Parameter(rng.normal(size=(d_out, d_in)))
+    b_v, b_g = Parameter(rng.normal(size=d_out)), Parameter(rng.normal(size=d_out))
+    if op == "gated_linear":
+        return [W_v, b_v, W_g, b_g]
+    return [W_g, b_g, Parameter(np.array(0.7)), W_v, b_v]
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("op", sorted(FUSED))
+    @pytest.mark.parametrize("kind", ["2-D", "1-D", "edge"])
+    def test_equals_the_composition_bit_for_bit(self, op, kind):
+        rng = np.random.default_rng(17)
+        if kind == "edge":
+            leaves = [Parameter(rng.normal(size=(4, 3))), Parameter(rng.normal(size=(7, 2)))]
+            # repeated node indices: several edges read the same row of H
+            i, j = [0, 0, 1, 1, 1, 3, 3], [2, 2, 0, 3, 3, 0, 1]
+            d_in, out_shape = 8, (7, 4)
+        else:
+            shape = (5, 3) if kind == "2-D" else (3,)
+            leaves, d_in, out_shape = [Parameter(rng.normal(size=shape))], 3, shape[:-1] + (4,)
+        args = fused_layer_args(op, rng, d_in)
+        coeff = Tensor(rng.uniform(0.5, 1.5, out_shape))
+        params = leaves + args
+        results = []
+        for build in FUSED[op]:
+            zero_grad(params)
+            # the input is a tape node with another consumer, whose gradient
+            # reaches it first; the layer's two branches then add theirs, in
+            # the order the composition's tape ran them
+            first = mul(leaves[0], Tensor(1.5))
+            x = EdgeConcat(first, leaves[1], i, j) if kind == "edge" else first
+            out = build(x, *args)
+            backward(add(total(mul(first, first)), total(mul(out, coeff))))
+            results.append([out.data.tobytes()] + [p.grad.tobytes() for p in params])
+        assert results[0] == results[1]
+        # one tape node: its parents are the layer's inputs and parameters
+        fused = FUSED[op][0](x, *args)
+        assert {id(p) for p in fused._parents} == {id(t) for t in [first, *leaves[1:], *args]}
+
+    @pytest.mark.parametrize("op", sorted(FUSED))
+    def test_no_grad_records_no_parents_and_no_closure(self, op):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(5, 3)))
+        args = fused_layer_args(op, rng, 3)
+        with no_grad():
+            out = FUSED[op][0](x, *args)
+        assert out._parents == () and out._backward is None
+        assert out.data.tobytes() == FUSED[op][0](x, *args).data.tobytes()
+
+    @pytest.mark.parametrize("op", sorted(FUSED))
+    def test_inf_gate_preactivation_raises(self, op):
+        # x W_g^T overflows to inf; the sigmoid alone would squash it to 1.0
+        args = fused_layer_args(op, np.random.default_rng(19), 3)
+        args[2 if op == "gated_linear" else 0] = Parameter(np.full((4, 3), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+            FUSED[op][0](Tensor(np.full((2, 3), 1e200)), *args)
 
 
 class TestFiniteDifferences:

@@ -269,6 +269,14 @@ MALFORMED = {
     "non-path xanes in pair": ("pair.json", _set_field("xanes", 3), "predict mnnd"),
     "truncated pair json": ("pair.json", _cut_last_line, "predict mnnd"),
     "truncated structure json": ("one.json", _cut_last_line, "predict forward"),
+    "non-integer absorber": ("one.json", _set_field("absorber", "x"), "predict forward"),
+    "out-of-range absorber": ("one.json", _set_field("absorber", 99), "predict forward"),
+}
+# cases whose message must also name the field at fault
+MALFORMED_FIELD = {
+    "non-path xanes in pair": "'xanes'",
+    "non-integer absorber": "'absorber'",
+    "out-of-range absorber": "'absorber'",
 }
 
 
@@ -294,6 +302,25 @@ def test_malformed_input_exits_1_naming_file_and_line(case, mixed_data, tmp_path
     assert rc == 1, err
     where = f"{data / name}:" if lineno is None else f"{data / name}:{lineno}:"
     assert where in err and "Traceback" not in err, err
+    assert MALFORMED_FIELD.get(case, "") in err, err
+
+
+@pytest.mark.parametrize("command", ["predict", "extract"])
+@pytest.mark.parametrize("value", ["x", "99"])
+def test_bad_absorber_setting_exits_1_naming_the_key(command, value, cu_data, forward_run,
+                                                     tmp_path, capsys):
+    structures = cu_data / "structures.jsonl"
+    if command == "predict":
+        one = tmp_path / "one.json"
+        one.write_text(structures.read_text().splitlines()[0])
+        argv = ["predict", "--checkpoint", str(forward_run / "forward_Cu_XANES.json"),
+                "--input", str(one)]
+    else:
+        argv = ["extract", str(structures)]
+    rc = cli.main([*argv, "--set", f"absorber={value}", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "config key 'absorber'" in err and "Traceback" not in err, err
 
 
 class TestTrain:
@@ -545,7 +572,8 @@ class TestGradcheck:
             "batch_norm(eval)", "conv1d", "avg_pool1d", "masked_mean",
             "gather_rows", "mse_loss", "cross_entropy_loss", "GatedLinear",
             "SwiGLU", "SBlock", "SGMLP", "ConvBlock", "MPEncoder",
-            "segment_sum", "edge_linear", "MPEncoder batch",
+            "segment_sum", "edge_linear", "MPEncoder batch", "gated_linear",
+            "gated_linear(edge)", "swiglu",
         }
         assert names == expected
 

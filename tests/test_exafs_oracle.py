@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from xastruct.crystal import Element, NoNeighborsError, DescriptorLabels
+from xastruct.crystal import (
+    CrystalStructure,
+    DescriptorLabels,
+    Element,
+    NoNeighborsError,
+    Site,
+    neighbor_list,
+)
 from xastruct.exafs_oracle import (
     BelowEdgeError,
     OracleParams,
@@ -23,6 +30,7 @@ from xastruct.exafs_oracle import (
 from xastruct.spectra import EnergyGrid, normalize_edge_jump
 
 from conftest import brute_force_neighbors, cubic_structure, random_structure, rocksalt_structure
+from helpers import cscl, fcc, fluorite, rocksalt
 
 P = OracleParams()
 
@@ -46,6 +54,18 @@ def reference_chi_shell(shell, params, k):
     phase = 2.0 * k * shell.radius - 2.0 * k * params.r_phase
     chi = amplitude * np.sin(phase)
     return float(chi) if chi.ndim == 0 else chi
+
+
+def reference_shells(s, absorber, params, cutoff=6.0):
+    """Shells from a per-neighbor dict loop and one np.mean per group, as once computed."""
+    groups = {}
+    for nb in neighbor_list(s, absorber, cutoff):
+        key = (s.sites[nb.index].element.atomic_number, round(nb.distance / 0.01))
+        groups.setdefault(key, []).append(nb.distance)
+    return [
+        ScatteringShell(len(dists), float(np.mean(dists)), z, params.sigma2)
+        for (z, _), dists in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    ]
 
 
 def reference_mu(s, absorber, params, grid, cutoff=6.0):
@@ -261,6 +281,27 @@ class TestSynthExafs:
         assert sp.kind == "EXAFS"
         assert sp.absorber == Element.from_symbol("Cu")
         assert sp.structure_id == "sc-3"
+
+    def test_shells_equal_the_dict_loop_exactly(self, rng):
+        largest = 0
+        for build in (fcc, rocksalt, fluorite, cscl):
+            for _ in range(8):
+                base = build(float(rng.uniform(3.5, 5.5)))
+                # jitter far below the 0.01 A bin: shells keep most members, whose
+                # distances then differ slightly, so the summation order shows
+                sites = tuple(Site(x.element, x.frac_coords + rng.normal(0.0, 2e-5, 3))
+                              for x in base.sites)
+                s = CrystalStructure(lattice=base.lattice, sites=sites, id=base.id)
+                absorber = int(rng.integers(len(s)))
+                want = reference_shells(s, absorber, P)
+                assert shells_from_structure(s, absorber, P) == want
+                largest = max(largest, max(sh.n_atoms for sh in want))
+        for _ in range(20):
+            s = random_structure(rng)
+            if neighbor_list(s, 0, 6.0):
+                assert shells_from_structure(s, 0, P) == reference_shells(s, 0, P)
+        # np.mean sums groups of 8 or more pairwise, not left to right
+        assert largest >= 8
 
     def test_rocksalt_first_shell_grouping(self):
         shells = shells_from_structure(rocksalt_structure(a=5.64), 0, P)
