@@ -2,7 +2,7 @@
 
     xastruct synth     --out DIR [--config FILE] [--seed N]
     xastruct extract   STRUCTURES --out DIR
-    xastruct train     --task {forward,mnnd,neighbor,cn} --data DIR --out DIR
+    xastruct train     --task TASK --data DIR --out DIR
     xastruct eval      --checkpoint FILE --data DIR --out DIR
     xastruct predict   --checkpoint FILE --input FILE --out DIR
     xastruct gradcheck [--corrupt]
@@ -16,47 +16,20 @@ codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
 from . import exafs_oracle as oracle
+from . import gradcheck
 from . import pipelines as pl
-from .autodiff import (
-    BatchNormState,
-    EdgeConcat,
-    Parameter,
-    Tensor,
-    add,
-    avg_pool1d,
-    batch_norm_1d,
-    concat,
-    conv1d,
-    cross_entropy_loss,
-    edge_linear,
-    finite_difference_check,
-    gated_linear,
-    gather_rows,
-    layer_norm,
-    linear,
-    masked_mean,
-    matmul,
-    mse_loss,
-    mul,
-    relu,
-    reshape,
-    segment_sum,
-    sigmoid,
-    swiglu,
-    swish_beta,
-    total,
-)
 from .crystal import (
     DESCRIPTOR_CUTOFF,
     CrystalStructure,
@@ -66,10 +39,11 @@ from .crystal import (
     build_graph,
     extract_descriptors,
     neighbor_list,
-    structure_from_dict,
-    structure_to_dict,
+    read_structure,
+    read_structures,
+    site_index,
+    write_structures,
 )
-from .nn import ConvBlock, GatedLinearLayer, MPEncoder, SBlock, SGMLP, SwiGLULayer
 from .spectra import (
     EnergyGrid,
     LabeledSample,
@@ -77,12 +51,11 @@ from .spectra import (
     labels_to_dict,
     load_dataset,
     load_spectrum,
+    load_spectrum_pair,
     save_dataset,
     save_spectrum,
     split_dataset,
 )
-
-EDGE = "K"
 
 CONFIG_DEFAULTS = {
     "seed": "0",
@@ -186,35 +159,17 @@ def content_hash(path) -> str:
     raise FileNotFoundError(f"no such input: {path}")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: str
-    seed: int
-    inputs: dict
-    outputs: list
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_path": self.config_path,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
-
-
 def write_manifest(out_dir: Path, command: str, args, cfg: dict, inputs, outputs) -> None:
-    manifest = RunManifest(
-        command=command,
-        config_path=str(args.config) if args.config else "",
-        seed=int(cfg["seed"]),
-        inputs={str(p): content_hash(p) for p in inputs},
-        outputs=[str(p) for p in outputs],
-    )
+    manifest = {
+        "command": command,
+        "config_path": str(args.config) if args.config else "",
+        "seed": int(cfg["seed"]),
+        "inputs": {str(p): content_hash(p) for p in inputs},
+        "outputs": [str(p) for p in outputs],
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "run.json", "w") as fh:
-        json.dump(manifest.to_dict(), fh, sort_keys=True, indent=1)
+        json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -307,8 +262,14 @@ def synth_samples(cfg: dict):
         if t not in TEMPLATES:
             raise UsageError(f"unknown template {t!r}; choose from {sorted(TEMPLATES)}")
     mnnd_range = (float(cfg["mnnd_min"]), float(cfg["mnnd_max"]))
+    if mnnd_range[0] > mnnd_range[1]:
+        raise UsageError(f"config key 'mnnd_min' ({mnnd_range[0]}) exceeds 'mnnd_max' "
+                         f"({mnnd_range[1]})")
     strain = float(cfg["strain"])
     jitter = float(cfg["jitter"])
+    for key, value in (("strain", strain), ("jitter", jitter)):
+        if value < 0:
+            raise UsageError(f"config key {key!r} must be non-negative, got {value}")
     n_grid = int(cfg["n_grid"])
     cutoff = float(cfg["cutoff"])
 
@@ -347,40 +308,128 @@ def synth_dataset(cfg: dict, out_dir: Path):
     samples, structures = synth_samples(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(samples, out_dir / "manifest.jsonl")
-    with open(out_dir / "structures.jsonl", "w") as fh:
-        for s, absorber_index in structures:
-            record = structure_to_dict(s)
-            record["absorber"] = absorber_index
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_structures(structures, out_dir / "structures.jsonl")
     return samples, structures
 
 
-def _absorber_index(value, n_sites: int, source: str) -> int:
-    """`value` as the index of one of n_sites sites; an error names `source`."""
-    try:
-        index = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{source} must be a site index, got {value!r}") from None
-    if not 0 <= index < n_sites:
-        raise ValueError(f"{source} is {index}, out of range for {n_sites} sites")
-    return index
+def _absorber(cfg: dict, s: CrystalStructure, absorber: int) -> int:
+    """The site index that the `absorber` config key sets, else the record's `absorber`."""
+    if cfg["absorber"]:
+        return site_index(cfg["absorber"], len(s), "config key 'absorber'")
+    return absorber
 
 
-def load_structures_with_absorbers(path) -> list:
-    """(structure, absorber index) per JSON line; a bad line raises naming the file and line."""
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                s = structure_from_dict(record)
-                absorber = _absorber_index(record.get("absorber", 0), len(s), "field 'absorber'")
-                out.append((s, absorber))
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+# --- tasks -------------------------------------------------------------------------
+
+
+def _samples(data_dir: Path, cfg: dict, model=None) -> list:
+    """The dataset's samples; for a per-element model, its element's samples only."""
+    samples = load_dataset(data_dir / "manifest.jsonl")
+    if model is None or model.element is None:
+        return samples
+    return [s for s in samples if s.xanes.absorber.symbol == model.element]
+
+
+def _forward_pairs(data_dir: Path, cfg: dict, model=None) -> list:
+    """(graph, spectrum) pairs of the forward_kind spectra; for a model, its kind and element's."""
+    if model is None:
+        kind, element = cfg["forward_kind"], None
+        if kind not in ("XANES", "EXAFS"):
+            raise UsageError(f"forward_kind must be XANES or EXAFS, got {kind!r}")
+    else:
+        kind, element = model.kind, model.element
+    samples = load_dataset(data_dir / "manifest.jsonl")
+    structures = {s.id: (s, a) for s, a in read_structures(data_dir / "structures.jsonl")}
+    pairs = []
+    for sample in samples:
+        sp = sample.xanes if kind == "XANES" else sample.exafs
+        if sp.structure_id not in structures:
+            raise ValueError(f"spectrum references unknown structure id {sp.structure_id!r}")
+        if element is None or sp.absorber.symbol == element:
+            s, absorber = structures[sp.structure_id]
+            pairs.append((build_graph(s, absorber, float(cfg["cutoff"])), sp))
+    return pairs
+
+
+def _predict_spectrum(model, path, cfg: dict, out_dir: Path) -> dict:
+    """Write the spectrum of the input structure file's absorber as spectrum.csv."""
+    s, absorber = read_structure(path)
+    g = build_graph(s, _absorber(cfg, s, absorber), float(cfg["cutoff"]))
+    sp = Spectrum(
+        grid=EnergyGrid(model.grid_values), mu=pl.forward_predict(model, g), kind=model.kind,
+        edge=model.edge, absorber=Element.from_symbol(model.element), structure_id=s.id,
+    )
+    out_path = out_dir / "spectrum.csv"
+    save_spectrum(sp, out_path)
+    return {"spectrum_csv": str(out_path)}
+
+
+def _predict_label(field: str, predict):
+    """A predictor that reports predict(model, spectrum pair of the input file) as `field`."""
+    return lambda model, path, cfg, out_dir: {field: predict(model, load_spectrum_pair(path))}
+
+
+def _sample_absorber(sample) -> str:
+    return sample.xanes.absorber.symbol
+
+
+@dataclass(frozen=True)
+class Task:
+    """What train, eval and predict do for one task.
+
+    The functions call pipelines through its module attributes when they
+    run, so a wrapper installed on those attributes sees every call.
+    """
+
+    load: Callable  # (data dir, cfg, model or None) -> items: all, or those a model is scored on
+    absorber: Callable  # item -> absorber symbol, the key of a per-element scope
+    train: Callable  # (items, TrainConfig, validation items) -> (history, model)
+    score: Callable  # (model, items, TrainConfig) -> Metrics
+    predict: Callable  # (model, input file, cfg, out dir) -> the prediction's fields
+    scope: str = "per-element"  # the training scope where the `scope` key is unset
+    scope_settable: bool = True  # whether the `scope` key applies to this task
+    unscoped: str = "all"  # eval's report scope of a model of every element
+    tag: Callable = lambda model: model.element or "unified"  # checkpoint name after the task
+    report_scope: Callable = lambda model, unscoped: model.element or unscoped
+
+
+TASKS = {
+    "forward": Task(
+        load=_forward_pairs,
+        absorber=lambda pair: pair[1].absorber.symbol,
+        train=lambda items, tcfg, val: pl.train_forward(items, tcfg, val_pairs=val),
+        score=lambda model, items, tcfg: pl.eval_forward(model, items, tcfg.batch_size),
+        predict=_predict_spectrum,
+        scope_settable=False,
+        tag=lambda model: f"{model.element}_{model.kind}",
+        report_scope=lambda model, unscoped: f"{model.element}/{model.edge}/{model.kind}",
+    ),
+    "mnnd": Task(
+        load=_samples,
+        absorber=_sample_absorber,
+        train=lambda items, tcfg, val: pl.train_mnnd(items, tcfg, val_samples=val),
+        score=lambda model, items, tcfg: pl.eval_mnnd(model, items),
+        predict=_predict_label("mnnd_angstrom", lambda model, pair: pl.mnnd_predict(model, pair)),
+        scope="unified",
+        unscoped="unified",
+    ),
+    "neighbor": Task(
+        load=_samples,
+        absorber=_sample_absorber,
+        train=lambda items, tcfg, val: pl.train_neighbor(items, tcfg, val_samples=val),
+        score=lambda model, items, tcfg: pl.eval_neighbor(model, items),
+        predict=_predict_label(
+            "neighbor_type", lambda model, pair: pl.neighbor_predict(model, pair).symbol
+        ),
+    ),
+    "cn": Task(
+        load=_samples,
+        absorber=_sample_absorber,
+        train=lambda items, tcfg, val: ([], pl.train_cn(items, tcfg)),
+        score=lambda model, items, tcfg: pl.eval_cn(model, items),
+        predict=_predict_label("cn", lambda model, pair: pl.cn_predict(model, pair)),
+    ),
+}
 
 
 # --- command implementations ----------------------------------------------------------
@@ -401,239 +450,93 @@ def cmd_extract(args) -> int:
     cfg = resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = load_structures_with_absorbers(args.structures)
+    records = read_structures(args.structures)
     out_path = out_dir / "labels.jsonl"
     with open(out_path, "w") as fh:
         for s, absorber in records:
-            if cfg["absorber"]:
-                absorber = _absorber_index(cfg["absorber"], len(s), "config key 'absorber'")
-            labels = extract_descriptors(s, absorber)
+            absorber = _absorber(cfg, s, absorber)
             row = {"id": s.id, "absorber": absorber}
-            row.update(labels_to_dict(labels))
+            row.update(labels_to_dict(extract_descriptors(s, absorber)))
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     write_manifest(out_dir, "extract", args, cfg, [args.structures], [out_path])
     print(f"wrote {len(records)} label rows to {out_path}")
     return 0
 
 
-def _forward_pairs_from_dataset(data_dir: Path, kind: str, cutoff: float, element: str = None):
-    """absorber symbol -> [(graph, spectrum)]; with `element`, that absorber's pairs only."""
-    samples = load_dataset(data_dir / "manifest.jsonl")
-    structures = {s.id: (s, a) for s, a in load_structures_with_absorbers(data_dir / "structures.jsonl")}
-    groups = {}
-    for sample in samples:
-        sp = sample.xanes if kind == "XANES" else sample.exafs
-        if sp.structure_id not in structures:
-            raise ValueError(f"spectrum references unknown structure id {sp.structure_id!r}")
-        if element is not None and sp.absorber.symbol != element:
-            continue
-        s, absorber = structures[sp.structure_id]
-        g = build_graph(s, absorber, cutoff)
-        groups.setdefault(sp.absorber.symbol, []).append((g, sp))
-    return groups
-
-
-def _train_one(task, train_part, val_part, tcfg):
-    """(history, model, metrics on the validation part, or on the training part if it is empty)."""
-    if task == "cn":
-        history, model = [], pl.train_cn(train_part, tcfg)
-    else:
-        train = pl.train_mnnd if task == "mnnd" else pl.train_neighbor
-        history, model = train(train_part, tcfg, val_samples=val_part)
-    score = {"mnnd": pl.eval_mnnd, "neighbor": pl.eval_neighbor, "cn": pl.eval_cn}[task]
-    return history, model, score(model, val_part or train_part)
-
-
 def cmd_train(args) -> int:
+    """One model per scope with at least 5 samples: checkpoint, metrics and history."""
     cfg = resolve_config(args)
-    task = args.task or cfg["task"]
-    if task not in ("forward", "mnnd", "neighbor", "cn"):
-        raise UsageError(f"unknown task {task!r}; choose forward, mnnd, neighbor, or cn")
+    name = args.task or cfg["task"]
+    if name not in TASKS:
+        raise UsageError(f"unknown task {name!r}; choose from {', '.join(TASKS)}")
+    task = TASKS[name]
     tcfg = pl.TrainConfig.from_config(cfg)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = int(cfg["seed"])
+    items = task.load(data_dir, cfg)
+    scope = cfg.get("scope", task.scope) if task.scope_settable else task.scope
+    scoped = {"unified": items}
+    if scope == "per-element":
+        scoped = {}
+        for item in items:
+            scoped.setdefault(task.absorber(item), []).append(item)
     outputs = []
-
-    if task == "forward":
-        kind = cfg["forward_kind"]
-        if kind not in ("XANES", "EXAFS"):
-            raise UsageError(f"forward_kind must be XANES or EXAFS, got {kind!r}")
-        groups = _forward_pairs_from_dataset(data_dir, kind, float(cfg["cutoff"]))
-        for symbol, pairs in sorted(groups.items()):
-            train_part, val_part = split_dataset(pairs, seed)
-            history, model = pl.train_forward(train_part, tcfg, val_pairs=val_part)
-            metrics = pl.eval_forward(model, val_part, tcfg.batch_size)
-            tag = f"forward_{symbol}_{kind}"
-            ckpt = out_dir / f"{tag}.json"
-            model.save(ckpt)
-            report = pl.metrics_report(
-                "forward", f"{symbol}/{EDGE}/{kind}", metrics,
-                n_train=len(train_part), n_val=len(val_part), seed=seed,
-            )
-            pl.write_metrics_json(report, out_dir / f"metrics_{tag}.json")
+    for key in sorted(scoped):
+        part = scoped[key]
+        if len(part) < 5:
+            print(f"skipping scope {key}: {len(part)} samples is too few to split", file=sys.stderr)
+            continue
+        train_part, val_part = split_dataset(part, seed)
+        history, model = task.train(train_part, tcfg, val_part)
+        metrics = task.score(model, val_part, tcfg)
+        if scope == "per-element":
+            model.element = key  # eval scores the model on this element only
+        tag = f"{name}_{task.tag(model)}"
+        ckpt = out_dir / f"{tag}.json"
+        model.save(ckpt)
+        report = pl.metrics_report(name, task.report_scope(model, "unified"), metrics,
+                                   n_train=len(train_part), n_val=len(val_part), seed=seed)
+        pl.write_metrics_json(report, out_dir / f"metrics_{tag}.json")
+        if history:
             pl.write_history_csv(history, out_dir / f"history_{tag}.csv")
-            outputs += [ckpt, out_dir / f"metrics_{tag}.json", out_dir / f"history_{tag}.csv"]
-            print(json.dumps(report, sort_keys=True))
-    else:
-        samples = load_dataset(data_dir / "manifest.jsonl")
-        per_element = not (tcfg.scope == "unified" or task == "mnnd" and "scope" not in cfg)
-        scoped = pl.group_by_element(samples) if per_element else {"unified": samples}
-        trained = 0
-        for scope_key in sorted(scoped):
-            part = scoped[scope_key]
-            if len(part) < 5:
-                print(f"skipping scope {scope_key}: {len(part)} samples is too few to split",
-                      file=sys.stderr)
-                continue
-            trained += 1
-            train_part, val_part = split_dataset(part, seed)
-            history, model, metrics = _train_one(task, train_part, val_part, tcfg)
-            if per_element:
-                model.element = scope_key  # eval scores the model on this element only
-            tag = f"{task}_{scope_key}"
-            ckpt = out_dir / f"{tag}.json"
-            model.save(ckpt)
-            report = pl.metrics_report(
-                task, scope_key, metrics, n_train=len(train_part), n_val=len(val_part), seed=seed
-            )
-            pl.write_metrics_json(report, out_dir / f"metrics_{tag}.json")
-            if history:
-                pl.write_history_csv(history, out_dir / f"history_{tag}.csv")
-                outputs.append(out_dir / f"history_{tag}.csv")
-            outputs += [ckpt, out_dir / f"metrics_{tag}.json"]
-            print(json.dumps(report, sort_keys=True))
-        if not trained:
-            raise ValueError("no element scope has enough samples to train on")
-
+            outputs.append(out_dir / f"history_{tag}.csv")
+        outputs += [ckpt, out_dir / f"metrics_{tag}.json"]
+        print(json.dumps(report, sort_keys=True))
+    if not outputs:
+        raise ValueError("no element scope has enough samples to train on")
     write_manifest(out_dir, "train", args, cfg, [data_dir], outputs)
     return 0
 
 
-def _load_checkpoint(path):
-    """(task, model) from one parse of the checkpoint, dispatched on its header."""
-    doc = pl.read_checkpoint(path)
-    header = doc.get("header") if isinstance(doc, dict) else None
-    task = header.get("task", "") if isinstance(header, dict) else ""
-    models = {
-        "forward": pl.ForwardModel,
-        "mnnd": pl.InverseMNND,
-        "neighbor": pl.InverseNeighbor,
-        "cn": pl.CNClassifier,
-    }
-    if task not in models:
-        raise ValueError(f"checkpoint {path} has unknown task {task!r}")
-    try:
-        return task, models[task].from_doc(doc)
-    except KeyError as exc:
-        # str() of a KeyError is only the quoted key, as in "error: 'forest'"
-        raise ValueError(f"checkpoint {path}: missing {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint {path}: {exc}") from None
-
-
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
-    task, model = _load_checkpoint(args.checkpoint)
+    name, model = pl.load_checkpoint(args.checkpoint)
+    task = TASKS[name]
     data_dir = Path(args.data)
-    out_dir = Path(args.out)
-    seed = int(cfg["seed"])
-
-    if task == "forward":
-        groups = _forward_pairs_from_dataset(data_dir, model.kind, float(cfg["cutoff"]), model.element)
-        if model.element not in groups:
-            raise ValueError(f"dataset has no {model.element} {model.kind} samples to evaluate")
-        pairs = groups[model.element]
-        metrics = pl.eval_forward(model, pairs, pl.TrainConfig.from_config(cfg).batch_size)
-        scope = f"{model.element}/{model.edge}/{model.kind}"
-        n_val = len(pairs)
-    else:
-        manifest = data_dir / "manifest.jsonl"
-        samples = load_dataset(manifest)
-        scope = "unified" if task == "mnnd" else "all"
-        if model.element is not None:
-            # a per-element checkpoint is scored on its own element's samples
-            samples = pl.group_by_element(samples).get(model.element)
-            if not samples:
-                raise ValueError(
-                    f"{manifest} has no {model.element} samples to evaluate {args.checkpoint} on"
-                )
-            scope = model.element
-        score = {"mnnd": pl.eval_mnnd, "neighbor": pl.eval_neighbor, "cn": pl.eval_cn}[task]
-        metrics, n_val = score(model, samples), len(samples)
-
-    report = pl.metrics_report(task, scope, metrics, n_train=0, n_val=n_val, seed=seed)
-    out_path = Path(out_dir) / "metrics.json"
+    items = task.load(data_dir, cfg, model)
+    if not items:
+        of = f" of {model.element}" if model.element else ""
+        raise ValueError(f"{data_dir} has no samples{of} to evaluate {args.checkpoint} on")
+    metrics = task.score(model, items, pl.TrainConfig.from_config(cfg))
+    report = pl.metrics_report(name, task.report_scope(model, task.unscoped), metrics,
+                               n_train=0, n_val=len(items), seed=int(cfg["seed"]))
+    out_path = Path(args.out) / "metrics.json"
     pl.write_metrics_json(report, out_path)
-    write_manifest(Path(out_dir), "eval", args, cfg, [args.checkpoint, data_dir], [out_path])
+    write_manifest(Path(args.out), "eval", args, cfg, [args.checkpoint, data_dir], [out_path])
     print(json.dumps(report, sort_keys=True))
     return 0
 
 
-def _read_json_input(path):
-    """The JSON document of a predict input; a parse error names the file and line."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
-
-
-def _sample_from_input(path):
-    """A spectrum-pair JSON {"xanes": csv, "exafs": csv}, paths relative to it."""
-    path = Path(path)
-    doc = _read_json_input(path)
-    if not isinstance(doc, dict) or "xanes" not in doc or "exafs" not in doc:
-        raise ValueError(
-            f"{path} is not a spectrum-pair input; expected JSON with xanes/exafs keys"
-        )
-    for key in ("xanes", "exafs"):
-        if not isinstance(doc[key], str):
-            raise ValueError(f"{path}: {key!r} must be a CSV path, got {doc[key]!r}")
-    return SimpleNamespace(
-        xanes=load_spectrum(path.parent / doc["xanes"]),
-        exafs=load_spectrum(path.parent / doc["exafs"]),
-    )
-
-
 def cmd_predict(args) -> int:
     cfg = resolve_config(args)
-    task, model = _load_checkpoint(args.checkpoint)
-    if args.task and args.task != task:
-        raise ValueError(f"task mismatch: checkpoint is {task!r}, requested {args.task!r}")
+    name, model = pl.load_checkpoint(args.checkpoint)
+    if args.task and args.task != name:
+        raise ValueError(f"task mismatch: checkpoint is {name!r}, requested {args.task!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if task == "forward":
-        record = _read_json_input(args.input)
-        try:
-            s = structure_from_dict(record)
-        except ValueError as exc:
-            raise ValueError(f"{args.input}: {exc}") from None
-        if cfg["absorber"]:
-            absorber = _absorber_index(cfg["absorber"], len(s), "config key 'absorber'")
-        else:
-            absorber = _absorber_index(record.get("absorber", 0), len(s),
-                                       f"{args.input}: field 'absorber'")
-        g = build_graph(s, absorber, float(cfg["cutoff"]))
-        mu = pl.forward_predict(model, g)
-        sp = Spectrum(
-            grid=EnergyGrid(model.grid_values), mu=mu, kind=model.kind, edge=model.edge,
-            absorber=Element.from_symbol(model.element), structure_id=s.id,
-        )
-        out_path = out_dir / "spectrum.csv"
-        save_spectrum(sp, out_path)
-        result = {"task": task, "spectrum_csv": str(out_path)}
-    else:
-        sample = _sample_from_input(args.input)
-        if task == "mnnd":
-            result = {"task": task, "mnnd_angstrom": pl.mnnd_predict(model, sample)}
-        elif task == "neighbor":
-            result = {"task": task, "neighbor_type": pl.neighbor_predict(model, sample).symbol}
-        else:
-            result = {"task": task, "cn": pl.cn_predict(model, sample)}
-
+    result = {"task": name, **TASKS[name].predict(model, args.input, cfg, out_dir)}
     with open(out_dir / "prediction.json", "w") as fh:
         json.dump(result, fh, sort_keys=True)
         fh.write("\n")
@@ -643,175 +546,8 @@ def cmd_predict(args) -> int:
     return 0
 
 
-# --- gradient check suite --------------------------------------------------------------
-
-
-def _gradcheck_cases(seed: int):
-    """(name, params, scalar loss fn) triples covering every op and block.
-
-    Each output is contracted against fixed random coefficients rather than
-    plainly summed: a plain sum over a normalized output has structurally
-    tiny parameter gradients (BatchNorm makes the sum invariant to the conv
-    weights, LayerNorm to the gain), and finite differences of a near-zero
-    gradient are all truncation noise.
-    """
-    rng = np.random.default_rng(seed)
-
-    def p(*shape):
-        # magnitudes in [0.2, 1.2]: keeps relu kinks away from the FD step
-        return Parameter(rng.uniform(0.2, 1.2, shape) * rng.choice([-1.0, 1.0], shape))
-
-    cases = []
-
-    def case(name, params, forward):
-        coeff = Tensor(rng.uniform(0.5, 1.5, forward().shape))
-        cases.append((name, params, lambda: total(mul(forward(), coeff))))
-
-    def case_scalar(name, params, loss):
-        cases.append((name, params, loss))
-
-    x, y = p(3, 4), p(3, 4)
-    case("add", (x, y), lambda: add(x, y))
-    case("mul", (x, y), lambda: mul(x, y))
-    w, v = p(4, 3), p(3, 5)
-    case("matmul", (w, v), lambda: matmul(w, v))
-    lw, lb, lx = p(4, 3), p(4), p(2, 3)
-    case("linear", (lw, lb, lx), lambda: linear(lx, lw, lb))
-    c1, c2 = p(2, 3), p(2, 2)
-    case("concat", (c1, c2), lambda: concat([c1, c2], axis=1))
-    r = p(2, 6)
-    case("reshape", (r,), lambda: reshape(r, (3, 4)))
-    s1 = p(3, 3)
-    case("sigmoid", (s1,), lambda: sigmoid(s1))
-    case("relu", (s1,), lambda: relu(s1))
-    beta = Parameter(np.array(1.3))
-    case("swish_beta", (s1, beta), lambda: swish_beta(s1, beta))
-    g_, b_, ln_x = p(4), p(4), p(3, 4)
-    case("layer_norm", (ln_x, g_, b_), lambda: layer_norm(ln_x, g_, b_))
-    bn_x, bn_g, bn_b = p(4, 3), p(3), p(3)
-    case(
-        "batch_norm(train)",
-        (bn_x, bn_g, bn_b),
-        lambda: batch_norm_1d(bn_x, bn_g, bn_b, BatchNormState(3), training=True),
-    )
-    bn_state = BatchNormState(3)
-    bn_state.running_mean = rng.standard_normal(3) * 0.1
-    bn_state.running_var = 1.0 + rng.random(3)
-    case(
-        "batch_norm(eval)",
-        (bn_x, bn_g, bn_b),
-        lambda: batch_norm_1d(bn_x, bn_g, bn_b, bn_state, training=False),
-    )
-    cw, cb, cx = p(2, 1, 3), p(2), p(2, 1, 6)
-    case("conv1d", (cw, cb, cx), lambda: conv1d(cx, cw, cb))
-    case("avg_pool1d", (cx,), lambda: avg_pool1d(cx))
-    mm_x = p(4, 3)
-    mm_mask = Tensor(np.array([1.0, 0.0, 1.0, 1.0]))
-    case("masked_mean", (mm_x,), lambda: masked_mean(mm_x, mm_mask))
-    gr = p(4, 3)
-    case("gather_rows", (gr,), lambda: gather_rows(gr, [0, 2, 2]))
-    mt = p(2, 4)
-    case_scalar("mse_loss", (mt,), lambda: mse_loss(mt, np.ones((2, 4))))
-    ce_logits = p(3, 4)
-    case_scalar(
-        "cross_entropy_loss", (ce_logits,), lambda: cross_entropy_loss(ce_logits, np.array([0, 3, 1]))
-    )
-
-    gx = p(2, 3)
-    gated = GatedLinearLayer(rng, 3, 4)
-    case("GatedLinear", (gx, *gated.named_parameters().values()), lambda: gated(gx))
-    swig = SwiGLULayer(rng, 3, 4)
-    case("SwiGLU", (gx, *swig.named_parameters().values()), lambda: swig(gx))
-    sblock = SBlock(rng, 3, 4)
-    case("SBlock", (gx, *sblock.named_parameters().values()), lambda: sblock(gx))
-    sgmlp = SGMLP(rng, 3, 5, 2, k=3)
-    case("SGMLP", (gx, *sgmlp.named_parameters().values()), lambda: sgmlp(gx))
-
-    conv_block = ConvBlock(rng, 1, 2, 3)
-    for _ in range(64):
-        cbx = p(2, 1, 8)
-        pre = batch_norm_1d(
-            conv1d(Tensor(cbx.data), conv_block.W, conv_block.b),
-            conv_block.bn_gamma, conv_block.bn_beta, BatchNormState(2), training=True,
-        )
-        # keep every relu input clear of the kink by much more than the FD step
-        if np.abs(pre.data).min() > 5e-3:
-            break
-    case(
-        "ConvBlock",
-        (cbx, *conv_block.named_parameters().values()),
-        lambda: conv_block(cbx, training=True),
-    )
-
-    cell = CrystalStructure(
-        lattice=Lattice(np.eye(3) * 2.6),
-        sites=(Site(Element(2), np.zeros(3)), Site(Element(3), np.full(3, 0.5))),
-        id="gradcheck",
-    )
-    graph = build_graph(cell, 0, cutoff=3.2)
-    encoder = MPEncoder(rng, d=3, t_rounds=1, n_rbf=2, hidden=3, k=2, n_elements=4)
-    case("MPEncoder", tuple(encoder.named_parameters().values()), lambda: encoder.pooled([graph]))
-
-    seg_x = p(5, 3)
-    # segments 1 and 4 are empty
-    case("segment_sum", (seg_x,), lambda: segment_sum(seg_x, [0, 0, 2, 3, 3], 5))
-    el_h, el_r, el_w, el_b = p(3, 2), p(4, 2), p(3, 6), p(3)
-    case("edge_linear", (el_h, el_r, el_w, el_b),
-         lambda: edge_linear(el_h, el_r, [0, 0, 1, 2], [1, 2, 0, 0], el_w, el_b))
-    # two graphs as one union, and k = 1: the factorized layer is the message's final one
-    lone = CrystalStructure(lattice=Lattice(np.eye(3) * 2.9),
-                            sites=(Site(Element(3), np.zeros(3)),))
-    batch = [graph, build_graph(lone, 0, cutoff=3.2)]
-    shallow = MPEncoder(rng, d=3, t_rounds=1, n_rbf=2, hidden=3, k=1, n_elements=4)
-    case("MPEncoder batch", tuple(shallow.named_parameters().values()),
-         lambda: shallow.pooled(batch))
-    gl = p(2, 3), p(4, 3), p(4), p(4, 3), p(4)
-    case("gated_linear", gl, lambda: gated_linear(*gl))
-    # repeated node indices: the gradient of H sums over every edge that reads a row
-    ge_h, ge_r = p(3, 2), p(4, 2)
-    ge = p(3, 6), p(3), p(3, 6), p(3)
-    edges = EdgeConcat(ge_h, ge_r, [0, 0, 1, 2], [1, 2, 0, 0])
-    case("gated_linear(edge)", (ge_h, ge_r, *ge), lambda: gated_linear(edges, *ge))
-    sw_x, sw_beta = p(2, 3), Parameter(np.array(0.8))
-    sw = p(4, 3), p(4), sw_beta, p(4, 3), p(4)
-    case("swiglu", (sw_x, *sw), lambda: swiglu(sw_x, *sw))
-    return cases
-
-
-def _corrupted_case():
-    x = Parameter(np.array([0.7, -0.4, 1.2]))
-
-    def loss():
-        def _backward(g):
-            x.grad[...] += 1.9 * g  # wrong on purpose: forward scale is 2.0
-
-        out = Tensor(x.data * 2.0, (x,), _backward)
-        return total(mul(out, out))
-
-    return (x,), loss
-
-
 def cmd_gradcheck(args) -> int:
-    failures = 0
-    worst_by_case = {}
-    # eps 1e-5 keeps central-difference truncation error (third-derivative
-    # terms, worst through LayerNorm at small widths) below the 1e-4 gate
-    for seed in range(int(args.seeds)):
-        for name, params, loss_fn in _gradcheck_cases(seed):
-            worst, bad = finite_difference_check(loss_fn, list(params), eps=1e-5)
-            worst_by_case[name] = max(worst, worst_by_case.get(name, 0.0))
-            if bad:
-                failures += 1
-                print(f"seed {seed:2d}  {name:22s} max_rel={worst:.3e}  FAIL")
-    for name, worst in worst_by_case.items():
-        print(f"{name:22s} max_rel={worst:.3e}  {'FAIL' if worst > 1e-4 else 'PASS'}")
-    if args.corrupt:
-        params, loss_fn = _corrupted_case()
-        worst, bad = finite_difference_check(loss_fn, list(params), eps=1e-5)
-        print(f"{'corrupted fixture':22s} max_rel={worst:.3e}  {'FAIL' if bad else 'PASS'}")
-        failures += bool(bad)
-    print(f"gradcheck: {'FAILED' if failures else 'ok'} ({failures} failing cases)")
-    return 1 if failures else 0
+    return 1 if gradcheck.run(int(args.seeds), args.corrupt) else 0
 
 
 # --- plotting ---------------------------------------------------------------------
@@ -877,13 +613,11 @@ def cmd_plot(args) -> int:
 
     outputs = []
     if metric_rows:
-        import csv as _csv
-
         table = out_dir / "metrics_table.csv"
         columns = ["task", "scope", "mae", "r2", "accuracy", "macro_f1",
                    "cross_entropy", "n_train", "n_val", "seed"]
         with open(table, "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+            writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
             writer.writeheader()
             for row in metric_rows:
                 writer.writerow(row)
@@ -924,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train one task and write checkpoint + metrics")
-    p.add_argument("--task", choices=["forward", "mnnd", "neighbor", "cn"])
+    p.add_argument("--task", choices=list(TASKS))
     p.add_argument("--data", required=True, help="dataset directory from synth")
     common(p, out_default="xastruct_train")
     p.set_defaults(func=cmd_train)

@@ -319,7 +319,9 @@ def extract_descriptors(
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange: {"id", "lattice": [9 row-major reals], "sites": [...]}
+# Structure records: {"id", "lattice": [9 row-major reals], "sites":
+# [{"element", "frac"}], "absorber": site index}. A structures file holds one
+# record per line; a single-record file holds one JSON document.
 
 
 def structure_to_dict(s: CrystalStructure) -> dict:
@@ -347,27 +349,51 @@ def structure_from_dict(d: dict) -> CrystalStructure:
         raise InvalidStructureError(f"malformed structure record: {exc}") from exc
 
 
-def save_structure(s: CrystalStructure, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(structure_to_dict(s), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_structure(path) -> CrystalStructure:
-    with open(path) as fh:
-        return structure_from_dict(json.load(fh))
-
-
-def load_structures(path) -> list:
-    """Read one structure per line (JSON-lines) or a single JSON document."""
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.strip()
-    if not stripped:
-        return []
+def site_index(value, n_sites: int, source: str) -> int:
+    """`value` as the index of one of n_sites sites; an error names `source`."""
     try:
-        doc = json.loads(stripped)
-        records = doc if isinstance(doc, list) else [doc]
-    except json.JSONDecodeError:
-        records = [json.loads(line) for line in stripped.splitlines() if line.strip()]
-    return [structure_from_dict(rec) for rec in records]
+        index = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{source} must be a site index, got {value!r}") from None
+    if not 0 <= index < n_sites:
+        raise ValueError(f"{source} is {index}, out of range for {n_sites} sites")
+    return index
+
+
+def _from_record(record: dict) -> tuple:
+    s = structure_from_dict(record)
+    return s, site_index(record.get("absorber", 0), len(s), "field 'absorber'")
+
+
+def write_structures(records, path) -> None:
+    """Write each (structure, absorber index) of `records` as one line."""
+    with open(path, "w") as fh:
+        for s, absorber in records:
+            fh.write(json.dumps({**structure_to_dict(s), "absorber": absorber}, sort_keys=True) + "\n")
+
+
+def read_structures(path) -> list:
+    """(structure, absorber index) per line; a bad line raises naming the file and line."""
+    out = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(_from_record(json.loads(line)))
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
+def read_structure(path) -> tuple:
+    """(structure, absorber index) of a single-record file; an error names the file."""
+    with open(path) as fh:
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    try:
+        return _from_record(record)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

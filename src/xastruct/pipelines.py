@@ -88,6 +88,8 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.scope not in ("per-element", "unified"):
@@ -319,6 +321,24 @@ def read_checkpoint(path) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"checkpoint {path} is not valid JSON: {exc}") from None
+
+
+def load_checkpoint(path) -> tuple:
+    """(task, model) from one parse of the checkpoint, dispatched on its header's task."""
+    doc = read_checkpoint(path)
+    header = doc.get("header") if isinstance(doc, dict) else None
+    task = header.get("task", "") if isinstance(header, dict) else ""
+    models = {"forward": ForwardModel, "mnnd": InverseMNND, "neighbor": InverseNeighbor,
+              "cn": CNClassifier}
+    if task not in models:
+        raise ValueError(f"checkpoint {path} has unknown task {task!r}")
+    try:
+        return task, models[task].from_doc(doc)
+    except KeyError as exc:
+        # str() of a KeyError is only the quoted key, as in "error: 'forest'"
+        raise ValueError(f"checkpoint {path}: missing {exc.args[0]}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
 
 
 def _header(model, **fields) -> dict:

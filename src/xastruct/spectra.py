@@ -1,4 +1,4 @@
-"""Sampled absorption spectra: containers, resampling, normalization, dataset I/O.
+"""Sampled absorption spectra: containers, train/validation splits, dataset I/O.
 
 A spectrum is a plain pair (energy grid, mu values) tagged with enough
 metadata to route it through the models: XANES or EXAFS, absorption edge,
@@ -10,6 +10,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,14 +22,6 @@ KINDS = (XANES, EXAFS)
 EDGES = ("K", "L")
 
 DEFAULT_GRID_N = 100
-
-
-class OutOfRangeError(ValueError):
-    pass
-
-
-class FlatSpectrumError(ValueError):
-    pass
 
 
 class InsufficientDataError(ValueError):
@@ -79,9 +72,6 @@ class Spectrum:
         if self.edge not in EDGES:
             raise ValueError(f"edge must be one of {EDGES}, got {self.edge!r}")
 
-    def with_mu(self, mu) -> "Spectrum":
-        return Spectrum(self.grid, mu, self.kind, self.edge, self.absorber, self.structure_id)
-
 
 @dataclass(frozen=True)
 class LabeledSample:
@@ -98,32 +88,6 @@ class LabeledSample:
             raise ValueError("XANES and EXAFS absorbers differ")
         if self.xanes.structure_id != self.exafs.structure_id:
             raise ValueError("XANES and EXAFS structure ids differ")
-
-
-def resample(sp: Spectrum, target: EnergyGrid) -> Spectrum:
-    """Linear interpolation of mu onto ``target``; metadata carried over."""
-    src = sp.grid.values
-    if target.values[0] < src[0] or target.values[-1] > src[-1]:
-        raise OutOfRangeError(
-            f"target grid [{target.values[0]}, {target.values[-1]}] extends beyond "
-            f"source [{src[0]}, {src[-1]}]"
-        )
-    mu = np.interp(target.values, src, sp.mu)
-    return Spectrum(target, mu, sp.kind, sp.edge, sp.absorber, sp.structure_id)
-
-
-def normalize_edge_jump(sp: Spectrum) -> Spectrum:
-    """Scale mu so the pre-edge plateau sits at 0 and the post-edge tail at 1.
-
-    Plateau levels are the means of the first and last 10% of points. A jump
-    below 1e-9 means there is no edge to normalize to.
-    """
-    n_plateau = max(1, sp.grid.n // 10)
-    pre_edge = float(np.mean(sp.mu[:n_plateau]))
-    jump = float(np.mean(sp.mu[-n_plateau:])) - pre_edge
-    if jump <= 1e-9:
-        raise FlatSpectrumError(f"edge jump {jump:.3e} too small to normalize")
-    return sp.with_mu((sp.mu - pre_edge) / jump)
 
 
 def split_indices(n: int, seed: int) -> tuple:
@@ -145,6 +109,7 @@ def split_dataset(samples, seed: int) -> tuple:
 # One spectrum = <name>.csv with header "energy_ev,mu" plus <name>.json
 # sidecar holding the metadata. A dataset = JSON-lines manifest, one
 # LabeledSample per line with paths relative to the manifest's directory.
+# A spectrum pair = JSON {"xanes": csv, "exafs": csv}, paths relative to it.
 
 
 def save_spectrum(sp: Spectrum, csv_path) -> None:
@@ -258,6 +223,34 @@ def load_spectrum(csv_path) -> Spectrum:
         raise ValueError(f"{csv_path}: {exc}") from None
 
 
+class SpectrumPair(NamedTuple):
+    """The XANES and EXAFS spectra of one absorbing site, without labels."""
+
+    xanes: Spectrum
+    exafs: Spectrum
+
+
+def load_spectrum_pair(path) -> SpectrumPair:
+    """The spectra of a pair file {"xanes": csv, "exafs": csv}, paths relative to it.
+
+    A parse error names the file and line, a key that is not a path string
+    names the file and the key.
+    """
+    path = Path(path)
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(doc, dict) or "xanes" not in doc or "exafs" not in doc:
+        raise ValueError(f"{path} is not a spectrum-pair input; expected JSON with xanes/exafs keys")
+    for key in ("xanes", "exafs"):
+        if not isinstance(doc[key], str):
+            raise ValueError(f"{path}: {key!r} must be a CSV path, got {doc[key]!r}")
+    return SpectrumPair(load_spectrum(path.parent / doc["xanes"]),
+                        load_spectrum(path.parent / doc["exafs"]))
+
+
 def labels_to_dict(labels: DescriptorLabels) -> dict:
     return {
         "cn": labels.cn,
@@ -268,12 +261,16 @@ def labels_to_dict(labels: DescriptorLabels) -> dict:
 
 
 def labels_from_dict(d: dict) -> DescriptorLabels:
-    return DescriptorLabels(
-        cn=int(d["cn"]),
-        mnnd=float(d["mnnd"]),
-        neighbor_type=Element.from_symbol(d["neighbor_type"]),
-        shell_distances=tuple(d["shell_distances"]),
-    )
+    """The labels of a manifest record; a value of the wrong type raises naming its field."""
+    fields = {"cn": int, "mnnd": float, "neighbor_type": Element.from_symbol,
+              "shell_distances": tuple}
+    values = {}
+    for key, cast in fields.items():
+        try:
+            values[key] = cast(d[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"label {key!r}: {exc}") from None
+    return DescriptorLabels(**values)
 
 
 def save_dataset(samples, manifest_path) -> None:
@@ -317,6 +314,9 @@ def load_dataset(manifest_path) -> list:
             except KeyError as exc:
                 field = exc.args[0]
                 raise ValueError(f"{manifest_path}:{lineno}: missing field {field!r}") from None
+            except OSError as exc:
+                # a referenced spectrum CSV or sidecar that cannot be opened
+                raise ValueError(f"{manifest_path}:{lineno}: {exc.strerror}: {exc.filename}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{manifest_path}:{lineno}: {exc}") from None
     return samples

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import brute_force_neighbors, random_structure
 from helpers import cscl, forward_pairs
-from xastruct import cli
+from xastruct import cli, gradcheck
 from xastruct import exafs_oracle as oracle
 from xastruct import pipelines as pl
 from xastruct.autodiff import finite_difference_check
@@ -43,7 +43,7 @@ def test_c1_gradients_match_finite_differences_for_every_op_and_block():
     worst_overall, n_cases = 0.0, 0
     bad_cases = []
     for seed in range(20):
-        for name, params, loss_fn in cli._gradcheck_cases(seed):
+        for name, params, loss_fn in gradcheck.cases(seed):
             worst, failures = finite_difference_check(loss_fn, list(params), eps=1e-5)
             worst_overall = max(worst_overall, worst)
             n_cases += 1

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xastruct import cli
+from xastruct import cli, gradcheck
 from xastruct.crystal import extract_descriptors, structure_from_dict
 from xastruct.spectra import load_dataset, load_spectrum
 
@@ -175,6 +175,16 @@ class TestSynth:
         rc = cli.main(["synth", "--out", str(tmp_path / "x"), "--set", "templates=bcc"])
         assert rc == 2
 
+    @pytest.mark.parametrize("setting,key", [
+        ("mnnd_min=3.5", "'mnnd_min'"), ("strain=-0.1", "'strain'"), ("jitter=-0.05", "'jitter'"),
+    ])
+    def test_bad_draw_range_is_usage_error_naming_the_key(self, setting, key, tmp_path, capsys):
+        rc = cli.main(["synth", "--out", str(tmp_path / "x"), "--set", setting])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert key in err and "Traceback" not in err, err
+        assert not (tmp_path / "x" / "manifest.jsonl").exists()
+
     def test_run_manifest_hashes(self, mixed_data):
         with open(mixed_data / "run.json") as fh:
             manifest = json.load(fh)
@@ -271,12 +281,18 @@ MALFORMED = {
     "truncated structure json": ("one.json", _cut_last_line, "predict forward"),
     "non-integer absorber": ("one.json", _set_field("absorber", "x"), "predict forward"),
     "out-of-range absorber": ("one.json", _set_field("absorber", 99), "predict forward"),
+    "missing spectrum csv": ("manifest.jsonl",
+                             _set_line(3, lambda r: r.replace("_xanes.csv", "_gone.csv")), "cn"),
+    "non-integer cn label": ("manifest.jsonl", _set_line(2, lambda r: json.dumps(
+        {**json.loads(r), "labels": {**json.loads(r)["labels"], "cn": "four"}})), "cn"),
 }
 # cases whose message must also name the field at fault
 MALFORMED_FIELD = {
     "non-path xanes in pair": "'xanes'",
     "non-integer absorber": "'absorber'",
     "out-of-range absorber": "'absorber'",
+    "missing spectrum csv": "sample_000002_gone.csv",
+    "non-integer cn label": "'cn'",
 }
 
 
@@ -303,6 +319,17 @@ def test_malformed_input_exits_1_naming_file_and_line(case, mixed_data, tmp_path
     where = f"{data / name}:" if lineno is None else f"{data / name}:{lineno}:"
     assert where in err and "Traceback" not in err, err
     assert MALFORMED_FIELD.get(case, "") in err, err
+
+
+def test_missing_sidecar_exits_1_naming_the_manifest_line(mixed_data, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(mixed_data, data)
+    (data / "sample_000002_exafs.json").unlink()
+    rc = cli.main(["train", "--task", "cn", "--data", str(data), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"{data / 'manifest.jsonl'}:3:" in err and "sample_000002_exafs.json" in err, err
+    assert "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("command", ["predict", "extract"])
@@ -340,6 +367,38 @@ class TestTrain:
         err = capsys.readouterr().err
         assert rc == 1, err
         assert "batch_size" in err and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_nonpositive_epochs_exits_1_naming_the_key(self, epochs, mixed_data, tmp_path,
+                                                        capsys):
+        out = tmp_path / "x"
+        rc = cli.main(["train", "--task", "mnnd", "--data", str(mixed_data),
+                       "--out", str(out), "--set", f"epochs={epochs}"])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert "epochs" in err and "Traceback" not in err, err
+        assert not list(out.glob("*.json"))
+
+    def test_task_choices_are_the_task_table(self):
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        task = next(a for a in commands.choices["train"]._actions if a.dest == "task")
+        assert list(task.choices) == list(cli.TASKS)
+
+    def test_forward_skips_an_element_with_too_few_samples(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(data), "--seed", "1", "--set", "n_samples=10",
+                         "--set", "n_grid=40", "--set", "elements=Cu,Ni",
+                         "--set", "templates=sc,fcc"]) == 0
+        counts = Counter(s.xanes.absorber.symbol for s in load_dataset(data / "manifest.jsonl"))
+        assert counts == {"Cu": 7, "Ni": 3}
+        out = tmp_path / "fwd"
+        rc = cli.main(["train", "--task", "forward", "--data", str(data), "--out", str(out),
+                       "--seed", "2", *TINY_FORWARD])
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        assert "skipping scope Ni: 3 samples is too few to split" in err
+        assert sorted(p.name for p in out.glob("forward_*.json")) == ["forward_Cu_XANES.json"]
+        assert (out / "history_forward_Cu_XANES.csv").exists()
 
     def test_mnnd_outputs(self, mnnd_run):
         assert (mnnd_run / "mnnd_unified.json").exists()
@@ -565,7 +624,7 @@ class TestGradcheck:
         assert cli.main(["gradcheck", "--seeds", "0", "--corrupt"]) == 1
 
     def test_every_op_and_block_covered(self):
-        names = {name for name, _, _ in cli._gradcheck_cases(0)}
+        names = {name for name, _, _ in gradcheck.cases(0)}
         expected = {
             "add", "mul", "matmul", "linear", "concat", "reshape", "sigmoid",
             "relu", "swish_beta", "layer_norm", "batch_norm(train)",

@@ -15,12 +15,12 @@ from xastruct.crystal import (
     build_graph,
     extract_descriptors,
     first_shell,
-    load_structure,
-    load_structures,
     neighbor_list,
-    save_structure,
+    read_structure,
+    read_structures,
     structure_from_dict,
     structure_to_dict,
+    write_structures,
 )
 
 from conftest import brute_force_neighbors, cubic_structure, random_structure, rocksalt_structure
@@ -397,21 +397,33 @@ class TestExtractDescriptors:
 
 class TestJsonInterchange:
     def test_round_trip(self, tmp_path, rng):
-        s = random_structure(rng, max_sites=4, sid="round-trip")
-        path = tmp_path / "s.json"
-        save_structure(s, path)
-        loaded = load_structure(path)
-        assert loaded.id == "round-trip"
-        assert np.allclose(loaded.lattice.basis, s.lattice.basis)
-        assert np.allclose(loaded.frac_coords(), s.frac_coords())
-        assert [x.element.symbol for x in loaded.sites] == [x.element.symbol for x in s.sites]
+        structures = [random_structure(rng, max_sites=4, sid=f"s{i}") for i in range(3)]
+        records = [(s, len(s) - 1) for s in structures]  # the last site absorbs
+        path = tmp_path / "stream.jsonl"
+        write_structures(records, path)
+        loaded = read_structures(path)
+        assert len(loaded) == len(records)
+        for (s, absorber), (got, got_absorber) in zip(records, loaded):
+            assert (got.id, got_absorber) == (s.id, absorber)
+            assert np.array_equal(got.lattice.basis, s.lattice.basis)
+            assert np.array_equal(got.frac_coords(), s.frac_coords())
+            assert [x.element.symbol for x in got.sites] == [x.element.symbol for x in s.sites]
+        # one line on its own is a single-record file
+        one = tmp_path / "one.json"
+        one.write_text(path.read_text().splitlines()[1])
+        got, got_absorber = read_structure(one)
+        assert (got.id, got_absorber) == ("s1", records[1][1])
 
     def test_jsonl_stream(self, tmp_path):
+        # records written by hand: no absorber means site 0, blank lines are skipped
         rows = [structure_to_dict(cubic_structure(a=3.0, sid=f"s{i}")) for i in range(3)]
         path = tmp_path / "stream.jsonl"
-        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        structures = load_structures(path)
-        assert [s.id for s in structures] == ["s0", "s1", "s2"]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n\n")
+        assert [(s.id, a) for s, a in read_structures(path)] == [("s0", 0), ("s1", 0), ("s2", 0)]
+        path.write_text(json.dumps({**rows[0], "absorber": 1}) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_structures(path)
+        assert str(exc.value).startswith(f"{path}:1: field 'absorber' is 1, out of range")
 
     def test_malformed_record(self):
         with pytest.raises(InvalidStructureError):

@@ -13,15 +13,11 @@ from xastruct.spectra import (
     EXAFS,
     XANES,
     EnergyGrid,
-    FlatSpectrumError,
     InsufficientDataError,
     LabeledSample,
-    OutOfRangeError,
     Spectrum,
     load_dataset,
     load_spectrum,
-    normalize_edge_jump,
-    resample,
     save_dataset,
     save_spectrum,
     split_dataset,
@@ -71,79 +67,6 @@ class TestGridAndSpectrum:
             LabeledSample(e, e, labels)
         with pytest.raises(ValueError):
             LabeledSample(x, make_spectrum(x.grid.values, x.mu, kind=EXAFS, sid="other"), labels)
-
-
-class TestResample:
-    def test_identity_on_own_grid(self):
-        sp = step_spectrum()
-        out = resample(sp, sp.grid)
-        assert np.array_equal(out.mu, sp.mu)
-
-    def test_exact_on_linear_data(self):
-        e = np.linspace(0.0, 10.0, 21)
-        sp = make_spectrum(e, 3.0 * e + 1.0)
-        target = EnergyGrid(np.array([0.3, 4.47, 9.81]))
-        out = resample(sp, target)
-        assert np.allclose(out.mu, 3.0 * target.values + 1.0, atol=1e-12)
-
-    def test_sine_within_tolerance(self):
-        # resampling error for sin(E/10) on a 200-point grid stays below 1e-3
-        e = np.linspace(0.0, 100.0, 200)
-        sp = make_spectrum(e, np.sin(e / 10.0))
-        target = EnergyGrid(np.linspace(0.0, 100.0, 100))
-        out = resample(sp, target)
-        assert np.max(np.abs(out.mu - np.sin(target.values / 10.0))) < 1e-3
-
-    def test_out_of_range_rejected(self):
-        sp = step_spectrum()
-        with pytest.raises(OutOfRangeError):
-            resample(sp, EnergyGrid(np.array([8800.0, 9000.0])))
-
-    def test_idempotent(self):
-        sp = step_spectrum()
-        target = EnergyGrid(np.linspace(8950.0, 9050.0, 37))
-        once = resample(sp, target)
-        twice = resample(once, target)
-        assert np.array_equal(once.mu, twice.mu)
-
-    def test_metadata_preserved(self):
-        sp = step_spectrum()
-        out = resample(sp, EnergyGrid(np.linspace(8950.0, 9050.0, 10)))
-        assert (out.kind, out.edge, out.absorber, out.structure_id) == (
-            sp.kind,
-            sp.edge,
-            sp.absorber,
-            sp.structure_id,
-        )
-
-
-class TestNormalizeEdgeJump:
-    def test_step_two_becomes_step_one(self):
-        out = normalize_edge_jump(step_spectrum(0.0, 2.0))
-        assert np.allclose(sorted(set(out.mu)), [0.0, 1.0])
-
-    def test_idempotent_on_normalized_step(self):
-        out = normalize_edge_jump(step_spectrum(0.0, 1.0))
-        assert np.allclose(out.mu, step_spectrum(0.0, 1.0).mu)
-
-    def test_tail_mean_is_one(self):
-        # arctan edge shape like a real K edge: sloped, no exact plateau
-        e = np.linspace(8800.0, 9200.0, 100)
-        mu = 0.1 + 0.8 * (0.5 + np.arctan((e - 8979.0) / 5.0) / np.pi)
-        out = normalize_edge_jump(make_spectrum(e, mu))
-        assert abs(np.mean(out.mu[-10:]) - 1.0) < 1e-6
-
-    def test_affine_invariance(self):
-        e = np.linspace(8800.0, 9200.0, 100)
-        mu = 0.1 + 0.8 * (0.5 + np.arctan((e - 8979.0) / 5.0) / np.pi)
-        a = normalize_edge_jump(make_spectrum(e, mu))
-        b = normalize_edge_jump(make_spectrum(e, 3.7 * mu + 11.0))
-        assert np.allclose(a.mu, b.mu, atol=1e-12)
-
-    def test_flat_spectrum_rejected(self):
-        e = np.linspace(0.0, 1.0, 50)
-        with pytest.raises(FlatSpectrumError):
-            normalize_edge_jump(make_spectrum(e, np.ones(50)))
 
 
 class TestSplit:
