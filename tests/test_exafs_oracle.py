@@ -326,10 +326,6 @@ class TestSynthXanes:
         a = synth_xanes(self.labels(6), cu, P, self.grid())
         b = synth_xanes(self.labels(6), cu, P, self.grid())
         assert np.array_equal(a.mu, b.mu)
-        # a positive edge jump on the default 100-point grid: the mean of the
-        # last tenth of mu sits above the mean of the first tenth
-        mu = synth_xanes(self.labels(6), cu, P, default_xanes_grid(P.e0_ev)).mu
-        assert np.mean(mu[-10:]) > np.mean(mu[:10])
 
     def test_white_line_height_ratio(self):
         cu = Element.from_symbol("Cu")
@@ -359,6 +355,17 @@ class TestSynthXanes:
         cu = Element.from_symbol("Cu")
         with pytest.raises(ValueError):
             synth_xanes(self.labels(6), cu, P, EnergyGrid(np.linspace(P.e0_ev + 1, P.e0_ev + 50, 20)))
+
+    def test_normalizes_to_unit_tail(self):
+        # edge-jump normalization with the pre-edge and post-edge plateaus taken
+        # as the first and last tenth of the default 100-point grid
+        cu = Element.from_symbol("Cu")
+        mu = synth_xanes(self.labels(6), cu, P, default_xanes_grid(P.e0_ev)).mu
+        pre_edge = float(np.mean(mu[:10]))
+        jump = float(np.mean(mu[-10:])) - pre_edge
+        assert jump > 1e-9
+        out = (mu - pre_edge) / jump
+        assert abs(float(np.mean(out[-10:])) - 1.0) < 1e-6
 
 
 class TestDefaults:
