@@ -108,15 +108,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data)
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 

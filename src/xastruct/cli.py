@@ -388,9 +388,13 @@ class Task:
     predict: Callable  # (model, input file, cfg, out dir) -> the prediction's fields
     scope: str = "per-element"  # the training scope where the `scope` key is unset
     scope_settable: bool = True  # whether the `scope` key applies to this task
-    unscoped: str = "all"  # eval's report scope of a model of every element
     tag: Callable = lambda model: model.element or "unified"  # checkpoint name after the task
     report_scope: Callable = lambda model, unscoped: model.element or unscoped
+
+    @property
+    def unscoped(self) -> str:
+        """eval's report scope of a model of every element."""
+        return "unified" if self.scope == "unified" else "all"
 
 
 TASKS = {
@@ -411,7 +415,6 @@ TASKS = {
         score=lambda model, items, tcfg: pl.eval_mnnd(model, items),
         predict=_predict_label("mnnd_angstrom", lambda model, pair: pl.mnnd_predict(model, pair)),
         scope="unified",
-        unscoped="unified",
     ),
     "neighbor": Task(
         load=_samples,
@@ -672,7 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="single-sample inference from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="structure JSON or spectrum-pair JSON")
-    p.add_argument("--task", help="expected task; errors if the checkpoint differs")
+    p.add_argument("--task", choices=list(TASKS),
+                   help="expected task; errors if the checkpoint differs")
     common(p, out_default="xastruct_predict")
     p.set_defaults(func=cmd_predict)
 

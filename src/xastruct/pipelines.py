@@ -10,6 +10,10 @@ Four predictors:
   * CNClassifier      spectrum pair -> coordination number, random forest
                       on the concatenated raw spectra
 
+The two inverse networks are SpectrumModels: each names the spectrum rows
+it reads in INPUTS and standardizes them with statistics of its training
+set. Every model names its checkpoint task once, in its `task` attribute.
+
 The three neural models train through one loop, `fit`: plain AdamW with
 minibatch shuffling, optional early stopping on a validation metric, and
 deterministic behavior for a fixed seed. `fit` builds one AdamWState per
@@ -20,7 +24,7 @@ them.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -126,15 +130,6 @@ class Metrics:
     macro_f1: float = None
     cross_entropy: float = None
 
-    def to_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "r2": self.r2,
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "cross_entropy": self.cross_entropy,
-        }
-
 
 def _regression_metrics(predictions, targets):
     p = np.asarray(predictions, dtype=float).reshape(-1)
@@ -205,7 +200,7 @@ def evaluate(predictions, targets, task: str, proba=None, classes=None) -> Metri
 
 def metrics_report(task: str, scope: str, metrics: Metrics, n_train: int, n_val: int, seed: int) -> dict:
     report = {"task": task, "scope": scope, "n_train": n_train, "n_val": n_val, "seed": seed}
-    report.update(metrics.to_dict())
+    report.update(asdict(metrics))
     return report
 
 
@@ -299,19 +294,24 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, val_metric=Non
     return history
 
 
-def _sample_matrices(samples, n_xanes: int, n_exafs: int):
-    """Stack (xanes E, xanes mu, exafs E, exafs mu) rows; validates grid lengths."""
+# the rows of a spectrum pair that a spectrum model can read, by name
+_ROWS = {
+    "ex": lambda s: s.xanes.grid.values,  # XANES energies
+    "ax": lambda s: s.xanes.mu,  # XANES absorption
+    "ee": lambda s: s.exafs.grid.values,  # EXAFS energies
+    "ae": lambda s: s.exafs.mu,  # EXAFS absorption
+}
+
+
+def _spectra(samples, n_xanes: int, n_exafs: int, names) -> list:
+    """One [N, n] matrix per named row of the N samples; validates grid lengths."""
     for s in samples:
         if s.xanes.grid.n != n_xanes or s.exafs.grid.n != n_exafs:
             raise ValueError(
                 f"grid length mismatch: sample has ({s.xanes.grid.n}, {s.exafs.grid.n}), "
                 f"model expects ({n_xanes}, {n_exafs})"
             )
-    ex = np.stack([s.xanes.grid.values for s in samples])
-    ax = np.stack([s.xanes.mu for s in samples])
-    ee = np.stack([s.exafs.grid.values for s in samples])
-    ae = np.stack([s.exafs.mu for s in samples])
-    return ex, ax, ee, ae
+    return [np.stack([_ROWS[name](s) for s in samples]) for name in names]
 
 
 def read_checkpoint(path) -> dict:
@@ -328,8 +328,7 @@ def load_checkpoint(path) -> tuple:
     doc = read_checkpoint(path)
     header = doc.get("header") if isinstance(doc, dict) else None
     task = header.get("task", "") if isinstance(header, dict) else ""
-    models = {"forward": ForwardModel, "mnnd": InverseMNND, "neighbor": InverseNeighbor,
-              "cn": CNClassifier}
+    models = {cls.task: cls for cls in (ForwardModel, InverseMNND, InverseNeighbor, CNClassifier)}
     if task not in models:
         raise ValueError(f"checkpoint {path} has unknown task {task!r}")
     try:
@@ -342,15 +341,15 @@ def load_checkpoint(path) -> tuple:
 
 
 def _header(model, **fields) -> dict:
-    """Checkpoint header fields, plus the absorber of a per-element model."""
+    """The model's task, `fields` and, for a per-element model, its absorber."""
     if model.element is not None:
         fields["element"] = model.element
-    return fields
+    return {"task": model.task, **fields}
 
 
-def _check_task(header: dict, task: str) -> None:
-    if header.get("task") != task:
-        raise ValueError(f"checkpoint task {header.get('task')!r} is not a {task!r} model")
+def _check_task(header: dict, cls) -> None:
+    if header.get("task") != cls.task:
+        raise ValueError(f"checkpoint task {header.get('task')!r} is not a {cls.task!r} model")
 
 
 def _save_neural(model: Module, path, header: dict, extra: dict) -> None:
@@ -359,10 +358,10 @@ def _save_neural(model: Module, path, header: dict, extra: dict) -> None:
     save_params(arrays, path, header=_header(model, arch=model.arch, **header))
 
 
-def _neural_from_doc(doc: dict, task: str, build) -> tuple:
+def _neural_from_doc(cls, doc: dict, build) -> tuple:
     """(header, arrays, model): build(header, cfg) constructs it, then the arrays load in."""
     header, arrays = params_from_doc(doc)
-    _check_task(header, task)
+    _check_task(header, cls)
     model = build(header, TrainConfig(extras=header["arch"]))
     load_into(model.named_parameters(), arrays)
     model.load_buffers(arrays)
@@ -370,24 +369,13 @@ def _neural_from_doc(doc: dict, task: str, build) -> tuple:
     return header, arrays, model
 
 
-def _norm_arrays(norm: dict) -> dict:
-    """Standardizer statistics as checkpoint arrays norm.<key>.mean / .std."""
-    return {
-        f"norm.{key}.{stat}": getattr(std, stat) for key, std in norm.items() for stat in ("mean", "std")
-    }
-
-
-def _norm_from_arrays(arrays: dict, keys) -> dict:
-    return {
-        key: Standardizer(arrays[f"norm.{key}.mean"], arrays[f"norm.{key}.std"]) for key in keys
-    }
-
-
 # --- forward model -------------------------------------------------------------
 
 
 class ForwardModel(Module):
     """Graph encoder + SGMLP head predicting an n-point spectrum."""
+
+    task = "forward"
 
     def __init__(self, rng, n_out: int, cfg: TrainConfig, element: str, edge: str, kind: str, grid_values):
         self.encoder = MPEncoder(
@@ -423,7 +411,7 @@ class ForwardModel(Module):
         return reshape(self([g]), (self.n_out,))
 
     def save(self, path) -> None:
-        header = {"task": "forward", "edge": self.edge, "kind": self.kind, "n_out": self.n_out,
+        header = {"edge": self.edge, "kind": self.kind, "n_out": self.n_out,
                   "grid": [float(v) for v in self.grid_values]}
         _save_neural(self, path, header, {"y_center": self.y_center})
 
@@ -433,7 +421,7 @@ class ForwardModel(Module):
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ForwardModel":
-        _, arrays, model = _neural_from_doc(doc, "forward", lambda h, cfg: cls(
+        _, arrays, model = _neural_from_doc(cls, doc, lambda h, cfg: cls(
             np.random.default_rng(0), h["n_out"], cfg, h["element"], h["edge"], h["kind"], h["grid"]
         ))
         model.y_center = arrays["y_center"]
@@ -494,13 +482,65 @@ def train_forward(pairs, cfg: TrainConfig, val_pairs=None):
     return history, model
 
 
+# --- spectrum models ------------------------------------------------------------
+
+
+class SpectrumModel(Module):
+    """A network over the standardized rows of a spectrum pair.
+
+    INPUTS names the rows (keys of _ROWS) that forward() takes, in order.
+    `norm` maps each of them to a Standardizer, fit on the training samples
+    by fit_inputs and kept in checkpoints as the arrays norm.<row>.mean and
+    norm.<row>.std.
+    """
+
+    INPUTS = ()
+
+    def __init__(self, n_xanes: int, n_exafs: int, cfg: TrainConfig):
+        self.arch = {key: cfg.arch(key) for key in DEFAULT_ARCH}
+        self.n_xanes = n_xanes
+        self.n_exafs = n_exafs
+        self.norm = {}
+        self.element = None  # absorber symbol of a per-element model
+
+    def _rows(self, samples) -> list:
+        return _spectra(samples, self.n_xanes, self.n_exafs, self.INPUTS)
+
+    def fit_inputs(self, samples) -> list:
+        """Fit the input Standardizers on `samples`; the standardized matrices."""
+        rows = self._rows(samples)
+        self.norm = {name: Standardizer.fit(X) for name, X in zip(self.INPUTS, rows)}
+        return [self.norm[name].apply(X) for name, X in zip(self.INPUTS, rows)]
+
+    def inputs(self, samples) -> list:
+        """The standardized input Tensors of `samples`, in forward()'s order."""
+        return [Tensor(self.norm[name].apply(X)) for name, X in zip(self.INPUTS, self._rows(samples))]
+
+    def _save(self, path, header: dict) -> None:
+        norm = {f"norm.{name}.{stat}": getattr(self.norm[name], stat)
+                for name in self.INPUTS for stat in ("mean", "std")}
+        _save_neural(self, path, {"n_xanes": self.n_xanes, "n_exafs": self.n_exafs, **header}, norm)
+
+    @classmethod
+    def _from_doc(cls, doc: dict, build) -> tuple:
+        """(header, model) of a checkpoint; build(header, cfg) constructs the model."""
+        header, arrays, model = _neural_from_doc(cls, doc, build)
+        model.norm = {name: Standardizer(arrays[f"norm.{name}.mean"], arrays[f"norm.{name}.std"])
+                      for name in cls.INPUTS}
+        return header, model
+
+
 # --- inverse MNND ---------------------------------------------------------------
 
 
-class InverseMNND(Module):
+class InverseMNND(SpectrumModel):
     """Energy+absorption embeddings per kind, conv stacks, scalar distance head."""
 
+    task = "mnnd"
+    INPUTS = ("ex", "ax", "ee", "ae")
+
     def __init__(self, rng, n_xanes: int, n_exafs: int, cfg: TrainConfig):
+        super().__init__(n_xanes, n_exafs, cfg)
         d = cfg.arch("embed_dim")
         hidden = cfg.arch("embed_hidden")
         k = cfg.arch("embed_k")
@@ -523,15 +563,10 @@ class InverseMNND(Module):
             raise ValueError("too many conv blocks for the embedding width")
         feat = 2 * channels * length
         self.f_d = SGMLP(rng, feat, cfg.arch("head_hidden"), 1, cfg.arch("head_k"))
-        self.arch = {key: cfg.arch(key) for key in DEFAULT_ARCH}
         self.d = d
-        self.n_xanes = n_xanes
-        self.n_exafs = n_exafs
-        # input/target normalization, set by the training loop
-        self.norm = {}
+        # target normalization, set by the training loop
         self.y_mean = 0.0
         self.y_std = 1.0
-        self.element = None  # absorber symbol of a per-element model
 
     def _conv_features(self, blocks, z, training):
         h = reshape(z, (z.shape[0], 1, z.shape[1]))
@@ -547,19 +582,8 @@ class InverseMNND(Module):
         out = self.f_d(concat([fx, fe], axis=1))  # [B, 1]
         return reshape(out, (out.shape[0],))
 
-    def standardized_inputs(self, samples):
-        ex, ax, ee, ae = _sample_matrices(samples, self.n_xanes, self.n_exafs)
-        return (
-            Tensor(self.norm["ex"].apply(ex)),
-            Tensor(self.norm["ax"].apply(ax)),
-            Tensor(self.norm["ee"].apply(ee)),
-            Tensor(self.norm["ae"].apply(ae)),
-        )
-
     def save(self, path) -> None:
-        header = {"task": "mnnd", "n_xanes": self.n_xanes, "n_exafs": self.n_exafs,
-                  "y_mean": self.y_mean, "y_std": self.y_std}
-        _save_neural(self, path, header, _norm_arrays(self.norm))
+        self._save(path, {"y_mean": self.y_mean, "y_std": self.y_std})
 
     @classmethod
     def load(cls, path) -> "InverseMNND":
@@ -567,10 +591,9 @@ class InverseMNND(Module):
 
     @classmethod
     def from_doc(cls, doc: dict) -> "InverseMNND":
-        header, arrays, model = _neural_from_doc(doc, "mnnd", lambda h, cfg: cls(
+        header, model = cls._from_doc(doc, lambda h, cfg: cls(
             np.random.default_rng(0), h["n_xanes"], h["n_exafs"], cfg
         ))
-        model.norm = _norm_from_arrays(arrays, ("ex", "ax", "ee", "ae"))
         model.y_mean = float(header["y_mean"])
         model.y_std = float(header["y_std"])
         return model
@@ -583,29 +606,13 @@ def mnnd_predict(model: InverseMNND, sample: LabeledSample) -> float:
 def train_mnnd(samples, cfg: TrainConfig, val_samples=None):
     if len(samples) < 2:
         raise InsufficientDataError("mnnd training needs at least 2 samples")
-    n_xanes = samples[0].xanes.grid.n
-    n_exafs = samples[0].exafs.grid.n
     rng = np.random.default_rng(cfg.seed)
-    model = InverseMNND(rng, n_xanes, n_exafs, cfg)
-
-    ex, ax, ee, ae = _sample_matrices(samples, n_xanes, n_exafs)
-    model.norm = {
-        "ex": Standardizer.fit(ex),
-        "ax": Standardizer.fit(ax),
-        "ee": Standardizer.fit(ee),
-        "ae": Standardizer.fit(ae),
-    }
+    model = InverseMNND(rng, samples[0].xanes.grid.n, samples[0].exafs.grid.n, cfg)
+    X = model.fit_inputs(samples)
     y = np.array([s.labels.mnnd for s in samples])
     model.y_mean = float(y.mean())
     model.y_std = float(max(y.std(), 1e-8))
     y_norm = (y - model.y_mean) / model.y_std
-
-    X = [
-        model.norm["ex"].apply(ex),
-        model.norm["ax"].apply(ax),
-        model.norm["ee"].apply(ee),
-        model.norm["ae"].apply(ae),
-    ]
 
     def batch_loss(batch):
         pred = model.forward(*[Tensor(mat[batch]) for mat in X], training=True)
@@ -620,7 +627,7 @@ def train_mnnd(samples, cfg: TrainConfig, val_samples=None):
 
 
 def predict_mnnd_batch(model: InverseMNND, samples) -> np.ndarray:
-    inputs = model.standardized_inputs(samples)
+    inputs = model.inputs(samples)
     with no_grad():
         out = model.forward(*inputs, training=False)
     return out.data * model.y_std + model.y_mean
@@ -629,41 +636,37 @@ def predict_mnnd_batch(model: InverseMNND, samples) -> np.ndarray:
 # --- inverse neighbor type -------------------------------------------------------
 
 
-class InverseNeighbor(Module):
+class InverseNeighbor(SpectrumModel):
     """Absorption-only embeddings into a species classifier.
 
     Deliberately never sees the energy axes: the classifier consumes
     [z_a,xanes | z_a,exafs] alone.
     """
 
+    task = "neighbor"
+    INPUTS = ("ax", "ae")
+
     def __init__(self, rng, n_xanes: int, n_exafs: int, classes, cfg: TrainConfig):
+        super().__init__(n_xanes, n_exafs, cfg)
         d = cfg.arch("embed_dim")
         hidden = cfg.arch("embed_hidden")
         k = cfg.arch("embed_k")
         self.f_A_xanes = SGMLP(rng, n_xanes, hidden, d, k)
         self.f_A_exafs = SGMLP(rng, n_exafs, hidden, d, k)
         self.f_t = SGMLP(rng, 2 * d, cfg.arch("head_hidden"), len(classes), cfg.arch("head_k"))
-        self.arch = {key: cfg.arch(key) for key in DEFAULT_ARCH}
         self.classes = [int(z) for z in classes]  # atomic numbers, sorted
-        self.n_xanes = n_xanes
-        self.n_exafs = n_exafs
-        self.norm = {}
-        self.element = None  # absorber symbol of a per-element model
 
     def forward(self, ax, ae) -> Tensor:
         z = concat([self.f_A_xanes(ax), self.f_A_exafs(ae)], axis=1)
         return self.f_t(z)
 
     def logits(self, samples) -> np.ndarray:
-        _, ax, _, ae = _sample_matrices(samples, self.n_xanes, self.n_exafs)
         with no_grad():
-            out = self.forward(Tensor(self.norm["ax"].apply(ax)), Tensor(self.norm["ae"].apply(ae)))
+            out = self.forward(*self.inputs(samples))
         return out.data
 
     def save(self, path) -> None:
-        header = {"task": "neighbor", "n_xanes": self.n_xanes, "n_exafs": self.n_exafs,
-                  "classes": self.classes}
-        _save_neural(self, path, header, _norm_arrays(self.norm))
+        self._save(path, {"classes": self.classes})
 
     @classmethod
     def load(cls, path) -> "InverseNeighbor":
@@ -671,10 +674,9 @@ class InverseNeighbor(Module):
 
     @classmethod
     def from_doc(cls, doc: dict) -> "InverseNeighbor":
-        _, arrays, model = _neural_from_doc(doc, "neighbor", lambda h, cfg: cls(
+        _, model = cls._from_doc(doc, lambda h, cfg: cls(
             np.random.default_rng(0), h["n_xanes"], h["n_exafs"], h["classes"], cfg
         ))
-        model.norm = _norm_from_arrays(arrays, ("ax", "ae"))
         return model
 
 
@@ -686,21 +688,15 @@ def neighbor_predict(model: InverseNeighbor, sample: LabeledSample) -> Element:
 def train_neighbor(samples, cfg: TrainConfig, val_samples=None):
     if len(samples) < 2:
         raise InsufficientDataError("neighbor training needs at least 2 samples")
-    n_xanes = samples[0].xanes.grid.n
-    n_exafs = samples[0].exafs.grid.n
     classes = sorted({s.labels.neighbor_type.atomic_number for s in samples})
     class_index = {z: i for i, z in enumerate(classes)}
     rng = np.random.default_rng(cfg.seed)
-    model = InverseNeighbor(rng, n_xanes, n_exafs, classes, cfg)
-
-    _, ax, _, ae = _sample_matrices(samples, n_xanes, n_exafs)
-    model.norm = {"ax": Standardizer.fit(ax), "ae": Standardizer.fit(ae)}
-    Xa = model.norm["ax"].apply(ax)
-    Xe = model.norm["ae"].apply(ae)
+    model = InverseNeighbor(rng, samples[0].xanes.grid.n, samples[0].exafs.grid.n, classes, cfg)
+    X = model.fit_inputs(samples)
     y = np.array([class_index[s.labels.neighbor_type.atomic_number] for s in samples])
 
     def batch_loss(batch):
-        return cross_entropy_loss(model.forward(Tensor(Xa[batch]), Tensor(Xe[batch])), y[batch])
+        return cross_entropy_loss(model.forward(*[Tensor(mat[batch]) for mat in X]), y[batch])
 
     def val_cross_entropy():
         """Mean over the samples of classes seen in training; inf if there are none."""
@@ -724,6 +720,9 @@ def train_neighbor(samples, cfg: TrainConfig, val_samples=None):
 class CNClassifier:
     """Random forest over [x_xanes | x_exafs]; classes are the observed CNs."""
 
+    task = "cn"
+    INPUTS = ("ax", "ae")
+
     def __init__(self, forest_model: rf.RandomForest, classes, n_xanes: int, n_exafs: int):
         self.forest = forest_model
         self.classes = [int(c) for c in classes]
@@ -732,17 +731,10 @@ class CNClassifier:
         self.element = None  # absorber symbol of a per-element model
 
     def features(self, sample: LabeledSample) -> np.ndarray:
-        if sample.xanes.grid.n != self.n_xanes or sample.exafs.grid.n != self.n_exafs:
-            raise ValueError(
-                f"feature length mismatch: sample has ({sample.xanes.grid.n}, {sample.exafs.grid.n}), "
-                f"model expects ({self.n_xanes}, {self.n_exafs})"
-            )
-        return np.concatenate([sample.xanes.mu, sample.exafs.mu])
+        return np.concatenate(_spectra([sample], self.n_xanes, self.n_exafs, self.INPUTS), axis=1)[0]
 
     def save(self, path) -> None:
-        header = _header(
-            self, task="cn", classes=self.classes, n_xanes=self.n_xanes, n_exafs=self.n_exafs
-        )
+        header = _header(self, classes=self.classes, n_xanes=self.n_xanes, n_exafs=self.n_exafs)
         doc = {"header": header, "forest": rf.forest_to_doc(self.forest)}
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -755,7 +747,7 @@ class CNClassifier:
     @classmethod
     def from_doc(cls, doc: dict) -> "CNClassifier":
         header = doc["header"]
-        _check_task(header, "cn")
+        _check_task(header, cls)
         forest_model = rf.forest_from_doc(doc["forest"])
         model = cls(forest_model, header["classes"], header["n_xanes"], header["n_exafs"])
         model.element = header.get("element")
@@ -777,7 +769,7 @@ def train_cn(samples, cfg: TrainConfig) -> CNClassifier:
     class_index = {c: i for i, c in enumerate(classes)}
     n_xanes = samples[0].xanes.grid.n
     n_exafs = samples[0].exafs.grid.n
-    X = np.stack([np.concatenate([s.xanes.mu, s.exafs.mu]) for s in samples])
+    X = np.concatenate(_spectra(samples, n_xanes, n_exafs, CNClassifier.INPUTS), axis=1)
     y = np.array([class_index[s.labels.cn] for s in samples])
     # keys absent from the config keep ForestConfig's defaults
     sizes = ("n_trees", "max_depth", "min_samples_leaf")

@@ -261,13 +261,19 @@ def labels_to_dict(labels: DescriptorLabels) -> dict:
 
 
 def labels_from_dict(d: dict) -> DescriptorLabels:
-    """The labels of a manifest record; a value of the wrong type raises naming its field."""
+    """The labels of a manifest record; a value of the wrong type raises naming its field.
+
+    No label may be a boolean, and `cn` must be an integer, not a float or a string.
+    """
     fields = {"cn": int, "mnnd": float, "neighbor_type": Element.from_symbol,
               "shell_distances": tuple}
     values = {}
     for key, cast in fields.items():
+        value = d[key]
         try:
-            values[key] = cast(d[key])
+            if isinstance(value, bool) or (cast is int and not isinstance(value, int)):
+                raise TypeError(f"wrong type {type(value).__name__} ({value!r})")
+            values[key] = cast(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"label {key!r}: {exc}") from None
     return DescriptorLabels(**values)

@@ -341,14 +341,13 @@ class TestNoGrad:
                              extras=dict(TINY_INVERSE_ARCH))
         _, mnnd = pl.train_mnnd(samples, cfg)
         for batch in (samples, samples[:1]):
-            taped = mnnd.forward(*mnnd.standardized_inputs(batch), training=False)
+            taped = mnnd.forward(*mnnd.inputs(batch), training=False)
             want = taped.data * mnnd.y_std + mnnd.y_mean
             assert pl.predict_mnnd_batch(mnnd, batch).tobytes() == want.tobytes()
         assert pl.mnnd_predict(mnnd, samples[0]) == float(want[0])
 
         _, nbr = pl.train_neighbor(samples, cfg)
-        _, ax, _, ae = pl._sample_matrices(samples, nbr.n_xanes, nbr.n_exafs)
-        taped = nbr.forward(Tensor(nbr.norm["ax"].apply(ax)), Tensor(nbr.norm["ae"].apply(ae)))
+        taped = nbr.forward(*nbr.inputs(samples))
         assert nbr.logits(samples).tobytes() == taped.data.tobytes()
 
 

@@ -259,6 +259,15 @@ def _set_field(key, value):
     return corrupt
 
 
+def _set_label(key, value):
+    """Set one label of the manifest's second line."""
+    def row(line):
+        record = json.loads(line)
+        return json.dumps({**record, "labels": {**record["labels"], key: value}})
+
+    return _set_line(2, row)
+
+
 def _write_predict_inputs(data):
     """pair.json (the first sample's spectra) and one.json (the first structure) in `data`."""
     row = json.loads((data / "manifest.jsonl").read_text().splitlines()[0])
@@ -283,8 +292,10 @@ MALFORMED = {
     "out-of-range absorber": ("one.json", _set_field("absorber", 99), "predict forward"),
     "missing spectrum csv": ("manifest.jsonl",
                              _set_line(3, lambda r: r.replace("_xanes.csv", "_gone.csv")), "cn"),
-    "non-integer cn label": ("manifest.jsonl", _set_line(2, lambda r: json.dumps(
-        {**json.loads(r), "labels": {**json.loads(r)["labels"], "cn": "four"}})), "cn"),
+    "non-integer cn label": ("manifest.jsonl", _set_label("cn", "four"), "cn"),
+    "fractional cn label": ("manifest.jsonl", _set_label("cn", 2.9), "cn"),
+    "boolean cn label": ("manifest.jsonl", _set_label("cn", True), "cn"),
+    "boolean mnnd label": ("manifest.jsonl", _set_label("mnnd", True), "mnnd"),
 }
 # cases whose message must also name the field at fault
 MALFORMED_FIELD = {
@@ -293,6 +304,9 @@ MALFORMED_FIELD = {
     "out-of-range absorber": "'absorber'",
     "missing spectrum csv": "sample_000002_gone.csv",
     "non-integer cn label": "'cn'",
+    "fractional cn label": "'cn'",
+    "boolean cn label": "'cn'",
+    "boolean mnnd label": "'mnnd'",
 }
 
 
@@ -605,6 +619,13 @@ class TestEvalPredict:
         rc = cli.main(["predict", "--checkpoint", str(mnnd_run / "mnnd_unified.json"),
                        "--input", str(target), "--task", "forward", "--out", str(out)])
         assert rc == 1
+
+    def test_predict_unknown_task_exits_2(self, mnnd_run, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--checkpoint", str(mnnd_run / "mnnd_unified.json"),
+                      "--input", str(tmp_path / "pair.json"), "--task", "bogus",
+                      "--out", str(tmp_path / "pred")])
+        assert exc.value.code == 2
 
     def test_predict_wrong_input_shape_exits_1(self, mnnd_run, cu_data, tmp_path):
         # a structure file is not a spectrum pair; the mnnd loader must reject it

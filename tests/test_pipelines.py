@@ -479,6 +479,24 @@ def test_cn_needs_data():
         pl.train_cn([], pl.TrainConfig())
 
 
+def test_spectrum_models_reject_another_grid_length(mnnd_samples, neighbor_samples, cn_samples):
+    """mnnd, neighbor and the cn forest read spectra through one grid check and message."""
+    cfg = _inverse_cfg(epochs=1)
+    forest_cfg = pl.TrainConfig(seed=3, extras={"n_trees": 3})
+    models = {
+        pl.mnnd_predict: pl.train_mnnd(mnnd_samples, cfg)[1],
+        pl.neighbor_predict: pl.train_neighbor(neighbor_samples, cfg)[1],
+        pl.cn_predict: pl.train_cn(cn_samples, forest_cfg),
+    }
+    other = labeled_sample(simple_cubic(2.5), n_grid=24)
+    message = r"^grid length mismatch: sample has \(24, 24\), model expects \(40, 40\)$"
+    for predict, model in models.items():
+        with pytest.raises(ValueError, match=message):
+            predict(model, other)
+    with pytest.raises(ValueError, match=message):
+        pl.train_cn(cn_samples + [other], forest_cfg)
+
+
 # --- grouping ------------------------------------------------------------------
 
 
