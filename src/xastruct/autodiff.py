@@ -201,8 +201,10 @@ def matmul(a, b) -> Tensor:
 def _dense_affine(x, W, b, op: str):
     """x @ W.T + b for x [d_in] or [B, d_in]: (data, parents, backward).
 
-    backward(g) accumulates the gradients of W, x and b, in that order.
+    backward(g) accumulates the gradients of W, x and b, in that order; x
+    given as a plain array is a constant and gets none.
     """
+    constant = not isinstance(x, Tensor)
     x, W = as_tensor(x), as_tensor(W)
     if W.ndim != 2 or x.shape[-1] != W.shape[1] or x.ndim not in (1, 2):
         raise _shape_error(op, x.shape, W.shape)
@@ -216,16 +218,19 @@ def _dense_affine(x, W, b, op: str):
     def backward(g):
         if x.ndim == 1:
             _accumulate(W, np.outer(g, x.data))
-            _accumulate(x, g @ W.data)
+            if not constant:
+                _accumulate(x, g @ W.data)
             if b is not None:
                 _accumulate(b, g)
         else:
             _accumulate(W, g.T @ x.data)
-            _accumulate(x, g @ W.data)
+            if not constant:
+                _accumulate(x, g @ W.data)
             if b is not None:
                 _accumulate(b, g.sum(axis=0))
 
-    return data, ((x, W) if b is None else (x, W, b)), backward
+    parents = ((W,) if constant else (x, W)) + (() if b is None else (b,))
+    return data, parents, backward
 
 
 def linear(x, W, b=None) -> Tensor:
@@ -493,11 +498,12 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
 
 
-def segment_sum(x, seg, n: int) -> Tensor:
+def segment_sum(x, seg, n: int, weights=None) -> Tensor:
     """Rows of x [E, d] summed by sorted segment id seg [E] -> [n, d].
 
     Segment k is the run of rows with seg == k; an empty segment gives a
-    zero row. The backward pass gathers each row's segment gradient.
+    zero row. `weights` [E], a constant array, scales each row before the
+    sum. The backward pass gathers each row's segment gradient.
     """
     x = as_tensor(x)
     seg = np.asarray(seg, dtype=int)
@@ -505,33 +511,39 @@ def segment_sum(x, seg, n: int) -> Tensor:
         raise _shape_error("segment_sum", x.shape, seg.shape)
     if seg.size and (seg[0] < 0 or seg[-1] >= n or np.any(seg[1:] < seg[:-1])):
         raise ValueError(f"segment_sum ids must be sorted and in [0, {n})")
-    counts = np.bincount(seg, minlength=n)
-    filled = counts > 0
-    data = np.zeros((n, x.shape[1]))
-    if seg.size:
-        data[filled] = np.add.reduceat(x.data, (np.cumsum(counts) - counts)[filled], axis=0)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)[:, None]
+        if weights.shape != (x.shape[0], 1):
+            raise _shape_error("segment_sum weights", weights.shape[:1], seg.shape)
+    rows = x.data if weights is None else x.data * weights
 
     def backward(g):
-        _accumulate(x, g[seg])
+        _accumulate(x, g[seg] if weights is None else g[seg] * weights)
 
-    return Tensor(data, (x,), backward)
+    return Tensor(_scatter_rows(rows, seg, n), (x,), backward)
 
 
 class EdgeConcat(NamedTuple):
     """Edge rows [H[i] | H[j] | R], described but not built.
 
     gated_linear and swiglu given one compute their products as edge_linear
-    does, from node-level products of H and an edge-level product of R.
+    does, from node-level products of H and an edge-level product of R. R
+    given as a plain array is a constant and gets no gradient.
     """
 
     H: Tensor
-    R: Tensor
+    R: Tensor  # or a constant np.ndarray
     i: np.ndarray
     j: np.ndarray
 
 
 def _edge_affine(H, R, i, j, W, b, op: str):
-    """[H[i] | H[j] | R] @ W.T + b, factorized: (data, parents, backward)."""
+    """[H[i] | H[j] | R] @ W.T + b, factorized: (data, parents, backward).
+
+    R given as a plain array is a constant: no caller could read its
+    gradient, so backward skips the g @ W_r product.
+    """
+    constant = not isinstance(R, Tensor)
     H, R, W = as_tensor(H), as_tensor(R), as_tensor(W)
     i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
     shapes = (H.shape, R.shape, i.shape, j.shape, W.shape)
@@ -560,11 +572,13 @@ def _edge_affine(H, R, i, j, W, b, op: str):
         W.grad[:, d : 2 * d] += g_j.T @ H.data
         W.grad[:, 2 * d :] += g.T @ R.data
         _accumulate(H, g_i @ W_i + g_j @ W_j)
-        _accumulate(R, g @ W_r)
+        if not constant:
+            _accumulate(R, g @ W_r)
         if b is not None:
             _accumulate(b, g.sum(axis=0))
 
-    return data, ((H, R, W) if b is None else (H, R, W, b)), backward
+    parents = ((H, W) if constant else (H, R, W)) + (() if b is None else (b,))
+    return data, parents, backward
 
 
 def edge_linear(H, R, i, j, W, b=None) -> Tensor:

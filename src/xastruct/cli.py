@@ -383,8 +383,9 @@ class Task:
 
     load: Callable  # (data dir, cfg, model or None) -> items: all, or those a model is scored on
     absorber: Callable  # item -> absorber symbol, the key of a per-element scope
-    train: Callable  # (items, TrainConfig, validation items) -> (history, model)
-    score: Callable  # (model, items, TrainConfig) -> Metrics
+    train: Callable  # (items, TrainConfig, validation items) -> (pl.History, model)
+    # (model, items, TrainConfig, the model's output on the items or None) -> Metrics
+    score: Callable
     predict: Callable  # (model, input file, cfg, out dir) -> the prediction's fields
     scope: str = "per-element"  # the training scope where the `scope` key is unset
     scope_settable: bool = True  # whether the `scope` key applies to this task
@@ -402,7 +403,7 @@ TASKS = {
         load=_forward_pairs,
         absorber=lambda pair: pair[1].absorber.symbol,
         train=lambda items, tcfg, val: pl.train_forward(items, tcfg, val_pairs=val),
-        score=lambda model, items, tcfg: pl.eval_forward(model, items, tcfg.batch_size),
+        score=lambda model, items, tcfg, out: pl.eval_forward(model, items, tcfg.batch_size, out),
         predict=_predict_spectrum,
         scope_settable=False,
         tag=lambda model: f"{model.element}_{model.kind}",
@@ -412,7 +413,7 @@ TASKS = {
         load=_samples,
         absorber=_sample_absorber,
         train=lambda items, tcfg, val: pl.train_mnnd(items, tcfg, val_samples=val),
-        score=lambda model, items, tcfg: pl.eval_mnnd(model, items),
+        score=lambda model, items, tcfg, out: pl.eval_mnnd(model, items, out),
         predict=_predict_label("mnnd_angstrom", lambda model, pair: pl.mnnd_predict(model, pair)),
         scope="unified",
     ),
@@ -420,7 +421,7 @@ TASKS = {
         load=_samples,
         absorber=_sample_absorber,
         train=lambda items, tcfg, val: pl.train_neighbor(items, tcfg, val_samples=val),
-        score=lambda model, items, tcfg: pl.eval_neighbor(model, items),
+        score=lambda model, items, tcfg, out: pl.eval_neighbor(model, items, out),
         predict=_predict_label(
             "neighbor_type", lambda model, pair: pl.neighbor_predict(model, pair).symbol
         ),
@@ -428,8 +429,8 @@ TASKS = {
     "cn": Task(
         load=_samples,
         absorber=_sample_absorber,
-        train=lambda items, tcfg, val: ([], pl.train_cn(items, tcfg)),
-        score=lambda model, items, tcfg: pl.eval_cn(model, items),
+        train=lambda items, tcfg, val: (pl.History(), pl.train_cn(items, tcfg)),
+        score=lambda model, items, tcfg, out: pl.eval_cn(model, items),
         predict=_predict_label("cn", lambda model, pair: pl.cn_predict(model, pair)),
     ),
 }
@@ -493,7 +494,8 @@ def cmd_train(args) -> int:
             continue
         train_part, val_part = split_dataset(part, seed)
         history, model = task.train(train_part, tcfg, val_part)
-        metrics = task.score(model, val_part, tcfg)
+        # the validation output of the epoch whose parameters training kept
+        metrics = task.score(model, val_part, tcfg, history.val_output)
         if scope == "per-element":
             model.element = key  # eval scores the model on this element only
         tag = f"{name}_{task.tag(model)}"
@@ -522,7 +524,7 @@ def cmd_eval(args) -> int:
     if not items:
         of = f" of {model.element}" if model.element else ""
         raise ValueError(f"{data_dir} has no samples{of} to evaluate {args.checkpoint} on")
-    metrics = task.score(model, items, pl.TrainConfig.from_config(cfg))
+    metrics = task.score(model, items, pl.TrainConfig.from_config(cfg), None)
     report = pl.metrics_report(name, task.report_scope(model, task.unscoped), metrics,
                                n_train=0, n_val=len(items), seed=int(cfg["seed"]))
     out_path = Path(args.out) / "metrics.json"

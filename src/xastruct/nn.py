@@ -25,7 +25,6 @@ from .autodiff import (
     gated_linear,
     gather_rows,
     layer_norm,
-    mul,
     relu,
     segment_sum,
     swiglu,
@@ -193,10 +192,22 @@ class MPEncoder(Module):
     m_ij = SGMLP([h_i | h_j | rbf(d_ij)]), summed over the neighbors of i,
     then h_i <- LayerNorm(h_i + SGMLP([h_i | sum_j m_ij])). The message
     SGMLP's first gated layer is factorized (see EdgeConcat), so the
-    [E, 2d + n_rbf] edge input is never built; edges arrive sorted by i,
-    so the sum over neighbors is a segment sum. Node features start from a
+    [E, 2d + n_rbf] edge input is never built. Node features start from a
     per-element embedding table. Permutation equivariant: relabeling nodes
     relabels rows of the output.
+
+    Work is spent only on rows that reach the output:
+      * One message per distinct (i, j, d_ij). Edges to periodic images
+        that share their receiver, sender and distance bits (the +L and -L
+        self images, for one) carry the same message, so each round runs
+        the message SGMLP once per distinct row and weights the row by its
+        multiplicity in the receiver's segment sum. Rows stay sorted by
+        receiver.
+      * pooled() runs the last round only for the nodes its readout
+        weights by a nonzero amount: along the edges into them, and their
+        updates. Other nodes' last-round values reach the readout only
+        multiplied by 0. Called without out_nodes, the encoder returns
+        every node's row.
     """
 
     def __init__(
@@ -217,24 +228,41 @@ class MPEncoder(Module):
         self.embedding = Parameter(glorot_uniform(rng, (n_elements + 1, d), d, d))
         self.round = [MessageRound(rng, d, n_rbf, hidden, k) for _ in range(t_rounds)]
 
-    def __call__(self, graphs) -> Tensor:
-        """Node embeddings [sum of V, d] of a list of graphs, graph after graph."""
+    def __call__(self, graphs, out_nodes=None) -> Tensor:
+        """Node embeddings [sum of V, d] of a list of graphs, graph after graph.
+
+        With out_nodes, sorted indices into those rows, only the rows
+        out_nodes, whose last round is computed for them alone.
+        """
         sizes = [len(g.node_elements) for g in graphs]
         if not sizes or min(sizes) == 0:
             raise ValueError("cannot encode an empty graph or an empty batch")
         starts = np.cumsum([0] + sizes[:-1])
         z = [el.atomic_number for g in graphs for el in g.node_elements]
         edges = np.concatenate([g.edges + start for g, start in zip(graphs, starts)])
-        dists = np.concatenate([g.edge_dist for g in graphs])
+        i, j, dists, mult = _distinct_edges(
+            edges[:, 0], edges[:, 1], np.concatenate([g.edge_dist for g in graphs]))
+        # a constant array: the message layers compute no gradient for it
+        feats = rbf_features(dists, self.centers, self.width)
         H = gather_rows(self.embedding, z)
-        feats = Tensor(rbf_features(dists, self.centers, self.width))
-        i, j = edges[:, 0], edges[:, 1]
-        for rnd in self.round:
-            messages = rnd.message(EdgeConcat(H, feats, i, j))
-            agg = segment_sum(messages, i, len(z))
-            update = rnd.update(concat([H, agg], axis=1))
-            H = layer_norm(add(H, update), rnd.ln_gain, rnd.ln_bias)
-        return H
+        for t, rnd in enumerate(self.round, 1):
+            H = self._round(rnd, H, feats, i, j, mult, out_nodes if t == len(self.round) else None)
+        return H if out_nodes is None or self.round else gather_rows(H, out_nodes)
+
+    @staticmethod
+    def _round(rnd, H, feats, i, j, mult, out_nodes=None) -> Tensor:
+        """One round: every node's new row, or only those of out_nodes."""
+        receiver, n_out, H_out = i, H.shape[0], H
+        if out_nodes is not None:
+            # only the edges into out_nodes, receivers renumbered in out_nodes' order
+            position = np.full(H.shape[0], -1)
+            position[out_nodes] = np.arange(len(out_nodes))
+            into = position[i] >= 0
+            feats, i, j, mult = feats[into], i[into], j[into], mult[into]
+            receiver, n_out, H_out = position[i], len(out_nodes), gather_rows(H, out_nodes)
+        agg = segment_sum(rnd.message(EdgeConcat(H, feats, i, j)), receiver, n_out, weights=mult)
+        update = rnd.update(concat([H_out, agg], axis=1))
+        return layer_norm(add(H_out, update), rnd.ln_gain, rnd.ln_bias)
 
     def pooled(self, graphs, by_mask_sum: bool = False) -> Tensor:
         """Per-graph masked mean of the node embeddings: [B, d] for B graphs.
@@ -248,4 +276,18 @@ class MPEncoder(Module):
             raise ValueError("masked mean by mask sum requires a nonempty mask")
         graph_of = np.repeat(np.arange(len(graphs)), [m.size for m in masks])
         weights = np.concatenate(masks) / denom[graph_of]
-        return segment_sum(mul(self(graphs), Tensor(weights[:, None])), graph_of, len(graphs))
+        read = np.flatnonzero(weights)
+        return segment_sum(self(graphs, read), graph_of[read], len(graphs), weights=weights[read])
+
+
+def _distinct_edges(i, j, dist):
+    """(i, j, dist, multiplicity) of the distinct (i, j, dist bits) rows, sorted by them."""
+    dist = np.asarray(dist, dtype=np.float64)
+    bits = dist.view(np.int64)  # distances are positive: their bits sort as they do
+    order = np.lexsort((bits, j, i))
+    i, j, dist, bits = i[order], j[order], dist[order], bits[order]
+    first = np.ones(len(i), dtype=bool)
+    first[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1]) | (bits[1:] != bits[:-1])
+    starts = np.flatnonzero(first)
+    mult = np.diff(np.append(starts, len(i))).astype(float)
+    return i[starts], j[starts], dist[starts], mult

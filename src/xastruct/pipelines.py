@@ -24,6 +24,7 @@ them.
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -88,10 +89,10 @@ class TrainConfig:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -247,21 +248,34 @@ def _epoch_batches(n: int, batch_size: int, rng) -> list:
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, val_metric=None) -> list:
+class History(list):
+    """fit's rows, one per epoch, and the validation output of the model it returns.
+
+    `val_output` is what validate() returned for the parameters and buffers
+    that fit ends with: the best epoch's, or the last epoch's if no metric
+    was below inf. Scoring it gives the numbers a fresh prediction would.
+    None without validation.
+    """
+
+    val_output = None
+
+
+def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, validate=None) -> History:
     """AdamW over shuffled minibatches of range(n); returns one history row per epoch.
 
     batch_loss(indices) builds the scalar loss of one minibatch. With
-    val_metric, each epoch ends with val_metric() (lower is better); after
-    `patience` epochs without a new best, training stops, and the best
-    epoch's parameters and buffers are restored. A positive
-    `train_loss_stop` config key also stops training, once an epoch's mean
-    training loss falls below it.
+    validate, each epoch ends with validate(), which returns (metric,
+    output): the metric is lower for better, the output what it was
+    computed from. After `patience` epochs without a new best, training
+    stops, and the best epoch's parameters and buffers are restored. A
+    positive `train_loss_stop` config key also stops training, once an
+    epoch's mean training loss falls below it.
     """
     params = model.named_parameters()
     plist = list(params.values())
     state = AdamWState(plist)
     loss_stop = float(cfg.extras.get("train_loss_stop", 0.0) or 0.0)
-    history = []
+    history = History()
     best_metric, best = np.inf, None
     patience_left = cfg.patience
     for epoch in range(cfg.epochs):
@@ -272,12 +286,12 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, val_metric=Non
             backward(loss)
             adamw_step(state, lr=cfg.lr, weight_decay=cfg.weight_decay)
             epoch_losses.append(loss.item())
-        metric = None if val_metric is None else val_metric()
+        metric, output = (None, None) if validate is None else validate()
         if metric is not None:
             if metric < best_metric:
                 best_metric = metric
                 best = ({name: p.data.copy() for name, p in params.items()},
-                        {name: b.copy() for name, b in model.named_buffers().items()})
+                        {name: b.copy() for name, b in model.named_buffers().items()}, output)
                 patience_left = cfg.patience
             else:
                 patience_left -= 1
@@ -288,9 +302,11 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, val_metric=Non
             break
         if loss_stop and history[-1]["train_loss"] < loss_stop:
             break
+    history.val_output = output
     if best is not None:
         load_into(params, best[0])
         model.load_buffers(best[1])
+        history.val_output = best[2]
     return history
 
 
@@ -476,7 +492,8 @@ def train_forward(pairs, cfg: TrainConfig, val_pairs=None):
 
     def val_mae():
         preds = forward_predict(model, [g for g, _ in val_pairs], cfg.batch_size)
-        return float(np.mean(np.abs(preds - np.stack([sp.mu for _, sp in val_pairs])).mean(axis=1)))
+        errors = np.abs(preds - np.stack([sp.mu for _, sp in val_pairs]))
+        return float(np.mean(errors.mean(axis=1))), preds
 
     history = fit(model, cfg, rng, len(pairs), batch_loss, val_mae if val_pairs else None)
     return history, model
@@ -615,12 +632,13 @@ def train_mnnd(samples, cfg: TrainConfig, val_samples=None):
     y_norm = (y - model.y_mean) / model.y_std
 
     def batch_loss(batch):
-        pred = model.forward(*[Tensor(mat[batch]) for mat in X], training=True)
+        # plain arrays: constant inputs, whose gradient no layer computes
+        pred = model.forward(*[mat[batch] for mat in X], training=True)
         return mse_loss(pred, y_norm[batch])
 
     def val_mae():
         preds = predict_mnnd_batch(model, val_samples)
-        return float(np.mean(np.abs(preds - np.array([s.labels.mnnd for s in val_samples]))))
+        return float(np.mean(np.abs(preds - np.array([s.labels.mnnd for s in val_samples])))), preds
 
     history = fit(model, cfg, rng, len(samples), batch_loss, val_mae if val_samples else None)
     return history, model
@@ -696,18 +714,19 @@ def train_neighbor(samples, cfg: TrainConfig, val_samples=None):
     y = np.array([class_index[s.labels.neighbor_type.atomic_number] for s in samples])
 
     def batch_loss(batch):
-        return cross_entropy_loss(model.forward(*[Tensor(mat[batch]) for mat in X]), y[batch])
+        return cross_entropy_loss(model.forward(*[mat[batch] for mat in X]), y[batch])
 
     def val_cross_entropy():
-        """Mean over the samples of classes seen in training; inf if there are none."""
+        """Mean over the samples of classes seen in training, inf if there are none; the logits."""
         yv = np.array(
             [class_index.get(s.labels.neighbor_type.atomic_number, -1) for s in val_samples]
         )
-        p = softmax(model.logits(val_samples))
+        logits = model.logits(val_samples)
+        p = softmax(logits)
         known = yv >= 0
         if not known.any():
-            return float("inf")
-        return float(-np.mean(np.log(np.maximum(p[known, yv[known]], 1e-300))))
+            return float("inf"), logits
+        return float(-np.mean(np.log(np.maximum(p[known, yv[known]], 1e-300)))), logits
 
     val_metric = val_cross_entropy if val_samples else None
     history = fit(model, cfg, rng, len(samples), batch_loss, val_metric)
@@ -789,20 +808,28 @@ def group_by_element(samples) -> dict:
     return groups
 
 
-def eval_forward(model: ForwardModel, pairs, batch_size: int = TrainConfig.batch_size) -> Metrics:
-    preds = forward_predict(model, [g for g, _ in pairs], batch_size).reshape(-1)
+# Each eval_* takes the model's output on the items, when it is already at
+# hand (fit's best validation output), in place of predicting them again.
+
+
+def eval_forward(model: ForwardModel, pairs, batch_size: int = TrainConfig.batch_size,
+                 preds=None) -> Metrics:
+    if preds is None:
+        preds = forward_predict(model, [g for g, _ in pairs], batch_size)
     targets = np.concatenate([sp.mu for _, sp in pairs])
-    return evaluate(preds, targets, "regression")
+    return evaluate(preds.reshape(-1), targets, "regression")
 
 
-def eval_mnnd(model: InverseMNND, samples) -> Metrics:
-    preds = predict_mnnd_batch(model, samples)
+def eval_mnnd(model: InverseMNND, samples, preds=None) -> Metrics:
+    if preds is None:
+        preds = predict_mnnd_batch(model, samples)
     targets = [s.labels.mnnd for s in samples]
     return evaluate(preds, targets, "regression")
 
 
-def eval_neighbor(model: InverseNeighbor, samples) -> Metrics:
-    logits = model.logits(samples)
+def eval_neighbor(model: InverseNeighbor, samples, logits=None) -> Metrics:
+    if logits is None:
+        logits = model.logits(samples)
     proba = softmax(logits)
     preds = [model.classes[i] for i in np.argmax(logits, axis=1)]
     targets = [s.labels.neighbor_type.atomic_number for s in samples]

@@ -260,19 +260,43 @@ def labels_to_dict(labels: DescriptorLabels) -> dict:
     }
 
 
+def _wrong_type(value) -> TypeError:
+    return TypeError(f"wrong type {type(value).__name__} ({value!r})")
+
+
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _wrong_type(value)
+    return value
+
+
+def _real(value) -> float:
+    """A JSON number as a float; a boolean or a string, such as "2", is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _wrong_type(value)
+    return float(value)
+
+
+def _reals(value) -> tuple:
+    if not isinstance(value, list):
+        raise _wrong_type(value)
+    return tuple(map(_real, value))
+
+
 def labels_from_dict(d: dict) -> DescriptorLabels:
     """The labels of a manifest record; a value of the wrong type raises naming its field.
 
-    No label may be a boolean, and `cn` must be an integer, not a float or a string.
+    No label may be a boolean or a quoted number: `cn` must be an integer,
+    `mnnd` a number and `shell_distances` a list of numbers.
     """
-    fields = {"cn": int, "mnnd": float, "neighbor_type": Element.from_symbol,
-              "shell_distances": tuple}
+    fields = {"cn": _count, "mnnd": _real, "neighbor_type": Element.from_symbol,
+              "shell_distances": _reals}
     values = {}
     for key, cast in fields.items():
         value = d[key]
         try:
-            if isinstance(value, bool) or (cast is int and not isinstance(value, int)):
-                raise TypeError(f"wrong type {type(value).__name__} ({value!r})")
+            if isinstance(value, bool):
+                raise _wrong_type(value)
             values[key] = cast(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"label {key!r}: {exc}") from None

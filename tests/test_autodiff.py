@@ -739,13 +739,14 @@ class TestAdamW:
             p = params[0]
             return mse_loss(reshape(p, (-1,)), np.full(p.data.size, float(len(idx))))
 
-        def val_metric():
+        def validate():
             snapshots.append([p.data.copy() for p in params])
-            return float(len(snapshots) > 1)
+            return float(len(snapshots) > 1), len(snapshots)
 
         cfg = pl.TrainConfig(lr=1e-2, epochs=10, batch_size=4, patience=2)
-        history = pl.fit(model, cfg, np.random.default_rng(0), 8, batch_loss, val_metric)
+        history = pl.fit(model, cfg, np.random.default_rng(0), 8, batch_loss, validate)
         assert len(history) == 3
+        assert history.val_output == 1  # the first epoch's output, with its parameters
         base = params[0].data.base
         assert base is not None and base.size == sum(p.data.size for p in params)
         for p, best in zip(params, snapshots[0]):

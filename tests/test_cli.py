@@ -296,6 +296,9 @@ MALFORMED = {
     "fractional cn label": ("manifest.jsonl", _set_label("cn", 2.9), "cn"),
     "boolean cn label": ("manifest.jsonl", _set_label("cn", True), "cn"),
     "boolean mnnd label": ("manifest.jsonl", _set_label("mnnd", True), "mnnd"),
+    "string mnnd label": ("manifest.jsonl", _set_label("mnnd", "2"), "mnnd"),
+    "string shell_distances label": ("manifest.jsonl", _set_label("shell_distances", "22"),
+                                     "mnnd"),
 }
 # cases whose message must also name the field at fault
 MALFORMED_FIELD = {
@@ -307,6 +310,8 @@ MALFORMED_FIELD = {
     "fractional cn label": "'cn'",
     "boolean cn label": "'cn'",
     "boolean mnnd label": "'mnnd'",
+    "string mnnd label": "'mnnd'",
+    "string shell_distances label": "'shell_distances'",
 }
 
 
@@ -392,6 +397,64 @@ class TestTrain:
         assert rc == 1, err
         assert "epochs" in err and "Traceback" not in err, err
         assert not list(out.glob("*.json"))
+
+    @pytest.mark.parametrize("key,value", [("lr", "nan"), ("lr", "inf"), ("lr", "-inf"),
+                                           ("weight_decay", "nan"), ("weight_decay", "inf")])
+    def test_non_finite_rate_exits_1_naming_the_key(self, key, value, mixed_data, tmp_path,
+                                                    capsys):
+        out = tmp_path / "x"
+        rc = cli.main(["train", "--task", "mnnd", "--data", str(mixed_data),
+                       "--out", str(out), "--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"{key} must be" in err and "Traceback" not in err, err
+        assert not list(out.glob("*.json"))
+
+    @pytest.mark.parametrize("task", ["forward", "mnnd", "neighbor"])
+    def test_validation_predicts_once_an_epoch_and_not_after_fit(self, task, request,
+                                                                 monkeypatch, tmp_path):
+        from xastruct import pipelines as pl
+
+        owner, attr = {"forward": (pl, "forward_predict"), "mnnd": (pl, "predict_mnnd_batch"),
+                       "neighbor": (pl.InverseNeighbor, "logits")}[task]
+        calls = []
+        predict = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+        data = request.getfixturevalue("cu_data" if task == "forward" else "mixed_data")
+        out = tmp_path / task
+        rc = cli.main(["train", "--task", task, "--data", str(data), "--out", str(out),
+                       "--seed", "3", *(TINY_FORWARD if task == "forward" else TINY_MNND)])
+        assert rc == 0
+        epochs = sum(len(p.read_text().splitlines()) - 1 for p in out.glob("history_*.csv"))
+        assert epochs >= 2 and len(calls) == epochs
+
+    @pytest.mark.parametrize("task", ["forward", "mnnd", "neighbor", "cn"])
+    def test_train_metrics_equal_a_fresh_score_of_the_checkpoint(self, task, request, tmp_path):
+        """Scoring the kept validation output gives the bytes of predicting it again."""
+        from xastruct import pipelines as pl
+        from xastruct.spectra import split_dataset
+
+        data = request.getfixturevalue("cu_data" if task == "forward" else "mixed_data")
+        settings = {"forward": TINY_FORWARD, "mnnd": TINY_MNND, "neighbor": TINY_MNND,
+                    "cn": ["--set", "n_trees=5", "--set", "max_depth=4"]}[task]
+        out = tmp_path / task
+        assert cli.main(["train", "--task", task, "--data", str(data), "--out", str(out),
+                         "--seed", "4", *settings]) == 0
+        reports = sorted(out.glob("metrics_*.json"))
+        assert reports
+        for path in reports:
+            report = json.loads(path.read_text())
+            name, model = pl.load_checkpoint(out / path.name.replace("metrics_", ""))
+            items = cli.TASKS[name].load(data, dict(cli.CONFIG_DEFAULTS), model)
+            _, val = split_dataset(items, 4)
+            fresh = cli.TASKS[name].score(model, val, pl.TrainConfig(), None)
+            for field, value in vars(fresh).items():
+                assert report[field] == value, (path.name, field)
 
     def test_task_choices_are_the_task_table(self):
         commands = next(a for a in cli.build_parser()._actions if a.dest == "command")

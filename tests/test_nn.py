@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xastruct.autodiff import (
+    EdgeConcat,
     Tensor,
     add,
     concat,
@@ -13,10 +14,12 @@ from xastruct.autodiff import (
     masked_mean,
     matmul,
     mul,
+    segment_sum,
     total,
 )
 from xastruct.crystal import CrystalStructure, Site, build_graph
 from xastruct.nn import (
+    _distinct_edges,
     ConvBlock,
     GatedLinearLayer,
     MPEncoder,
@@ -28,6 +31,7 @@ from xastruct.nn import (
 )
 
 from conftest import random_structure
+from helpers import cscl, fcc, fluorite, simple_cubic
 
 
 def sigmoid(z):
@@ -397,3 +401,116 @@ class TestBatchedMatchesPerGraphReference:
         rows = enc(graphs).data
         reference = np.concatenate([reference_encode(enc, g).data for g in graphs])
         assert_close_to_largest(rows, reference, "node embeddings")
+
+
+# --- the encoder before deduplication, kept as the reference ------------------------
+
+
+def edgewise_pooled(enc, graphs, by_mask_sum):
+    """One message per edge, every node updated in every round, then the masked mean."""
+    sizes = [len(g.node_elements) for g in graphs]
+    starts = np.cumsum([0] + sizes[:-1])
+    z = [el.atomic_number for g in graphs for el in g.node_elements]
+    edges = np.concatenate([g.edges + start for g, start in zip(graphs, starts)])
+    i, j = edges[:, 0], edges[:, 1]
+    feats = Tensor(rbf_features(np.concatenate([g.edge_dist for g in graphs]),
+                                enc.centers, enc.width))
+    H = gather_rows(enc.embedding, z)
+    for rnd in enc.round:
+        agg = segment_sum(rnd.message(EdgeConcat(H, feats, i, j)), i, len(z))
+        update = rnd.update(concat([H, agg], axis=1))
+        H = layer_norm(add(H, update), rnd.ln_gain, rnd.ln_bias)
+    masks = [g.mask for g in graphs]
+    denom = np.array([m.sum() if by_mask_sum else m.size for m in masks], dtype=float)
+    graph_of = np.repeat(np.arange(len(graphs)), sizes)
+    weights = np.concatenate(masks) / denom[graph_of]
+    return segment_sum(mul(H, Tensor(weights[:, None])), graph_of, len(graphs))
+
+
+def repeated_edge_count(graphs):
+    """Edges whose (i, j, distance bits) another edge of the same graph has too."""
+    return sum(len(g.edges) - len({(i, j, d.tobytes()) for (i, j), d in zip(g.edges, g.edge_dist)})
+               for g in graphs)
+
+
+class TestDistinctEdgesMatchEdgewiseEncoder:
+    """Deduplicated messages and the readout-only last round, against one message per edge."""
+
+    model = TestBatchedMatchesPerGraphReference.model
+
+    def graphs(self):
+        rng = np.random.default_rng(61)
+        out = [build_graph(simple_cubic(2.6), 0, 5.5),  # only self images
+               build_graph(fcc(3.6), 0, 4.0),
+               build_graph(cscl(3.1, "Cu", "O"), 1, 5.0),
+               build_graph(fluorite(5.2, "Cu", "F"), 0, 4.0)]
+        for _ in range(3):
+            s = random_structure(rng, max_sites=5)
+            out.append(build_graph(s, int(rng.integers(0, len(s))), 4.5))
+        return out
+
+    def check(self, model, graphs, rng):
+        from xastruct.autodiff import backward, mse_loss, zero_grad
+
+        params = model.named_parameters()
+        targets = rng.normal(size=(len(graphs), model.n_out))
+
+        def reference():
+            return model.head(edgewise_pooled(model.encoder, graphs, model.by_mask_sum))
+
+        assert_close_to_largest(model(graphs).data, reference().data, "predictions")
+        grads = []
+        for predict in (model, lambda graphs: reference()):
+            zero_grad(params.values())
+            backward(mse_loss(predict(graphs), targets))
+            grads.append({name: p.grad.copy() for name, p in params.items()})
+        for name in params:
+            assert_close_to_largest(grads[0][name], grads[1][name], f"gradient of {name}")
+
+    def test_the_graphs_have_repeated_edges_and_unread_nodes(self):
+        graphs = self.graphs()
+        assert repeated_edge_count(graphs) > 0
+        # the simple cubic cell's 32 edges are four shells of one distance each
+        assert repeated_edge_count(graphs[:1]) == len(graphs[0].edges) - 4 == 28
+        assert any(not g.mask.all() for g in graphs)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("by_mask_sum", [0, 1])
+    def test_predictions_and_gradients(self, k, by_mask_sum):
+        rng = np.random.default_rng(70 + k + 2 * by_mask_sum)
+        self.check(self.model(k, by_mask_sum), self.graphs(), rng)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("by_mask_sum", [0, 1])
+    def test_lone_node_alone_and_batched(self, k, by_mask_sum):
+        rng = np.random.default_rng(80 + k + 2 * by_mask_sum)
+        model = self.model(k, by_mask_sum)
+        lone = lone_site_graph()
+        self.check(model, [lone], rng)
+        graphs = self.graphs()
+        self.check(model, [lone, graphs[0], lone, graphs[3], lone], rng)
+
+    def test_out_nodes_are_those_rows_of_every_node(self):
+        enc = MPEncoder(np.random.default_rng(18), d=8, t_rounds=2, n_rbf=4, k=2)
+        graphs = self.graphs() + [lone_site_graph()]
+        rows = enc(graphs).data
+        out_nodes = np.flatnonzero(np.concatenate([g.mask for g in graphs]))
+        assert 0 < len(out_nodes) < len(rows)
+        assert_close_to_largest(enc(graphs, out_nodes).data, rows[out_nodes], "read rows")
+
+
+class TestDistinctEdges:
+    def test_rows_are_distinct_sorted_by_receiver_and_counted(self):
+        i = np.array([0, 0, 0, 1, 1, 2])
+        j = np.array([0, 0, 1, 0, 0, 2])
+        d = np.array([2.5, 2.5, 3.0, 3.0, np.nextafter(3.0, 4.0), 1.0])
+        gi, gj, gd, mult = _distinct_edges(i, j, d)
+        assert gi.tolist() == [0, 0, 1, 1, 2]
+        assert gj.tolist() == [0, 1, 0, 0, 2]
+        # one ulp apart is another distance
+        assert gd.tolist() == [2.5, 3.0, 3.0, np.nextafter(3.0, 4.0), 1.0]
+        assert mult.tolist() == [2.0, 1.0, 1.0, 1.0, 1.0]
+
+    def test_no_edges(self):
+        empty = np.zeros(0, dtype=int)
+        assert all(a.size == 0 for a in _distinct_edges(empty, empty, np.zeros(0)))

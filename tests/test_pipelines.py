@@ -146,6 +146,14 @@ def test_train_config_validation():
         pl.TrainConfig(batch_size=0)
 
 
+def test_train_config_rejects_non_finite_rates():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            pl.TrainConfig(lr=value)
+        with pytest.raises(ValueError, match="weight_decay"):
+            pl.TrainConfig(weight_decay=value)
+
+
 def test_train_config_from_flat_dict():
     cfg = pl.TrainConfig.from_config(
         {"lr": "0.001", "epochs": "5", "scope": "unified", "embed_dim": 16}

@@ -108,6 +108,25 @@ class TestSplit:
             split_dataset(self._samples(4), seed=0)
 
 
+class TestLabelsFromDict:
+    GOOD = {"cn": 2, "mnnd": 2.0, "neighbor_type": "Cu", "shell_distances": [2.0, 2.0]}
+
+    def test_numbers_load(self):
+        labels = spectra.labels_from_dict({**self.GOOD, "mnnd": 2, "shell_distances": [2, 2.0]})
+        assert labels == DescriptorLabels(2, 2.0, CU, (2.0, 2.0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("mnnd", "2"),
+        ("shell_distances", "22"),  # a string of cn characters once loaded as distances
+        ("shell_distances", ["2.0", "2.0"]),
+        ("shell_distances", [2.0, True]),
+        ("mnnd", False),
+    ])
+    def test_strings_and_booleans_raise_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"label '{field}': wrong type"):
+            spectra.labels_from_dict({**self.GOOD, field: value})
+
+
 class TestIo:
     def test_spectrum_round_trip(self, tmp_path):
         sp = step_spectrum()
