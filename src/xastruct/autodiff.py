@@ -26,6 +26,10 @@ A step pays only for the tape it uses:
     one node's bookkeeping and makes no first-gradient copies of its
     intermediates. Their arithmetic is bit for bit that of the composed
     primitives, which stay for tests and the gradient check.
+  * An input passed as a plain array is a constant: as_tensor would wrap
+    it in a leaf that no caller holds, so nobody could read its gradient.
+    The dense and edge products (linear, edge_linear and the fused layers)
+    skip that gradient's product; segment_sum's row weights are one too.
   * Every op output is still checked for finiteness, and so are the fused
     layers' intermediates: both pre-activations, the sigmoid or swish
     output, and the result. A check only at the loss would miss a gate

@@ -147,8 +147,9 @@ def cases(seed: int):
     case("MPEncoder", tuple(encoder.named_parameters().values()), lambda: encoder.pooled([graph]))
 
     seg_x = p(5, 3)
-    # segments 1 and 4 are empty
-    case("segment_sum", (seg_x,), lambda: segment_sum(seg_x, [0, 0, 2, 3, 3], 5))
+    # segments 1 and 4 are empty; each row weighted
+    case("segment_sum", (seg_x,),
+         lambda: segment_sum(seg_x, [0, 0, 2, 3, 3], 5, weights=[2.0, 1.0, 0.5, 3.0, 1.0]))
     el_h, el_r, el_w, el_b = p(3, 2), p(4, 2), p(3, 6), p(3)
     case("edge_linear", (el_h, el_r, el_w, el_b),
          lambda: edge_linear(el_h, el_r, [0, 0, 1, 2], [1, 2, 0, 0], el_w, el_b))

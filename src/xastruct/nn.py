@@ -231,8 +231,8 @@ class MPEncoder(Module):
     def __call__(self, graphs, out_nodes=None) -> Tensor:
         """Node embeddings [sum of V, d] of a list of graphs, graph after graph.
 
-        With out_nodes, sorted indices into those rows, only the rows
-        out_nodes, whose last round is computed for them alone.
+        With out_nodes, sorted row indices, only those rows; the last round
+        then computes them alone.
         """
         sizes = [len(g.node_elements) for g in graphs]
         if not sizes or min(sizes) == 0:

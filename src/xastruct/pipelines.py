@@ -92,7 +92,8 @@ class TrainConfig:
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
+            raise ValueError(
+                f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -638,7 +639,8 @@ def train_mnnd(samples, cfg: TrainConfig, val_samples=None):
 
     def val_mae():
         preds = predict_mnnd_batch(model, val_samples)
-        return float(np.mean(np.abs(preds - np.array([s.labels.mnnd for s in val_samples])))), preds
+        targets = np.array([s.labels.mnnd for s in val_samples])
+        return float(np.mean(np.abs(preds - targets))), preds
 
     history = fit(model, cfg, rng, len(samples), batch_loss, val_mae if val_samples else None)
     return history, model
@@ -717,7 +719,7 @@ def train_neighbor(samples, cfg: TrainConfig, val_samples=None):
         return cross_entropy_loss(model.forward(*[mat[batch] for mat in X]), y[batch])
 
     def val_cross_entropy():
-        """Mean over the samples of classes seen in training, inf if there are none; the logits."""
+        """(mean cross-entropy over samples of classes seen in training, inf if none; logits)."""
         yv = np.array(
             [class_index.get(s.labels.neighbor_type.atomic_number, -1) for s in val_samples]
         )
@@ -808,8 +810,9 @@ def group_by_element(samples) -> dict:
     return groups
 
 
-# Each eval_* takes the model's output on the items, when it is already at
-# hand (fit's best validation output), in place of predicting them again.
+# eval_forward, eval_mnnd and eval_neighbor take the model's output on the
+# items when it is already at hand (fit's kept validation output), in place
+# of predicting them again.
 
 
 def eval_forward(model: ForwardModel, pairs, batch_size: int = TrainConfig.batch_size,

@@ -146,6 +146,20 @@ class TestForwardValues:
         assert got.tolist() == want.tolist()
         assert segment_sum(Tensor(np.zeros((0, 2))), [], 3).data.tolist() == [[0.0, 0.0]] * 3
 
+    def test_segment_sum_weights_scale_each_row_forward_and_backward(self):
+        x = Parameter(np.arange(15.0).reshape(5, 3))
+        seg, weights = [1, 1, 1, 3, 5], np.array([2.0, 1.0, 0.5, 3.0, 0.0])
+        out = segment_sum(x, seg, 7, weights=weights)
+        want = np.zeros((7, 3))
+        for row, k, w in zip(x.data, seg, weights):
+            want[k] += w * row
+        assert out.data.tolist() == want.tolist()
+        c = np.arange(21.0).reshape(7, 3)
+        backward(total(mul(out, Tensor(c))))
+        assert x.grad.tolist() == (c[seg] * weights[:, None]).tolist()
+        with pytest.raises(ShapeError):
+            segment_sum(x, seg, 7, weights=weights[:4])
+
     def test_segment_sum_rejects_unsorted_or_out_of_range_ids(self):
         x = Tensor(np.ones((3, 2)))
         for seg, n in (([1, 0, 2], 3), ([0, 1, 3], 3), ([-1, 0, 1], 3)):
@@ -234,6 +248,30 @@ class TestForwardValues:
         assert np.allclose(out.data, [[6.0, 7.0], [0.0, 1.0], [6.0, 7.0]])
         with pytest.raises(ValueError):
             gather_rows(table, [5])
+
+
+class TestConstantInputs:
+    """An input given as a plain array gets no gradient and changes no other one."""
+
+    @pytest.mark.parametrize("kind", ["dense", "edge"])
+    @pytest.mark.parametrize("op", sorted(["gated_linear", "swiglu"]))
+    def test_same_bits_as_a_tensor_leaf(self, op, kind):
+        rng = np.random.default_rng(23)
+        H = Parameter(rng.normal(size=(4, 3)))
+        data = rng.normal(size=(6, 2) if kind == "edge" else (5, 3))
+        i, j = [0, 0, 1, 2, 3, 3], [1, 2, 0, 0, 3, 2]
+        args = fused_layer_args(op, rng, 8 if kind == "edge" else 3)
+        results = []
+        for x in (Tensor(data), data):
+            zero_grad([H, *args])
+            layer_in = EdgeConcat(mul(H, Tensor(1.5)), x, i, j) if kind == "edge" else x
+            out = FUSED[op][0](layer_in, *args)
+            backward(total(mul(out, out)))
+            results.append([out.data.tobytes()] + [p.grad.tobytes() for p in (H, *args)])
+            parents = {id(p) for p in out._parents}
+        assert results[0] == results[1]
+        # the array's leaf is not on the tape
+        assert len(parents) == len(args) + (kind == "edge")
 
 
 class TestBackward:
