@@ -265,20 +265,20 @@ def _wrong_type(value) -> TypeError:
 
 
 def _count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:  # a bool is an int, but not of this type
         raise _wrong_type(value)
     return value
 
 
 def _real(value) -> float:
     """A JSON number as a float; a boolean or a string, such as "2", is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float):
         raise _wrong_type(value)
     return float(value)
 
 
 def _reals(value) -> tuple:
-    if not isinstance(value, list):
+    if type(value) is not list:
         raise _wrong_type(value)
     return tuple(map(_real, value))
 

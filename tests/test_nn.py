@@ -428,7 +428,7 @@ def edgewise_pooled(enc, graphs, by_mask_sum):
 
 
 def repeated_edge_count(graphs):
-    """Edges whose (i, j, distance bits) another edge of the same graph has too."""
+    """Edges beyond the first of each distinct (i, j, distance bits) of a graph."""
     return sum(len(g.edges) - len({(i, j, d.tobytes()) for (i, j), d in zip(g.edges, g.edge_dist)})
                for g in graphs)
 
