@@ -295,8 +295,6 @@ def labels_from_dict(d: dict) -> DescriptorLabels:
     for key, cast in fields.items():
         value = d[key]
         try:
-            if isinstance(value, bool):
-                raise _wrong_type(value)
             values[key] = cast(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"label {key!r}: {exc}") from None
