@@ -42,12 +42,12 @@ are the ground truth for every op here; see finite_difference_check.
 
 import base64
 import contextlib
-import json
 import math
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .jsonio import read_json, write_json
 
 
 class ShapeError(ValueError):
@@ -875,17 +875,16 @@ def save_params(named_params: dict, path, header: dict = None) -> None:
         # tobytes() is in C order for any layout; ascontiguousarray would make a 0-d array 1-d
         return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
-    doc = {
+    write_json(path, {
         "header": header or {},
         "params": {name: record(p) for name, p in named_params.items()},
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    })
 
 
 def _array_from_record(rec: dict) -> np.ndarray:
     shape, data = rec["shape"], rec["data"]
+    if type(shape) is not list or any(type(n) is not int or n < 0 for n in shape):
+        raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
     if isinstance(data, list):  # checkpoints written before the base64 codec
         return np.array(data, dtype=float).reshape(shape)
     raw = base64.b64decode(data, validate=True)
@@ -909,8 +908,7 @@ def params_from_doc(doc: dict) -> tuple:
 
 def load_params(path) -> tuple:
     """Returns (header dict, name -> ndarray)."""
-    with open(path) as fh:
-        return params_from_doc(json.load(fh))
+    return params_from_doc(read_json(path))
 
 
 def load_into(named_params: dict, arrays: dict) -> None:

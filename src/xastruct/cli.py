@@ -44,6 +44,7 @@ from .crystal import (
     site_index,
     write_structures,
 )
+from .jsonio import read_json, write_json
 from .spectra import (
     EnergyGrid,
     LabeledSample,
@@ -167,10 +168,7 @@ def write_manifest(out_dir: Path, command: str, args, cfg: dict, inputs, outputs
         "inputs": {str(p): content_hash(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "run.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(out_dir / "run.json", manifest, indent=1)
 
 
 # --- synthetic structures -----------------------------------------------------------
@@ -306,7 +304,6 @@ def synth_samples(cfg: dict):
 
 def synth_dataset(cfg: dict, out_dir: Path):
     samples, structures = synth_samples(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(samples, out_dir / "manifest.jsonl")
     write_structures(structures, out_dir / "structures.jsonl")
     return samples, structures
@@ -477,7 +474,6 @@ def cmd_train(args) -> int:
     tcfg = pl.TrainConfig.from_config(cfg)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = int(cfg["seed"])
     items = task.load(data_dir, cfg)
     scope = cfg.get("scope", task.scope) if task.scope_settable else task.scope
@@ -503,7 +499,7 @@ def cmd_train(args) -> int:
         model.save(ckpt)
         report = pl.metrics_report(name, task.report_scope(model, "unified"), metrics,
                                    n_train=len(train_part), n_val=len(val_part), seed=seed)
-        pl.write_metrics_json(report, out_dir / f"metrics_{tag}.json")
+        write_json(out_dir / f"metrics_{tag}.json", report)
         if history:
             pl.write_history_csv(history, out_dir / f"history_{tag}.csv")
             outputs.append(out_dir / f"history_{tag}.csv")
@@ -528,7 +524,7 @@ def cmd_eval(args) -> int:
     report = pl.metrics_report(name, task.report_scope(model, task.unscoped), metrics,
                                n_train=0, n_val=len(items), seed=int(cfg["seed"]))
     out_path = Path(args.out) / "metrics.json"
-    pl.write_metrics_json(report, out_path)
+    write_json(out_path, report)
     write_manifest(Path(args.out), "eval", args, cfg, [args.checkpoint, data_dir], [out_path])
     print(json.dumps(report, sort_keys=True))
     return 0
@@ -542,9 +538,7 @@ def cmd_predict(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = {"task": name, **TASKS[name].predict(model, args.input, cfg, out_dir)}
-    with open(out_dir / "prediction.json", "w") as fh:
-        json.dump(result, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "prediction.json", result)
     write_manifest(out_dir, "predict", args, cfg, [args.checkpoint, args.input],
                    [out_dir / "prediction.json"])
     print(json.dumps(result, sort_keys=True))
@@ -608,8 +602,10 @@ def cmd_plot(args) -> int:
     for name in args.files:
         path = Path(name)
         if path.suffix == ".json":
-            with open(path) as fh:
-                metric_rows.append(json.load(fh))
+            row = read_json(path)
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}: metrics must be a JSON object, not a {type(row).__name__}")
+            metric_rows.append(row)
         elif path.suffix == ".csv":
             sp = load_spectrum(path)
             series.append((path.stem, sp.grid.values, sp.mu))

@@ -18,6 +18,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .jsonio import read_json, read_jsonl
+
 MIN_SITE_SEPARATION = 0.5  # angstrom; guards the 1/R^2 terms downstream
 DESCRIPTOR_CUTOFF = 6.0  # angstrom; neighbor search radius of extract_descriptors
 
@@ -374,25 +376,12 @@ def write_structures(records, path) -> None:
 
 def read_structures(path) -> list:
     """(structure, absorber index) per line; a bad line raises naming the file and line."""
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(_from_record(json.loads(line)))
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+    return read_jsonl(path, _from_record)
 
 
 def read_structure(path) -> tuple:
     """(structure, absorber index) of a single-record file; an error names the file."""
-    with open(path) as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    record = read_json(path)
     try:
         return _from_record(record)
     except (AttributeError, TypeError, ValueError) as exc:

@@ -9,7 +9,8 @@ identical forest, and split ties resolve to the lowest feature index,
 then the lowest threshold.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -175,30 +176,40 @@ def predict(forest: RandomForest, x) -> int:
 
 
 def forest_to_doc(forest: RandomForest) -> dict:
-    return {
-        "header": {
-            "n_trees": forest.config.n_trees,
-            "max_depth": forest.config.max_depth,
-            "min_samples_leaf": forest.config.min_samples_leaf,
-            "max_features": forest.config.max_features,
-            "bootstrap": forest.config.bootstrap,
-            "seed": forest.config.seed,
-            "n_features": forest.n_features,
-            "n_classes": forest.n_classes,
-        },
-        "trees": [tree.nodes for tree in forest.trees],
-    }
+    header = {**asdict(forest.config), "n_features": forest.n_features, "n_classes": forest.n_classes}
+    return {"header": header, "trees": [tree.nodes for tree in forest.trees]}
+
+
+def _valid_node(node, i: int, n_nodes: int, n_features: int, n_classes: int) -> bool:
+    """Whether node i of a preorder node list is a well-formed split or leaf.
+
+    Preorder puts children after their parent, so i < child < n_nodes rules out cycles.
+    """
+    if type(node) is not dict:
+        return False
+    if "feature" in node:
+        feature, threshold = node["feature"], node.get("threshold")
+        return (type(feature) is int and 0 <= feature < n_features
+                and type(threshold) in (int, float) and -math.inf < threshold < math.inf
+                and all(type(c) is int and i < c < n_nodes
+                        for c in (node.get("left"), node.get("right"))))
+    hist = node.get("histogram")
+    return (type(hist) is list and len(hist) == n_classes
+            and all(type(c) is int and c >= 0 for c in hist) and sum(hist) > 0)
 
 
 def forest_from_doc(doc: dict) -> RandomForest:
+    """The forest of a forest_to_doc document; a malformed node raises naming its tree."""
     h = doc["header"]
-    config = ForestConfig(
-        n_trees=h["n_trees"],
-        max_depth=h["max_depth"],
-        min_samples_leaf=h["min_samples_leaf"],
-        max_features=h["max_features"],
-        bootstrap=h["bootstrap"],
-        seed=h["seed"],
-    )
-    trees = [DecisionTree(nodes, h["n_classes"]) for nodes in doc["trees"]]
-    return RandomForest(trees, config, h["n_features"], h["n_classes"])
+    config = ForestConfig(**{f.name: h[f.name] for f in fields(ForestConfig)})
+    n_features, n_classes = h["n_features"], h["n_classes"]
+    for t, nodes in enumerate(doc["trees"]):
+        if type(nodes) is not list or not nodes:
+            raise ValueError(f"tree {t} is not a non-empty list of nodes")
+        for i, node in enumerate(nodes):
+            if not _valid_node(node, i, len(nodes), n_features, n_classes):
+                raise ValueError(f"tree {t} node {i} is neither a split (a feature below {n_features}, "
+                                 f"a finite threshold, children after it) nor a leaf of "
+                                 f"{n_classes} class counts: {node!r}")
+    trees = [DecisionTree(nodes, n_classes) for nodes in doc["trees"]]
+    return RandomForest(trees, config, n_features, n_classes)

@@ -23,7 +23,6 @@ them.
 """
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -48,6 +47,7 @@ from .autodiff import (
     zero_grad,
 )
 from .crystal import Element, StructureGraph
+from .jsonio import read_json, write_json
 from .nn import ConvBlock, Module, MPEncoder, SGMLP
 from .spectra import InsufficientDataError, LabeledSample
 
@@ -206,14 +206,6 @@ def metrics_report(task: str, scope: str, metrics: Metrics, n_train: int, n_val:
     return report
 
 
-def write_metrics_json(report: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True)
-        fh.write("\n")
-
-
 def write_history_csv(history: list, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -331,21 +323,17 @@ def _spectra(samples, n_xanes: int, n_exafs: int, names) -> list:
     return [np.stack([_ROWS[name](s) for s in samples]) for name in names]
 
 
-def read_checkpoint(path) -> dict:
-    """The parsed JSON document of a checkpoint file; each model's from_doc builds it."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"checkpoint {path} is not valid JSON: {exc}") from None
+def load_checkpoint(path, cls=None) -> tuple:
+    """(task, model) of a checkpoint file from one parse; every error names the file.
 
-
-def load_checkpoint(path) -> tuple:
-    """(task, model) from one parse of the checkpoint, dispatched on its header's task."""
-    doc = read_checkpoint(path)
+    The header's task picks the model class, and must be `cls.task` if `cls` is given.
+    """
+    doc = read_json(path)
     header = doc.get("header") if isinstance(doc, dict) else None
     task = header.get("task", "") if isinstance(header, dict) else ""
-    models = {cls.task: cls for cls in (ForwardModel, InverseMNND, InverseNeighbor, CNClassifier)}
+    if cls is not None and task != cls.task:
+        raise ValueError(f"checkpoint {path} has task {task!r}, not {cls.task!r}")
+    models = {m.task: m for m in (ForwardModel, InverseMNND, InverseNeighbor, CNClassifier)}
     if task not in models:
         raise ValueError(f"checkpoint {path} has unknown task {task!r}")
     try:
@@ -353,7 +341,7 @@ def load_checkpoint(path) -> tuple:
     except KeyError as exc:
         # str() of a KeyError is only the quoted key, as in "error: 'forest'"
         raise ValueError(f"checkpoint {path}: missing {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
 
 
@@ -364,21 +352,15 @@ def _header(model, **fields) -> dict:
     return {"task": model.task, **fields}
 
 
-def _check_task(header: dict, cls) -> None:
-    if header.get("task") != cls.task:
-        raise ValueError(f"checkpoint task {header.get('task')!r} is not a {cls.task!r} model")
-
-
 def _save_neural(model: Module, path, header: dict, extra: dict) -> None:
     """Header with the model's arch; parameters, buffers and `extra` arrays by name."""
     arrays = {**model.named_parameters(), **model.named_buffers(), **extra}
     save_params(arrays, path, header=_header(model, arch=model.arch, **header))
 
 
-def _neural_from_doc(cls, doc: dict, build) -> tuple:
+def _neural_from_doc(doc: dict, build) -> tuple:
     """(header, arrays, model): build(header, cfg) constructs it, then the arrays load in."""
     header, arrays = params_from_doc(doc)
-    _check_task(header, cls)
     model = build(header, TrainConfig(extras=header["arch"]))
     load_into(model.named_parameters(), arrays)
     model.load_buffers(arrays)
@@ -434,11 +416,11 @@ class ForwardModel(Module):
 
     @classmethod
     def load(cls, path) -> "ForwardModel":
-        return cls.from_doc(read_checkpoint(path))
+        return load_checkpoint(path, cls)[1]
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ForwardModel":
-        _, arrays, model = _neural_from_doc(cls, doc, lambda h, cfg: cls(
+        _, arrays, model = _neural_from_doc(doc, lambda h, cfg: cls(
             np.random.default_rng(0), h["n_out"], cfg, h["element"], h["edge"], h["kind"], h["grid"]
         ))
         model.y_center = arrays["y_center"]
@@ -542,7 +524,7 @@ class SpectrumModel(Module):
     @classmethod
     def _from_doc(cls, doc: dict, build) -> tuple:
         """(header, model) of a checkpoint; build(header, cfg) constructs the model."""
-        header, arrays, model = _neural_from_doc(cls, doc, build)
+        header, arrays, model = _neural_from_doc(doc, build)
         model.norm = {name: Standardizer(arrays[f"norm.{name}.mean"], arrays[f"norm.{name}.std"])
                       for name in cls.INPUTS}
         return header, model
@@ -605,7 +587,7 @@ class InverseMNND(SpectrumModel):
 
     @classmethod
     def load(cls, path) -> "InverseMNND":
-        return cls.from_doc(read_checkpoint(path))
+        return load_checkpoint(path, cls)[1]
 
     @classmethod
     def from_doc(cls, doc: dict) -> "InverseMNND":
@@ -690,7 +672,7 @@ class InverseNeighbor(SpectrumModel):
 
     @classmethod
     def load(cls, path) -> "InverseNeighbor":
-        return cls.from_doc(read_checkpoint(path))
+        return load_checkpoint(path, cls)[1]
 
     @classmethod
     def from_doc(cls, doc: dict) -> "InverseNeighbor":
@@ -756,21 +738,21 @@ class CNClassifier:
 
     def save(self, path) -> None:
         header = _header(self, classes=self.classes, n_xanes=self.n_xanes, n_exafs=self.n_exafs)
-        doc = {"header": header, "forest": rf.forest_to_doc(self.forest)}
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        write_json(path, {"header": header, "forest": rf.forest_to_doc(self.forest)})
 
     @classmethod
     def load(cls, path) -> "CNClassifier":
-        return cls.from_doc(read_checkpoint(path))
+        return load_checkpoint(path, cls)[1]
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CNClassifier":
         header = doc["header"]
-        _check_task(header, cls)
         forest_model = rf.forest_from_doc(doc["forest"])
         model = cls(forest_model, header["classes"], header["n_xanes"], header["n_exafs"])
+        sizes = (len(model.classes), model.n_xanes + model.n_exafs)
+        if sizes != (forest_model.n_classes, forest_model.n_features):
+            raise ValueError(f"header has {sizes[0]} classes and {sizes[1]} features, the forest "
+                             f"{forest_model.n_classes} and {forest_model.n_features}")
         model.element = header.get("element")
         return model
 

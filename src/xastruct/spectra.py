@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .crystal import DescriptorLabels, Element
+from .jsonio import read_json, read_jsonl, write_json
 
 XANES = "XANES"
 EXAFS = "EXAFS"
@@ -125,9 +126,7 @@ def save_spectrum(sp: Spectrum, csv_path) -> None:
         "absorber": sp.absorber.symbol,
         "structure_id": sp.structure_id,
     }
-    with open(csv_path.with_suffix(".json"), "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(csv_path.with_suffix(".json"), sidecar)
 
 
 # Every byte but the four that delimit or quote CSV fields; deleting them
@@ -198,11 +197,7 @@ def load_spectrum(csv_path) -> Spectrum:
     csv_path = Path(csv_path)
     energies, mu = _read_columns(csv_path)
     sidecar = csv_path.with_suffix(".json")
-    with open(sidecar) as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{sidecar}:{exc.lineno}: {exc.msg}") from None
+    meta = read_json(sidecar)
     try:
         return Spectrum(
             grid=EnergyGrid(energies),
@@ -237,11 +232,7 @@ def load_spectrum_pair(path) -> SpectrumPair:
     names the file and the key.
     """
     path = Path(path)
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or "xanes" not in doc or "exafs" not in doc:
         raise ValueError(f"{path} is not a spectrum-pair input; expected JSON with xanes/exafs keys")
     for key in ("xanes", "exafs"):
@@ -322,29 +313,13 @@ def save_dataset(samples, manifest_path) -> None:
 
 def load_dataset(manifest_path) -> list:
     """The samples of a manifest; a bad line raises a ValueError naming the file and line."""
-    manifest_path = Path(manifest_path)
-    root = manifest_path.parent
-    samples = []
-    with open(manifest_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                samples.append(
-                    LabeledSample(
-                        xanes=load_spectrum(root / record["xanes"]),
-                        exafs=load_spectrum(root / record["exafs"]),
-                        labels=labels_from_dict(record["labels"]),
-                    )
-                )
-            except KeyError as exc:
-                field = exc.args[0]
-                raise ValueError(f"{manifest_path}:{lineno}: missing field {field!r}") from None
-            except OSError as exc:
-                # a referenced spectrum CSV or sidecar that cannot be opened
-                raise ValueError(f"{manifest_path}:{lineno}: {exc.strerror}: {exc.filename}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{manifest_path}:{lineno}: {exc}") from None
-    return samples
+    root = Path(manifest_path).parent
+
+    def sample(record) -> LabeledSample:
+        return LabeledSample(
+            xanes=load_spectrum(root / record["xanes"]),
+            exafs=load_spectrum(root / record["exafs"]),
+            labels=labels_from_dict(record["labels"]),
+        )
+
+    return read_jsonl(manifest_path, sample)

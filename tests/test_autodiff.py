@@ -872,6 +872,13 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=r"^parameter 'layer\.W': .*" + match):
             params_from_doc(doc)
 
+    @pytest.mark.parametrize("shape", [[2, "a"], [2, True], [-1], [2.0], "2"])
+    def test_bad_shape_names_the_parameter(self, shape):
+        doc = {"params": {"layer.W": {"shape": shape, "data": "AAAAAAAAHEAAAAAAAABwPQ=="}}}
+        with pytest.raises(ValueError, match=r"^parameter 'layer\.W': shape .* is not a list of "
+                                             r"non-negative integers$"):
+            params_from_doc(doc)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         save_params({"w": Parameter(np.zeros(3))}, tmp_path / "m.json")
         _, arrays = load_params(tmp_path / "m.json")

@@ -89,6 +89,15 @@ def mnnd_run(mixed_data, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def cn_run(mixed_data, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run") / "cn"
+    rc = cli.main(["train", "--task", "cn", "--data", str(mixed_data), "--out", str(out),
+                   "--set", "n_trees=3", "--set", "max_depth=3"])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def forward_run(cu_data, tmp_path_factory):
     out = tmp_path_factory.mktemp("run") / "fwd"
     rc = cli.main(["train", "--task", "forward", "--data", str(cu_data),
@@ -522,6 +531,43 @@ class TestTrain:
             assert report["mae"] is None
 
 
+def _split_root(doc) -> dict:
+    """The root of the first tree of a cn checkpoint whose root splits: every sample visits it."""
+    return next(nodes[0] for nodes in doc["forest"]["trees"] if "feature" in nodes[0])
+
+
+def _first_leaf(doc) -> dict:
+    """The first leaf of that tree, which some training sample reaches."""
+    nodes = next(nodes for nodes in doc["forest"]["trees"] if "feature" in nodes[0])
+    return next(node for node in nodes if "histogram" in node)
+
+
+# (checkpoint task, corruption of its parsed document in place)
+CORRUPT_CHECKPOINT = {
+    "arch list": ("mnnd", lambda doc: doc["header"].update(arch=list(doc["header"]["arch"]))),
+    "params list": ("mnnd", lambda doc: doc.update(params=list(doc["params"].values()))),
+    "string feature": ("cn", lambda doc: _split_root(doc).update(feature="0")),
+    "child out of range": ("cn", lambda doc: _split_root(doc).update(right=10 ** 6)),
+    "short histogram": ("cn", lambda doc: _first_leaf(doc)["histogram"].pop()),
+    "more classes than the forest": ("cn", lambda doc: doc["header"]["classes"].append(99)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINT))
+def test_corrupt_checkpoint_exits_1_naming_it(case, mixed_data, mnnd_run, cn_run, tmp_path,
+                                              capsys):
+    task, corrupt = CORRUPT_CHECKPOINT[case]
+    source = {"mnnd": mnnd_run / "mnnd_unified.json", "cn": cn_run / "cn_Cu.json"}[task]
+    doc = json.loads(source.read_text())
+    corrupt(doc)
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    for command in (["eval", "--data", str(mixed_data)], ["predict", "--input", str(ckpt)]):
+        rc = cli.main([*command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"checkpoint {ckpt}:" in capsys.readouterr().err
+
+
 class TestEvalPredict:
     def test_eval_reports_on_full_manifest(self, mixed_data, mnnd_run, tmp_path):
         out = tmp_path / "eval"
@@ -594,11 +640,8 @@ class TestEvalPredict:
             assert str(ckpt) in capsys.readouterr().err
 
     def test_malformed_checkpoint_exits_1_naming_file_and_field(
-        self, mixed_data, mnnd_run, forward_run, tmp_path, capsys
+        self, mixed_data, mnnd_run, forward_run, cn_run, tmp_path, capsys
     ):
-        cn_run = tmp_path / "cn"
-        assert cli.main(["train", "--task", "cn", "--data", str(mixed_data), "--out", str(cn_run),
-                         "--set", "n_trees=3", "--set", "max_depth=3"]) == 0
         no_forest = json.loads((cn_run / "cn_Cu.json").read_text())
         del no_forest["forest"]
         truncated = json.loads((forward_run / "forward_Cu_XANES.json").read_text())
@@ -739,6 +782,15 @@ class TestPlot:
     def test_no_inputs_is_usage_error(self, tmp_path):
         rc = cli.main(["plot", str(tmp_path / "x.txt"), "--out", str(tmp_path / "p")])
         assert rc == 2
+
+    def test_malformed_metrics_json_exits_1_naming_it(self, tmp_path, capsys):
+        truncated, listed = tmp_path / "truncated.json", tmp_path / "listed.json"
+        truncated.write_text('{"task": "mnnd",\n "mae": ')
+        listed.write_text("[1, 2]\n")
+        for path, where in ((truncated, f"{truncated}:2: "), (listed, f"{listed}: ")):
+            rc = cli.main(["plot", str(path), "--out", str(tmp_path / "p")])
+            assert rc == 1
+            assert where in capsys.readouterr().err
 
 
 class TestConfig:

@@ -17,6 +17,7 @@ from helpers import (
 
 from xastruct import pipelines as pl
 from xastruct.autodiff import params_from_doc
+from xastruct.jsonio import write_json
 from xastruct.crystal import Element, build_graph
 from xastruct.spectra import InsufficientDataError
 
@@ -112,8 +113,8 @@ def test_metrics_report_and_json(tmp_path):
         "n_train", "n_val", "seed",
     }
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    pl.write_metrics_json(report, p1)
-    pl.write_metrics_json(report, p2)
+    write_json(p1, report)
+    write_json(p2, report)
     assert p1.read_bytes() == p2.read_bytes()
     loaded = json.loads(p1.read_text())
     assert loaded["mae"] == 1.0 and loaded["accuracy"] is None
@@ -485,6 +486,31 @@ def test_cn_checkpoint_roundtrip(cn_samples, tmp_path):
 def test_cn_needs_data():
     with pytest.raises(InsufficientDataError):
         pl.train_cn([], pl.TrainConfig())
+
+
+def test_model_load_of_another_task_names_the_file_and_both_tasks(mnnd_samples, cn_samples,
+                                                                  tmp_path):
+    mnnd, cn = tmp_path / "mnnd.json", tmp_path / "cn.json"
+    pl.train_mnnd(mnnd_samples, _inverse_cfg(epochs=1))[1].save(mnnd)
+    pl.train_cn(cn_samples, pl.TrainConfig(seed=3, extras={"n_trees": 2})).save(cn)
+    for cls, path, task in ((pl.InverseMNND, cn, "cn"), (pl.CNClassifier, mnnd, "mnnd")):
+        with pytest.raises(ValueError) as exc:
+            cls.load(path)
+        message = str(exc.value)
+        assert str(path) in message and repr(task) in message and repr(cls.task) in message
+
+
+def test_cyclic_forest_is_rejected_on_load(cn_samples, tmp_path):
+    """A child index that points back up the tree would send a walk round forever."""
+    path = tmp_path / "cn.json"
+    pl.train_cn(cn_samples, pl.TrainConfig(seed=3, extras={"n_trees": 3})).save(path)
+    doc = json.loads(path.read_text())
+    t, nodes = next((t, nodes) for t, nodes in enumerate(doc["forest"]["trees"])
+                    if "feature" in nodes[0])
+    nodes[0].update(left=0, right=0)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"^checkpoint .*cn\.json: tree {t} node 0 is neither a split"):
+        pl.load_checkpoint(path)
 
 
 def test_spectrum_models_reject_another_grid_length(mnnd_samples, neighbor_samples, cn_samples):
