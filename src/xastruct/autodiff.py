@@ -897,8 +897,11 @@ def _array_from_record(rec: dict) -> np.ndarray:
 
 def params_from_doc(doc: dict) -> tuple:
     """(header dict, name -> ndarray) of a parsed save_params document."""
+    params = doc["params"]
+    if not isinstance(params, dict):
+        raise ValueError(f"field 'params': expected a JSON object, got {type(params).__name__}")
     arrays = {}
-    for name, rec in doc["params"].items():
+    for name, rec in params.items():
         try:
             arrays[name] = _array_from_record(rec)
         except (TypeError, ValueError) as exc:

@@ -38,7 +38,7 @@ from .crystal import (
     Site,
     build_graph,
     extract_descriptors,
-    neighbor_list,
+    neighbor_search,
     read_structure,
     read_structures,
     site_index,
@@ -226,7 +226,7 @@ def synth_structure(rng, template: str, absorber: Element, scatterer: Element,
 
     Draws until the jittered cell still extracts the nominal coordination
     number, so label classes stay clean; the draw count is bounded. Returns
-    (structure, absorber, labels, absorber's neighbor_list at DESCRIPTOR_CUTOFF).
+    (structure, absorber, labels, absorber's neighbor_search at DESCRIPTOR_CUTOFF).
     """
     builder, _ = TEMPLATES[template]
     for _ in range(64):
@@ -241,7 +241,7 @@ def synth_structure(rng, template: str, absorber: Element, scatterer: Element,
             for site, delta in zip(sites, frac_jitter)
         )
         s = CrystalStructure(lattice=lattice, sites=jittered, id=sid)
-        neighbors = neighbor_list(s, absorber_index, DESCRIPTOR_CUTOFF)
+        neighbors = neighbor_search(s, absorber_index, DESCRIPTOR_CUTOFF)
         labels = extract_descriptors(s, absorber_index, neighbors=neighbors)
         if labels.cn == nominal_cn:
             return s, absorber_index, labels, neighbors
@@ -271,6 +271,7 @@ def synth_samples(cfg: dict):
     n_grid = int(cfg["n_grid"])
     cutoff = float(cfg["cutoff"])
 
+    oracle_inputs = {}  # absorber element -> (OracleParams, XANES grid, EXAFS grid)
     samples, structures = [], []
     for i in range(n):
         rng = np.random.default_rng([seed, i])
@@ -285,16 +286,15 @@ def synth_samples(cfg: dict):
         s, absorber_index, labels, neighbors = synth_structure(
             rng, template, absorber, scatterer, mnnd_range, strain, jitter, sid
         )
-        params = oracle.OracleParams.from_config(
-            cfg, e0_ev=oracle.default_edge_energy(s.sites[absorber_index].element)
-        )
-        xanes = oracle.synth_xanes(
-            labels, s.sites[absorber_index].element, params,
-            oracle.default_xanes_grid(params.e0_ev, n=n_grid), structure_id=sid,
-        )
+        element = s.sites[absorber_index].element
+        if element not in oracle_inputs:
+            params = oracle.OracleParams.from_config(cfg, e0_ev=oracle.default_edge_energy(element))
+            oracle_inputs[element] = (params, oracle.default_xanes_grid(params.e0_ev, n=n_grid),
+                                      oracle.default_exafs_grid(params.e0_ev, n=n_grid))
+        params, xanes_grid, exafs_grid = oracle_inputs[element]
+        xanes = oracle.synth_xanes(labels, element, params, xanes_grid, structure_id=sid)
         exafs = oracle.synth_exafs(
-            s, absorber_index, params,
-            oracle.default_exafs_grid(params.e0_ev, n=n_grid), cutoff=cutoff,
+            s, absorber_index, params, exafs_grid, cutoff=cutoff,
             neighbors=neighbors if cutoff == DESCRIPTOR_CUTOFF else None,
         )
         samples.append(LabeledSample(xanes=xanes, exafs=exafs, labels=labels))

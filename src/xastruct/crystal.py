@@ -4,12 +4,19 @@ Conventions: lattice rows are lattice vectors in angstroms, fractional
 coordinates live in [0, 1), and cartesian positions are ``frac @ basis``.
 Neighbor searches enumerate periodic images exhaustively inside a bound
 derived from the perpendicular cell heights; correctness over cleverness.
-Structure graphs hold their edges as index, distance and offset arrays, so
-a batch of graphs joins into one graph by offsetting node indices.
+`neighbor_search` returns one center's neighbors as sorted arrays (image
+offsets, site indices, distances), and the descriptors and the EXAFS shells
+read those arrays as they are; `neighbor_list` turns them into `Neighbor`
+tuples. What does not depend on the structure is built once per process:
+the image-offset grid of each search bound (read-only), the 27 shifts of the
+minimum-image check and one `Element` per symbol. Structure graphs hold
+their edges as index, distance and offset arrays, so a batch of graphs joins
+into one graph by offsetting node indices.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -37,7 +44,6 @@ _SYMBOLS = (
     "Md", "No", "Lr", "Rf", "Db", "Sg", "Bh", "Hs", "Mt", "Ds",
     "Rg", "Cn", "Nh", "Fl", "Mc", "Lv", "Ts", "Og",
 )
-_Z_BY_SYMBOL = {s: z + 1 for z, s in enumerate(_SYMBOLS)}
 
 
 class InvalidStructureError(ValueError):
@@ -68,10 +74,14 @@ class Element:
 
     @classmethod
     def from_symbol(cls, symbol: str) -> "Element":
+        """The one Element of `symbol`; elements are immutable, so every caller shares it."""
         try:
-            return cls(_Z_BY_SYMBOL[symbol])
+            return _ELEMENT_BY_SYMBOL[symbol]
         except KeyError:
             raise InvalidStructureError(f"unknown element symbol: {symbol!r}") from None
+
+
+_ELEMENT_BY_SYMBOL = {s: Element(z + 1) for z, s in enumerate(_SYMBOLS)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +94,7 @@ class Lattice:
         basis = np.asarray(self.basis, dtype=float)
         if basis.shape != (3, 3):
             raise InvalidStructureError(f"lattice basis must be 3x3, got {basis.shape}")
-        if not np.all(np.isfinite(basis)):
+        if not np.isfinite(basis).all():
             raise InvalidStructureError("lattice basis contains non-finite entries")
         if np.linalg.det(basis) <= 0:
             raise InvalidStructureError("lattice determinant must be strictly positive")
@@ -116,7 +126,7 @@ class Site:
 
     def __post_init__(self):
         frac = np.asarray(self.frac_coords, dtype=float)
-        if frac.shape != (3,) or not np.all(np.isfinite(frac)):
+        if frac.shape != (3,) or not np.isfinite(frac).all():
             raise InvalidStructureError("site coordinates must be a finite 3-vector")
         object.__setattr__(self, "frac_coords", frac - np.floor(frac))
 
@@ -147,9 +157,7 @@ class CrystalStructure:
         frac = self.frac_coords()
         diff = frac[:, None, :] - frac[None, :, :]
         diff -= np.round(diff)  # minimum image in fractional space
-        # nearby images cover skewed cells where rounding alone is not minimal
-        shifts = np.array(list(np.ndindex(3, 3, 3))) - 1
-        d = np.linalg.norm((diff + shifts[:, None, None, :]) @ self.lattice.basis, axis=-1)
+        d = np.linalg.norm((diff + _NEARBY_SHIFTS[:, None, None, :]) @ self.lattice.basis, axis=-1)
         d[:, np.eye(n, dtype=bool)] = np.inf
         return float(d.min())
 
@@ -163,10 +171,24 @@ class CrystalStructure:
         return len(self.sites)
 
 
+# the 27 image shifts in {-1, 0, 1}^3: nearby images cover skewed cells where
+# rounding to the minimum image alone is not minimal
+_NEARBY_SHIFTS = np.array(list(np.ndindex(3, 3, 3))) - 1
+_NEARBY_SHIFTS.flags.writeable = False
+
+
 class Neighbor(NamedTuple):
     index: int
     offset: tuple
     distance: float
+
+
+class Neighbors(NamedTuple):
+    """One center's neighbors as arrays, sorted by (distance, index, offset)."""
+
+    offsets: np.ndarray  # [K, 3] int, the lattice offset of each image
+    sites: np.ndarray  # [K] int, the site index of each image
+    dists: np.ndarray  # [K] float, the distance from the center
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +230,15 @@ class DescriptorLabels:
             raise ValueError("mnnd must be the mean of the shell distances")
 
 
+@functools.lru_cache(maxsize=64)
+def _offset_grid(bounds: tuple) -> np.ndarray:
+    """[T, 3] int lattice offsets with |T_i| <= bounds[i], in ij order; read-only, shared."""
+    axes = [np.arange(-b, b + 1) for b in bounds]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid.flags.writeable = False
+    return grid
+
+
 def _image_pairs(s: CrystalStructure, centers, cutoff: float) -> list:
     """(center, offset, site, distance) arrays of all pairs within ``cutoff`` of ``centers``.
 
@@ -217,9 +248,7 @@ def _image_pairs(s: CrystalStructure, centers, cutoff: float) -> list:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     # |T_i| <= ceil(cutoff / height_i) + 1 covers all images: fractional
     # site differences lie in (-1, 1) and |delta_i| <= cutoff / height_i.
-    bounds = [int(math.ceil(cutoff / h)) + 1 for h in s.lattice.heights()]
-    axes = [np.arange(-b, b + 1) for b in bounds]
-    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    offsets = _offset_grid(tuple(int(math.ceil(cutoff / h)) + 1 for h in s.lattice.heights()))
 
     frac = s.frac_coords()
     parts = []
@@ -231,32 +260,43 @@ def _image_pairs(s: CrystalStructure, centers, cutoff: float) -> list:
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _neighbors(offsets, sites, dists, rows) -> list:
-    return list(map(Neighbor, sites[rows].tolist(), map(tuple, offsets[rows].tolist()),
-                    dists[rows].tolist()))
+def _by_distance(offsets, sites, dists) -> np.ndarray:
+    """The row order by (distance, index, offset)."""
+    return np.lexsort((*offsets.T[::-1], sites, dists))
 
 
-def neighbor_list(s: CrystalStructure, center: int, cutoff: float) -> list:
-    """All (site, periodic image) pairs within ``cutoff`` of site ``center``.
+def _shell_size(dists, tol_factor: float) -> int:
+    """Length of the first shell: the prefix of ascending ``dists`` within tol_factor * d_min."""
+    if len(dists) == 0:
+        raise NoNeighborsError("cannot take the first shell of an empty neighbor list")
+    if tol_factor < 1:
+        raise ValueError(f"tol_factor must be >= 1, got {tol_factor}")
+    return int(np.count_nonzero(np.asarray(dists) <= tol_factor * dists[0]))
 
-    The self-image at zero offset is excluded. Sorted by (distance, index,
-    offset) so output order is deterministic.
+
+def neighbor_search(s: CrystalStructure, center: int, cutoff: float) -> Neighbors:
+    """All (site, periodic image) pairs within ``cutoff`` of site ``center``, as arrays.
+
+    The self-image at zero offset is excluded. Rows are sorted by (distance,
+    index, offset) so output order is deterministic.
     """
     if not 0 <= center < len(s):
         raise ValueError(f"center index {center} out of range")
     _, offsets, sites, dists = _image_pairs(s, [center], cutoff)
-    return _neighbors(offsets, sites, dists, np.lexsort((*offsets.T[::-1], sites, dists)))
+    order = _by_distance(offsets, sites, dists)
+    return Neighbors(offsets[order], sites[order], dists[order])
+
+
+def neighbor_list(s: CrystalStructure, center: int, cutoff: float) -> list:
+    """`neighbor_search` as a list of `Neighbor` tuples, in the same order."""
+    offsets, sites, dists = neighbor_search(s, center, cutoff)
+    return list(map(Neighbor, sites.tolist(), map(tuple, offsets.tolist()), dists.tolist()))
 
 
 def first_shell(neighbors: Sequence[Neighbor], tol_factor: float = 1.1) -> list:
     """Neighbors with distance <= tol_factor * d_min, ascending by distance."""
-    if not neighbors:
-        raise NoNeighborsError("cannot take the first shell of an empty neighbor list")
-    if tol_factor < 1:
-        raise ValueError(f"tol_factor must be >= 1, got {tol_factor}")
     ordered = sorted(neighbors, key=lambda nb: (nb.distance, nb.index, nb.offset))
-    d_min = ordered[0].distance
-    return [nb for nb in ordered if nb.distance <= tol_factor * d_min]
+    return ordered[:_shell_size([nb.distance for nb in ordered], tol_factor)]
 
 
 def build_graph(
@@ -276,8 +316,8 @@ def build_graph(
     mask[absorber] = 1.0
     own = np.flatnonzero(centers == absorber)
     if own.size:
-        for nb in first_shell(_neighbors(offsets, sites, dists, own), tol_factor):
-            mask[nb.index] = 1.0
+        own = own[_by_distance(offsets[own], sites[own], dists[own])]
+        mask[sites[own[: _shell_size(dists[own], tol_factor)]]] = 1.0
 
     return StructureGraph(
         node_elements=tuple(site.element for site in s.sites),
@@ -295,25 +335,25 @@ def extract_descriptors(
     absorber: int,
     tol_factor: float = 1.1,
     cutoff: float = DESCRIPTOR_CUTOFF,
-    neighbors: Sequence[Neighbor] = None,
+    neighbors: Neighbors = None,
 ) -> DescriptorLabels:
     """First-shell CN, mean distance, and dominant neighbor species.
 
     Ties in the species count break toward the lowest atomic number so the
     label always collapses to a single class. ``neighbors``, if given, is
-    ``neighbor_list(s, absorber, cutoff)`` computed by the caller.
+    ``neighbor_search(s, absorber, cutoff)`` computed by the caller.
     """
-    nbs = neighbor_list(s, absorber, cutoff) if neighbors is None else neighbors
-    if not nbs:
+    nbs = neighbor_search(s, absorber, cutoff) if neighbors is None else neighbors
+    if not nbs.dists.size:
         raise NoNeighborsError(
             f"site {absorber} has no neighbors within {cutoff} A"
         )
-    shell = first_shell(nbs, tol_factor)
-    distances = tuple(nb.distance for nb in shell)
-    counts = Counter(s.sites[nb.index].element for nb in shell)
+    n = _shell_size(nbs.dists, tol_factor)
+    distances = tuple(nbs.dists[:n].tolist())
+    counts = Counter(s.sites[j].element for j in nbs.sites[:n].tolist())
     dominant = min(counts, key=lambda el: (-counts[el], el.atomic_number))
     return DescriptorLabels(
-        cn=len(shell),
+        cn=n,
         mnnd=sum(distances) / len(distances),
         neighbor_type=dominant,
         shell_distances=distances,

@@ -29,8 +29,9 @@ from .crystal import (
     CrystalStructure,
     DescriptorLabels,
     Element,
+    Neighbors,
     NoNeighborsError,
-    neighbor_list,
+    neighbor_search,
 )
 from .spectra import EXAFS, XANES, EnergyGrid, Spectrum
 
@@ -142,21 +143,21 @@ def chi_shell(shell: ScatteringShell, params: OracleParams, k):
 
 def shells_from_structure(
     s: CrystalStructure, absorber: int, params: OracleParams, cutoff: float = SHELL_CUTOFF,
-    neighbors=None,
+    neighbors: Neighbors = None,
 ) -> list:
     """Collapse the periodic neighbor environment into discrete shells.
 
     Neighbors are grouped by (species, distance binned at 0.01 Angstrom);
     each shell's radius is the mean distance of its members, so lattice
     jitter moves the shell rather than splitting it. ``neighbors``, if
-    given, is ``neighbor_list(s, absorber, cutoff)`` computed by the caller.
+    given, is ``neighbor_search(s, absorber, cutoff)`` computed by the caller.
     """
-    neighbors = neighbor_list(s, absorber, cutoff) if neighbors is None else neighbors
-    if not neighbors:
+    neighbors = neighbor_search(s, absorber, cutoff) if neighbors is None else neighbors
+    dist = neighbors.dists
+    if not dist.size:
         raise NoNeighborsError(f"no neighbors within {cutoff} A of site {absorber}")
-    dist = np.array([nb.distance for nb in neighbors])
     site_z = np.array([site.element.atomic_number for site in s.sites])
-    z = site_z[[nb.index for nb in neighbors]]
+    z = site_z[neighbors.sites]
     bins = np.rint(dist / SHELL_BIN)  # round half to even, as round() does
     # stable: a shell's members keep the neighbor order that np.mean summed them in
     order = np.lexsort((z, bins))
@@ -183,7 +184,7 @@ def synth_exafs(
     grid: EnergyGrid,
     cutoff: float = SHELL_CUTOFF,
     edge: str = "K",
-    neighbors=None,
+    neighbors: Neighbors = None,
 ) -> Spectrum:
     """Oracle EXAFS spectrum: mu(E) = 1 + sum over shells of chi_shell(k(E))."""
     if grid.values[0] <= params.e0_ev:

@@ -361,7 +361,10 @@ def _save_neural(model: Module, path, header: dict, extra: dict) -> None:
 def _neural_from_doc(doc: dict, build) -> tuple:
     """(header, arrays, model): build(header, cfg) constructs it, then the arrays load in."""
     header, arrays = params_from_doc(doc)
-    model = build(header, TrainConfig(extras=header["arch"]))
+    arch = header["arch"]
+    if not isinstance(arch, dict):
+        raise ValueError(f"field 'header.arch': expected a JSON object, got {type(arch).__name__}")
+    model = build(header, TrainConfig(extras=arch))
     load_into(model.named_parameters(), arrays)
     model.load_buffers(arrays)
     model.element = header.get("element")

@@ -114,12 +114,15 @@ def split_dataset(samples, seed: int) -> tuple:
 
 
 def save_spectrum(sp: Spectrum, csv_path) -> None:
+    """The CSV, in one write, and its JSON sidecar.
+
+    The rows are the bytes csv.writer writes: fields formatted "%.10g" (never
+    quoted) and CRLF line ends.
+    """
     csv_path = Path(csv_path)
+    values = np.column_stack((sp.grid.values, sp.mu)).ravel().tolist()
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["energy_ev", "mu"])
-        for e, m in zip(sp.grid.values, sp.mu):
-            writer.writerow([f"{e:.10g}", f"{m:.10g}"])
+        fh.write("energy_ev,mu\r\n" + "%.10g,%.10g\r\n" * sp.grid.n % tuple(values))
     sidecar = {
         "kind": sp.kind,
         "edge": sp.edge,
@@ -198,6 +201,8 @@ def load_spectrum(csv_path) -> Spectrum:
     energies, mu = _read_columns(csv_path)
     sidecar = csv_path.with_suffix(".json")
     meta = read_json(sidecar)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: expected a JSON object, got {type(meta).__name__}")
     try:
         return Spectrum(
             grid=EnergyGrid(energies),
@@ -293,22 +298,27 @@ def labels_from_dict(d: dict) -> DescriptorLabels:
 
 
 def save_dataset(samples, manifest_path) -> None:
-    """Write each sample's spectra as CSV pairs next to a JSON-lines manifest."""
+    """Write each sample's spectra as CSV pairs next to a JSON-lines manifest.
+
+    The manifest is written in one write, after the spectra it names.
+    """
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     root.mkdir(parents=True, exist_ok=True)
+    lines = []
+    for i, sample in enumerate(samples):
+        xanes_rel = f"sample_{i:06d}_xanes.csv"
+        exafs_rel = f"sample_{i:06d}_exafs.csv"
+        save_spectrum(sample.xanes, root / xanes_rel)
+        save_spectrum(sample.exafs, root / exafs_rel)
+        record = {
+            "xanes": xanes_rel,
+            "exafs": exafs_rel,
+            "labels": labels_to_dict(sample.labels),
+        }
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
     with open(manifest_path, "w") as fh:
-        for i, sample in enumerate(samples):
-            xanes_rel = f"sample_{i:06d}_xanes.csv"
-            exafs_rel = f"sample_{i:06d}_exafs.csv"
-            save_spectrum(sample.xanes, root / xanes_rel)
-            save_spectrum(sample.exafs, root / exafs_rel)
-            record = {
-                "xanes": xanes_rel,
-                "exafs": exafs_rel,
-                "labels": labels_to_dict(sample.labels),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write("".join(lines))
 
 
 def load_dataset(manifest_path) -> list:

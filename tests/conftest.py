@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from xastruct.crystal import CrystalStructure, Element, Lattice, Site
+from xastruct.crystal import CrystalStructure, Element, InvalidStructureError, Lattice, Site
 
 
 def cubic_structure(a=3.0, symbol="Cu", sid="sc"):
@@ -46,6 +50,48 @@ def random_structure(rng, max_sites=8, sid="random"):
         except ValueError:
             continue
     raise RuntimeError("failed to draw a valid random structure")
+
+
+def basis_from_parameters(lengths, angles):
+    """Lattice rows of a cell with edge lengths (a, b, c) and angles (alpha, beta, gamma) in degrees.
+
+    a lies along x and b in the xy plane. Returns None for angles that close no cell.
+    """
+    a, b, c = lengths
+    cos_al, cos_be, cos_ga = (math.cos(math.radians(x)) for x in angles)
+    sin_ga = math.sin(math.radians(angles[2]))
+    cx = c * cos_be
+    cy = c * (cos_al - cos_be * cos_ga) / sin_ga
+    cz2 = c * c - cx * cx - cy * cy
+    if cz2 <= (0.2 * c) ** 2:  # flat cells make the image search large
+        return None
+    return np.array([[a, 0.0, 0.0], [b * cos_ga, b * sin_ga, 0.0], [cx, cy, math.sqrt(cz2)]])
+
+
+# symmetric positions give exact distance ties, so the (index, offset) order matters
+_FRACS = st.sampled_from([0.0, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def triclinic_structures(draw):
+    """A valid structure with a general triclinic cell, and a site index of it."""
+    lengths = draw(st.tuples(*[st.floats(2.5, 6.0)] * 3))
+    angles = draw(st.tuples(*[st.floats(60.0, 120.0)] * 3))
+    basis = basis_from_parameters(lengths, angles)
+    assume(basis is not None)
+    n = draw(st.integers(1, 5))
+    frac = draw(st.lists(st.tuples(_FRACS, _FRACS, _FRACS), min_size=n, max_size=n))
+    # few species, so shells often hold several and species counts tie
+    zs = draw(st.lists(st.sampled_from([8, 26, 29, 34]), min_size=n, max_size=n))
+    try:
+        s = CrystalStructure(
+            lattice=Lattice(basis),
+            sites=tuple(Site(Element(z), np.array(f)) for z, f in zip(zs, frac)),
+            id="triclinic",
+        )
+    except InvalidStructureError:
+        assume(False)
+    return s, draw(st.integers(0, n - 1))
 
 
 def brute_force_neighbors(s, center, cutoff, image_bound=None):

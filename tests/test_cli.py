@@ -48,6 +48,9 @@ GOLDEN_SYNTH = {
     "6.0": "b478fad5938d78add9bc5c64029de27696efc1d0238978c1de494aaac11903db",
     "5.0": "412adcc1651eaea63b8ed04476bb25963cf5605dd17832213e1a5a8a9ad9230e",
 }
+# sha256 of `extract`'s labels.jsonl for the mixed_data fixture's structures,
+# recorded before extract read the neighbor search's arrays directly
+GOLDEN_EXTRACT = "66426b03ed2b83708111c3553078967010abd706361cf562a22309127eaf2b53"
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +133,9 @@ class TestSynth:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cli, "neighbor_list", counted("synth", cli.neighbor_list))
-        monkeypatch.setattr(cli.oracle, "neighbor_list", counted("exafs", cli.oracle.neighbor_list))
+        monkeypatch.setattr(cli, "neighbor_search", counted("synth", cli.neighbor_search))
+        monkeypatch.setattr(cli.oracle, "neighbor_search",
+                            counted("exafs", cli.oracle.neighbor_search))
         cfg = dict(cli.CONFIG_DEFAULTS, n_samples="6", n_grid="40")
         cli.synth_samples(cfg)
         assert calls["synth"] >= 6 and calls["exafs"] == 0
@@ -236,6 +240,11 @@ class TestExtract:
         assert len(rows) == len(samples)
         for row in rows:
             assert row["cn"] == samples[row["id"]].labels.cn
+
+    def test_golden_bytes(self, mixed_data, tmp_path):
+        out = tmp_path / "labels"
+        assert cli.main(["extract", str(mixed_data / "structures.jsonl"), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "labels.jsonl").read_bytes()).hexdigest() == GOLDEN_EXTRACT
 
     def test_missing_file_exits_1(self, tmp_path):
         rc = cli.main(["extract", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")])
@@ -659,6 +668,23 @@ class TestEvalPredict:
                 assert rc == 1
                 err = capsys.readouterr().err
                 assert f"checkpoint {ckpt}:" in err and field in err, err
+
+    @pytest.mark.parametrize("field", ["header.arch", "params"])
+    def test_checkpoint_field_that_is_not_an_object_exits_1_naming_it(
+        self, mixed_data, mnnd_run, tmp_path, capsys, field
+    ):
+        doc = json.loads((mnnd_run / "mnnd_unified.json").read_text())
+        if field == "params":
+            doc["params"] = list(doc["params"])
+        else:
+            doc["header"]["arch"] = list(doc["header"]["arch"].items())
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(doc))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(mixed_data),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt}: field '{field}': expected a JSON object, got list" in err, err
 
     def test_forward_eval_builds_graphs_of_its_element_only(
         self, mixed_data, forward_run, tmp_path, monkeypatch

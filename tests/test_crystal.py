@@ -1,11 +1,15 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xastruct.crystal import (
     CrystalStructure,
+    DescriptorLabels,
     Element,
     InvalidStructureError,
     Lattice,
@@ -16,6 +20,7 @@ from xastruct.crystal import (
     extract_descriptors,
     first_shell,
     neighbor_list,
+    neighbor_search,
     read_structure,
     read_structures,
     structure_from_dict,
@@ -23,7 +28,13 @@ from xastruct.crystal import (
     write_structures,
 )
 
-from conftest import brute_force_neighbors, cubic_structure, random_structure, rocksalt_structure
+from conftest import (
+    brute_force_neighbors,
+    cubic_structure,
+    random_structure,
+    rocksalt_structure,
+    triclinic_structures,
+)
 
 
 def as_set(neighbors):
@@ -67,10 +78,20 @@ def reference_build_graph(s, absorber, cutoff, tol_factor=1.1):
     dists = np.array([r[3] for r in records], dtype=float)
     mask = np.zeros(len(s), dtype=float)
     mask[absorber] = 1.0
-    if per_site[absorber]:
-        for nb in first_shell(per_site[absorber], tol_factor):
+    for nb in per_site[absorber]:  # sorted by distance
+        if nb.distance <= tol_factor * per_site[absorber][0].distance:
             mask[nb.index] = 1.0
     return edges, dists, offsets, mask
+
+
+def reference_extract_descriptors(s, absorber, neighbors, tol_factor=1.1):
+    """The labels as read from a list of Neighbor tuples: a sorted, filtered list and a Counter."""
+    ordered = sorted(neighbors, key=lambda nb: (nb.distance, nb.index, nb.offset))
+    shell = [nb for nb in ordered if nb.distance <= tol_factor * ordered[0].distance]
+    distances = tuple(nb.distance for nb in shell)
+    counts = Counter(s.sites[nb.index].element for nb in shell)
+    dominant = min(counts, key=lambda el: (-counts[el], el.atomic_number))
+    return DescriptorLabels(len(shell), sum(distances) / len(distances), dominant, distances)
 
 
 def assert_same_array(got, want):
@@ -225,6 +246,39 @@ class TestNeighborList:
                 assert got == reference_neighbor_list(s, center, float(cutoff))
                 assert all(type(nb.index) is int and type(nb.distance) is float for nb in got)
                 assert all(type(c) is int for nb in got for c in nb.offset)
+
+
+class TestArraySearchProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(structure=triclinic_structures(), cutoff=st.floats(1.0, 7.0))
+    def test_neighbor_list_equals_brute_force(self, structure, cutoff):
+        s, center = structure
+        got = [(nb.index, nb.offset, round(nb.distance, 9)) for nb in neighbor_list(s, center, cutoff)]
+        want = [(j, t, round(d, 9)) for j, t, d in brute_force_neighbors(s, center, cutoff)]
+        assert sorted(got) == sorted(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(structure=triclinic_structures(), cutoff=st.floats(1.0, 7.0),
+           tol_factor=st.floats(1.0, 1.5))
+    def test_labels_equal_the_neighbor_list_path(self, structure, cutoff, tol_factor):
+        s, center = structure
+        found = neighbor_search(s, center, cutoff)
+        listed = neighbor_list(s, center, cutoff)
+        assert listed == [Neighbor(j, tuple(t), d) for j, t, d in
+                          zip(found.sites.tolist(), found.offsets.tolist(), found.dists.tolist())]
+        if not listed:
+            with pytest.raises(NoNeighborsError):
+                extract_descriptors(s, center, tol_factor, cutoff)
+            return
+        got = extract_descriptors(s, center, tol_factor, cutoff)
+        want = reference_extract_descriptors(s, center, listed, tol_factor)
+        assert got == want
+        assert got.neighbor_type.symbol == want.neighbor_type.symbol
+        assert (np.array([got.mnnd, *got.shell_distances]).tobytes()
+                == np.array([want.mnnd, *want.shell_distances]).tobytes())
+        shell = first_shell(listed, tol_factor)
+        assert [nb.distance for nb in shell] == list(got.shell_distances)
+        assert extract_descriptors(s, center, tol_factor, cutoff, neighbors=found) == got
 
 
 class TestFirstShell:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xastruct.crystal import (
     CrystalStructure,
@@ -29,7 +31,13 @@ from xastruct.exafs_oracle import (
 )
 from xastruct.spectra import EnergyGrid
 
-from conftest import brute_force_neighbors, cubic_structure, random_structure, rocksalt_structure
+from conftest import (
+    brute_force_neighbors,
+    cubic_structure,
+    random_structure,
+    rocksalt_structure,
+    triclinic_structures,
+)
 from helpers import cscl, fcc, fluorite, rocksalt
 
 P = OracleParams()
@@ -250,15 +258,30 @@ class TestSynthExafs:
                 checked += 1
         assert checked > 30
 
+    @settings(max_examples=60, deadline=None)
+    @given(structure=triclinic_structures(), cutoff=st.floats(1.0, 7.0))
+    def test_shells_equal_the_neighbor_list_path(self, structure, cutoff):
+        s, absorber = structure
+        listed = neighbor_list(s, absorber, cutoff)
+        if not listed:
+            with pytest.raises(NoNeighborsError):
+                shells_from_structure(s, absorber, P, cutoff)
+            return
+        got = shells_from_structure(s, absorber, P, cutoff)
+        want = reference_shells(s, absorber, P, cutoff)
+        assert got == want
+        assert (np.array([sh.radius for sh in got]).tobytes()
+                == np.array([sh.radius for sh in want]).tobytes())
+
     def test_given_neighbors_replace_the_search(self, monkeypatch):
         from xastruct import exafs_oracle
-        from xastruct.crystal import neighbor_list
+        from xastruct.crystal import neighbor_search
 
         s = rocksalt_structure()
         grid = default_exafs_grid(P.e0_ev)
-        nbs = neighbor_list(s, 0, 6.0)
+        nbs = neighbor_search(s, 0, 6.0)
         want = synth_exafs(s, 0, P, grid).mu
-        monkeypatch.setattr(exafs_oracle, "neighbor_list", None)
+        monkeypatch.setattr(exafs_oracle, "neighbor_search", None)
         assert synth_exafs(s, 0, P, grid, neighbors=nbs).mu.tobytes() == want.tobytes()
 
     def test_translation_invariance(self):

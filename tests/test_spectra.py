@@ -138,6 +138,14 @@ class TestIo:
         assert loaded.absorber == sp.absorber
         assert loaded.structure_id == sp.structure_id
 
+    @pytest.mark.parametrize("sidecar", ['["K"]', '"XANES"', "3", "null"])
+    def test_sidecar_that_is_not_an_object_names_the_sidecar(self, tmp_path, sidecar):
+        save_spectrum(step_spectrum(), tmp_path / "cu.csv")
+        (tmp_path / "cu.json").write_text(sidecar)
+        with pytest.raises(ValueError, match="expected a JSON object") as err:
+            load_spectrum(tmp_path / "cu.csv")
+        assert str(err.value).startswith(f"{tmp_path / 'cu.json'}: ")
+
     def test_dataset_round_trip(self, tmp_path):
         labels = DescriptorLabels(2, 2.5, CU, (2.0, 3.0))
         samples = []
@@ -195,6 +203,15 @@ def reference_load_spectrum(csv_path) -> Spectrum:
         if bad.size:
             raise ValueError(f"{csv_path}:{bad[0] + 2}: non-finite value") from None
         raise ValueError(f"{csv_path}: {exc}") from None
+
+
+def reference_save_spectrum_csv(sp: Spectrum, csv_path) -> None:
+    """save_spectrum's CSV as it was written row by row through csv.writer."""
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["energy_ev", "mu"])
+        for e, m in zip(sp.grid.values, sp.mu):
+            writer.writerow([f"{e:.10g}", f"{m:.10g}"])
 
 
 def _outcome(load, path):
@@ -289,6 +306,30 @@ class TestReaderMatchesCsvReference:
         expect = np.array([float(f"{x:.10g}") for x in mu])
         assert loaded.grid.values.tobytes() == energies.tobytes()
         assert loaded.mu.tobytes() == expect.tobytes()
+
+    def test_saved_bytes_match_the_csv_writer_reference(self, tmp_path):
+        # -0.0, a subnormal-adjacent tiny value, a huge one, and values that
+        # round at the tenth significant digit (half-way cases included)
+        energies = [-0.0, 1e-300, 0.99999999995, 1.00000000005, 1.2345678905, 123456789.05,
+                    9999999999.5, 1e+22]
+        mu = [-0.0, 1e-300, -1e+22, 1e+22, 2.5e-5, -0.12345678905, 99999999995.0, 7.0]
+        sp = make_spectrum(energies, mu)
+        save_spectrum(sp, tmp_path / "a.csv")
+        reference_save_spectrum_csv(sp, tmp_path / "b.csv")
+        text = (tmp_path / "a.csv").read_bytes()
+        assert text == (tmp_path / "b.csv").read_bytes()
+        assert b"-0,-0\r\n" in text and b"1e+22,7\r\n" in text
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+                           max_size=30, unique=True))
+    def test_saved_bytes_match_the_csv_writer_reference_on_any_floats(self, tmp_path, values):
+        energies = np.sort(np.array(values))
+        sp = make_spectrum(energies, energies[::-1])
+        save_spectrum(sp, tmp_path / "a.csv")
+        reference_save_spectrum_csv(sp, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_written_files_take_the_single_pass(self, tmp_path, monkeypatch):
         sp = step_spectrum()
