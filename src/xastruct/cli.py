@@ -269,7 +269,7 @@ def synth_samples(cfg: dict):
         if value < 0:
             raise UsageError(f"config key {key!r} must be non-negative, got {value}")
     n_grid = int(cfg["n_grid"])
-    cutoff = float(cfg["cutoff"])
+    cutoff = _cutoff(cfg)
 
     oracle_inputs = {}  # absorber element -> (OracleParams, XANES grid, EXAFS grid)
     samples, structures = [], []
@@ -309,6 +309,16 @@ def synth_dataset(cfg: dict, out_dir: Path):
     return samples, structures
 
 
+def _cutoff(cfg: dict) -> float:
+    """The `cutoff` config key: a neighbor distance in angstroms, positive and finite."""
+    try:
+        if 0 < float(cfg["cutoff"]) < np.inf:
+            return float(cfg["cutoff"])
+    except ValueError:
+        pass
+    raise UsageError(f"config key 'cutoff' must be a positive, finite distance, got {cfg['cutoff']!r}")
+
+
 def _absorber(cfg: dict, s: CrystalStructure, absorber: int) -> int:
     """The site index that the `absorber` config key sets, else the record's `absorber`."""
     if cfg["absorber"]:
@@ -329,29 +339,32 @@ def _samples(data_dir: Path, cfg: dict, model=None) -> list:
 
 def _forward_pairs(data_dir: Path, cfg: dict, model=None) -> list:
     """(graph, spectrum) pairs of the forward_kind spectra; for a model, its kind and element's."""
+    cutoff = _cutoff(cfg)
     if model is None:
         kind, element = cfg["forward_kind"], None
         if kind not in ("XANES", "EXAFS"):
             raise UsageError(f"forward_kind must be XANES or EXAFS, got {kind!r}")
     else:
         kind, element = model.kind, model.element
-    samples = load_dataset(data_dir / "manifest.jsonl")
-    structures = {s.id: (s, a) for s, a in read_structures(data_dir / "structures.jsonl")}
+    manifest, structures_path = data_dir / "manifest.jsonl", data_dir / "structures.jsonl"
+    samples = load_dataset(manifest)
+    structures = {s.id: (s, a) for s, a in read_structures(structures_path)}
     pairs = []
     for sample in samples:
         sp = sample.xanes if kind == "XANES" else sample.exafs
         if sp.structure_id not in structures:
-            raise ValueError(f"spectrum references unknown structure id {sp.structure_id!r}")
+            raise ValueError(f"{manifest}: a spectrum references structure id "
+                             f"{sp.structure_id!r}, which {structures_path} does not hold")
         if element is None or sp.absorber.symbol == element:
             s, absorber = structures[sp.structure_id]
-            pairs.append((build_graph(s, absorber, float(cfg["cutoff"])), sp))
+            pairs.append((build_graph(s, absorber, cutoff), sp))
     return pairs
 
 
 def _predict_spectrum(model, path, cfg: dict, out_dir: Path) -> dict:
     """Write the spectrum of the input structure file's absorber as spectrum.csv."""
     s, absorber = read_structure(path)
-    g = build_graph(s, _absorber(cfg, s, absorber), float(cfg["cutoff"]))
+    g = build_graph(s, _absorber(cfg, s, absorber), _cutoff(cfg))
     sp = Spectrum(
         grid=EnergyGrid(model.grid_values), mu=pl.forward_predict(model, g), kind=model.kind,
         edge=model.edge, absorber=Element.from_symbol(model.element), structure_id=s.id,

@@ -9,8 +9,9 @@ offsets, site indices, distances), and the descriptors and the EXAFS shells
 read those arrays as they are; `neighbor_list` turns them into `Neighbor`
 tuples. What does not depend on the structure is built once per process:
 the image-offset grid of each search bound (read-only), the 27 shifts of the
-minimum-image check and one `Element` per symbol. Structure graphs hold
-their edges as index, distance and offset arrays, so a batch of graphs joins
+minimum-image check and one `Element` per symbol. A structure graph holds
+one edge row per distinct (receiver, sender, distance) with its count of
+periodic images, the form the encoder reads, so a batch of graphs joins
 into one graph by offsetting node indices.
 """
 
@@ -113,9 +114,6 @@ class Lattice:
         cross = b[:, [1, 2, 0]] * c[:, [2, 0, 1]] - b[:, [2, 0, 1]] * c[:, [1, 2, 0]]
         return self.volume / np.linalg.norm(cross, axis=1)
 
-    def to_cart(self, frac: np.ndarray) -> np.ndarray:
-        return np.asarray(frac, dtype=float) @ self.basis
-
 
 @dataclass(frozen=True, eq=False)
 class Site:
@@ -164,9 +162,6 @@ class CrystalStructure:
     def frac_coords(self) -> np.ndarray:
         return np.array([s.frac_coords for s in self.sites])
 
-    def cart_coords(self) -> np.ndarray:
-        return self.lattice.to_cart(self.frac_coords())
-
     def __len__(self) -> int:
         return len(self.sites)
 
@@ -195,20 +190,21 @@ class Neighbors(NamedTuple):
 class StructureGraph:
     """Distance-cutoff graph over a structure's sites with periodic images.
 
-    One directed edge per (site i, image of site j) pair within the cutoff,
-    stored as arrays sorted by (i, j, offset): ``edges`` [E, 2] int holds
-    (i, j), ``edge_dist`` [E] the distance and ``edge_offset`` [E, 3] int
-    the lattice offset of j's image. Each node's incoming edges are one run
-    of rows, so messages sum by segment. ``mask`` is 1 on the absorber and
-    its first-shell neighbors, 0 elsewhere.
+    ``node_z`` [V] int holds each site's atomic number. The images of site
+    j within the cutoff of site i are directed edges i <- j; those that
+    share i, j and the bits of their distance (the +L and -L self images,
+    for one) carry the same message, so they are stored as one row, sorted
+    by (i, j, distance): ``edges`` [E, 2] int holds (i, j), ``edge_dist``
+    [E] the distance and ``edge_mult`` [E] float the number of images.
+    Each node's incoming edges are one run of rows, so messages sum by
+    segment. ``mask`` is 1 on the absorber and its first-shell neighbors,
+    0 elsewhere.
     """
 
-    node_elements: tuple
-    node_cart: np.ndarray
+    node_z: np.ndarray
     edges: np.ndarray
     edge_dist: np.ndarray
-    edge_offset: np.ndarray
-    absorber_index: int
+    edge_mult: np.ndarray
     mask: np.ndarray
 
 
@@ -244,8 +240,8 @@ def _image_pairs(s: CrystalStructure, centers, cutoff: float) -> list:
 
     The self-image at zero offset is excluded. One [T, N] block per center.
     """
-    if cutoff <= 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    if not 0 < cutoff < math.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     # |T_i| <= ceil(cutoff / height_i) + 1 covers all images: fractional
     # site differences lie in (-1, 1) and |delta_i| <= cutoff / height_i.
     offsets = _offset_grid(tuple(int(math.ceil(cutoff / h)) + 1 for h in s.lattice.heights()))
@@ -258,11 +254,6 @@ def _image_pairs(s: CrystalStructure, centers, cutoff: float) -> list:
         t_idx, site_idx = np.nonzero((dists <= cutoff) & (dists > 0))
         parts.append((np.full(t_idx.size, center), offsets[t_idx], site_idx, dists[t_idx, site_idx]))
     return [np.concatenate(column) for column in zip(*parts)]
-
-
-def _by_distance(offsets, sites, dists) -> np.ndarray:
-    """The row order by (distance, index, offset)."""
-    return np.lexsort((*offsets.T[::-1], sites, dists))
 
 
 def _shell_size(dists, tol_factor: float) -> int:
@@ -283,7 +274,7 @@ def neighbor_search(s: CrystalStructure, center: int, cutoff: float) -> Neighbor
     if not 0 <= center < len(s):
         raise ValueError(f"center index {center} out of range")
     _, offsets, sites, dists = _image_pairs(s, [center], cutoff)
-    order = _by_distance(offsets, sites, dists)
+    order = np.lexsort((*offsets.T[::-1], sites, dists))
     return Neighbors(offsets[order], sites[order], dists[order])
 
 
@@ -305,27 +296,31 @@ def build_graph(
     cutoff: float,
     tol_factor: float = 1.1,
 ) -> StructureGraph:
-    """Cutoff graph with one node per site and one directed edge per periodic image."""
+    """Cutoff graph with one node per site and one edge row per distinct image distance."""
     if not 0 <= absorber < len(s):
         raise ValueError(f"absorber index {absorber} out of range")
 
-    centers, offsets, sites, dists = _image_pairs(s, range(len(s)), cutoff)
-    order = np.lexsort((*offsets.T[::-1], sites, centers))
+    i, _, j, dist = _image_pairs(s, range(len(s)), cutoff)
+    order = np.lexsort((dist, j, i))
+    i, j, dist = i[order], j[order], dist[order]
+    # distances are positive and finite: equal values are equal bits
+    first = np.ones(len(i), dtype=bool)
+    first[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1]) | (dist[1:] != dist[:-1])
+    starts = np.flatnonzero(first)
+    i, j, dist, mult = i[starts], j[starts], dist[starts], np.diff(np.append(starts, len(order)))
 
     mask = np.zeros(len(s), dtype=float)
     mask[absorber] = 1.0
-    own = np.flatnonzero(centers == absorber)
+    own = np.flatnonzero(i == absorber)
     if own.size:
-        own = own[_by_distance(offsets[own], sites[own], dists[own])]
-        mask[sites[own[: _shell_size(dists[own], tol_factor)]]] = 1.0
+        own = own[np.argsort(dist[own], kind="stable")]
+        mask[j[own[: _shell_size(dist[own], tol_factor)]]] = 1.0
 
     return StructureGraph(
-        node_elements=tuple(site.element for site in s.sites),
-        node_cart=s.cart_coords(),
-        edges=np.stack([centers[order], sites[order]], axis=1),
-        edge_dist=dists[order],
-        edge_offset=offsets[order],
-        absorber_index=absorber,
+        node_z=np.array([site.element.atomic_number for site in s.sites]),
+        edges=np.stack([i, j], axis=1),
+        edge_dist=dist,
+        edge_mult=mult.astype(float),
         mask=mask,
     )
 

@@ -86,6 +86,8 @@ class OracleParams:
     r_phase: float = 0.35
 
     def __post_init__(self):
+        if not 0 < self.e0_ev < math.inf:
+            raise ValueError(f"e0_ev must be positive and finite, got {self.e0_ev}")
         if not 0 < self.s0_squared <= 1.2:
             raise ValueError(f"s0_squared must lie in (0, 1.2], got {self.s0_squared}")
         # mean free path must stay positive over the working k-range (0, 16]
@@ -94,12 +96,11 @@ class OracleParams:
 
     @classmethod
     def from_config(cls, cfg: dict, e0_ev=None) -> "OracleParams":
-        kwargs = {}
+        """The parameters that cfg sets, else the defaults; e0_ev, if given, is the default edge."""
+        kwargs = {} if e0_ev is None else {"e0_ev": float(e0_ev)}
         for key in ("s0_squared", "e0_ev", "lambda_a", "lambda_b", "amp_scale", "sigma2", "r_phase"):
             if key in cfg:
                 kwargs[key] = float(cfg[key])
-        if e0_ev is not None:
-            kwargs["e0_ev"] = float(e0_ev)
         return cls(**kwargs)
 
 

@@ -197,12 +197,11 @@ class MPEncoder(Module):
     relabels rows of the output.
 
     Work is spent only on rows that reach the output:
-      * One message per distinct (i, j, d_ij). Edges to periodic images
-        that share their receiver, sender and distance bits (the +L and -L
-        self images, for one) carry the same message, so each round runs
-        the message SGMLP once per distinct row and weights the row by its
-        multiplicity in the receiver's segment sum. Rows stay sorted by
-        receiver.
+      * One message per distinct (i, j, d_ij). The graphs store the
+        periodic images that share their receiver, sender and distance
+        bits as one edge row with a multiplicity (see StructureGraph), so
+        each round runs the message SGMLP once per row and weights the row
+        by its multiplicity in the receiver's segment sum.
       * pooled() runs the last round only for the nodes its readout
         weights by a nonzero amount: along the edges into them, and their
         updates. Other nodes' last-round values reach the readout only
@@ -234,17 +233,16 @@ class MPEncoder(Module):
         With out_nodes, sorted row indices, only those rows; the last round
         then computes them alone.
         """
-        sizes = [len(g.node_elements) for g in graphs]
+        sizes = [len(g.node_z) for g in graphs]
         if not sizes or min(sizes) == 0:
             raise ValueError("cannot encode an empty graph or an empty batch")
         starts = np.cumsum([0] + sizes[:-1])
-        z = [el.atomic_number for g in graphs for el in g.node_elements]
-        edges = np.concatenate([g.edges + start for g, start in zip(graphs, starts)])
-        i, j, dists, mult = _distinct_edges(
-            edges[:, 0], edges[:, 1], np.concatenate([g.edge_dist for g in graphs]))
+        i, j = np.concatenate([g.edges + start for g, start in zip(graphs, starts)]).T.copy()
+        dists = np.concatenate([g.edge_dist for g in graphs])
+        mult = np.concatenate([g.edge_mult for g in graphs])
         # a constant array: the message layers compute no gradient for it
         feats = rbf_features(dists, self.centers, self.width)
-        H = gather_rows(self.embedding, z)
+        H = gather_rows(self.embedding, np.concatenate([g.node_z for g in graphs]))
         for t, rnd in enumerate(self.round, 1):
             H = self._round(rnd, H, feats, i, j, mult, out_nodes if t == len(self.round) else None)
         return H if out_nodes is None or self.round else gather_rows(H, out_nodes)
@@ -279,15 +277,3 @@ class MPEncoder(Module):
         read = np.flatnonzero(weights)
         return segment_sum(self(graphs, read), graph_of[read], len(graphs), weights=weights[read])
 
-
-def _distinct_edges(i, j, dist):
-    """(i, j, dist, multiplicity) of the distinct (i, j, dist bits) rows, sorted by them."""
-    dist = np.asarray(dist, dtype=np.float64)
-    bits = dist.view(np.int64)  # distances are positive: their bits sort as they do
-    order = np.lexsort((bits, j, i))
-    i, j, dist, bits = i[order], j[order], dist[order], bits[order]
-    first = np.ones(len(i), dtype=bool)
-    first[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1]) | (bits[1:] != bits[:-1])
-    starts = np.flatnonzero(first)
-    mult = np.diff(np.append(starts, len(i))).astype(float)
-    return i[starts], j[starts], dist[starts], mult

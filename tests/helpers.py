@@ -1,9 +1,21 @@
-"""Sample builders shared by the pipeline and acceptance tests."""
+"""Sample builders shared by the pipeline and acceptance tests, and the
+per-image graph that the encoder references are built on."""
+
+from typing import NamedTuple
 
 import numpy as np
 
 from xastruct import exafs_oracle as oracle
-from xastruct.crystal import CrystalStructure, Element, Lattice, Site, build_graph, extract_descriptors
+from xastruct.crystal import (
+    CrystalStructure,
+    Element,
+    Lattice,
+    Site,
+    build_graph,
+    extract_descriptors,
+    first_shell,
+    neighbor_list,
+)
 from xastruct.spectra import LabeledSample
 
 
@@ -65,6 +77,31 @@ def fluorite(a: float, cation: str = "Ca", anion: str = "F", sid: str = "") -> C
     )
     return CrystalStructure(
         lattice=Lattice(np.eye(3) * a), sites=sites, id=sid or f"fl-{cation}{anion}-{a:.4f}"
+    )
+
+
+class ImageGraph(NamedTuple):
+    """A structure graph with one edge per periodic image, built from neighbor lists."""
+
+    node_z: np.ndarray  # [V] int
+    edges: np.ndarray  # [E, 2] int, (i, j) of each image of j around i, sorted by (i, j, offset)
+    edge_dist: np.ndarray  # [E]
+    mask: np.ndarray  # [V], 1 on the absorber and its first shell
+
+
+def image_graph(s: CrystalStructure, absorber: int, cutoff: float, tol_factor: float = 1.1):
+    """The graph of build_graph(s, absorber, cutoff) before images of one distance share a row."""
+    rows = sorted((i, nb.index, nb.offset, nb.distance)
+                  for i in range(len(s)) for nb in neighbor_list(s, i, cutoff))
+    mask = np.zeros(len(s))
+    mask[absorber] = 1.0
+    own = neighbor_list(s, absorber, cutoff)
+    mask[[nb.index for nb in (first_shell(own, tol_factor) if own else [])]] = 1.0
+    return ImageGraph(
+        node_z=np.array([site.element.atomic_number for site in s.sites]),
+        edges=np.array([r[:2] for r in rows], dtype=int).reshape(-1, 2),
+        edge_dist=np.array([r[3] for r in rows], dtype=float),
+        mask=mask,
     )
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from xastruct import cli, gradcheck
-from xastruct.crystal import extract_descriptors, structure_from_dict
+from xastruct import exafs_oracle as oracle
+from xastruct.crystal import Element, extract_descriptors, structure_from_dict
 from xastruct.spectra import load_dataset, load_spectrum
 
 TINY_MNND = [
@@ -123,6 +124,26 @@ class TestSynth:
         assert cli.main(["synth", "--out", str(out), "--seed", "7", "--set", "n_samples=24",
                          "--set", "n_grid=40", "--set", "cutoff=5.0"]) == 0
         assert tree_sha256(out) == GOLDEN_SYNTH["5.0"]
+
+    def test_set_edge_energy_moves_both_grids(self, tmp_path):
+        argv = ["--seed", "7", "--set", "n_samples=4", "--set", "n_grid=40",
+                "--set", "elements=Cu,Zn"]
+        assert cli.main(["synth", "--out", str(tmp_path / "default"), *argv]) == 0
+        assert cli.main(["synth", "--out", str(tmp_path / "set"), *argv,
+                         "--set", "e0_ev=5000"]) == 0
+        def grids(e0):
+            return (oracle.default_xanes_grid(e0, n=40).values,
+                    oracle.default_exafs_grid(e0, n=40).values)
+
+        default = load_dataset(tmp_path / "default" / "manifest.jsonl")
+        for sample, base in zip(load_dataset(tmp_path / "set" / "manifest.jsonl"), default):
+            assert sample.labels == base.labels
+            own = oracle.default_edge_energy(Element.from_symbol(base.xanes.absorber.symbol))
+            # the CSV keeps ten significant digits
+            for got, want in [((sample.xanes, sample.exafs), grids(5000.0)),
+                              ((base.xanes, base.exafs), grids(own))]:
+                for sp, grid in zip(got, want):
+                    assert np.allclose(sp.grid.values, grid, rtol=1e-9, atol=0), sp.kind
 
     def test_one_neighbor_search_per_draw(self, monkeypatch):
         calls = Counter()
@@ -385,6 +406,37 @@ def test_bad_absorber_setting_exits_1_naming_the_key(command, value, cu_data, fo
     err = capsys.readouterr().err
     assert rc == 1, err
     assert "config key 'absorber'" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "predict"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_bad_cutoff_is_usage_error_naming_the_key(command, value, cu_data, forward_run,
+                                                  tmp_path, capsys):
+    ckpt = str(forward_run / "forward_Cu_XANES.json")
+    one = tmp_path / "one.json"
+    one.write_text((cu_data / "structures.jsonl").read_text().splitlines()[0])
+    argv = {"synth": ["synth", "--set", "n_samples=2"],
+            "train": ["train", "--task", "forward", "--data", str(cu_data)],
+            "eval": ["eval", "--checkpoint", ckpt, "--data", str(cu_data)],
+            "predict": ["predict", "--checkpoint", ckpt, "--input", str(one)]}[command]
+    rc = cli.main([*argv, "--set", f"cutoff={value}", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "config key 'cutoff'" in err and "Traceback" not in err, err
+
+
+def test_unknown_structure_id_names_both_files(cu_data, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(cu_data, data)
+    lines = (data / "structures.jsonl").read_text().splitlines(keepends=True)
+    (data / "structures.jsonl").write_text("".join(lines[1:]))
+    missing = json.loads(lines[0])["id"]
+    rc = cli.main(["train", "--task", "forward", "--data", str(data),
+                   "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    for part in (str(data / "manifest.jsonl"), str(data / "structures.jsonl"), repr(missing)):
+        assert part in err, err
 
 
 class TestTrain:

@@ -35,6 +35,7 @@ from conftest import (
     rocksalt_structure,
     triclinic_structures,
 )
+from helpers import image_graph
 
 
 def as_set(neighbors):
@@ -66,7 +67,7 @@ def reference_neighbor_list(s, center, cutoff):
 
 
 def reference_build_graph(s, absorber, cutoff, tol_factor=1.1):
-    """(edges, edge_dist, edge_offset, mask) assembled from one reference neighbor list per site."""
+    """(edges, dists, offsets, mask), one edge per periodic image, from one reference neighbor list per site."""
     records, per_site = [], []
     for i in range(len(s)):
         nbs = reference_neighbor_list(s, i, cutoff)
@@ -82,6 +83,15 @@ def reference_build_graph(s, absorber, cutoff, tol_factor=1.1):
         if nb.distance <= tol_factor * per_site[absorber][0].distance:
             mask[nb.index] = 1.0
     return edges, dists, offsets, mask
+
+
+def reference_rows(edges, dists):
+    """(edges, dists, counts) of the distinct (i, j, distance) of per-image edges, sorted by them."""
+    counts = Counter(zip(edges[:, 0].tolist(), edges[:, 1].tolist(), dists.tolist()))
+    rows = sorted(counts)
+    return (np.array([r[:2] for r in rows], dtype=int).reshape(-1, 2),
+            np.array([r[2] for r in rows], dtype=float),
+            np.array([counts[r] for r in rows], dtype=float))
 
 
 def reference_extract_descriptors(s, absorber, neighbors, tol_factor=1.1):
@@ -231,8 +241,9 @@ class TestNeighborList:
 
     def test_bad_arguments(self):
         s = cubic_structure()
-        with pytest.raises(ValueError):
-            neighbor_list(s, 0, -1.0)
+        for cutoff in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="cutoff"):
+                neighbor_list(s, 0, cutoff)
         with pytest.raises(ValueError):
             neighbor_list(s, 5, 3.0)
 
@@ -281,6 +292,36 @@ class TestArraySearchProperties:
         assert extract_descriptors(s, center, tol_factor, cutoff, neighbors=found) == got
 
 
+class TestGraphRowProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(structure=triclinic_structures(), cutoff=st.floats(1.0, 7.0))
+    def test_rows_expand_to_the_neighbor_lists(self, structure, cutoff):
+        s, absorber = structure
+        g = build_graph(s, absorber, cutoff)
+        keys = list(zip(g.edges[:, 0].tolist(), g.edges[:, 1].tolist(), g.edge_dist.tolist()))
+        assert keys == sorted(set(keys))
+        assert (g.edge_mult >= 1).all() and (g.edge_mult == np.round(g.edge_mult)).all()
+        expanded = Counter(dict(zip(keys, g.edge_mult.astype(int).tolist())))
+        assert expanded == Counter((i, nb.index, nb.distance)
+                                   for i in range(len(s)) for nb in neighbor_list(s, i, cutoff))
+
+    @settings(max_examples=30, deadline=None)
+    @given(structures=st.lists(triclinic_structures(), min_size=1, max_size=3),
+           cutoff=st.floats(1.0, 6.0))
+    def test_batch_rows_are_the_graph_rows_offset(self, structures, cutoff):
+        graphs = [build_graph(s, absorber, cutoff) for s, absorber in structures]
+        images = [image_graph(s, absorber, cutoff) for s, absorber in structures]
+        starts = np.cumsum([0] + [len(s) for s, _ in structures[:-1]])
+        # the distinct rows of the batch's per-image union
+        edges, dists, mult = reference_rows(
+            np.concatenate([g.edges + start for g, start in zip(images, starts)]),
+            np.concatenate([g.edge_dist for g in images]))
+        assert_same_array(np.concatenate([g.edges + start for g, start in zip(graphs, starts)]), edges)
+        assert np.concatenate([g.edge_dist for g in graphs]).tobytes() == dists.tobytes()
+        assert np.concatenate([g.edge_mult for g in graphs]).tobytes() == mult.tobytes()
+        assert all(g.mask.tobytes() == image.mask.tobytes() for g, image in zip(graphs, images))
+
+
 class TestFirstShell:
     def test_tolerance_keeps_near_minimum(self):
         nbs = neighbor_list(cubic_structure(a=2.0), 0, 3.0)
@@ -320,20 +361,36 @@ class TestFirstShell:
 
 class TestBuildGraph:
     def test_single_atom_cubic(self):
-        g = build_graph(cubic_structure(a=3.0), 0, 3.5)
-        assert len(g.node_elements) == 1
-        assert len(g.edges) == 6
+        s = cubic_structure(a=3.0)
+        g = build_graph(s, 0, 3.5)
+        assert g.node_z.tolist() == [29]
         assert g.mask.tolist() == [1.0]
-        assert g.edges.tolist() == [[0, 0]] * 6
-        assert sorted(map(tuple, g.edge_offset.tolist())) == sorted(
-            t for axis in np.eye(3, dtype=int) for t in (tuple(-axis), tuple(axis)))
-        assert g.edge_dist.tolist() == [3.0] * 6
+        # the six images at +-a along each axis share one row
+        assert g.edges.tolist() == [[0, 0]]
+        assert g.edge_dist.tolist() == [3.0]
+        assert g.edge_mult.tolist() == [6.0]
+        assert sorted(nb.offset for nb in neighbor_list(s, 0, 3.5)) == sorted(
+            t for axis in np.eye(3, dtype=int).tolist() for t in (tuple(-c for c in axis), tuple(axis)))
 
     def test_no_edges_below_cutoff(self):
         g = build_graph(cubic_structure(a=3.0), 0, 1.0)
         assert g.edges.shape == (0, 2) and g.edge_dist.shape == (0,)
-        assert g.edge_offset.shape == (0, 3)
+        assert g.edge_mult.shape == (0,)
         assert g.mask.tolist() == [1.0]
+
+    def test_rows_are_distinct_sorted_by_receiver_and_counted(self):
+        g = build_graph(rocksalt_structure(a=4.2), 0, 5.0)
+        a, b = 3.6373066958946425, 3.637306695894643
+        assert np.nextafter(a, 4.0) == b
+        # the eight third-shell images of the other site: one ulp apart is another distance
+        rows = [(0, 1, a, 6.0), (0, 1, b, 2.0)]
+        assert [(*e, d, m) for e, d, m in zip(g.edges.tolist(), g.edge_dist.tolist(),
+                                              g.edge_mult.tolist())] == [
+            (0, 0, 2.9698484809834995, 12.0), (0, 0, 4.2, 6.0), (0, 1, 2.1, 6.0), *rows,
+            (0, 1, 4.695742752749559, 24.0), (1, 0, 2.1, 6.0),
+            *[(1, 0, d, m) for _, _, d, m in rows], (1, 0, 4.695742752749559, 24.0),
+            (1, 1, 2.9698484809834995, 12.0), (1, 1, 4.2, 6.0)]
+        assert g.edge_mult.sum() == sum(len(neighbor_list(rocksalt_structure(a=4.2), c, 5.0)) for c in (0, 1))
 
     def test_equals_per_site_neighbor_lists_exactly(self, rng):
         for _ in range(30):
@@ -346,19 +403,20 @@ class TestBuildGraph:
             for cutoff in cutoffs:
                 g = build_graph(s, absorber, cutoff)
                 edges, dists, offsets, mask = reference_build_graph(s, absorber, cutoff)
+                edges, dists, mult = reference_rows(edges, dists)
                 assert_same_array(g.edges, edges)
                 assert_same_array(g.edge_dist, dists)
-                assert_same_array(g.edge_offset, offsets)
+                assert_same_array(g.edge_mult, mult)
                 assert g.mask.tobytes() == mask.tobytes()
-                assert g.node_cart.tobytes() == s.cart_coords().tobytes()
+                assert g.node_z.tolist() == [site.element.atomic_number for site in s.sites]
             # below the nearest-neighbor distance: no edges, absorber alone
             assert len(g.edges) == 0 and g.mask.sum() == 1.0
             assert all(neighbor_list(s, c, cutoffs[-1]) == [] for c in range(len(s)))
 
     def test_bad_arguments(self):
         s = rocksalt_structure()
-        for cutoff in (0.0, -1.0):
-            with pytest.raises(ValueError):
+        for cutoff in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="cutoff"):
                 build_graph(s, 0, cutoff)
         for absorber in (-1, 2):
             with pytest.raises(ValueError):
@@ -370,11 +428,15 @@ class TestBuildGraph:
 
     def test_edges_symmetric_as_set(self, rng):
         s = random_structure(rng, max_sites=5)
-        g = build_graph(s, 0, 5.0)
-        records = {(i, j, round(d, 9), tuple(t)) for (i, j), d, t
-                   in zip(g.edges.tolist(), g.edge_dist.tolist(), g.edge_offset.tolist())}
+        records = {(i, nb.index, round(nb.distance, 9), nb.offset)
+                   for i in range(len(s)) for nb in neighbor_list(s, i, 5.0)}
         for i, j, d, t in records:
             assert (j, i, d, tuple(-c for c in t)) in records
+        g = build_graph(s, 0, 5.0)
+        rows = {(i, j, round(d, 9)) for (i, j), d in zip(g.edges.tolist(), g.edge_dist.tolist())}
+        assert rows == {r[:3] for r in records}
+        for i, j, d in rows:
+            assert (j, i, d) in rows
 
     def test_relabeling_preserves_edge_distances(self, rng):
         s = random_structure(rng, max_sites=6)

@@ -123,6 +123,14 @@ class TestParams:
         assert p.s0_squared == 0.8
         assert p.r_phase == 0.4
         assert p.lambda_b == 3.0
+        # e0_ev= is the default edge energy; a set e0_ev wins over it
+        assert OracleParams.from_config({}, e0_ev=7112.0).e0_ev == 7112.0
+        assert OracleParams.from_config({"e0_ev": "5000"}, e0_ev=7112.0).e0_ev == 5000.0
+
+    @pytest.mark.parametrize("e0", [0.0, -5.0, math.inf, math.nan])
+    def test_edge_energy_positive_and_finite(self, e0):
+        with pytest.raises(ValueError, match="e0_ev"):
+            OracleParams(e0_ev=e0)
 
     def test_shell_validation(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from xastruct.autodiff import (
 )
 from xastruct.crystal import CrystalStructure, Site, build_graph
 from xastruct.nn import (
-    _distinct_edges,
     ConvBlock,
     GatedLinearLayer,
     MPEncoder,
@@ -31,7 +30,7 @@ from xastruct.nn import (
 )
 
 from conftest import random_structure
-from helpers import cscl, fcc, fluorite, simple_cubic
+from helpers import cscl, fcc, fluorite, image_graph, simple_cubic
 
 
 def sigmoid(z):
@@ -263,8 +262,9 @@ class TestMPEncoder:
 
     def test_empty_graph_rejected(self):
         enc = self.encoder()
-        fake = type("G", (), {"node_elements": (), "edges": np.zeros((0, 2), dtype=int),
-                              "edge_dist": np.zeros(0), "mask": np.zeros(0)})()
+        fake = type("G", (), {"node_z": np.zeros(0, dtype=int), "edges": np.zeros((0, 2), dtype=int),
+                              "edge_dist": np.zeros(0), "edge_mult": np.zeros(0),
+                              "mask": np.zeros(0)})()
         with pytest.raises(ValueError):
             enc([fake])
         with pytest.raises(ValueError):
@@ -293,12 +293,15 @@ class TestMPEncoder:
 
 
 # --- the per-graph encoder that batching replaced, kept as the reference ----------
+# The references read per-image graphs (helpers.image_graph), built from
+# neighbor lists: one edge per periodic image, as graphs stored them before
+# images of one distance shared a row.
 
 
 def reference_encode(enc, g):
-    """One graph, one tape: a dense [V, E] receive matmul and a gather+concat first layer."""
-    n_nodes, n_edges = len(g.node_elements), len(g.edges)
-    H = gather_rows(enc.embedding, [el.atomic_number for el in g.node_elements])
+    """One per-image graph, one tape: a dense [V, E] receive matmul and a gather+concat first layer."""
+    n_nodes, n_edges = len(g.node_z), len(g.edges)
+    H = gather_rows(enc.embedding, g.node_z)
     i, j = g.edges[:, 0], g.edges[:, 1]
     feats = Tensor(rbf_features(g.edge_dist, enc.centers, enc.width))
     receive = np.zeros((n_nodes, n_edges))
@@ -324,13 +327,13 @@ def reference_mean_loss(losses):
     return mul(out, Tensor(np.array(1.0 / len(losses))))
 
 
-def lone_site_graph():
-    """One Cu site in a 9 A cell: a 1-node graph with no edges at a 6 A cutoff."""
+def lone_site():
+    """One Cu site in a 9 A cell, absorber 0, cutoff 6 A: a 1-node graph with no edges."""
     from xastruct.crystal import Element, Lattice
 
     s = CrystalStructure(lattice=Lattice(np.eye(3) * 9.0),
                          sites=(Site(Element.from_symbol("Cu"), np.zeros(3)),))
-    return build_graph(s, 0, 6.0)
+    return s, 0, 6.0
 
 
 def assert_close_to_largest(got, want, what):
@@ -352,19 +355,22 @@ class TestBatchedMatchesPerGraphReference:
         return pl.ForwardModel(np.random.default_rng(seed), 7, cfg, "Cu", "K", "XANES",
                                np.linspace(0.0, 1.0, 7))
 
-    def graphs(self, rng, n):
+    def cases(self, rng, n):
+        """(structure, absorber, cutoff) of n random cells."""
         out = []
         for _ in range(n):
             s = random_structure(rng, max_sites=5)
-            out.append(build_graph(s, int(rng.integers(0, len(s))), float(rng.uniform(3.0, 5.0))))
+            out.append((s, int(rng.integers(0, len(s))), float(rng.uniform(3.0, 5.0))))
         return out
 
-    def check(self, model, graphs, rng):
+    def check(self, model, cases, rng):
         from xastruct.autodiff import backward, mse_loss, zero_grad
 
+        graphs = [build_graph(*case) for case in cases]
+        images = [image_graph(*case) for case in cases]
         params = model.named_parameters()
         targets = rng.normal(size=(len(graphs), model.n_out))
-        reference = np.stack([reference_predict(model, g).data for g in graphs])
+        reference = np.stack([reference_predict(model, g).data for g in images])
         assert_close_to_largest(model(graphs).data, reference, "predictions")
 
         zero_grad(params.values())
@@ -372,7 +378,7 @@ class TestBatchedMatchesPerGraphReference:
         batched = {name: p.grad.copy() for name, p in params.items()}
         zero_grad(params.values())
         backward(reference_mean_loss(
-            [mse_loss(reference_predict(model, g), t) for g, t in zip(graphs, targets)]))
+            [mse_loss(reference_predict(model, g), t) for g, t in zip(images, targets)]))
         for name, p in params.items():
             assert_close_to_largest(batched[name], p.grad, f"gradient of {name}")
 
@@ -381,56 +387,58 @@ class TestBatchedMatchesPerGraphReference:
     def test_seeded_random_cells(self, k, by_mask_sum):
         rng = np.random.default_rng(40 + k + 2 * by_mask_sum)
         model = self.model(k, by_mask_sum)
-        graphs = self.graphs(rng, 6)
-        assert sum(len(g.edges) for g in graphs) > 0
-        self.check(model, graphs, rng)
+        cases = self.cases(rng, 6)
+        assert sum(len(image_graph(*case).edges) for case in cases) > 0
+        self.check(model, cases, rng)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_lone_node_alone_and_among_larger_graphs(self, k):
         rng = np.random.default_rng(50 + k)
         model = self.model(k, 0)
-        lone = lone_site_graph()
-        assert lone.edges.shape == (0, 2)
+        lone = lone_site()
+        assert build_graph(*lone).edges.shape == (0, 2)
         self.check(model, [lone], rng)
-        larger = self.graphs(rng, 3)
+        larger = self.cases(rng, 3)
         self.check(model, [larger[0], lone, larger[1], lone, larger[2]], rng)
 
     def test_encoder_rows_match_per_graph_reference(self, rng):
         enc = MPEncoder(np.random.default_rng(18), d=8, t_rounds=2, n_rbf=4, k=2)
-        graphs = self.graphs(rng, 4) + [lone_site_graph()]
-        rows = enc(graphs).data
-        reference = np.concatenate([reference_encode(enc, g).data for g in graphs])
+        cases = self.cases(rng, 4) + [lone_site()]
+        rows = enc([build_graph(*case) for case in cases]).data
+        reference = np.concatenate([reference_encode(enc, image_graph(*case)).data
+                                    for case in cases])
         assert_close_to_largest(rows, reference, "node embeddings")
 
 
 # --- the encoder before deduplication, kept as the reference ------------------------
 
 
-def edgewise_pooled(enc, graphs, by_mask_sum):
-    """One message per edge, every node updated in every round, then the masked mean."""
-    sizes = [len(g.node_elements) for g in graphs]
+def edgewise_pooled(enc, images, by_mask_sum):
+    """One message per edge of per-image graphs, every node updated in every round, then
+    the masked mean."""
+    sizes = [len(g.node_z) for g in images]
     starts = np.cumsum([0] + sizes[:-1])
-    z = [el.atomic_number for g in graphs for el in g.node_elements]
-    edges = np.concatenate([g.edges + start for g, start in zip(graphs, starts)])
+    z = np.concatenate([g.node_z for g in images])
+    edges = np.concatenate([g.edges + start for g, start in zip(images, starts)])
     i, j = edges[:, 0], edges[:, 1]
-    feats = Tensor(rbf_features(np.concatenate([g.edge_dist for g in graphs]),
+    feats = Tensor(rbf_features(np.concatenate([g.edge_dist for g in images]),
                                 enc.centers, enc.width))
     H = gather_rows(enc.embedding, z)
     for rnd in enc.round:
         agg = segment_sum(rnd.message(EdgeConcat(H, feats, i, j)), i, len(z))
         update = rnd.update(concat([H, agg], axis=1))
         H = layer_norm(add(H, update), rnd.ln_gain, rnd.ln_bias)
-    masks = [g.mask for g in graphs]
+    masks = [g.mask for g in images]
     denom = np.array([m.sum() if by_mask_sum else m.size for m in masks], dtype=float)
-    graph_of = np.repeat(np.arange(len(graphs)), sizes)
+    graph_of = np.repeat(np.arange(len(images)), sizes)
     weights = np.concatenate(masks) / denom[graph_of]
-    return segment_sum(mul(H, Tensor(weights[:, None])), graph_of, len(graphs))
+    return segment_sum(mul(H, Tensor(weights[:, None])), graph_of, len(images))
 
 
-def repeated_edge_count(graphs):
-    """Edges beyond the first of each distinct (i, j, distance bits) of a graph."""
+def repeated_edge_count(images):
+    """Edges beyond the first of each distinct (i, j, distance bits) of per-image graphs."""
     return sum(len(g.edges) - len({(i, j, d.tobytes()) for (i, j), d in zip(g.edges, g.edge_dist)})
-               for g in graphs)
+               for g in images)
 
 
 class TestDistinctEdgesMatchEdgewiseEncoder:
@@ -438,25 +446,28 @@ class TestDistinctEdgesMatchEdgewiseEncoder:
 
     model = TestBatchedMatchesPerGraphReference.model
 
-    def graphs(self):
+    def cases(self):
+        """(structure, absorber, cutoff) of cells with repeated edges and unread nodes."""
         rng = np.random.default_rng(61)
-        out = [build_graph(simple_cubic(2.6), 0, 5.5),  # only self images
-               build_graph(fcc(3.6), 0, 4.0),
-               build_graph(cscl(3.1, "Cu", "O"), 1, 5.0),
-               build_graph(fluorite(5.2, "Cu", "F"), 0, 4.0)]
+        out = [(simple_cubic(2.6), 0, 5.5),  # only self images
+               (fcc(3.6), 0, 4.0),
+               (cscl(3.1, "Cu", "O"), 1, 5.0),
+               (fluorite(5.2, "Cu", "F"), 0, 4.0)]
         for _ in range(3):
             s = random_structure(rng, max_sites=5)
-            out.append(build_graph(s, int(rng.integers(0, len(s))), 4.5))
+            out.append((s, int(rng.integers(0, len(s))), 4.5))
         return out
 
-    def check(self, model, graphs, rng):
+    def check(self, model, cases, rng):
         from xastruct.autodiff import backward, mse_loss, zero_grad
 
+        graphs = [build_graph(*case) for case in cases]
+        images = [image_graph(*case) for case in cases]
         params = model.named_parameters()
         targets = rng.normal(size=(len(graphs), model.n_out))
 
         def reference():
-            return model.head(edgewise_pooled(model.encoder, graphs, model.by_mask_sum))
+            return model.head(edgewise_pooled(model.encoder, images, model.by_mask_sum))
 
         assert_close_to_largest(model(graphs).data, reference().data, "predictions")
         grads = []
@@ -468,49 +479,35 @@ class TestDistinctEdgesMatchEdgewiseEncoder:
             assert_close_to_largest(grads[0][name], grads[1][name], f"gradient of {name}")
 
     def test_the_graphs_have_repeated_edges_and_unread_nodes(self):
-        graphs = self.graphs()
-        assert repeated_edge_count(graphs) > 0
+        images = [image_graph(*case) for case in self.cases()]
+        graphs = [build_graph(*case) for case in self.cases()]
+        assert repeated_edge_count(images) > 0
+        assert repeated_edge_count(images) == sum(g.edge_mult.sum() - len(g.edges) for g in graphs)
         # the simple cubic cell's 32 edges are four shells of one distance each
-        assert repeated_edge_count(graphs[:1]) == len(graphs[0].edges) - 4 == 28
+        assert repeated_edge_count(images[:1]) == len(images[0].edges) - 4 == 28
+        assert graphs[0].edge_mult.tolist() == [6.0, 12.0, 8.0, 6.0]
         assert any(not g.mask.all() for g in graphs)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("by_mask_sum", [0, 1])
     def test_predictions_and_gradients(self, k, by_mask_sum):
         rng = np.random.default_rng(70 + k + 2 * by_mask_sum)
-        self.check(self.model(k, by_mask_sum), self.graphs(), rng)
+        self.check(self.model(k, by_mask_sum), self.cases(), rng)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("by_mask_sum", [0, 1])
     def test_lone_node_alone_and_batched(self, k, by_mask_sum):
         rng = np.random.default_rng(80 + k + 2 * by_mask_sum)
         model = self.model(k, by_mask_sum)
-        lone = lone_site_graph()
+        lone = lone_site()
         self.check(model, [lone], rng)
-        graphs = self.graphs()
-        self.check(model, [lone, graphs[0], lone, graphs[3], lone], rng)
+        cases = self.cases()
+        self.check(model, [lone, cases[0], lone, cases[3], lone], rng)
 
     def test_out_nodes_are_those_rows_of_every_node(self):
         enc = MPEncoder(np.random.default_rng(18), d=8, t_rounds=2, n_rbf=4, k=2)
-        graphs = self.graphs() + [lone_site_graph()]
+        graphs = [build_graph(*case) for case in self.cases() + [lone_site()]]
         rows = enc(graphs).data
         out_nodes = np.flatnonzero(np.concatenate([g.mask for g in graphs]))
         assert 0 < len(out_nodes) < len(rows)
         assert_close_to_largest(enc(graphs, out_nodes).data, rows[out_nodes], "read rows")
-
-
-class TestDistinctEdges:
-    def test_rows_are_distinct_sorted_by_receiver_and_counted(self):
-        i = np.array([0, 0, 0, 1, 1, 2])
-        j = np.array([0, 0, 1, 0, 0, 2])
-        d = np.array([2.5, 2.5, 3.0, 3.0, np.nextafter(3.0, 4.0), 1.0])
-        gi, gj, gd, mult = _distinct_edges(i, j, d)
-        assert gi.tolist() == [0, 0, 1, 1, 2]
-        assert gj.tolist() == [0, 1, 0, 0, 2]
-        # one ulp apart is another distance
-        assert gd.tolist() == [2.5, 3.0, 3.0, np.nextafter(3.0, 4.0), 1.0]
-        assert mult.tolist() == [2.0, 1.0, 1.0, 1.0, 1.0]
-
-    def test_no_edges(self):
-        empty = np.zeros(0, dtype=int)
-        assert all(a.size == 0 for a in _distinct_edges(empty, empty, np.zeros(0)))
