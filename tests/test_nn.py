@@ -410,6 +410,17 @@ class TestBatchedMatchesPerGraphReference:
         assert_close_to_largest(rows, reference, "node embeddings")
 
 
+class TestDistinctEdges:
+    def test_no_edges(self):
+        g = build_graph(*lone_site())
+        assert all(a.size == 0 for a in (g.edges, g.edge_dist, g.edge_mult))
+        enc = MPEncoder(np.random.default_rng(19), d=8, t_rounds=2, n_rbf=4, k=1)
+        rows = enc([g, g]).data
+        # with no edges every node receives nothing: both graphs' rows are one row
+        assert rows.shape == (2, 8) and np.isfinite(rows).all()
+        assert np.array_equal(rows[0], rows[1])
+
+
 # --- the encoder before deduplication, kept as the reference ------------------------
 
 
