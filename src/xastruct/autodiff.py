@@ -220,18 +220,11 @@ def _dense_affine(x, W, b, op: str):
         data += b.data
 
     def backward(g):
-        if x.ndim == 1:
-            _accumulate(W, np.outer(g, x.data))
-            if not constant:
-                _accumulate(x, g @ W.data)
-            if b is not None:
-                _accumulate(b, g)
-        else:
-            _accumulate(W, g.T @ x.data)
-            if not constant:
-                _accumulate(x, g @ W.data)
-            if b is not None:
-                _accumulate(b, g.sum(axis=0))
+        _accumulate(W, np.outer(g, x.data) if x.ndim == 1 else g.T @ x.data)
+        if not constant:
+            _accumulate(x, g @ W.data)
+        if b is not None:
+            _accumulate(b, g if x.ndim == 1 else g.sum(axis=0))
 
     parents = ((W,) if constant else (x, W)) + (() if b is None else (b,))
     return data, parents, backward
@@ -913,14 +906,3 @@ def load_params(path) -> tuple:
     """Returns (header dict, name -> ndarray)."""
     return params_from_doc(read_json(path))
 
-
-def load_into(named_params: dict, arrays: dict) -> None:
-    """Copy checkpoint arrays into live Parameters, shape-checked."""
-    missing = sorted(set(named_params) - set(arrays))
-    if missing:
-        raise KeyError(f"parameters {missing}")
-    for name, p in named_params.items():
-        arr = arrays[name]
-        if arr.shape != p.data.shape:
-            raise _shape_error(f"parameter {name!r}", arr.shape, p.data.shape)
-        p.data[...] = arr

@@ -44,7 +44,7 @@ from .crystal import (
     site_index,
     write_structures,
 )
-from .jsonio import read_json, write_json
+from .jsonio import read_json, write_json, write_jsonl
 from .spectra import (
     EnergyGrid,
     LabeledSample,
@@ -466,12 +466,11 @@ def cmd_extract(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = read_structures(args.structures)
     out_path = out_dir / "labels.jsonl"
-    with open(out_path, "w") as fh:
-        for s, absorber in records:
-            absorber = _absorber(cfg, s, absorber)
-            row = {"id": s.id, "absorber": absorber}
-            row.update(labels_to_dict(extract_descriptors(s, absorber)))
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    rows = []
+    for s, absorber in records:
+        absorber = _absorber(cfg, s, absorber)
+        rows.append({"id": s.id, "absorber": absorber, **labels_to_dict(extract_descriptors(s, absorber))})
+    write_jsonl(out_path, rows)
     write_manifest(out_dir, "extract", args, cfg, [args.structures], [out_path])
     print(f"wrote {len(records)} label rows to {out_path}")
     return 0

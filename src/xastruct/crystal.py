@@ -18,7 +18,6 @@ into one graph by offsetting node indices.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .jsonio import read_json, read_jsonl
+from .jsonio import read_json, read_jsonl, write_jsonl
 
 MIN_SITE_SEPARATION = 0.5  # angstrom; guards the 1/R^2 terms downstream
 DESCRIPTOR_CUTOFF = 6.0  # angstrom; neighbor search radius of extract_descriptors
@@ -404,9 +403,7 @@ def _from_record(record: dict) -> tuple:
 
 def write_structures(records, path) -> None:
     """Write each (structure, absorber index) of `records` as one line."""
-    with open(path, "w") as fh:
-        for s, absorber in records:
-            fh.write(json.dumps({**structure_to_dict(s), "absorber": absorber}, sort_keys=True) + "\n")
+    write_jsonl(path, [{**structure_to_dict(s), "absorber": absorber} for s, absorber in records])
 
 
 def read_structures(path) -> list:

@@ -21,7 +21,7 @@ Deterministic given its inputs, which is what the inverse models need.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -86,22 +86,34 @@ class OracleParams:
     r_phase: float = 0.35
 
     def __post_init__(self):
-        if not 0 < self.e0_ev < math.inf:
-            raise ValueError(f"e0_ev must be positive and finite, got {self.e0_ev}")
-        if not 0 < self.s0_squared <= 1.2:
-            raise ValueError(f"s0_squared must lie in (0, 1.2], got {self.s0_squared}")
-        # mean free path must stay positive over the working k-range (0, 16]
-        if self.lambda_b <= 0 or self.lambda_b + 16.0 * self.lambda_a <= 0:
-            raise ValueError("lambda(k) must be positive for k in (0, 16]")
+        """Every field finite, and in range; a message starts with the field's quoted name."""
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name!r} must be finite, got {value}")
+        for name, ok, rule in (
+            ("e0_ev", self.e0_ev > 0, "must be positive"),
+            ("s0_squared", 0 < self.s0_squared <= 1.2, "must lie in (0, 1.2]"),
+            ("lambda_b", self.lambda_b > 0, "must be positive"),
+            ("lambda_a", self.lambda_b + 16.0 * self.lambda_a > 0, "must keep lambda(k) > 0 on (0, 16]"),
+            ("amp_scale", self.amp_scale > 0, "must be positive"),
+            ("sigma2", self.sigma2 >= 0, "must be non-negative"),
+        ):
+            if not ok:
+                raise ValueError(f"{name!r} {rule}, got {getattr(self, name)}")
 
     @classmethod
     def from_config(cls, cfg: dict, e0_ev=None) -> "OracleParams":
         """The parameters that cfg sets, else the defaults; e0_ev, if given, is the default edge."""
         kwargs = {} if e0_ev is None else {"e0_ev": float(e0_ev)}
-        for key in ("s0_squared", "e0_ev", "lambda_a", "lambda_b", "amp_scale", "sigma2", "r_phase"):
-            if key in cfg:
+        for key in (f.name for f in fields(cls) if f.name in cfg):
+            try:
                 kwargs[key] = float(cfg[key])
-        return cls(**kwargs)
+            except ValueError:
+                raise ValueError(f"config key {key!r} must be a number, got {cfg[key]!r}") from None
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"config key {exc}") from None
 
 
 def default_edge_energy(element: Element) -> float:

@@ -2,10 +2,10 @@
 and a message-passing encoder that turns a batch of structure graphs into
 per-node embeddings.
 
-Every layer and model subclasses Module, which names Parameters and
-buffers after the attributes that hold them, for the optimizer and for
-checkpoints. Forward passes are built entirely from autodiff ops, so
-gradients come for free.
+Every layer and model subclasses Module, which names its Parameters after
+the attributes that hold them, for the optimizer, and collects them with
+its other arrays into one named state, for checkpoints. Forward passes are
+built entirely from autodiff ops, so gradients come for free.
 """
 
 import math
@@ -16,6 +16,7 @@ from .autodiff import (
     BatchNormState,
     EdgeConcat,
     Parameter,
+    ShapeError,
     Tensor,
     add,
     avg_pool1d,
@@ -43,7 +44,10 @@ class Module:
 
     A Parameter attribute `x` is named `x`; a sub-Module `x` contributes its
     own names under `x.`; item i of a list `x` of Modules goes under `x{i}.`.
-    Other attributes, lists of labels included, hold no parameters.
+    Other attributes, lists of labels included, hold no parameters. A
+    module's buffers, arrays that no optimizer updates, are what its
+    own_buffers() names. The state is every array by name, Parameters'
+    values and buffers alike: what a checkpoint holds and load_state checks.
     """
 
     def _members(self):
@@ -53,27 +57,41 @@ class Module:
             elif isinstance(value, list):
                 yield from ((f"{name}{i}", v) for i, v in enumerate(value) if isinstance(v, Module))
 
-    def named_parameters(self, prefix: str = "") -> dict:
-        out = {}
+    def _named(self, prefix: str):
+        """(name, Parameter or buffer) of every array, sub-Modules' included."""
+        yield from ((prefix + name, arr) for name, arr in self.own_buffers().items())
         for name, value in self._members():
             if isinstance(value, Parameter):
-                out[prefix + name] = value
+                yield prefix + name, value
             else:
-                out.update(value.named_parameters(f"{prefix}{name}."))
-        return out
+                yield from value._named(f"{prefix}{name}.")
 
-    def named_buffers(self, prefix: str = "") -> dict:
-        """Non-trained state, such as BatchNorm running statistics."""
-        out = {}
-        for name, value in self._members():
-            if isinstance(value, Module):
-                out.update(value.named_buffers(f"{prefix}{name}."))
-        return out
+    def named_parameters(self, prefix: str = "") -> dict:
+        return {name: v for name, v in self._named(prefix) if isinstance(v, Parameter)}
 
-    def load_buffers(self, arrays: dict, prefix: str = "") -> None:
-        for name, value in self._members():
-            if isinstance(value, Module):
-                value.load_buffers(arrays, f"{prefix}{name}.")
+    def own_buffers(self) -> dict:
+        """This module's own buffers by name; none by default."""
+        return {}
+
+    def state(self) -> dict:
+        """Name -> array of every Parameter's values and every buffer."""
+        return {name: v.data if isinstance(v, Parameter) else v for name, v in self._named("")}
+
+    def load_state(self, arrays: dict) -> None:
+        """Copy arrays[name] into each array of state() in place.
+
+        Each must be present, with its array's shape and finite values; the
+        error names the array that is not. Other names are ignored.
+        """
+        for name, target in self.state().items():
+            if name not in arrays:
+                raise KeyError(f"array {name!r}")
+            arr = arrays[name]
+            if arr.shape != target.shape:
+                raise ShapeError(f"array {name!r}: shape {arr.shape}, expected {target.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"array {name!r}: entries must be finite")
+            target[...] = arr
 
 
 class GatedLinearLayer(Module):
@@ -154,15 +172,9 @@ class ConvBlock(Module):
         y = batch_norm_1d(y, self.bn_gamma, self.bn_beta, self.bn_state, training)
         return avg_pool1d(relu(y))
 
-    def named_buffers(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}bn_running_mean": self.bn_state.running_mean,
-            f"{prefix}bn_running_var": self.bn_state.running_var,
-        }
-
-    def load_buffers(self, arrays: dict, prefix: str = "") -> None:
-        self.bn_state.running_mean = np.array(arrays[f"{prefix}bn_running_mean"], dtype=float)
-        self.bn_state.running_var = np.array(arrays[f"{prefix}bn_running_var"], dtype=float)
+    def own_buffers(self) -> dict:
+        return {"bn_running_mean": self.bn_state.running_mean,
+                "bn_running_var": self.bn_state.running_var}
 
 
 def rbf_features(distances, centers: np.ndarray, width: float) -> np.ndarray:

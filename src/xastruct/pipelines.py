@@ -37,7 +37,6 @@ from .autodiff import (
     backward,
     concat,
     cross_entropy_loss,
-    load_into,
     mse_loss,
     no_grad,
     params_from_doc,
@@ -220,27 +219,6 @@ def write_history_csv(history: list, path) -> None:
 # --- shared helpers -----------------------------------------------------------
 
 
-class Standardizer:
-    """Per-feature affine map to zero mean / unit variance, fit on training data."""
-
-    def __init__(self, mean: np.ndarray, std: np.ndarray):
-        self.mean = np.asarray(mean, dtype=float)
-        self.std = np.asarray(std, dtype=float)
-
-    @classmethod
-    def fit(cls, X: np.ndarray) -> "Standardizer":
-        X = np.asarray(X, dtype=float)
-        return cls(X.mean(axis=0), np.maximum(X.std(axis=0), 1e-8))
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.mean) / self.std
-
-
-def _epoch_batches(n: int, batch_size: int, rng) -> list:
-    order = rng.permutation(n)
-    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
-
-
 class History(list):
     """fit's rows, one per epoch, and the validation output of the model it returns.
 
@@ -264,8 +242,7 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, validate=None)
     positive `train_loss_stop` config key also stops training, once an
     epoch's mean training loss falls below it.
     """
-    params = model.named_parameters()
-    plist = list(params.values())
+    plist = list(model.named_parameters().values())
     state = AdamWState(plist)
     loss_stop = float(cfg.extras.get("train_loss_stop", 0.0) or 0.0)
     history = History()
@@ -273,7 +250,8 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, validate=None)
     patience_left = cfg.patience
     for epoch in range(cfg.epochs):
         epoch_losses = []
-        for batch in _epoch_batches(n, cfg.batch_size, rng):
+        order = rng.permutation(n)
+        for batch in (order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)):
             loss = batch_loss(batch)
             zero_grad(plist)
             backward(loss)
@@ -283,8 +261,7 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, validate=None)
         if metric is not None:
             if metric < best_metric:
                 best_metric = metric
-                best = ({name: p.data.copy() for name, p in params.items()},
-                        {name: b.copy() for name, b in model.named_buffers().items()}, output)
+                best = ({name: arr.copy() for name, arr in model.state().items()}, output)
                 patience_left = cfg.patience
             else:
                 patience_left -= 1
@@ -297,9 +274,8 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, validate=None)
             break
     history.val_output = output
     if best is not None:
-        load_into(params, best[0])
-        model.load_buffers(best[1])
-        history.val_output = best[2]
+        model.load_state(best[0])
+        history.val_output = best[1]
     return history
 
 
@@ -352,23 +328,21 @@ def _header(model, **fields) -> dict:
     return {"task": model.task, **fields}
 
 
-def _save_neural(model: Module, path, header: dict, extra: dict) -> None:
-    """Header with the model's arch; parameters, buffers and `extra` arrays by name."""
-    arrays = {**model.named_parameters(), **model.named_buffers(), **extra}
-    save_params(arrays, path, header=_header(model, arch=model.arch, **header))
+def _save_neural(model: Module, path, header: dict) -> None:
+    """Header with the model's arch; the model's state by name."""
+    save_params(model.state(), path, header=_header(model, arch=model.arch, **header))
 
 
 def _neural_from_doc(doc: dict, build) -> tuple:
-    """(header, arrays, model): build(header, cfg) constructs it, then the arrays load in."""
+    """(header, model): build(header, cfg) constructs it, then its state loads in."""
     header, arrays = params_from_doc(doc)
     arch = header["arch"]
     if not isinstance(arch, dict):
         raise ValueError(f"field 'header.arch': expected a JSON object, got {type(arch).__name__}")
     model = build(header, TrainConfig(extras=arch))
-    load_into(model.named_parameters(), arrays)
-    model.load_buffers(arrays)
+    model.load_state(arrays)
     model.element = header.get("element")
-    return header, arrays, model
+    return header, model
 
 
 # --- forward model -------------------------------------------------------------
@@ -399,6 +373,9 @@ class ForwardModel(Module):
         # the head learns the residual around the mean training spectrum
         self.y_center = np.zeros(n_out)
 
+    def own_buffers(self) -> dict:
+        return {"y_center": self.y_center}
+
     def __call__(self, graphs) -> Tensor:
         """Residual predictions [B, n_out] of B graphs, encoded as one batch.
 
@@ -415,7 +392,7 @@ class ForwardModel(Module):
     def save(self, path) -> None:
         header = {"edge": self.edge, "kind": self.kind, "n_out": self.n_out,
                   "grid": [float(v) for v in self.grid_values]}
-        _save_neural(self, path, header, {"y_center": self.y_center})
+        _save_neural(self, path, header)
 
     @classmethod
     def load(cls, path) -> "ForwardModel":
@@ -423,11 +400,9 @@ class ForwardModel(Module):
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ForwardModel":
-        _, arrays, model = _neural_from_doc(doc, lambda h, cfg: cls(
+        return _neural_from_doc(doc, lambda h, cfg: cls(
             np.random.default_rng(0), h["n_out"], cfg, h["element"], h["edge"], h["kind"], h["grid"]
-        ))
-        model.y_center = arrays["y_center"]
-        return model
+        ))[1]
 
 
 def forward_predict(model: ForwardModel, graphs,
@@ -492,9 +467,9 @@ class SpectrumModel(Module):
     """A network over the standardized rows of a spectrum pair.
 
     INPUTS names the rows (keys of _ROWS) that forward() takes, in order.
-    `norm` maps each of them to a Standardizer, fit on the training samples
-    by fit_inputs and kept in checkpoints as the arrays norm.<row>.mean and
-    norm.<row>.std.
+    `norm` maps each to the (mean, std) per feature that standardizes it:
+    the identity until fit_inputs fits them on the training samples. They
+    are the buffers norm.<row>.mean and norm.<row>.std.
     """
 
     INPUTS = ()
@@ -503,34 +478,33 @@ class SpectrumModel(Module):
         self.arch = {key: cfg.arch(key) for key in DEFAULT_ARCH}
         self.n_xanes = n_xanes
         self.n_exafs = n_exafs
-        self.norm = {}
+        width = {"ex": n_xanes, "ax": n_xanes, "ee": n_exafs, "ae": n_exafs}
+        self.norm = {name: (np.zeros(width[name]), np.ones(width[name])) for name in self.INPUTS}
         self.element = None  # absorber symbol of a per-element model
+
+    def own_buffers(self) -> dict:
+        return {f"norm.{name}.{stat}": arr for name, pair in self.norm.items()
+                for stat, arr in zip(("mean", "std"), pair)}
 
     def _rows(self, samples) -> list:
         return _spectra(samples, self.n_xanes, self.n_exafs, self.INPUTS)
 
+    def _standardize(self, rows) -> list:
+        return [(X - mean) / std for X, (mean, std) in zip(rows, self.norm.values())]
+
     def fit_inputs(self, samples) -> list:
-        """Fit the input Standardizers on `samples`; the standardized matrices."""
+        """Fit `norm` on `samples`; their standardized matrices."""
         rows = self._rows(samples)
-        self.norm = {name: Standardizer.fit(X) for name, X in zip(self.INPUTS, rows)}
-        return [self.norm[name].apply(X) for name, X in zip(self.INPUTS, rows)]
+        self.norm = {name: (X.mean(axis=0), np.maximum(X.std(axis=0), 1e-8))
+                     for name, X in zip(self.INPUTS, rows)}
+        return self._standardize(rows)
 
     def inputs(self, samples) -> list:
         """The standardized input Tensors of `samples`, in forward()'s order."""
-        return [Tensor(self.norm[name].apply(X)) for name, X in zip(self.INPUTS, self._rows(samples))]
+        return [Tensor(X) for X in self._standardize(self._rows(samples))]
 
     def _save(self, path, header: dict) -> None:
-        norm = {f"norm.{name}.{stat}": getattr(self.norm[name], stat)
-                for name in self.INPUTS for stat in ("mean", "std")}
-        _save_neural(self, path, {"n_xanes": self.n_xanes, "n_exafs": self.n_exafs, **header}, norm)
-
-    @classmethod
-    def _from_doc(cls, doc: dict, build) -> tuple:
-        """(header, model) of a checkpoint; build(header, cfg) constructs the model."""
-        header, arrays, model = _neural_from_doc(doc, build)
-        model.norm = {name: Standardizer(arrays[f"norm.{name}.mean"], arrays[f"norm.{name}.std"])
-                      for name in cls.INPUTS}
-        return header, model
+        _save_neural(self, path, {"n_xanes": self.n_xanes, "n_exafs": self.n_exafs, **header})
 
 
 # --- inverse MNND ---------------------------------------------------------------
@@ -594,7 +568,7 @@ class InverseMNND(SpectrumModel):
 
     @classmethod
     def from_doc(cls, doc: dict) -> "InverseMNND":
-        header, model = cls._from_doc(doc, lambda h, cfg: cls(
+        header, model = _neural_from_doc(doc, lambda h, cfg: cls(
             np.random.default_rng(0), h["n_xanes"], h["n_exafs"], cfg
         ))
         model.y_mean = float(header["y_mean"])
@@ -679,10 +653,9 @@ class InverseNeighbor(SpectrumModel):
 
     @classmethod
     def from_doc(cls, doc: dict) -> "InverseNeighbor":
-        _, model = cls._from_doc(doc, lambda h, cfg: cls(
+        return _neural_from_doc(doc, lambda h, cfg: cls(
             np.random.default_rng(0), h["n_xanes"], h["n_exafs"], h["classes"], cfg
-        ))
-        return model
+        ))[1]
 
 
 def neighbor_predict(model: InverseNeighbor, sample: LabeledSample) -> Element:

@@ -7,7 +7,6 @@ kept on disk as one CSV per spectrum plus a JSON-lines manifest.
 """
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -15,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .crystal import DescriptorLabels, Element
-from .jsonio import read_json, read_jsonl, write_json
+from .jsonio import read_json, read_jsonl, write_json, write_jsonl
 
 XANES = "XANES"
 EXAFS = "EXAFS"
@@ -305,20 +304,14 @@ def save_dataset(samples, manifest_path) -> None:
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     root.mkdir(parents=True, exist_ok=True)
-    lines = []
+    records = []
     for i, sample in enumerate(samples):
         xanes_rel = f"sample_{i:06d}_xanes.csv"
         exafs_rel = f"sample_{i:06d}_exafs.csv"
         save_spectrum(sample.xanes, root / xanes_rel)
         save_spectrum(sample.exafs, root / exafs_rel)
-        record = {
-            "xanes": xanes_rel,
-            "exafs": exafs_rel,
-            "labels": labels_to_dict(sample.labels),
-        }
-        lines.append(json.dumps(record, sort_keys=True) + "\n")
-    with open(manifest_path, "w") as fh:
-        fh.write("".join(lines))
+        records.append({"xanes": xanes_rel, "exafs": exafs_rel, "labels": labels_to_dict(sample.labels)})
+    write_jsonl(manifest_path, records)
 
 
 def load_dataset(manifest_path) -> list:

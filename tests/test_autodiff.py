@@ -27,7 +27,6 @@ from xastruct.autodiff import (
     gather_rows,
     layer_norm,
     linear,
-    load_into,
     load_params,
     masked_mean,
     params_from_doc,
@@ -46,6 +45,7 @@ from xastruct.autodiff import (
     total,
     zero_grad,
 )
+from xastruct.nn import Module
 
 
 def assert_grads_match(build_loss, params, tol=1e-4):
@@ -794,23 +794,26 @@ class TestAdamW:
         assert not np.array_equal(snapshots[0][0], snapshots[-1][0])
 
 
+class _Layer(Module):
+    """Parameters layer.W [3, 2] and layer.b [3]: normal draws of rng, zeros without one."""
+
+    def __init__(self, rng):
+        self.layer = Module()
+        self.layer.W = Parameter(np.zeros((3, 2)) if rng is None else rng.normal(size=(3, 2)))
+        self.layer.b = Parameter(np.zeros(3) if rng is None else rng.normal(size=3))
+
+
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(27)
-        params = {
-            "layer.W": Parameter(rng.normal(size=(3, 2))),
-            "layer.b": Parameter(rng.normal(size=3)),
-        }
+        model = _Layer(np.random.default_rng(27))
         path = tmp_path / "model.json"
-        save_params(params, path, header={"d": 2})
+        save_params(model.state(), path, header={"d": 2})
         header, arrays = load_params(path)
         assert header == {"d": 2}
-        fresh = {
-            "layer.W": Parameter(np.zeros((3, 2))),
-            "layer.b": Parameter(np.zeros(3)),
-        }
-        load_into(fresh, arrays)
-        assert np.array_equal(fresh["layer.W"].data, params["layer.W"].data)
+        fresh = _Layer(None)
+        fresh.load_state(arrays)
+        assert np.array_equal(fresh.layer.W.data, model.layer.W.data)
+        assert np.array_equal(fresh.layer.b.data, model.layer.b.data)
 
     def test_deterministic_bytes(self, tmp_path):
         params = {"b": Parameter(np.array([1.0, 2.0])), "a": Parameter(np.array(3.0))}
@@ -880,13 +883,18 @@ class TestCheckpoints:
             params_from_doc(doc)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        save_params({"w": Parameter(np.zeros(3))}, tmp_path / "m.json")
+        save_params({"layer.W": np.zeros((3, 2)), "layer.b": np.zeros(4)}, tmp_path / "m.json")
         _, arrays = load_params(tmp_path / "m.json")
-        with pytest.raises(ShapeError):
-            load_into({"w": Parameter(np.zeros(4))}, arrays)
+        with pytest.raises(ShapeError, match=r"^array 'layer\.b': shape \(4,\), expected \(3,\)$"):
+            _Layer(None).load_state(arrays)
 
     def test_missing_key_rejected(self, tmp_path):
-        save_params({"w": Parameter(np.zeros(3))}, tmp_path / "m.json")
+        save_params({"layer.W": np.zeros((3, 2))}, tmp_path / "m.json")
         _, arrays = load_params(tmp_path / "m.json")
-        with pytest.raises(KeyError):
-            load_into({"w": Parameter(np.zeros(3)), "extra": Parameter(np.zeros(1))}, arrays)
+        with pytest.raises(KeyError, match="array 'layer.b'"):
+            _Layer(None).load_state(arrays)
+
+    def test_non_finite_rejected(self):
+        arrays = {"layer.W": np.ones((3, 2)), "layer.b": np.array([1.0, np.nan, 1.0])}
+        with pytest.raises(ValueError, match=r"^array 'layer\.b': entries must be finite$"):
+            _Layer(None).load_state(arrays)

@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line interface, run in-process."""
 
+import base64
 import hashlib
 import json
 import shutil
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -88,6 +90,15 @@ def mnnd_run(mixed_data, tmp_path_factory):
     out = tmp_path_factory.mktemp("run") / "mnnd"
     rc = cli.main(["train", "--task", "mnnd", "--data", str(mixed_data),
                    "--out", str(out), "--seed", "3", *TINY_MNND])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def neighbor_run(mixed_data, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run") / "neighbor"
+    rc = cli.main(["train", "--task", "neighbor", "--data", str(mixed_data), "--out", str(out),
+                   "--seed", "3", "--set", "scope=unified", *TINY_MNND])
     assert rc == 0
     return out
 
@@ -218,6 +229,26 @@ class TestSynth:
         assert rc == 2, err
         assert key in err and "Traceback" not in err, err
         assert not (tmp_path / "x" / "manifest.jsonl").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("sigma2", "nan", "must be finite, got nan"),
+        ("amp_scale", "nan", "must be finite, got nan"),
+        ("lambda_a", "nan", "must be finite, got nan"),
+        ("r_phase", "inf", "must be finite, got inf"),
+        ("amp_scale", "-3", "must be positive, got -3.0"),
+        ("sigma2", "abc", "must be a number, got 'abc'"),
+    ])
+    def test_bad_oracle_setting_exits_1_naming_the_key(self, key, value, message, tmp_path,
+                                                       capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["synth", "--out", str(tmp_path / "out"), "--set", "n_samples=2",
+                           "--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"error: config key '{key}' {message}" in err, err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert not (tmp_path / "out" / "manifest.jsonl").exists()
 
     def test_run_manifest_hashes(self, mixed_data):
         with open(mixed_data / "run.json") as fh:
@@ -627,6 +658,49 @@ def test_corrupt_checkpoint_exits_1_naming_it(case, mixed_data, mnnd_run, cn_run
         rc = cli.main([*command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert f"checkpoint {ckpt}:" in capsys.readouterr().err
+
+
+def _corrupt_array(doc, name: str, kind: str) -> None:
+    """Cut checkpoint array `name` to one entry (kind "shape") or make its first entry NaN."""
+    rec = doc["params"][name]
+    values = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8").copy()
+    if kind == "shape":
+        values, rec["shape"] = values[:1], [1]
+    else:
+        values[0] = np.nan
+    rec["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
+# (checkpoint task, array): a buffer of each kind and a parameter per neural task
+CORRUPT_ARRAYS = [
+    ("forward", "y_center"),
+    ("forward", "head.final.W_v"),
+    ("mnnd", "conv_exafs0.bn_running_mean"),
+    ("mnnd", "norm.ax.mean"),
+    ("mnnd", "f_d.final.W_g"),
+    ("neighbor", "norm.ae.std"),
+    ("neighbor", "f_t.final.W_g"),
+]
+
+
+@pytest.mark.parametrize("kind", ["shape", "nan"])
+@pytest.mark.parametrize("task,name", CORRUPT_ARRAYS)
+def test_corrupt_array_exits_1_naming_checkpoint_and_array(task, name, kind, request, tmp_path,
+                                                            capsys):
+    run = request.getfixturevalue(f"{task}_run")
+    data = request.getfixturevalue("cu_data" if task == "forward" else "mixed_data")
+    source = next(run.glob(f"{task}_*.json"))
+    doc = json.loads(source.read_text())
+    _corrupt_array(doc, name, kind)
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    for command in (["eval", "--data", str(data)], ["predict", "--input", str(ckpt)]):
+        out = tmp_path / command[0]
+        rc = cli.main([*command, "--checkpoint", str(ckpt), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"checkpoint {ckpt}: array '{name}'" in err, err
+        assert not (out / "metrics.json").exists()
 
 
 class TestEvalPredict:

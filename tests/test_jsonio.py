@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import xastruct
-from xastruct.jsonio import read_json, read_jsonl, write_json
+from xastruct.jsonio import read_json, read_jsonl, write_json, write_jsonl
 
 SRC = Path(xastruct.__file__).parent
 
@@ -32,6 +32,34 @@ def test_read_json_syntax_error_names_file_and_line(tmp_path):
         read_json(path)
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_refuses_non_finite_numbers_naming_file_and_line(token, tmp_path):
+    path = tmp_path / "ckpt.json"
+    # the same words inside strings are text, not numbers
+    path.write_text(f'{{"header": {{"note": "NaN or Infinity \\" NaN",\n "y_mean": {token}}}}}\n')
+    with pytest.raises(ValueError) as exc:
+        read_json(path)
+    assert str(exc.value) == f"{path}:2: non-finite number {token}"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("write", [write_json, write_jsonl])
+def test_writers_refuse_non_finite_numbers_naming_the_file(write, value, tmp_path):
+    path = tmp_path / "metrics.json"
+    doc = {"mae": value, "r2": [1.0, value]}
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: Out of range float values"):
+        write(path, doc if write is write_json else [{"mae": 1.0}, doc])
+    assert not path.exists()
+
+
+def test_write_jsonl_bytes_are_one_json_dump_a_line(tmp_path):
+    records = [{"b": 1.5, "a": "é"}, {"z": [None, True]}]
+    write_jsonl(tmp_path / "rows.jsonl", records)
+    expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    assert (tmp_path / "rows.jsonl").read_text() == expected
+    assert read_jsonl(tmp_path / "rows.jsonl", lambda r: r) == records
+
+
 def _open_field(record):
     """A record's field 'a', opened as a file when it is a string."""
     value = record["a"]
@@ -45,6 +73,8 @@ def _open_field(record):
     ('{"b": 1}', "missing field 'a'"),
     ('{"a": "gone.csv"}', "No such file or directory: gone.csv"),
     ("[1]", "list indices must be integers or slices, not str"),
+    ('{"a": NaN}', "non-finite number NaN"),
+    ('{"a": [1, -Infinity]}', "non-finite number -Infinity"),
 ])
 def test_read_jsonl_error_names_file_and_line(line, message, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -172,9 +172,10 @@ class TestConvBlock:
         rng = np.random.default_rng(16)
         block = ConvBlock(rng, 2, 3)
         block(Tensor(rng.normal(size=(4, 2, 8))), training=True)  # move running stats
-        buf = block.named_buffers("cb.")
+        state = block.state()
+        assert {"bn_running_mean", "bn_running_var"} <= state.keys()
         fresh = ConvBlock(np.random.default_rng(0), 2, 3)
-        fresh.load_buffers(buf, "cb.")
+        fresh.load_state(state)
         assert np.allclose(fresh.bn_state.running_mean, block.bn_state.running_mean)
         assert np.allclose(fresh.bn_state.running_var, block.bn_state.running_var)
 
