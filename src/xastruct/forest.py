@@ -10,7 +10,10 @@ then the lowest threshold.
 """
 
 import math
+import operator
+import sys
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -26,29 +29,46 @@ class ForestConfig:
 
 
 class DecisionTree:
-    """Flat node-array tree. Internal nodes route on x[feature] <= threshold;
+    """Preorder node list: internal nodes route on x[feature] <= threshold;
     leaves carry the class histogram of the training rows that reached them."""
 
     def __init__(self, nodes: list, n_classes: int):
         self.nodes = nodes
         self.n_classes = n_classes
 
-    def leaf_histogram(self, x: np.ndarray) -> np.ndarray:
-        node = self.nodes[0]
-        while "feature" in node:
-            if x[node["feature"]] <= node["threshold"]:
-                node = self.nodes[node["left"]]
-            else:
-                node = self.nodes[node["right"]]
-        return np.asarray(node["histogram"], dtype=float)
-
 
 class RandomForest:
-    def __init__(self, trees: list, config: ForestConfig, n_features: int, n_classes: int):
+    """Trees, and the columns that prediction reads, built once from their nodes.
+
+    The columns are one table of every tree's nodes, tree after tree, from
+    row roots[t] on: `feature`, `threshold`, `left` and `right` of each row
+    (a leaf routes to itself), `leaf`, the row of `value` that a leaf owns
+    (-1 at a split), and `value`, the [leaves, classes] normalized
+    histograms.
+    """
+
+    def __init__(self, trees: list, config: ForestConfig, n_features: int, n_classes: int,
+                 parsed: tuple = None):
         self.trees = trees
         self.config = config
         self.n_features = n_features
         self.n_classes = n_classes
+        starts, split, feature, threshold, left, right, counts = (
+            parsed or _parse([t.nodes for t in trees], n_classes))
+        n = split.size
+        inner = np.flatnonzero(split)
+        self.roots = starts[:-1]
+        self.feature = np.zeros(n, dtype=np.intp)
+        self.feature[inner] = feature
+        self.threshold = np.zeros(n)
+        self.threshold[inner] = threshold
+        self.left = np.arange(n)
+        self.left[inner] = left
+        self.right = np.arange(n)
+        self.right[inner] = right
+        self.leaf = np.full(n, -1)
+        self.leaf[~split] = np.arange(counts.shape[0])
+        self.value = counts / counts.sum(axis=1, keepdims=True)
 
 
 def _gini(hist: np.ndarray) -> np.ndarray:
@@ -158,16 +178,31 @@ def fit(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     return RandomForest(trees, config, X.shape[1], n_classes)
 
 
-def predict_proba(forest: RandomForest, x) -> np.ndarray:
-    """Average of the per-tree leaf distributions; sums to 1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (forest.n_features,):
-        raise ValueError(f"expected {forest.n_features} features, got shape {x.shape}")
-    proba = np.zeros(forest.n_classes)
-    for tree in forest.trees:
-        hist = tree.leaf_histogram(x)
-        proba += hist / hist.sum()
-    return proba / len(forest.trees)
+def predict_proba(forest: RandomForest, X) -> np.ndarray:
+    """Mean of the per-tree leaf distributions of each row of X [N, n], or of one
+    row [n]; each sums to 1.
+
+    All rows move down all trees together, one level a step, until each sits
+    at a leaf. Each row then adds the trees' distributions in tree order, so
+    its probabilities have the same bits in a batch of any size.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != forest.n_features:
+        raise ValueError(f"expected {forest.n_features} features, got shape {X.shape}")
+    rows = X.reshape(-1, forest.n_features)
+    n_rows, n_trees = rows.shape[0], len(forest.trees)
+    row = np.tile(np.arange(n_rows), n_trees)
+    node = np.repeat(forest.roots, n_rows)  # tree-major: tree t's rows are block t
+    leaf = forest.leaf[node]
+    while (leaf < 0).any():
+        go_left = rows[row, forest.feature[node]] <= forest.threshold[node]
+        node = np.where(go_left, forest.left[node], forest.right[node])
+        leaf = forest.leaf[node]
+    proba = np.zeros((n_rows, forest.n_classes))
+    for dist in forest.value[leaf].reshape(n_trees, n_rows, forest.n_classes):
+        proba += dist
+    proba /= n_trees
+    return proba if X.ndim == 2 else proba[0]
 
 
 def predict(forest: RandomForest, x) -> int:
@@ -180,22 +215,64 @@ def forest_to_doc(forest: RandomForest) -> dict:
     return {"header": header, "trees": [tree.nodes for tree in forest.trees]}
 
 
-def _valid_node(node, i: int, n_nodes: int, n_features: int, n_classes: int) -> bool:
-    """Whether node i of a preorder node list is a well-formed split or leaf.
+def _numbers(values: list, types: set) -> np.ndarray:
+    """The values as floats; nan for one whose type is not exactly one of `types`
+    (so a bool is no int) or that lies past the float range."""
+    if not {*map(type, values)} <= types:
+        values = [v if type(v) in types else math.nan for v in values]
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:  # an int past the float range
+        return np.array([v if abs(v) <= sys.float_info.max else math.nan for v in values])
 
-    Preorder puts children after their parent, so i < child < n_nodes rules out cycles.
+
+def _parse(node_lists: list, n_classes: int) -> tuple:
+    """(starts, split, feature, threshold, left, right, counts) of trees' preorder node lists.
+
+    The nodes form one table, tree t in rows starts[t]:starts[t + 1]. split
+    marks the rows with a "feature"; feature, threshold, left and right are
+    the splits' fields, with children as table rows, and counts the leaves'
+    [leaves, n_classes] histograms, all as floats. A field that is missing
+    or of the wrong type reads nan; a node that is no dict reads as a leaf
+    without a histogram.
     """
-    if type(node) is not dict:
-        return False
-    if "feature" in node:
-        feature, threshold = node["feature"], node.get("threshold")
-        return (type(feature) is int and 0 <= feature < n_features
-                and type(threshold) in (int, float) and -math.inf < threshold < math.inf
-                and all(type(c) is int and i < c < n_nodes
-                        for c in (node.get("left"), node.get("right"))))
-    hist = node.get("histogram")
-    return (type(hist) is list and len(hist) == n_classes
-            and all(type(c) is int and c >= 0 for c in hist) and sum(hist) > 0)
+    sizes = [*map(len, node_lists)]
+    starts = np.cumsum([0, *sizes])
+    nodes = [*chain.from_iterable(node_lists)]
+    if not {*map(type, nodes)} <= {dict}:
+        nodes = [node if type(node) is dict else {} for node in nodes]
+    is_split = [*map(dict.__contains__, nodes, repeat("feature"))]
+    split = np.array(is_split, dtype=bool)
+    splits = [*compress(nodes, is_split)]
+    feature, threshold, left, right = (
+        _numbers([*map(dict.get, splits, repeat(key))], types)
+        for key, types in (("feature", {int}), ("threshold", {int, float}),
+                           ("left", {int}), ("right", {int})))
+    base = np.repeat(starts[:-1], sizes)[split]  # the first row of each split's tree
+    hists = [*map(dict.get, compress(nodes, map(operator.not_, is_split)), repeat("histogram"))]
+    if not ({*map(type, hists)} <= {list} and {*map(len, hists)} <= {n_classes}):
+        missing = [None] * n_classes
+        hists = [h if type(h) is list and len(h) == n_classes else missing for h in hists]
+    counts = _numbers([*chain.from_iterable(hists)], {int}).reshape(len(hists), n_classes)
+    return starts, split, feature, threshold, left + base, right + base, counts
+
+
+def _valid(parsed: tuple, n_features: int) -> np.ndarray:
+    """Per table row, whether its node is a well-formed split or leaf.
+
+    A split names a feature below n_features, a finite threshold and children
+    after it in its own tree: preorder puts children after their parent, so
+    row < child < the tree's end rules out cycles. A leaf holds non-negative
+    class counts, not all zero.
+    """
+    starts, split, feature, threshold, left, right, counts = parsed
+    inner = np.flatnonzero(split)
+    end = np.repeat(starts[1:], np.diff(starts))[inner]
+    ok = np.empty(split.size, dtype=bool)
+    ok[inner] = ((0 <= feature) & (feature < n_features) & np.isfinite(threshold)
+                 & (inner < left) & (left < end) & (inner < right) & (right < end))
+    ok[~split] = (counts >= 0).all(axis=1) & (counts.sum(axis=1) > 0)
+    return ok
 
 
 def forest_from_doc(doc: dict) -> RandomForest:
@@ -203,13 +280,25 @@ def forest_from_doc(doc: dict) -> RandomForest:
     h = doc["header"]
     config = ForestConfig(**{f.name: h[f.name] for f in fields(ForestConfig)})
     n_features, n_classes = h["n_features"], h["n_classes"]
-    for t, nodes in enumerate(doc["trees"]):
+    for key in ("n_features", "n_classes"):
+        if type(h[key]) is not int or h[key] < 1:
+            raise ValueError(f"forest header field {key!r}: expected a positive integer, "
+                             f"got {h[key]!r}")
+    # the first fault in tree order: a bad node, or a tree that is no node list
+    node_lists = []
+    for nodes in doc["trees"]:
         if type(nodes) is not list or not nodes:
-            raise ValueError(f"tree {t} is not a non-empty list of nodes")
-        for i, node in enumerate(nodes):
-            if not _valid_node(node, i, len(nodes), n_features, n_classes):
-                raise ValueError(f"tree {t} node {i} is neither a split (a feature below {n_features}, "
-                                 f"a finite threshold, children after it) nor a leaf of "
-                                 f"{n_classes} class counts: {node!r}")
-    trees = [DecisionTree(nodes, n_classes) for nodes in doc["trees"]]
-    return RandomForest(trees, config, n_features, n_classes)
+            break
+        node_lists.append(nodes)
+    parsed = _parse(node_lists, n_classes)
+    bad = np.flatnonzero(~_valid(parsed, n_features))
+    if bad.size:
+        t = int(np.searchsorted(parsed[0], bad[0], side="right")) - 1
+        i = int(bad[0] - parsed[0][t])
+        raise ValueError(f"tree {t} node {i} is neither a split (a feature below {n_features}, "
+                         f"a finite threshold, children after it) nor a leaf of "
+                         f"{n_classes} class counts: {node_lists[t][i]!r}")
+    if len(node_lists) < len(doc["trees"]):
+        raise ValueError(f"tree {len(node_lists)} is not a non-empty list of nodes")
+    trees = [DecisionTree(nodes, n_classes) for nodes in node_lists]
+    return RandomForest(trees, config, n_features, n_classes, parsed)

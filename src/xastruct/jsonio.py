@@ -43,11 +43,16 @@ def write_jsonl(path, records) -> None:
 
 
 def read_json(path):
-    """The parsed document of a JSON file; a syntax error or non-finite number names the line."""
-    with open(path) as fh:
-        text = fh.read()
+    """The parsed document of a UTF-8 JSON file; a byte that is not UTF-8, a syntax
+    error or a non-finite number names the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
+        text = raw.decode()
         return _DECODER.decode(text)
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
     except ValueError as exc:  # _refuse_constant's, at the first constant outside a string

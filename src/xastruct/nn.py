@@ -35,6 +35,10 @@ N_ELEMENTS = 118
 
 
 def glorot_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
+    """Uniform draws within the Glorot bound; zeros without an rng, for a model
+    whose every array a checkpoint's load_state overwrites."""
+    if rng is None:
+        return np.zeros(shape)
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 

@@ -24,6 +24,7 @@ them.
 
 import csv
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -111,13 +112,21 @@ class TrainConfig:
             "patience": int,
             "scope": str,
         }
-        kwargs = {k: cast(cfg[k]) for k, cast in known.items() if k in cfg}
+        kwargs = {k: _config_value(k, cfg[k], cast) for k, cast in known.items() if k in cfg}
         extras = {k: v for k, v in cfg.items() if k not in known}
         return cls(extras=extras, **kwargs)
 
     def arch(self, key: str):
-        value = self.extras.get(key, DEFAULT_ARCH[key])
-        return type(DEFAULT_ARCH[key])(value)
+        return _config_value(key, self.extras.get(key, DEFAULT_ARCH[key]), type(DEFAULT_ARCH[key]))
+
+
+def _config_value(key: str, value, cast):
+    """cast(value); a value that does not parse raises naming its config key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        kind = {float: "a number", int: "an integer"}[cast]
+        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}") from None
 
 
 # --- metrics ------------------------------------------------------------------
@@ -334,7 +343,8 @@ def _save_neural(model: Module, path, header: dict) -> None:
 
 
 def _neural_from_doc(doc: dict, build) -> tuple:
-    """(header, model): build(header, cfg) constructs it, then its state loads in."""
+    """(header, model): build(header, cfg) constructs it without an rng, so with
+    zeros for weights and no random draws, then its state loads in over every array."""
     header, arrays = params_from_doc(doc)
     arch = header["arch"]
     if not isinstance(arch, dict):
@@ -401,7 +411,7 @@ class ForwardModel(Module):
     @classmethod
     def from_doc(cls, doc: dict) -> "ForwardModel":
         return _neural_from_doc(doc, lambda h, cfg: cls(
-            np.random.default_rng(0), h["n_out"], cfg, h["element"], h["edge"], h["kind"], h["grid"]
+            None, h["n_out"], cfg, h["element"], h["edge"], h["kind"], h["grid"]
         ))[1]
 
 
@@ -569,10 +579,16 @@ class InverseMNND(SpectrumModel):
     @classmethod
     def from_doc(cls, doc: dict) -> "InverseMNND":
         header, model = _neural_from_doc(doc, lambda h, cfg: cls(
-            np.random.default_rng(0), h["n_xanes"], h["n_exafs"], cfg
+            None, h["n_xanes"], h["n_exafs"], cfg
         ))
-        model.y_mean = float(header["y_mean"])
-        model.y_std = float(header["y_std"])
+        for key in ("y_mean", "y_std"):
+            value = header[key]
+            # abs() <= max also refuses an int past the float range, and nan
+            finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+            if not finite or (key == "y_std" and value <= 0):
+                kind = "a finite number" if key == "y_mean" else "a positive, finite number"
+                raise ValueError(f"field 'header.{key}': expected {kind}, got {value!r}")
+            setattr(model, key, float(value))
         return model
 
 
@@ -654,7 +670,7 @@ class InverseNeighbor(SpectrumModel):
     @classmethod
     def from_doc(cls, doc: dict) -> "InverseNeighbor":
         return _neural_from_doc(doc, lambda h, cfg: cls(
-            np.random.default_rng(0), h["n_xanes"], h["n_exafs"], h["classes"], cfg
+            None, h["n_xanes"], h["n_exafs"], h["classes"], cfg
         ))[1]
 
 
@@ -709,8 +725,9 @@ class CNClassifier:
         self.n_exafs = n_exafs
         self.element = None  # absorber symbol of a per-element model
 
-    def features(self, sample: LabeledSample) -> np.ndarray:
-        return np.concatenate(_spectra([sample], self.n_xanes, self.n_exafs, self.INPUTS), axis=1)[0]
+    def features(self, samples) -> np.ndarray:
+        """The [N, n_xanes + n_exafs] forest input of N samples."""
+        return np.concatenate(_spectra(samples, self.n_xanes, self.n_exafs, self.INPUTS), axis=1)
 
     def save(self, path) -> None:
         header = _header(self, classes=self.classes, n_xanes=self.n_xanes, n_exafs=self.n_exafs)
@@ -734,11 +751,11 @@ class CNClassifier:
 
 
 def cn_predict(model: CNClassifier, sample: LabeledSample) -> int:
-    return model.classes[rf.predict(model.forest, model.features(sample))]
+    return model.classes[rf.predict(model.forest, model.features([sample])[0])]
 
 
 def cn_proba(model: CNClassifier, sample: LabeledSample) -> np.ndarray:
-    return rf.predict_proba(model.forest, model.features(sample))
+    return rf.predict_proba(model.forest, model.features([sample]))[0]
 
 
 def train_cn(samples, cfg: TrainConfig) -> CNClassifier:
@@ -798,7 +815,7 @@ def eval_neighbor(model: InverseNeighbor, samples, logits=None) -> Metrics:
 
 
 def eval_cn(model: CNClassifier, samples) -> Metrics:
-    proba = np.stack([cn_proba(model, s) for s in samples])
+    proba = rf.predict_proba(model.forest, model.features(samples))
     # argmax keeps the lowest class on ties, as rf.predict does
     preds = [model.classes[i] for i in np.argmax(proba, axis=1)]
     targets = [s.labels.cn for s in samples]

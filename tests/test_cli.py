@@ -456,6 +456,56 @@ def test_bad_cutoff_is_usage_error_naming_the_key(command, value, cu_data, forwa
     assert "config key 'cutoff'" in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("setting,message", [
+    ("lr=abc", "config key 'lr' must be a number, got 'abc'"),
+    ("epochs=1.5", "config key 'epochs' must be an integer, got '1.5'"),
+    ("embed_dim=abc", "config key 'embed_dim' must be an integer, got 'abc'"),
+])
+def test_training_value_that_does_not_parse_exits_1_naming_the_key(setting, message, mixed_data,
+                                                                   tmp_path, capsys):
+    rc = cli.main(["train", "--task", "mnnd", "--data", str(mixed_data),
+                   "--out", str(tmp_path / "run"), "--set", setting])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"error: {message}\n" in err, err
+    assert not (tmp_path / "run" / "mnnd_unified.json").exists()
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "sidecar", "pair"])
+def test_non_utf8_byte_exits_1_naming_file_and_line(target, mixed_data, mnnd_run, tmp_path,
+                                                     capsys):
+    data = tmp_path / "data"
+    shutil.copytree(mixed_data, data)
+    _write_predict_inputs(data)
+    ckpt = tmp_path / "mnnd.json"
+    shutil.copy(mnnd_run / "mnnd_unified.json", ckpt)
+    pair = json.loads((data / "pair.json").read_text())
+    bad = {"checkpoint": ckpt, "sidecar": (data / pair["xanes"]).with_suffix(".json"),
+           "pair": data / "pair.json"}[target]
+    bad.write_bytes(bad.read_bytes().replace(b'"', b'"\xff', 1))  # inside the first string
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(data / "pair.json"),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"error: {bad}:1: byte 0xff is not UTF-8" in err, err
+
+
+@pytest.mark.parametrize("key,token", [("y_std", "0"), ("y_std", "1e999"), ("y_std", '"abc"'),
+                                       ("y_std", "true"), ("y_mean", "1e999")])
+def test_mnnd_target_scale_that_is_no_finite_number_exits_1(key, token, mixed_data, mnnd_run,
+                                                            tmp_path, capsys):
+    doc = json.loads((mnnd_run / "mnnd_unified.json").read_text())
+    doc["header"][key] = "@"
+    ckpt = tmp_path / "mnnd.json"
+    ckpt.write_text(json.dumps(doc).replace('"@"', token))
+    out = tmp_path / "eval"
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(mixed_data), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"error: checkpoint {ckpt}: field 'header.{key}'" in err, err
+    assert not (out / "metrics.json").exists()
+
+
 def test_unknown_structure_id_names_both_files(cu_data, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(cu_data, data)

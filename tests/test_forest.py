@@ -1,8 +1,12 @@
 import hashlib
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xastruct.forest import (
     DecisionTree,
@@ -51,6 +55,19 @@ def reference_best_split(X, y, rows, n_classes, features, min_samples_leaf):
             if best is None or gain > best[0]:
                 best = (gain, f, 0.5 * (sv[p - 1] + sv[p]))
     return best
+
+
+def reference_proba(forest, x):
+    """The per-tree walk over node dicts that the column routing replaced."""
+    proba = np.zeros(forest.n_classes)
+    for tree in forest.trees:
+        node = tree.nodes[0]
+        while "feature" in node:
+            side = "left" if x[node["feature"]] <= node["threshold"] else "right"
+            node = tree.nodes[node[side]]
+        hist = np.asarray(node["histogram"], dtype=float)
+        proba += hist / hist.sum()
+    return proba / len(forest.trees)
 
 
 def pure_leaf_tree(class_index, n_classes=2):
@@ -205,8 +222,48 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         forest = RandomForest([pure_leaf_tree(0)], ForestConfig(n_trees=1), 2, 2)
-        with pytest.raises(ValueError):
-            predict_proba(forest, [1.0, 2.0, 3.0])
+        for x in ([1.0, 2.0, 3.0], np.zeros((4, 3)), np.zeros((1, 2, 2)), 0.0):
+            with pytest.raises(ValueError, match="expected 2 features"):
+                predict_proba(forest, x)
+
+    def test_a_batch_routes_each_row_down_each_tree(self):
+        tree = DecisionTree(
+            [
+                {"feature": 1, "threshold": 0.5, "left": 1, "right": 2},
+                {"histogram": [3, 1]},
+                {"feature": 0, "threshold": -1.0, "left": 3, "right": 4},
+                {"histogram": [0, 2]},
+                {"histogram": [1, 4]},
+            ],
+            2,
+        )
+        forest = RandomForest([tree, pure_leaf_tree(0)], ForestConfig(n_trees=2), 2, 2)
+        # x1 <= 0.5 goes left; on the threshold goes left; nan compares false and goes right
+        X = np.array([[9.0, 0.5], [-1.0, 0.6], [0.0, 0.7], [np.nan, np.nan]])
+        proba = predict_proba(forest, X)
+        expected = [[0.875, 0.125], [0.5, 0.5], [0.6, 0.4], [0.6, 0.4]]
+        assert proba.tolist() == expected
+        assert predict_proba(forest, np.zeros((0, 2))).shape == (0, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(2, 40),
+           n_features=st.integers(1, 6), n_classes=st.integers(1, 5),
+           n_trees=st.integers(1, 20), max_depth=st.sampled_from([1, 3, None]),
+           decimals=st.integers(0, 2))
+    def test_batched_and_one_row_probabilities_have_the_same_bytes(
+        self, seed, n_rows, n_features, n_classes, n_trees, max_depth, decimals
+    ):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n_rows, n_features)), decimals)
+        y = rng.integers(0, n_classes, size=n_rows)
+        forest = fit(X, y, ForestConfig(n_trees=n_trees, max_depth=max_depth,
+                                        min_samples_leaf=1, seed=seed))
+        # training rows sit on the thresholds' sides exactly; fresh rows anywhere
+        queries = np.concatenate([X, np.round(rng.normal(size=(7, n_features)), decimals)])
+        batched = predict_proba(forest, queries)
+        rows = np.stack([predict_proba(forest, q) for q in queries])
+        assert batched.tobytes() == rows.tobytes()
+        assert batched.tobytes() == np.stack([reference_proba(forest, q) for q in queries]).tobytes()
 
 
 class TestCheckpoint:
@@ -227,3 +284,99 @@ class TestCheckpoint:
         assert doc["header"]["n_features"] == 2
         assert doc["header"]["n_classes"] == 2
         assert doc["header"]["max_features"] == "sqrt"
+
+
+def _fitted_doc():
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(40, 5))
+    y = rng.integers(0, 3, size=40)
+    return json.loads(json.dumps(forest_to_doc(fit(X, y, ForestConfig(n_trees=4, seed=16)))))
+
+
+def _first_split(nodes) -> int:
+    return next(i for i, node in enumerate(nodes) if "feature" in node)
+
+
+def _first_leaf(nodes) -> int:
+    return next(i for i, node in enumerate(nodes) if "histogram" in node)
+
+
+# a corruption of one node of a tree's node list, in place
+BAD_NODES = {
+    "bool feature": lambda nodes, i: nodes[i].update(feature=True),
+    "string feature": lambda nodes, i: nodes[i].update(feature="0"),
+    "feature out of range": lambda nodes, i: nodes[i].update(feature=5),
+    "negative feature": lambda nodes, i: nodes[i].update(feature=-1),
+    "float child": lambda nodes, i: nodes[i].update(left=float(nodes[i]["left"])),
+    "bool child": lambda nodes, i: nodes[i].update(right=True),
+    "child before parent": lambda nodes, i: nodes[i].update(right=i),
+    "child past the tree": lambda nodes, i: nodes[i].update(left=len(nodes)),
+    "missing child": lambda nodes, i: nodes[i].pop("right"),
+    "infinite threshold": lambda nodes, i: nodes[i].update(threshold=math.inf),
+    "nan threshold": lambda nodes, i: nodes[i].update(threshold=math.nan),
+    "string threshold": lambda nodes, i: nodes[i].update(threshold="0.5"),
+    "int threshold past the float range": lambda nodes, i: nodes[i].update(threshold=10 ** 400),
+    "not a dict": lambda nodes, i: nodes.__setitem__(i, [nodes[i]]),
+}
+BAD_LEAVES = {
+    "short histogram": lambda nodes, i: nodes[i]["histogram"].pop(),
+    "negative count": lambda nodes, i: nodes[i]["histogram"].__setitem__(0, -1),
+    "float count": lambda nodes, i: nodes[i]["histogram"].__setitem__(0, 1.0),
+    "bool count": lambda nodes, i: nodes[i]["histogram"].__setitem__(0, True),
+    "all zero": lambda nodes, i: nodes[i].update(histogram=[0, 0, 0]),
+    "no histogram": lambda nodes, i: nodes[i].pop("histogram"),
+    "histogram not a list": lambda nodes, i: nodes[i].update(histogram="3,0,1"),
+}
+
+
+class TestFromDoc:
+    @pytest.mark.parametrize("case", sorted(BAD_NODES) + sorted(BAD_LEAVES))
+    def test_malformed_node_names_its_tree_and_node(self, case):
+        doc = _fitted_doc()
+        nodes = doc["trees"][2]
+        i = _first_split(nodes) if case in BAD_NODES else _first_leaf(nodes)
+        (BAD_NODES.get(case) or BAD_LEAVES[case])(nodes, i)
+        with pytest.raises(ValueError, match=rf"^tree 2 node {i} is neither a split \(a feature "
+                                             rf"below 5, .* nor a leaf of 3 class counts: "):
+            forest_from_doc(doc)
+
+    def test_the_first_bad_node_is_named(self):
+        doc = _fitted_doc()
+        doc["trees"][3][0].update(feature=99)
+        nodes = doc["trees"][1]
+        leaf = _first_leaf(nodes)
+        nodes[leaf]["histogram"] = []
+        nodes[-1]["histogram"] = []
+        with pytest.raises(ValueError, match=rf"^tree 1 node {leaf} is neither"):
+            forest_from_doc(doc)
+
+    @pytest.mark.parametrize("bad", [[], {}, "nodes"])
+    def test_a_tree_that_is_no_node_list_is_named_in_tree_order(self, bad):
+        doc = _fitted_doc()
+        doc["trees"][1] = bad
+        with pytest.raises(ValueError, match=r"^tree 1 is not a non-empty list of nodes$"):
+            forest_from_doc(doc)
+        doc["trees"][0][0] = None
+        with pytest.raises(ValueError, match=r"^tree 0 node 0 is neither"):
+            forest_from_doc(doc)
+
+    @pytest.mark.parametrize("key", ["n_features", "n_classes"])
+    @pytest.mark.parametrize("value", [0, 3.0, "3", True, None])
+    def test_header_size_that_is_no_positive_integer_is_named(self, key, value):
+        doc = _fitted_doc()
+        doc["header"][key] = value
+        with pytest.raises(ValueError, match=rf"^forest header field '{key}': expected a "
+                                             rf"positive integer, got {re.escape(repr(value))}$"):
+            forest_from_doc(doc)
+
+    def test_no_trees_loads_as_an_empty_forest(self):
+        doc = _fitted_doc()
+        doc["trees"] = []
+        assert forest_from_doc(doc).trees == []
+
+    def test_loaded_columns_predict_as_the_fitted_ones(self):
+        doc = _fitted_doc()
+        fitted = forest_from_doc(doc)
+        queries = np.random.default_rng(17).normal(size=(30, 5))
+        assert (predict_proba(fitted, queries).tobytes()
+                == np.stack([reference_proba(fitted, q) for q in queries]).tobytes())

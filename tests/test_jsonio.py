@@ -32,6 +32,29 @@ def test_read_json_syntax_error_names_file_and_line(tmp_path):
         read_json(path)
 
 
+def test_read_json_counts_crlf_lines_as_lines(tmp_path):
+    path = tmp_path / "cut.json"
+    path.write_bytes(b'{"a": 1,\r\n "b": [1,\r\n 2,')
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: Expecting value$"):
+        read_json(path)
+    path.write_bytes(b'{"a": "\xc3\xa9",\r\n "b": NaN}\r\n')
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: non-finite number NaN$"):
+        read_json(path)
+
+
+@pytest.mark.parametrize("raw,lineno,byte", [
+    (b'{"a": "\xff"}', 1, "0xff"),
+    (b'{"a": 1,\n "b": "caf\xe9"}\n', 2, "0xe9"),  # Latin-1, not UTF-8
+    (b'{"a": "\xc3\xa9",\r\n\r\n "b": "\xc3"}', 3, "0xc3"),  # cut multi-byte sequence
+])
+def test_read_json_non_utf8_byte_names_file_and_line(raw, lineno, byte, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as exc:
+        read_json(path)
+    assert str(exc.value) == f"{path}:{lineno}: byte {byte} is not UTF-8"
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_read_json_refuses_non_finite_numbers_naming_file_and_line(token, tmp_path):
     path = tmp_path / "ckpt.json"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,26 @@ def test_train_config_from_flat_dict():
     assert cfg.lr == 0.001 and cfg.epochs == 5 and cfg.scope == "unified"
     assert cfg.arch("embed_dim") == 16
     assert cfg.arch("conv_blocks") == pl.DEFAULT_ARCH["conv_blocks"]
+
+
+@pytest.mark.parametrize("key,value,kind", [
+    ("lr", "abc", "a number"),
+    ("weight_decay", "", "a number"),
+    ("epochs", "1.5", "an integer"),
+    ("batch_size", "eight", "an integer"),
+])
+def test_train_config_value_that_does_not_parse_names_its_key(key, value, kind):
+    with pytest.raises(ValueError, match=rf"^config key '{key}' must be {kind}, got '{value}'$"):
+        pl.TrainConfig.from_config({key: value})
+
+
+def test_arch_value_that_does_not_parse_names_its_key():
+    cfg = pl.TrainConfig.from_config({"embed_dim": "abc", "conv_blocks": "2.0"})
+    assert cfg.arch("head_k") == pl.DEFAULT_ARCH["head_k"]
+    for key, value in (("embed_dim", "abc"), ("conv_blocks", "2.0")):
+        with pytest.raises(ValueError, match=rf"^config key '{key}' must be an integer, "
+                                             rf"got '{value}'$"):
+            cfg.arch(key)
 
 
 # --- forward model ---------------------------------------------------------------
@@ -442,6 +463,62 @@ def test_loaded_predictions_bit_identical_in_both_formats(task, mnnd_samples, ne
     expected = predict(model).tobytes()
     for ckpt in (path, _with_list_params(path, tmp_path / "list.json")):
         assert predict(type(model).load(ckpt)).tobytes() == expected
+
+
+def _seeded_build(model):
+    """`model` built from glorot draws of default_rng(0), then given its state."""
+    cfg, rng = pl.TrainConfig(extras=model.arch), np.random.default_rng(0)
+    if isinstance(model, pl.ForwardModel):
+        built = pl.ForwardModel(rng, model.n_out, cfg, model.element, model.edge, model.kind,
+                                model.grid_values)
+    elif isinstance(model, pl.InverseMNND):
+        built = pl.InverseMNND(rng, model.n_xanes, model.n_exafs, cfg)
+        built.y_mean, built.y_std = model.y_mean, model.y_std
+    else:
+        built = pl.InverseNeighbor(rng, model.n_xanes, model.n_exafs, model.classes, cfg)
+    built.load_state(model.state())
+    return built
+
+
+@pytest.mark.parametrize("task", ["forward", "mnnd", "neighbor"])
+def test_draw_free_load_predicts_the_bytes_of_a_seeded_build(task, mnnd_samples,
+                                                             neighbor_samples, tmp_path,
+                                                             monkeypatch):
+    if task == "forward":
+        pairs = forward_pairs([2.4, 2.8, 3.0])
+        _, model = pl.train_forward(pairs, _forward_cfg(epochs=2))
+        predict = lambda m: pl.forward_predict(m, [g for g, _ in pairs])
+    elif task == "mnnd":
+        _, model = pl.train_mnnd(mnnd_samples, _inverse_cfg(epochs=2))
+        predict = lambda m: pl.predict_mnnd_batch(m, mnnd_samples)
+    else:
+        _, model = pl.train_neighbor(neighbor_samples, _inverse_cfg(epochs=2))
+        predict = lambda m: m.logits(neighbor_samples)
+    path = tmp_path / "model.json"
+    model.save(path)
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", None)  # a load that made an rng would fail
+        loaded = type(model).load(path)
+    assert predict(loaded).tobytes() == predict(_seeded_build(loaded)).tobytes()
+    assert predict(loaded).tobytes() == predict(model).tobytes()
+
+
+@pytest.mark.parametrize("key,token", [
+    ("y_std", "0"), ("y_std", "-0.5"), ("y_std", "1e999"), ("y_std", '"abc"'),
+    ("y_std", "true"), ("y_mean", "1e999"), ("y_mean", "-1e999"), ("y_mean", '"abc"'),
+    ("y_mean", "false"), ("y_mean", "null"), ("y_std", "1" + "0" * 400),
+])
+def test_mnnd_target_scale_that_is_no_finite_number_names_file_and_field(
+    key, token, mnnd_samples, tmp_path
+):
+    path = tmp_path / "mnnd.json"
+    pl.train_mnnd(mnnd_samples, _inverse_cfg(epochs=1))[1].save(path)
+    doc = json.loads(path.read_text())
+    doc["header"][key] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', token))
+    with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}: field "
+                                         rf"'header\.{key}': expected a .*finite number, got "):
+        pl.load_checkpoint(path)
 
 
 # --- coordination number forest -----------------------------------------------------
