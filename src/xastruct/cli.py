@@ -17,8 +17,10 @@ codes: 0 success, 1 runtime or validation failure, 2 usage error.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -106,7 +108,8 @@ def resolve_config(args) -> dict:
         key, _, value = item.partition("=")
         cfg[key.strip()] = value.strip()
     if args.seed is not None:
-        cfg["seed"] = str(args.seed)
+        cfg["seed"] = args.seed
+    cfg["seed"] = pl.config_value("seed", cfg["seed"], int)  # before any command writes
     return cfg
 
 
@@ -164,7 +167,7 @@ def write_manifest(out_dir: Path, command: str, args, cfg: dict, inputs, outputs
     manifest = {
         "command": command,
         "config_path": str(args.config) if args.config else "",
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "inputs": {str(p): content_hash(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
@@ -248,10 +251,23 @@ def synth_structure(rng, template: str, absorber: Element, scatterer: Element,
     raise RuntimeError(f"template {template} failed to produce cn={nominal_cn} after 64 draws")
 
 
+def _synth_value(cfg: dict, key: str, cast, least=None):
+    """cfg[key] as cast, finite and at least `least`; else a usage error naming the key."""
+    try:
+        value = pl.config_value(key, cfg[key], cast)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if cast is float and not math.isfinite(value):
+        raise UsageError(f"config key {key!r} must be finite, got {value}")
+    if least is not None and value < least:
+        raise UsageError(f"config key {key!r} must be at least {least}, got {value}")
+    return value
+
+
 def synth_samples(cfg: dict):
     """Draw the labeled corpus described by cfg; returns (samples, structures)."""
-    seed = int(cfg["seed"])
-    n = int(cfg["n_samples"])
+    seed = _synth_value(cfg, "seed", int)
+    n = _synth_value(cfg, "n_samples", int, least=0)
     elements = [Element.from_symbol(sym.strip()) for sym in cfg["elements"].split(",") if sym.strip()]
     if not elements:
         raise UsageError("config key 'elements' must name at least one element")
@@ -259,16 +275,13 @@ def synth_samples(cfg: dict):
     for t in template_names:
         if t not in TEMPLATES:
             raise UsageError(f"unknown template {t!r}; choose from {sorted(TEMPLATES)}")
-    mnnd_range = (float(cfg["mnnd_min"]), float(cfg["mnnd_max"]))
+    mnnd_range = (_synth_value(cfg, "mnnd_min", float), _synth_value(cfg, "mnnd_max", float))
     if mnnd_range[0] > mnnd_range[1]:
         raise UsageError(f"config key 'mnnd_min' ({mnnd_range[0]}) exceeds 'mnnd_max' "
                          f"({mnnd_range[1]})")
-    strain = float(cfg["strain"])
-    jitter = float(cfg["jitter"])
-    for key, value in (("strain", strain), ("jitter", jitter)):
-        if value < 0:
-            raise UsageError(f"config key {key!r} must be non-negative, got {value}")
-    n_grid = int(cfg["n_grid"])
+    strain = _synth_value(cfg, "strain", float, least=0.0)
+    jitter = _synth_value(cfg, "jitter", float, least=0.0)
+    n_grid = _synth_value(cfg, "n_grid", int, least=2)
     cutoff = _cutoff(cfg)
 
     oracle_inputs = {}  # absorber element -> (OracleParams, XANES grid, EXAFS grid)
@@ -486,7 +499,7 @@ def cmd_train(args) -> int:
     tcfg = pl.TrainConfig.from_config(cfg)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     items = task.load(data_dir, cfg)
     scope = cfg.get("scope", task.scope) if task.scope_settable else task.scope
     scoped = {"unified": items}
@@ -534,7 +547,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{data_dir} has no samples{of} to evaluate {args.checkpoint} on")
     metrics = task.score(model, items, pl.TrainConfig.from_config(cfg), None)
     report = pl.metrics_report(name, task.report_scope(model, task.unscoped), metrics,
-                               n_train=0, n_val=len(items), seed=int(cfg["seed"]))
+                               n_train=0, n_val=len(items), seed=cfg["seed"])
     out_path = Path(args.out) / "metrics.json"
     write_json(out_path, report)
     write_manifest(Path(args.out), "eval", args, cfg, [args.checkpoint, data_dir], [out_path])
@@ -649,7 +662,13 @@ def cmd_plot(args) -> int:
 # --- argument parsing ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.
+
+    It holds no command function: main looks up cmd_<command> when it runs,
+    so a wrapper installed on a cmd_* attribute later still sees the call.
+    """
     parser = argparse.ArgumentParser(prog="xastruct", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -663,24 +682,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     common(p, out_default="xastruct_data")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="extract descriptor labels from structures")
     p.add_argument("structures", help="JSON-lines structure file")
     common(p, out_default="xastruct_labels")
-    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train one task and write checkpoint + metrics")
     p.add_argument("--task", choices=list(TASKS))
     p.add_argument("--data", required=True, help="dataset directory from synth")
     common(p, out_default="xastruct_train")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="recompute metrics for a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     common(p, out_default="xastruct_eval")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="single-sample inference from a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -688,19 +703,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=list(TASKS),
                    help="expected task; errors if the checkpoint differs")
     common(p, out_default="xastruct_predict")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op and block")
     p.add_argument("--seeds", default="20", help="number of random seeds")
     p.add_argument("--corrupt", action="store_true",
                    help="include a deliberately wrong gradient (must fail)")
     common(p)
-    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("plot", help="emit metrics tables (CSV) and spectrum overlays (SVG)")
     p.add_argument("files", nargs="+", help="metrics .json and/or spectrum .csv files")
     common(p, out_default="xastruct_plots")
-    p.set_defaults(func=cmd_plot)
 
     return parser
 
@@ -732,10 +744,9 @@ def _retain_freed_heap() -> None:
 
 def main(argv=None) -> int:
     _retain_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -398,7 +398,10 @@ def site_index(value, n_sites: int, source: str) -> int:
 
 def _from_record(record: dict) -> tuple:
     s = structure_from_dict(record)
-    return s, site_index(record.get("absorber", 0), len(s), "field 'absorber'")
+    absorber = record.get("absorber", 0)
+    if type(absorber) is not int:  # a JSON integer; site_index would also take 2.7, true or "1"
+        raise ValueError(f"field 'absorber' must be a site index, got {absorber!r}")
+    return s, site_index(absorber, len(s), "field 'absorber'")
 
 
 def write_structures(records, path) -> None:

@@ -9,13 +9,12 @@ identical forest, and split ties resolve to the lowest feature index,
 then the lowest threshold.
 """
 
-import math
-import operator
 import sys
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, compress, repeat
 
 import numpy as np
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -44,31 +43,68 @@ class RandomForest:
     row roots[t] on: `feature`, `threshold`, `left` and `right` of each row
     (a leaf routes to itself), `leaf`, the row of `value` that a leaf owns
     (-1 at a split), and `value`, the [leaves, classes] normalized
-    histograms.
+    histograms. A malformed node raises naming its tree and index.
     """
 
-    def __init__(self, trees: list, config: ForestConfig, n_features: int, n_classes: int,
-                 parsed: tuple = None):
+    def __init__(self, trees: list, config: ForestConfig, n_features: int, n_classes: int):
         self.trees = trees
         self.config = config
         self.n_features = n_features
         self.n_classes = n_classes
-        starts, split, feature, threshold, left, right, counts = (
-            parsed or _parse([t.nodes for t in trees], n_classes))
-        n = split.size
-        inner = np.flatnonzero(split)
-        self.roots = starts[:-1]
-        self.feature = np.zeros(n, dtype=np.intp)
-        self.feature[inner] = feature
-        self.threshold = np.zeros(n)
-        self.threshold[inner] = threshold
-        self.left = np.arange(n)
-        self.left[inner] = left
-        self.right = np.arange(n)
-        self.right[inner] = right
-        self.leaf = np.full(n, -1)
-        self.leaf[~split] = np.arange(counts.shape[0])
-        self.value = counts / counts.sum(axis=1, keepdims=True)
+        (self.roots, self.feature, self.threshold, self.left, self.right, self.leaf,
+         self.value) = _node_table(trees, n_features, n_classes)
+
+
+def _node_table(trees: list, n_features: int, n_classes: int) -> tuple:
+    """RandomForest's columns, from one pass over every tree's nodes in tree order.
+
+    Each node is checked as its row is appended, and the first that is
+    neither a split nor a leaf raises. A split names a feature below
+    n_features, a finite threshold and children after it in its own tree:
+    preorder puts children after their parent, so row < child < the tree's
+    end rules out cycles. A leaf holds n_classes non-negative counts, not
+    all zero. A bool is no int, and no number lies past the float range.
+    """
+    roots, feature, threshold, left, right, leaf, counts = ([] for _ in range(7))
+    for t, tree in enumerate(trees):
+        nodes = tree.nodes
+        if type(nodes) is not list or not nodes:
+            raise ValueError(f"tree {t} is not a non-empty list of nodes")
+        base = len(feature)
+        roots.append(base)
+        for i, node in enumerate(nodes):
+            if type(node) is dict and "feature" in node:
+                f, x, lo, hi = map(node.get, ("feature", "threshold", "left", "right"))
+                if (type(f) is int and 0 <= f < n_features
+                        and type(x) in (int, float) and abs(x) <= _FLOAT_MAX
+                        and type(lo) is int and i < lo < len(nodes)
+                        and type(hi) is int and i < hi < len(nodes)):
+                    feature.append(f)
+                    threshold.append(x)
+                    left.append(base + lo)
+                    right.append(base + hi)
+                    leaf.append(-1)
+                    continue
+            elif type(node) is dict:
+                hist = node.get("histogram")
+                if (type(hist) is list and len(hist) == n_classes
+                        and all(type(c) is int and 0 <= c <= _FLOAT_MAX for c in hist)
+                        and any(hist)):
+                    feature.append(0)
+                    threshold.append(0.0)
+                    left.append(base + i)
+                    right.append(base + i)
+                    leaf.append(len(counts))
+                    counts.append(hist)
+                    continue
+            raise ValueError(f"tree {t} node {i} is neither a split (a feature below "
+                             f"{n_features}, a finite threshold, children after it) nor a "
+                             f"leaf of {n_classes} class counts: {node!r}")
+    value = np.array(counts, dtype=float).reshape(-1, n_classes)
+    return (np.array(roots, dtype=np.intp), np.array(feature, dtype=np.intp),
+            np.array(threshold, dtype=float), np.array(left, dtype=np.intp),
+            np.array(right, dtype=np.intp), np.array(leaf, dtype=np.intp),
+            value / value.sum(axis=1, keepdims=True))
 
 
 def _gini(hist: np.ndarray) -> np.ndarray:
@@ -215,66 +251,6 @@ def forest_to_doc(forest: RandomForest) -> dict:
     return {"header": header, "trees": [tree.nodes for tree in forest.trees]}
 
 
-def _numbers(values: list, types: set) -> np.ndarray:
-    """The values as floats; nan for one whose type is not exactly one of `types`
-    (so a bool is no int) or that lies past the float range."""
-    if not {*map(type, values)} <= types:
-        values = [v if type(v) in types else math.nan for v in values]
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:  # an int past the float range
-        return np.array([v if abs(v) <= sys.float_info.max else math.nan for v in values])
-
-
-def _parse(node_lists: list, n_classes: int) -> tuple:
-    """(starts, split, feature, threshold, left, right, counts) of trees' preorder node lists.
-
-    The nodes form one table, tree t in rows starts[t]:starts[t + 1]. split
-    marks the rows with a "feature"; feature, threshold, left and right are
-    the splits' fields, with children as table rows, and counts the leaves'
-    [leaves, n_classes] histograms, all as floats. A field that is missing
-    or of the wrong type reads nan; a node that is no dict reads as a leaf
-    without a histogram.
-    """
-    sizes = [*map(len, node_lists)]
-    starts = np.cumsum([0, *sizes])
-    nodes = [*chain.from_iterable(node_lists)]
-    if not {*map(type, nodes)} <= {dict}:
-        nodes = [node if type(node) is dict else {} for node in nodes]
-    is_split = [*map(dict.__contains__, nodes, repeat("feature"))]
-    split = np.array(is_split, dtype=bool)
-    splits = [*compress(nodes, is_split)]
-    feature, threshold, left, right = (
-        _numbers([*map(dict.get, splits, repeat(key))], types)
-        for key, types in (("feature", {int}), ("threshold", {int, float}),
-                           ("left", {int}), ("right", {int})))
-    base = np.repeat(starts[:-1], sizes)[split]  # the first row of each split's tree
-    hists = [*map(dict.get, compress(nodes, map(operator.not_, is_split)), repeat("histogram"))]
-    if not ({*map(type, hists)} <= {list} and {*map(len, hists)} <= {n_classes}):
-        missing = [None] * n_classes
-        hists = [h if type(h) is list and len(h) == n_classes else missing for h in hists]
-    counts = _numbers([*chain.from_iterable(hists)], {int}).reshape(len(hists), n_classes)
-    return starts, split, feature, threshold, left + base, right + base, counts
-
-
-def _valid(parsed: tuple, n_features: int) -> np.ndarray:
-    """Per table row, whether its node is a well-formed split or leaf.
-
-    A split names a feature below n_features, a finite threshold and children
-    after it in its own tree: preorder puts children after their parent, so
-    row < child < the tree's end rules out cycles. A leaf holds non-negative
-    class counts, not all zero.
-    """
-    starts, split, feature, threshold, left, right, counts = parsed
-    inner = np.flatnonzero(split)
-    end = np.repeat(starts[1:], np.diff(starts))[inner]
-    ok = np.empty(split.size, dtype=bool)
-    ok[inner] = ((0 <= feature) & (feature < n_features) & np.isfinite(threshold)
-                 & (inner < left) & (left < end) & (inner < right) & (right < end))
-    ok[~split] = (counts >= 0).all(axis=1) & (counts.sum(axis=1) > 0)
-    return ok
-
-
 def forest_from_doc(doc: dict) -> RandomForest:
     """The forest of a forest_to_doc document; a malformed node raises naming its tree."""
     h = doc["header"]
@@ -284,21 +260,5 @@ def forest_from_doc(doc: dict) -> RandomForest:
         if type(h[key]) is not int or h[key] < 1:
             raise ValueError(f"forest header field {key!r}: expected a positive integer, "
                              f"got {h[key]!r}")
-    # the first fault in tree order: a bad node, or a tree that is no node list
-    node_lists = []
-    for nodes in doc["trees"]:
-        if type(nodes) is not list or not nodes:
-            break
-        node_lists.append(nodes)
-    parsed = _parse(node_lists, n_classes)
-    bad = np.flatnonzero(~_valid(parsed, n_features))
-    if bad.size:
-        t = int(np.searchsorted(parsed[0], bad[0], side="right")) - 1
-        i = int(bad[0] - parsed[0][t])
-        raise ValueError(f"tree {t} node {i} is neither a split (a feature below {n_features}, "
-                         f"a finite threshold, children after it) nor a leaf of "
-                         f"{n_classes} class counts: {node_lists[t][i]!r}")
-    if len(node_lists) < len(doc["trees"]):
-        raise ValueError(f"tree {len(node_lists)} is not a non-empty list of nodes")
-    trees = [DecisionTree(nodes, n_classes) for nodes in node_lists]
-    return RandomForest(trees, config, n_features, n_classes, parsed)
+    trees = [DecisionTree(nodes, n_classes) for nodes in doc["trees"]]
+    return RandomForest(trees, config, n_features, n_classes)

@@ -62,15 +62,20 @@ def read_json(path):
 
 
 def read_jsonl(path, convert) -> list:
-    """convert(record) of each non-blank line of a JSON-lines file.
+    """convert(record) of each non-blank line of a UTF-8 JSON-lines file.
 
-    A line that does not parse or convert raises a ValueError naming the file
-    and the line; a missing key reads "missing field 'k'".
+    A line that is not UTF-8, or that does not parse or convert, raises a
+    ValueError naming the file and the line; a missing key reads "missing
+    field 'k'". A line ends at a newline byte, as read_json counts lines.
     """
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode().strip()
+            except UnicodeDecodeError as exc:
+                byte = raw[exc.start]
+                raise ValueError(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
             if not line:
                 continue
             try:

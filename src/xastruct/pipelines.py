@@ -112,15 +112,19 @@ class TrainConfig:
             "patience": int,
             "scope": str,
         }
-        kwargs = {k: _config_value(k, cfg[k], cast) for k, cast in known.items() if k in cfg}
+        kwargs = {k: config_value(k, cfg[k], cast) for k, cast in known.items() if k in cfg}
         extras = {k: v for k, v in cfg.items() if k not in known}
         return cls(extras=extras, **kwargs)
 
     def arch(self, key: str):
-        return _config_value(key, self.extras.get(key, DEFAULT_ARCH[key]), type(DEFAULT_ARCH[key]))
+        return self.extra(key, DEFAULT_ARCH[key])
+
+    def extra(self, key: str, default):
+        """The `key` extra as the type of `default`, which stands in when it is unset."""
+        return config_value(key, self.extras.get(key, default), type(default))
 
 
-def _config_value(key: str, value, cast):
+def config_value(key: str, value, cast):
     """cast(value); a value that does not parse raises naming its config key."""
     try:
         return cast(value)
@@ -253,7 +257,7 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, validate=None)
     """
     plist = list(model.named_parameters().values())
     state = AdamWState(plist)
-    loss_stop = float(cfg.extras.get("train_loss_stop", 0.0) or 0.0)
+    loss_stop = cfg.extra("train_loss_stop", 0.0)
     history = History()
     best_metric, best = np.inf, None
     patience_left = cfg.patience
@@ -767,9 +771,8 @@ def train_cn(samples, cfg: TrainConfig) -> CNClassifier:
     n_exafs = samples[0].exafs.grid.n
     X = np.concatenate(_spectra(samples, n_xanes, n_exafs, CNClassifier.INPUTS), axis=1)
     y = np.array([class_index[s.labels.cn] for s in samples])
-    # keys absent from the config keep ForestConfig's defaults
-    sizes = ("n_trees", "max_depth", "min_samples_leaf")
-    fcfg = rf.ForestConfig(seed=cfg.seed, **{k: int(cfg.extras[k]) for k in sizes if k in cfg.extras})
+    fcfg = rf.ForestConfig(seed=cfg.seed, **{k: cfg.extra(k, getattr(rf.ForestConfig, k))
+                                             for k in ("n_trees", "max_depth", "min_samples_leaf")})
     forest_model = rf.fit(X, y, fcfg)
     return CNClassifier(forest_model, classes, n_xanes, n_exafs)
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface, run in-process."""
 
+import argparse
 import base64
 import hashlib
 import json
@@ -222,13 +223,28 @@ class TestSynth:
 
     @pytest.mark.parametrize("setting,key", [
         ("mnnd_min=3.5", "'mnnd_min'"), ("strain=-0.1", "'strain'"), ("jitter=-0.05", "'jitter'"),
+        ("n_samples=abc", "usage error: config key 'n_samples' must be an integer, got 'abc'"),
+        ("n_samples=-1", "usage error: config key 'n_samples' must be at least 0, got -1"),
+        ("n_grid=2.5", "usage error: config key 'n_grid' must be an integer, got '2.5'"),
+        ("n_grid=1", "usage error: config key 'n_grid' must be at least 2, got 1"),
+        ("strain=nan", "usage error: config key 'strain' must be finite, got nan"),
+        ("jitter=inf", "usage error: config key 'jitter' must be finite, got inf"),
+        ("mnnd_min=abc", "usage error: config key 'mnnd_min' must be a number, got 'abc'"),
+        ("mnnd_max=-inf", "usage error: config key 'mnnd_max' must be finite, got -inf"),
+        ("seed=abc", "error: config key 'seed' must be an integer, got 'abc'"),
     ])
-    def test_bad_draw_range_is_usage_error_naming_the_key(self, setting, key, tmp_path, capsys):
-        rc = cli.main(["synth", "--out", str(tmp_path / "x"), "--set", setting])
-        err = capsys.readouterr().err
-        assert rc == 2, err
-        assert key in err and "Traceback" not in err, err
-        assert not (tmp_path / "x" / "manifest.jsonl").exists()
+    def test_bad_draw_range_is_usage_error_naming_the_key(self, setting, key, cu_data, tmp_path,
+                                                          capsys):
+        commands = [["synth"]]
+        if setting.startswith("seed="):  # parsed before any command writes, with train's exit 1
+            commands.append(["extract", str(cu_data / "structures.jsonl")])
+        for i, argv in enumerate(commands):
+            out = tmp_path / str(i)
+            rc = cli.main([*argv, "--out", str(out), "--set", setting])
+            err = capsys.readouterr().err
+            assert rc == (1 if setting.startswith("seed=") else 2), err
+            assert key in err and "Traceback" not in err, err
+            assert not out.exists()
 
     @pytest.mark.parametrize("key,value,message", [
         ("sigma2", "nan", "must be finite, got nan"),
@@ -460,15 +476,22 @@ def test_bad_cutoff_is_usage_error_naming_the_key(command, value, cu_data, forwa
     ("lr=abc", "config key 'lr' must be a number, got 'abc'"),
     ("epochs=1.5", "config key 'epochs' must be an integer, got '1.5'"),
     ("embed_dim=abc", "config key 'embed_dim' must be an integer, got 'abc'"),
+    ("train_loss_stop=abc", "config key 'train_loss_stop' must be a number, got 'abc'"),
+    ("n_trees=abc", "config key 'n_trees' must be an integer, got 'abc'"),
+    ("n_trees=2.5", "config key 'n_trees' must be an integer, got '2.5'"),
+    ("max_depth=abc", "config key 'max_depth' must be an integer, got 'abc'"),
+    ("min_samples_leaf=abc", "config key 'min_samples_leaf' must be an integer, got 'abc'"),
 ])
 def test_training_value_that_does_not_parse_exits_1_naming_the_key(setting, message, mixed_data,
                                                                    tmp_path, capsys):
-    rc = cli.main(["train", "--task", "mnnd", "--data", str(mixed_data),
+    forest_keys = ("n_trees", "max_depth", "min_samples_leaf")
+    task = "cn" if setting.partition("=")[0] in forest_keys else "mnnd"
+    rc = cli.main(["train", "--task", task, "--data", str(mixed_data),
                    "--out", str(tmp_path / "run"), "--set", setting])
     err = capsys.readouterr().err
     assert rc == 1, err
     assert f"error: {message}\n" in err, err
-    assert not (tmp_path / "run" / "mnnd_unified.json").exists()
+    assert not list((tmp_path / "run").glob(f"{task}_*.json"))
 
 
 @pytest.mark.parametrize("target", ["checkpoint", "sidecar", "pair"])
@@ -606,6 +629,20 @@ class TestTrain:
             fresh = cli.TASKS[name].score(model, val, pl.TrainConfig(), None)
             for field, value in vars(fresh).items():
                 assert report[field] == value, (path.name, field)
+
+    def test_main_builds_its_parser_once_and_finds_the_command_when_it_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "cmd_extract", lambda args: ran.append(args.structures) or 0)
+        assert cli.main(["extract", "first.jsonl"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        monkeypatch.setattr(cli, "cmd_extract",
+                            lambda args: ran.append(("wrapped", args.structures)) or 0)
+        assert cli.main(["extract", "second.jsonl"]) == 0
+        assert ran == ["first.jsonl", ("wrapped", "second.jsonl")]
+        assert built == []
 
     def test_task_choices_are_the_task_table(self):
         commands = next(a for a in cli.build_parser()._actions if a.dest == "command")

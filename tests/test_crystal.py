@@ -541,6 +541,17 @@ class TestJsonInterchange:
             read_structures(path)
         assert str(exc.value).startswith(f"{path}:1: field 'absorber' is 1, out of range")
 
+    @pytest.mark.parametrize("absorber", [1.7, 1.0, True, "1"])
+    def test_record_absorber_must_be_a_json_integer(self, absorber, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_text(json.dumps({**structure_to_dict(rocksalt_structure()),
+                                    "absorber": absorber}) + "\n")
+        message = f"field 'absorber' must be a site index, got {absorber!r}"
+        for read, where in ((read_structures, f"{path}:1"), (read_structure, f"{path}")):
+            with pytest.raises(ValueError) as exc:
+                read(path)
+            assert str(exc.value) == f"{where}: {message}"
+
     def test_malformed_record(self):
         with pytest.raises(InvalidStructureError):
             structure_from_dict({"lattice": [1, 0, 0]})

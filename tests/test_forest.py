@@ -324,6 +324,7 @@ BAD_LEAVES = {
     "float count": lambda nodes, i: nodes[i]["histogram"].__setitem__(0, 1.0),
     "bool count": lambda nodes, i: nodes[i]["histogram"].__setitem__(0, True),
     "all zero": lambda nodes, i: nodes[i].update(histogram=[0, 0, 0]),
+    "count past the float range": lambda nodes, i: nodes[i]["histogram"].__setitem__(0, 10 ** 400),
     "no histogram": lambda nodes, i: nodes[i].pop("histogram"),
     "histogram not a list": lambda nodes, i: nodes[i].update(histogram="3,0,1"),
 }
@@ -359,6 +360,16 @@ class TestFromDoc:
         doc["trees"][0][0] = None
         with pytest.raises(ValueError, match=r"^tree 0 node 0 is neither"):
             forest_from_doc(doc)
+
+    @pytest.mark.parametrize("nodes,message", [
+        ([{"feature": 0, "threshold": 0.5, "left": 1, "right": 2}, {"histogram": [1, 0]}],
+         r"^tree 1 node 0 is neither a split \(a feature below 1, .* nor a leaf of 2 class counts: "),
+        ([], r"^tree 1 is not a non-empty list of nodes$"),
+    ], ids=["bad node", "empty tree"])
+    def test_a_forest_built_in_python_checks_its_nodes(self, nodes, message):
+        trees = [pure_leaf_tree(0), DecisionTree(nodes, 2)]
+        with pytest.raises(ValueError, match=message):
+            RandomForest(trees, ForestConfig(n_trees=2), 1, 2)
 
     @pytest.mark.parametrize("key", ["n_features", "n_classes"])
     @pytest.mark.parametrize("value", [0, 3.0, "3", True, None])

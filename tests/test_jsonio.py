@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import xastruct
+from xastruct.crystal import read_structures
 from xastruct.jsonio import read_json, read_jsonl, write_json, write_jsonl
+from xastruct.spectra import load_dataset
 
 SRC = Path(xastruct.__file__).parent
 
@@ -53,6 +55,15 @@ def test_read_json_non_utf8_byte_names_file_and_line(raw, lineno, byte, tmp_path
     with pytest.raises(ValueError) as exc:
         read_json(path)
     assert str(exc.value) == f"{path}:{lineno}: byte {byte} is not UTF-8"
+
+
+@pytest.mark.parametrize("read", [load_dataset, read_structures], ids=["manifest", "structures"])
+def test_read_jsonl_non_utf8_byte_names_file_and_line(read, tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'\n{"id": "\xff"}\n')
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}:2: byte 0xff is not UTF-8"
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
