@@ -34,6 +34,7 @@ from . import gradcheck
 from . import pipelines as pl
 from .crystal import (
     DESCRIPTOR_CUTOFF,
+    MIN_SITE_SEPARATION,
     CrystalStructure,
     Element,
     Lattice,
@@ -110,6 +111,8 @@ def resolve_config(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg["seed"] = pl.config_value("seed", cfg["seed"], int)  # before any command writes
+    if cfg["seed"] < 0:
+        raise ValueError(f"config key 'seed' must be at least 0, got {cfg['seed']}")
     return cfg
 
 
@@ -177,49 +180,21 @@ def write_manifest(out_dir: Path, command: str, args, cfg: dict, inputs, outputs
 # --- synthetic structures -----------------------------------------------------------
 
 
-def _sc_cell(m: float, absorber: Element, scatterer: Element):
-    return Lattice(np.eye(3) * m), (Site(absorber, np.zeros(3)),), 0, 6
+_FCC = ((0.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))
+_FLUORITE_ANIONS = tuple((x, y, z) for x in (0.25, 0.75) for y in (0.25, 0.75) for z in (0.25, 0.75))
 
 
-def _fcc_cell(m: float, absorber: Element, scatterer: Element):
-    frac = [(0.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)]
-    sites = tuple(Site(absorber, np.array(f)) for f in frac)
-    return Lattice(np.eye(3) * m * np.sqrt(2.0)), sites, 0, 12
-
-
-def _rocksalt_cell(m: float, absorber: Element, scatterer: Element):
-    basis = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]) * m
-    sites = (Site(absorber, np.zeros(3)), Site(scatterer, np.full(3, 0.5)))
-    return Lattice(basis), sites, 0, 6
-
-
-def _fluorite_cell(m: float, cation: Element, anion: Element):
-    a = 4.0 * m / np.sqrt(3.0)
-    cation_frac = [(0.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)]
-    anion_frac = [(x, y, z) for x in (0.25, 0.75) for y in (0.25, 0.75) for z in (0.25, 0.75)]
-    sites = tuple(Site(cation, np.array(f)) for f in cation_frac) + tuple(
-        Site(anion, np.array(f)) for f in anion_frac
-    )
-    return Lattice(np.eye(3) * a), sites, None, None
-
-
-def _fluorite_cation_cell(m, absorber, scatterer):
-    lattice, sites, _, _ = _fluorite_cell(m, absorber, scatterer)
-    return lattice, sites, 0, 8
-
-
-def _fluorite_anion_cell(m, absorber, scatterer):
-    lattice, sites, _, _ = _fluorite_cell(m, scatterer, absorber)
-    return lattice, sites, 4, 4
-
-
-# template -> (builder, needs a second species)
+# template -> (lattice basis at first-shell distance m, (species, frac) of each site,
+# absorber site, nominal CN); species 0 is the absorber, 1 the scatterer
 TEMPLATES = {
-    "sc": (_sc_cell, False),
-    "fcc": (_fcc_cell, False),
-    "rocksalt": (_rocksalt_cell, True),
-    "fluorite_cation": (_fluorite_cation_cell, True),
-    "fluorite_anion": (_fluorite_anion_cell, True),
+    "sc": (lambda m: np.eye(3) * m, ((0, (0.0, 0.0, 0.0)),), 0, 6),
+    "fcc": (lambda m: np.eye(3) * m * np.sqrt(2.0), tuple((0, f) for f in _FCC), 0, 12),
+    "rocksalt": (lambda m: np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]) * m,
+                 ((0, (0.0, 0.0, 0.0)), (1, (0.5, 0.5, 0.5))), 0, 6),
+    "fluorite_cation": (lambda m: np.eye(3) * (4.0 * m / np.sqrt(3.0)),
+                        tuple((0, f) for f in _FCC) + tuple((1, f) for f in _FLUORITE_ANIONS), 0, 8),
+    "fluorite_anion": (lambda m: np.eye(3) * (4.0 * m / np.sqrt(3.0)),
+                       tuple((1, f) for f in _FCC) + tuple((0, f) for f in _FLUORITE_ANIONS), 4, 4),
 }
 
 
@@ -231,17 +206,17 @@ def synth_structure(rng, template: str, absorber: Element, scatterer: Element,
     number, so label classes stay clean; the draw count is bounded. Returns
     (structure, absorber, labels, absorber's neighbor_search at DESCRIPTOR_CUTOFF).
     """
-    builder, _ = TEMPLATES[template]
+    basis, sites, absorber_index, nominal_cn = TEMPLATES[template]
+    species = (absorber, scatterer)
     for _ in range(64):
         m_target = rng.uniform(*mnnd_range)
         m = m_target * (1.0 + rng.uniform(-strain, strain))
         m = float(np.clip(m, mnnd_range[0], mnnd_range[1]))
-        lattice, sites, absorber_index, nominal_cn = builder(m, absorber, scatterer)
+        lattice = Lattice(basis(m))
         cart_jitter = rng.uniform(-jitter, jitter, size=(len(sites), 3))
         frac_jitter = cart_jitter @ np.linalg.inv(lattice.basis)
         jittered = tuple(
-            Site(site.element, site.frac_coords + delta)
-            for site, delta in zip(sites, frac_jitter)
+            Site(species[sp], np.add(frac, delta)) for (sp, frac), delta in zip(sites, frac_jitter)
         )
         s = CrystalStructure(lattice=lattice, sites=jittered, id=sid)
         neighbors = neighbor_search(s, absorber_index, DESCRIPTOR_CUTOFF)
@@ -266,16 +241,21 @@ def _synth_value(cfg: dict, key: str, cast, least=None):
 
 def synth_samples(cfg: dict):
     """Draw the labeled corpus described by cfg; returns (samples, structures)."""
-    seed = _synth_value(cfg, "seed", int)
+    seed = _synth_value(cfg, "seed", int, least=0)
     n = _synth_value(cfg, "n_samples", int, least=0)
-    elements = [Element.from_symbol(sym.strip()) for sym in cfg["elements"].split(",") if sym.strip()]
+    try:
+        elements = [Element.from_symbol(sym.strip()) for sym in cfg["elements"].split(",")
+                    if sym.strip()]
+    except ValueError as exc:
+        raise UsageError(f"config key 'elements' names an {exc}") from None
     if not elements:
         raise UsageError("config key 'elements' must name at least one element")
     template_names = [t.strip() for t in cfg["templates"].split(",") if t.strip()]
     for t in template_names:
         if t not in TEMPLATES:
             raise UsageError(f"unknown template {t!r}; choose from {sorted(TEMPLATES)}")
-    mnnd_range = (_synth_value(cfg, "mnnd_min", float), _synth_value(cfg, "mnnd_max", float))
+    mnnd_range = (_synth_value(cfg, "mnnd_min", float, least=MIN_SITE_SEPARATION),
+                  _synth_value(cfg, "mnnd_max", float))
     if mnnd_range[0] > mnnd_range[1]:
         raise UsageError(f"config key 'mnnd_min' ({mnnd_range[0]}) exceeds 'mnnd_max' "
                          f"({mnnd_range[1]})")
@@ -290,35 +270,26 @@ def synth_samples(cfg: dict):
         rng = np.random.default_rng([seed, i])
         template = template_names[rng.integers(len(template_names))]
         absorber = elements[rng.integers(len(elements))]
-        needs_pair = TEMPLATES[template][1]
         scatterer = absorber
-        if needs_pair and len(elements) > 1:
+        if any(sp == 1 for sp, _ in TEMPLATES[template][1]) and len(elements) > 1:
             others = [el for el in elements if el.atomic_number != absorber.atomic_number]
             scatterer = others[rng.integers(len(others))]
         sid = f"{template}-{absorber.symbol}-{i:06d}"
         s, absorber_index, labels, neighbors = synth_structure(
             rng, template, absorber, scatterer, mnnd_range, strain, jitter, sid
         )
-        element = s.sites[absorber_index].element
-        if element not in oracle_inputs:
-            params = oracle.OracleParams.from_config(cfg, e0_ev=oracle.default_edge_energy(element))
-            oracle_inputs[element] = (params, oracle.default_xanes_grid(params.e0_ev, n=n_grid),
-                                      oracle.default_exafs_grid(params.e0_ev, n=n_grid))
-        params, xanes_grid, exafs_grid = oracle_inputs[element]
-        xanes = oracle.synth_xanes(labels, element, params, xanes_grid, structure_id=sid)
+        if absorber not in oracle_inputs:
+            params = oracle.OracleParams.from_config(cfg, e0_ev=oracle.default_edge_energy(absorber))
+            oracle_inputs[absorber] = (params, oracle.default_xanes_grid(params.e0_ev, n=n_grid),
+                                       oracle.default_exafs_grid(params.e0_ev, n=n_grid))
+        params, xanes_grid, exafs_grid = oracle_inputs[absorber]
+        xanes = oracle.synth_xanes(labels, absorber, params, xanes_grid, structure_id=sid)
         exafs = oracle.synth_exafs(
             s, absorber_index, params, exafs_grid, cutoff=cutoff,
             neighbors=neighbors if cutoff == DESCRIPTOR_CUTOFF else None,
         )
         samples.append(LabeledSample(xanes=xanes, exafs=exafs, labels=labels))
         structures.append((s, absorber_index))
-    return samples, structures
-
-
-def synth_dataset(cfg: dict, out_dir: Path):
-    samples, structures = synth_samples(cfg)
-    save_dataset(samples, out_dir / "manifest.jsonl")
-    write_structures(structures, out_dir / "structures.jsonl")
     return samples, structures
 
 
@@ -465,8 +436,10 @@ TASKS = {
 def cmd_synth(args) -> int:
     cfg = resolve_config(args)
     out_dir = Path(args.out)
-    samples, _ = synth_dataset(cfg, out_dir)
+    samples, structures = synth_samples(cfg)
     outputs = [out_dir / "manifest.jsonl", out_dir / "structures.jsonl"]
+    save_dataset(samples, outputs[0])
+    write_structures(structures, outputs[1])
     inputs = [args.config] if args.config else []
     write_manifest(out_dir, "synth", args, cfg, inputs, outputs)
     print(f"wrote {len(samples)} samples to {out_dir}")

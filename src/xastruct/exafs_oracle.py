@@ -130,11 +130,13 @@ def wavenumber(E, e0: float):
     return float(k) if k.ndim == 0 else k
 
 
-def _chi_rows(shells, params: OracleParams, k: np.ndarray) -> np.ndarray:
-    """chi_shell of each shell at wavenumbers k > 0, one row per shell, in one broadcast."""
+def _chi_rows(counts, radius, z, sigma2: float, params: OracleParams, k: np.ndarray) -> np.ndarray:
+    """chi_shell at k > 0 of shell columns sharing one sigma2: a row per shell, one broadcast."""
     # Python's pow for radius**2, as seeded spectra were made: r * r can differ in the last bit
-    columns = [(sh.n_atoms, sh.radius, sh.radius**2, sh.z_scatter, sh.sigma2) for sh in shells]
-    n, r, r2, z, s2 = np.array(columns).T.reshape((5, -1) + (1,) * k.ndim)
+    r2 = [r**2 for r in radius.tolist()]
+    # sigma2 as a column too, so that np.exp sees [shells, k] arrays as it always has
+    columns = np.array([counts, radius, r2, z, np.full(len(r2), sigma2)], dtype=float)
+    n, r, r2, z, s2 = columns.reshape((5, -1) + (1,) * k.ndim)
     lam = params.lambda_a * k + params.lambda_b
     amplitude = (
         n * params.s0_squared * params.amp_scale * z / ((1.0 + k * k) * k * r2)
@@ -150,21 +152,13 @@ def chi_shell(shell: ScatteringShell, params: OracleParams, k):
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
         raise ValueError("chi_shell requires k > 0")
-    chi = _chi_rows([shell], params, k)[0]
+    chi = _chi_rows([shell.n_atoms], np.array([shell.radius]), [shell.z_scatter], shell.sigma2,
+                    params, k)[0]
     return float(chi) if chi.ndim == 0 else chi
 
 
-def shells_from_structure(
-    s: CrystalStructure, absorber: int, params: OracleParams, cutoff: float = SHELL_CUTOFF,
-    neighbors: Neighbors = None,
-) -> list:
-    """Collapse the periodic neighbor environment into discrete shells.
-
-    Neighbors are grouped by (species, distance binned at 0.01 Angstrom);
-    each shell's radius is the mean distance of its members, so lattice
-    jitter moves the shell rather than splitting it. ``neighbors``, if
-    given, is ``neighbor_search(s, absorber, cutoff)`` computed by the caller.
-    """
+def _shell_columns(s: CrystalStructure, absorber: int, cutoff: float, neighbors: Neighbors):
+    """(count, radius, z) arrays of the absorber's shells; see shells_from_structure."""
     neighbors = neighbor_search(s, absorber, cutoff) if neighbors is None else neighbors
     dist = neighbors.dists
     if not dist.size:
@@ -184,9 +178,27 @@ def shells_from_structure(
     for c in np.unique(counts):
         of_size = counts == c
         radius[of_size] = dist[starts[of_size, None] + np.arange(c)].mean(axis=1)
+    too_close = radius <= 0.5  # ScatteringShell's check, on the columns
+    if too_close.any():
+        raise ValueError(f"shell radius {radius[too_close][0].item()} below physical minimum")
+    return counts, radius, z[starts]
+
+
+def shells_from_structure(
+    s: CrystalStructure, absorber: int, params: OracleParams, cutoff: float = SHELL_CUTOFF,
+    neighbors: Neighbors = None,
+) -> list:
+    """Collapse the periodic neighbor environment into discrete shells.
+
+    Neighbors are grouped by (species, distance binned at 0.01 Angstrom);
+    each shell's radius is the mean distance of its members, so lattice
+    jitter moves the shell rather than splitting it. ``neighbors``, if
+    given, is ``neighbor_search(s, absorber, cutoff)`` computed by the caller.
+    """
+    counts, radius, z = _shell_columns(s, absorber, cutoff, neighbors)
     return [
         ScatteringShell(n_atoms=n, radius=r, z_scatter=zs, sigma2=params.sigma2)
-        for n, r, zs in zip(counts.tolist(), radius.tolist(), z[starts].tolist())
+        for n, r, zs in zip(counts.tolist(), radius.tolist(), z.tolist())
     ]
 
 
@@ -202,10 +214,10 @@ def synth_exafs(
     """Oracle EXAFS spectrum: mu(E) = 1 + sum over shells of chi_shell(k(E))."""
     if grid.values[0] <= params.e0_ev:
         raise BelowEdgeError("EXAFS grid must lie strictly above the edge")
-    shells = shells_from_structure(s, absorber, params, cutoff, neighbors)
+    counts, radius, z = _shell_columns(s, absorber, cutoff, neighbors)
     k = wavenumber(grid.values, params.e0_ev)
     chi = np.zeros_like(k)
-    for row in _chi_rows(shells, params, k):  # summed in shell order
+    for row in _chi_rows(counts, radius, z, params.sigma2, params, k):  # summed in shell order
         chi += row
     return Spectrum(grid, 1.0 + chi, EXAFS, edge, s.sites[absorber].element, s.id)
 

@@ -217,6 +217,25 @@ class TestSynth:
             # jitter moves individual bonds by up to ~0.09 A around the target
             assert 1.7 <= s.labels.mnnd <= 3.3
 
+    # every TEMPLATES row: (absorber site, nominal CN, whether it holds a second species)
+    @pytest.mark.parametrize("template,site,cn,pair", [
+        ("sc", 0, 6, False), ("fcc", 0, 12, False), ("rocksalt", 0, 6, True),
+        ("fluorite_cation", 0, 8, True), ("fluorite_anion", 4, 4, True),
+    ])
+    def test_template_row_sets_absorber_site_cn_and_species(self, template, site, cn, pair):
+        assert template in cli.TEMPLATES and len(cli.TEMPLATES) == 5
+        cu, o = Element.from_symbol("Cu"), Element.from_symbol("O")
+        s, absorber, labels, _ = cli.synth_structure(np.random.default_rng(0), template, cu, o,
+                                                     (2.0, 2.5), 0.0, 0.0, "t")
+        assert (absorber, s.sites[absorber].element, labels.cn) == (site, cu, cn)
+        assert {x.element for x in s.sites} == ({cu, o} if pair else {cu})
+        cfg = dict(cli.CONFIG_DEFAULTS, n_samples="3", n_grid="40", elements="Ni,Se",
+                   templates=template, strain="0", jitter="0")
+        for sample, (s, absorber) in zip(*cli.synth_samples(cfg)):
+            assert (absorber, sample.labels.cn) == (site, cn)
+            assert s.sites[absorber].element == sample.xanes.absorber
+            assert len({x.element for x in s.sites}) == (2 if pair else 1)
+
     def test_unknown_template_is_usage_error(self, tmp_path):
         rc = cli.main(["synth", "--out", str(tmp_path / "x"), "--set", "templates=bcc"])
         assert rc == 2
@@ -232,6 +251,9 @@ class TestSynth:
         ("mnnd_min=abc", "usage error: config key 'mnnd_min' must be a number, got 'abc'"),
         ("mnnd_max=-inf", "usage error: config key 'mnnd_max' must be finite, got -inf"),
         ("seed=abc", "error: config key 'seed' must be an integer, got 'abc'"),
+        ("seed=-1", "error: config key 'seed' must be at least 0, got -1"),
+        ("mnnd_min=0", "usage error: config key 'mnnd_min' must be at least 0.5, got 0.0"),
+        ("elements=Xx", "usage error: config key 'elements' names an unknown element symbol: 'Xx'"),
     ])
     def test_bad_draw_range_is_usage_error_naming_the_key(self, setting, key, cu_data, tmp_path,
                                                           capsys):

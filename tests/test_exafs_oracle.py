@@ -9,6 +9,7 @@ from xastruct.crystal import (
     CrystalStructure,
     DescriptorLabels,
     Element,
+    Lattice,
     NoNeighborsError,
     Site,
     neighbor_list,
@@ -205,6 +206,13 @@ class TestSynthExafs:
     def test_isolated_atom_raises(self):
         s = cubic_structure(a=9.0)
         with pytest.raises(NoNeighborsError):
+            synth_exafs(s, 0, P, default_exafs_grid(P.e0_ev))
+
+    def test_neighbor_at_half_an_angstrom_is_below_the_shell_minimum(self):
+        # the closest sites CrystalStructure admits: a shell at exactly 0.5 A
+        cu, o = Element.from_symbol("Cu"), Element.from_symbol("O")
+        s = CrystalStructure(Lattice(np.eye(3)), (Site(cu, np.zeros(3)), Site(o, np.array([0.5, 0, 0]))))
+        with pytest.raises(ValueError, match="shell radius 0.5 below physical minimum"):
             synth_exafs(s, 0, P, default_exafs_grid(P.e0_ev))
 
     def test_grid_below_edge_rejected(self):
