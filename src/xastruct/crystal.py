@@ -2,17 +2,21 @@
 
 Conventions: lattice rows are lattice vectors in angstroms, fractional
 coordinates live in [0, 1), and cartesian positions are ``frac @ basis``.
-Neighbor searches enumerate periodic images exhaustively inside a bound
-derived from the perpendicular cell heights; correctness over cleverness.
-`neighbor_search` returns one center's neighbors as sorted arrays (image
-offsets, site indices, distances), and the descriptors and the EXAFS shells
-read those arrays as they are; `neighbor_list` turns them into `Neighbor`
-tuples. What does not depend on the structure is built once per process:
-the image-offset grid of each search bound (read-only), the 27 shifts of the
-minimum-image check and one `Element` per symbol. A structure graph holds
-one edge row per distinct (receiver, sender, distance) with its count of
-periodic images, the form the encoder reads, so a batch of graphs joins
-into one graph by offsetting node indices.
+A neighbor search visits, out of the box of image cells bounded by the
+perpendicular cell heights, only the cells whose midpoint lies within the
+cutoff plus half the longest cell diagonal of the center: every image in a
+cell lies that close to its midpoint. The minimum-image check takes the
+zero shift and the 13 shifts in {-1, 0, 1}^3 whose first nonzero entry is
++1; a pair under the opposite shift is the same pair reversed, with the same
+distance bits. `neighbor_search` returns one center's neighbors as sorted
+arrays (image offsets, site indices, distances), and the descriptors and the
+EXAFS shells read those arrays as they are; `neighbor_list` turns them into
+`Neighbor` tuples. What does not depend on the structure is built once per
+process: the image-offset grid of each search bound (read-only), the 14
+shifts of the minimum-image check and one `Element` per symbol. A structure
+graph holds one edge row per distinct (receiver, sender, distance) with its
+count of periodic images, the form the encoder reads, so a batch of graphs
+joins into one graph by offsetting node indices.
 """
 
 from __future__ import annotations
@@ -125,7 +129,9 @@ class Site:
         frac = np.asarray(self.frac_coords, dtype=float)
         if frac.shape != (3,) or not np.isfinite(frac).all():
             raise InvalidStructureError("site coordinates must be a finite 3-vector")
-        object.__setattr__(self, "frac_coords", frac - np.floor(frac))
+        # x % 1.0 has the bits of x - floor(x), which round to 1.0 for x just
+        # below 0 (-1e-17); the second % 1.0 wraps that to 0.0
+        object.__setattr__(self, "frac_coords", frac % 1.0 % 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +160,7 @@ class CrystalStructure:
         frac = self.frac_coords()
         diff = frac[:, None, :] - frac[None, :, :]
         diff -= np.round(diff)  # minimum image in fractional space
-        d = np.linalg.norm((diff + _NEARBY_SHIFTS[:, None, None, :]) @ self.lattice.basis, axis=-1)
+        d = np.linalg.norm((diff + _HALF_SHIFTS[:, None, None, :]) @ self.lattice.basis, axis=-1)
         d[:, np.eye(n, dtype=bool)] = np.inf
         return float(d.min())
 
@@ -165,10 +171,16 @@ class CrystalStructure:
         return len(self.sites)
 
 
-# the 27 image shifts in {-1, 0, 1}^3: nearby images cover skewed cells where
-# rounding to the minimum image alone is not minimal
-_NEARBY_SHIFTS = np.array(list(np.ndindex(3, 3, 3))) - 1
-_NEARBY_SHIFTS.flags.writeable = False
+# zero, then the 13 image shifts in {-1, 0, 1}^3 whose first nonzero entry is
+# +1: nearby images cover skewed cells where rounding to the minimum image
+# alone is not minimal. The (j, i) row under -S is the exact negation of the
+# (i, j) row under S, so half the 27 shifts see every pair at its distance.
+_HALF_SHIFTS = (np.array(list(np.ndindex(3, 3, 3))) - 1)[13:]
+_HALF_SHIFTS.flags.writeable = False
+
+# the four body diagonals of a cell, in fractional coordinates
+_DIAGONALS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1]])
+_DIAGONALS.flags.writeable = False
 
 
 class Neighbor(NamedTuple):
@@ -234,20 +246,36 @@ def _offset_grid(bounds: tuple) -> np.ndarray:
     return grid
 
 
+def _search_cells(lattice: Lattice, centers: np.ndarray, cutoff: float) -> list:
+    """Per row of ``centers`` [C, 3] (fractional), the [T, 3] offsets of the cells to search.
+
+    |T_i| <= ceil(cutoff / height_i) + 1 bounds a box that covers all images:
+    fractional site differences lie in (-1, 1) and |delta_i| <= cutoff /
+    height_i. Sites lie in the closed unit cell, so an image in cell T lies
+    within half the longest cell diagonal of the midpoint (T + 1/2) B; a cell
+    whose midpoint is farther from the center than the cutoff plus that holds
+    no image within the cutoff and is dropped. The kept offsets stay in the
+    box's ij order.
+    """
+    box = _offset_grid(tuple(math.ceil(cutoff / h) + 1 for h in lattice.heights().tolist()))
+    half_diagonal = 0.5 * np.linalg.norm(_DIAGONALS @ lattice.basis, axis=1).max()
+    reach = (cutoff + half_diagonal) * (1 + 1e-9)  # margin for rounding
+    to_midpoints = (box + (0.5 - centers)[:, None, :]) @ lattice.basis  # [C, T, 3]
+    near = np.einsum("cti,cti->ct", to_midpoints, to_midpoints) <= reach * reach
+    return [box[keep] for keep in near]
+
+
 def _image_pairs(s: CrystalStructure, centers, cutoff: float) -> list:
     """(center, offset, site, distance) arrays of all pairs within ``cutoff`` of ``centers``.
 
-    The self-image at zero offset is excluded. One [T, N] block per center.
+    The self-image at zero offset is excluded. One [T, N] block per center
+    over the cells `_search_cells` keeps for it.
     """
     if not 0 < cutoff < math.inf:
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
-    # |T_i| <= ceil(cutoff / height_i) + 1 covers all images: fractional
-    # site differences lie in (-1, 1) and |delta_i| <= cutoff / height_i.
-    offsets = _offset_grid(tuple(int(math.ceil(cutoff / h)) + 1 for h in s.lattice.heights()))
-
     frac = s.frac_coords()
     parts = []
-    for center in centers:
+    for center, offsets in zip(centers, _search_cells(s.lattice, frac[centers], cutoff)):
         disp_frac = frac[None, :, :] + offsets[:, None, :] - frac[center]  # [T, N, 3]
         dists = np.linalg.norm(disp_frac @ s.lattice.basis, axis=-1)
         t_idx, site_idx = np.nonzero((dists <= cutoff) & (dists > 0))

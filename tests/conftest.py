@@ -68,8 +68,10 @@ def basis_from_parameters(lengths, angles):
     return np.array([[a, 0.0, 0.0], [b * cos_ga, b * sin_ga, 0.0], [cx, cy, math.sqrt(cz2)]])
 
 
-# symmetric positions give exact distance ties, so the (index, offset) order matters
-_FRACS = st.sampled_from([0.0, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0, exclude_max=True)
+# symmetric positions give exact distance ties, so the (index, offset) order
+# matters; the largest coordinate below 1 puts a site on the cell's far faces
+_FRACS = (st.sampled_from([0.0, 0.25, 0.5, 0.75, float(np.nextafter(1.0, 0.0))])
+          | st.floats(0.0, 1.0, exclude_max=True))
 
 
 @st.composite

@@ -27,6 +27,8 @@ from xastruct.crystal import (
     structure_to_dict,
     write_structures,
 )
+from xastruct.crystal import _HALF_SHIFTS, _search_cells
+from xastruct.cli import TEMPLATES
 
 from conftest import (
     brute_force_neighbors,
@@ -155,6 +157,10 @@ class TestStructureValidation:
     def test_site_wrapping(self):
         site = Site(Element(29), np.array([1.25, -0.25, 0.5]))
         assert np.allclose(site.frac_coords, [0.25, 0.75, 0.5])
+        # x - floor(x) is 1.0 for these; [0, 1) holds them at 0.0
+        assert Site(Element(29), np.array([-1e-17, -5e-17, -1e-300])).frac_coords.tolist() == [0.0] * 3
+        largest = np.nextafter(1.0, 0.0)
+        assert Site(Element(29), np.array([largest, 0.0, -1.0])).frac_coords.tolist() == [largest, 0.0, 0.0]
 
     def test_too_close_sites_rejected(self):
         el = Element(29)
@@ -189,6 +195,12 @@ class TestStructureValidation:
         el = Element(8)
         s = CrystalStructure(Lattice(SKEWED), (Site(el, np.zeros(3)), Site(el, np.array([0.3, 0.5, 0.5]))))
         assert s._min_pair_distance() == reference_min_pair_distance(s)
+
+    def test_half_shifts_and_their_negations_are_the_27_shifts(self):
+        assert _HALF_SHIFTS[0].tolist() == [0, 0, 0]
+        assert all(next(c for c in shift if c) == 1 for shift in _HALF_SHIFTS[1:].tolist())
+        both = {tuple(t) for t in np.concatenate([_HALF_SHIFTS, -_HALF_SHIFTS]).tolist()}
+        assert both == {tuple(c - 1 for c in t) for t in np.ndindex(3, 3, 3)}
 
     def test_heights_equal_the_cross_product_formula(self, rng):
         for _ in range(20):
@@ -320,6 +332,60 @@ class TestGraphRowProperties:
         assert np.concatenate([g.edge_dist for g in graphs]).tobytes() == dists.tobytes()
         assert np.concatenate([g.edge_mult for g in graphs]).tobytes() == mult.tobytes()
         assert all(g.mask.tobytes() == image.mask.tobytes() for g, image in zip(graphs, images))
+
+
+def full_box_search(s, center, cutoff):
+    """`reference_neighbor_list` as the (offsets, sites, dists) arrays of a Neighbors."""
+    listed = reference_neighbor_list(s, center, cutoff)
+    return (np.array([nb.offset for nb in listed], dtype=int).reshape(-1, 3),
+            np.array([nb.index for nb in listed], dtype=int),
+            np.array([nb.distance for nb in listed], dtype=float))
+
+
+class TestPrunedSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(structure=triclinic_structures(), data=st.data())
+    def test_search_graph_and_min_pair_equal_the_full_box(self, structure, data):
+        s, center = structure
+        longest = float(np.linalg.norm(s.lattice.basis, axis=1).max())
+        cutoff = data.draw(st.floats(0.5, 2.5 * longest), label="cutoff")
+        for got, want in zip(neighbor_search(s, center, cutoff), full_box_search(s, center, cutoff)):
+            assert_same_array(got, want)
+            assert got.tobytes() == want.tobytes()
+        g = build_graph(s, center, cutoff)
+        edges, dists, _, mask = reference_build_graph(s, center, cutoff)
+        edges, dists, mult = reference_rows(edges, dists)
+        assert_same_array(g.edges, edges)
+        assert g.edge_dist.tobytes() == dists.tobytes()
+        assert g.edge_mult.tobytes() == mult.tobytes()
+        assert g.mask.tobytes() == mask.tobytes()
+        if len(s) > 1:
+            assert s._min_pair_distance() == reference_min_pair_distance(s)
+
+    @pytest.mark.parametrize("template", sorted(TEMPLATES))
+    def test_template_searches_visit_few_cells_and_every_cell_with_a_pair(self, template):
+        basis, sites, _, _ = TEMPLATES[template]
+        cutoff = 6.0
+        for m in (1.8, 2.5, 3.2):
+            s = CrystalStructure(Lattice(basis(m)),
+                                 tuple(Site(Element(26 + sp), np.array(f)) for sp, f in sites))
+            box = math.prod(2 * (math.ceil(cutoff / h) + 1) + 1
+                            for h in reference_heights(s.lattice.basis))
+            for center, cells in enumerate(_search_cells(s.lattice, s.frac_coords(), cutoff)):
+                assert len(cells) <= 0.4 * box, (m, center, len(cells), box)
+                with_pairs = {nb.offset for nb in reference_neighbor_list(s, center, cutoff)}
+                assert with_pairs <= set(map(tuple, cells.tolist()))
+
+    def test_coordinate_below_zero_round_trips_with_the_same_search(self):
+        el = Element(29)
+        s = CrystalStructure(Lattice(SKEWED + np.diag([0.0, 1.0, 0.0])),
+                             (Site(el, np.array([-1e-17, 0.5, -1e-17])), Site(el, np.array([0.5, 0.0, 0.5]))))
+        back = structure_from_dict(json.loads(json.dumps(structure_to_dict(s))))
+        assert back.frac_coords().tobytes() == s.frac_coords().tobytes()
+        for center in range(len(s)):
+            for got, want in zip(neighbor_search(back, center, 6.0), neighbor_search(s, center, 6.0)):
+                assert_same_array(got, want)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestFirstShell:
