@@ -13,6 +13,11 @@ key=value overrides; precedence is flags > config file > defaults. Each run
 writes run.json next to its outputs: the command name, the config file path,
 the seed, git-style content hashes of the inputs, and the output paths. Exit
 codes: 0 success, 1 runtime or validation failure, 2 usage error.
+
+Importing this module loads the data stack only (config, jsonio, crystal,
+spectra, exafs_oracle), so synth, extract and plot start without the model
+stack. train, eval and predict import pipelines, and through it autodiff, nn
+and forest, when they run; gradcheck imports the gradcheck module.
 """
 
 import argparse
@@ -30,8 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import exafs_oracle as oracle
-from . import gradcheck
-from . import pipelines as pl
+from .config import config_value
 from .crystal import (
     DESCRIPTOR_CUTOFF,
     MIN_SITE_SEPARATION,
@@ -110,9 +114,7 @@ def resolve_config(args) -> dict:
         cfg[key.strip()] = value.strip()
     if args.seed is not None:
         cfg["seed"] = args.seed
-    cfg["seed"] = pl.config_value("seed", cfg["seed"], int)  # before any command writes
-    if cfg["seed"] < 0:
-        raise ValueError(f"config key 'seed' must be at least 0, got {cfg['seed']}")
+    cfg["seed"] = config_value("seed", cfg["seed"], int, least=0)  # before any command writes
     return cfg
 
 
@@ -229,14 +231,12 @@ def synth_structure(rng, template: str, absorber: Element, scatterer: Element,
 def _synth_value(cfg: dict, key: str, cast, least=None):
     """cfg[key] as cast, finite and at least `least`; else a usage error naming the key."""
     try:
-        value = pl.config_value(key, cfg[key], cast)
+        value = config_value(key, cfg[key], cast)
+        if cast is float and not math.isfinite(value):
+            raise ValueError(f"config key {key!r} must be finite, got {value}")
+        return config_value(key, value, cast, least)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if cast is float and not math.isfinite(value):
-        raise UsageError(f"config key {key!r} must be finite, got {value}")
-    if least is not None and value < least:
-        raise UsageError(f"config key {key!r} must be at least {least}, got {value}")
-    return value
 
 
 def synth_samples(cfg: dict):
@@ -313,6 +313,17 @@ def _absorber(cfg: dict, s: CrystalStructure, absorber: int) -> int:
 # --- tasks -------------------------------------------------------------------------
 
 
+def _pl():
+    """The pipelines module, which imports the rest of the model stack: autodiff, nn, forest.
+
+    It is imported when a model command first runs, so that synth and
+    extract start without it.
+    """
+    from . import pipelines
+
+    return pipelines
+
+
 def _samples(data_dir: Path, cfg: dict, model=None) -> list:
     """The dataset's samples; for a per-element model, its element's samples only."""
     samples = load_dataset(data_dir / "manifest.jsonl")
@@ -350,7 +361,7 @@ def _predict_spectrum(model, path, cfg: dict, out_dir: Path) -> dict:
     s, absorber = read_structure(path)
     g = build_graph(s, _absorber(cfg, s, absorber), _cutoff(cfg))
     sp = Spectrum(
-        grid=EnergyGrid(model.grid_values), mu=pl.forward_predict(model, g), kind=model.kind,
+        grid=EnergyGrid(model.grid_values), mu=_pl().forward_predict(model, g), kind=model.kind,
         edge=model.edge, absorber=Element.from_symbol(model.element), structure_id=s.id,
     )
     out_path = out_dir / "spectrum.csv"
@@ -372,12 +383,13 @@ class Task:
     """What train, eval and predict do for one task.
 
     The functions call pipelines through its module attributes when they
-    run, so a wrapper installed on those attributes sees every call.
+    run, so a wrapper installed on those attributes sees every call, and
+    building the table imports no model code.
     """
 
     load: Callable  # (data dir, cfg, model or None) -> items: all, or those a model is scored on
     absorber: Callable  # item -> absorber symbol, the key of a per-element scope
-    train: Callable  # (items, TrainConfig, validation items) -> (pl.History, model)
+    train: Callable  # (items, TrainConfig, validation items) -> (History, model)
     # (model, items, TrainConfig, the model's output on the items or None) -> Metrics
     score: Callable
     predict: Callable  # (model, input file, cfg, out dir) -> the prediction's fields
@@ -396,8 +408,8 @@ TASKS = {
     "forward": Task(
         load=_forward_pairs,
         absorber=lambda pair: pair[1].absorber.symbol,
-        train=lambda items, tcfg, val: pl.train_forward(items, tcfg, val_pairs=val),
-        score=lambda model, items, tcfg, out: pl.eval_forward(model, items, tcfg.batch_size, out),
+        train=lambda items, tcfg, val: _pl().train_forward(items, tcfg, val_pairs=val),
+        score=lambda model, items, tcfg, out: _pl().eval_forward(model, items, tcfg.batch_size, out),
         predict=_predict_spectrum,
         scope_settable=False,
         tag=lambda model: f"{model.element}_{model.kind}",
@@ -406,26 +418,26 @@ TASKS = {
     "mnnd": Task(
         load=_samples,
         absorber=_sample_absorber,
-        train=lambda items, tcfg, val: pl.train_mnnd(items, tcfg, val_samples=val),
-        score=lambda model, items, tcfg, out: pl.eval_mnnd(model, items, out),
-        predict=_predict_label("mnnd_angstrom", lambda model, pair: pl.mnnd_predict(model, pair)),
+        train=lambda items, tcfg, val: _pl().train_mnnd(items, tcfg, val_samples=val),
+        score=lambda model, items, tcfg, out: _pl().eval_mnnd(model, items, out),
+        predict=_predict_label("mnnd_angstrom", lambda model, pair: _pl().mnnd_predict(model, pair)),
         scope="unified",
     ),
     "neighbor": Task(
         load=_samples,
         absorber=_sample_absorber,
-        train=lambda items, tcfg, val: pl.train_neighbor(items, tcfg, val_samples=val),
-        score=lambda model, items, tcfg, out: pl.eval_neighbor(model, items, out),
+        train=lambda items, tcfg, val: _pl().train_neighbor(items, tcfg, val_samples=val),
+        score=lambda model, items, tcfg, out: _pl().eval_neighbor(model, items, out),
         predict=_predict_label(
-            "neighbor_type", lambda model, pair: pl.neighbor_predict(model, pair).symbol
+            "neighbor_type", lambda model, pair: _pl().neighbor_predict(model, pair).symbol
         ),
     ),
     "cn": Task(
         load=_samples,
         absorber=_sample_absorber,
-        train=lambda items, tcfg, val: (pl.History(), pl.train_cn(items, tcfg)),
-        score=lambda model, items, tcfg, out: pl.eval_cn(model, items),
-        predict=_predict_label("cn", lambda model, pair: pl.cn_predict(model, pair)),
+        train=lambda items, tcfg, val: (_pl().History(), _pl().train_cn(items, tcfg)),
+        score=lambda model, items, tcfg, out: _pl().eval_cn(model, items),
+        predict=_predict_label("cn", lambda model, pair: _pl().cn_predict(model, pair)),
     ),
 }
 
@@ -469,6 +481,7 @@ def cmd_train(args) -> int:
     if name not in TASKS:
         raise UsageError(f"unknown task {name!r}; choose from {', '.join(TASKS)}")
     task = TASKS[name]
+    pl = _pl()
     tcfg = pl.TrainConfig.from_config(cfg)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
@@ -511,6 +524,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
+    pl = _pl()
     name, model = pl.load_checkpoint(args.checkpoint)
     task = TASKS[name]
     data_dir = Path(args.data)
@@ -530,6 +544,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = resolve_config(args)
+    pl = _pl()
     name, model = pl.load_checkpoint(args.checkpoint)
     if args.task and args.task != name:
         raise ValueError(f"task mismatch: checkpoint is {name!r}, requested {args.task!r}")
@@ -544,6 +559,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import gradcheck
+
     return 1 if gradcheck.run(int(args.seeds), args.corrupt) else 0
 
 

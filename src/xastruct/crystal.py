@@ -93,6 +93,7 @@ class Lattice:
     """Periodic cell: rows of ``basis`` are lattice vectors in angstroms."""
 
     basis: np.ndarray
+    volume: float = field(init=False, repr=False)  # the determinant of basis, in cubic angstroms
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -100,13 +101,11 @@ class Lattice:
             raise InvalidStructureError(f"lattice basis must be 3x3, got {basis.shape}")
         if not np.isfinite(basis).all():
             raise InvalidStructureError("lattice basis contains non-finite entries")
-        if np.linalg.det(basis) <= 0:
+        volume = float(np.linalg.det(basis))
+        if volume <= 0:
             raise InvalidStructureError("lattice determinant must be strictly positive")
         object.__setattr__(self, "basis", basis)
-
-    @property
-    def volume(self) -> float:
-        return float(np.linalg.det(self.basis))
+        object.__setattr__(self, "volume", volume)
 
     def heights(self) -> np.ndarray:
         """Perpendicular cell heights: distance between opposite cell faces.

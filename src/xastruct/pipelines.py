@@ -46,6 +46,7 @@ from .autodiff import (
     softmax,
     zero_grad,
 )
+from .config import config_value
 from .crystal import Element, StructureGraph
 from .jsonio import read_json, write_json
 from .nn import ConvBlock, Module, MPEncoder, SGMLP
@@ -75,6 +76,10 @@ DEFAULT_ARCH = {
     "head_hidden": 64,
     "head_k": 2,
 }
+# the least value of each size that a smaller one breaks: a size of 0 divides by
+# zero in a Glorot bound, and the radial basis needs two centers for its width
+ARCH_LEAST = {"encoder_dim": 1, "encoder_rbf": 2, "forward_hidden": 1, "embed_hidden": 1,
+              "conv_channels": 1, "conv_kernel": 1, "head_hidden": 1}
 
 
 @dataclass(frozen=True)
@@ -117,20 +122,11 @@ class TrainConfig:
         return cls(extras=extras, **kwargs)
 
     def arch(self, key: str):
-        return self.extra(key, DEFAULT_ARCH[key])
+        return self.extra(key, DEFAULT_ARCH[key], ARCH_LEAST.get(key))
 
-    def extra(self, key: str, default):
+    def extra(self, key: str, default, least=None):
         """The `key` extra as the type of `default`, which stands in when it is unset."""
-        return config_value(key, self.extras.get(key, default), type(default))
-
-
-def config_value(key: str, value, cast):
-    """cast(value); a value that does not parse raises naming its config key."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        kind = {float: "a number", int: "an integer"}[cast]
-        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}") from None
+        return config_value(key, self.extras.get(key, default), type(default), least)
 
 
 # --- metrics ------------------------------------------------------------------

@@ -606,6 +606,22 @@ class TestTrain:
         assert f"{key} must be" in err and "Traceback" not in err, err
         assert not list(out.glob("*.json"))
 
+    @pytest.mark.parametrize("task,key,least", [
+        ("forward", "encoder_dim", 1), ("forward", "forward_hidden", 1),
+        ("forward", "encoder_rbf", 2), ("mnnd", "embed_hidden", 1),
+        ("mnnd", "conv_channels", 1), ("mnnd", "conv_kernel", 1), ("neighbor", "head_hidden", 1),
+    ])
+    def test_arch_size_below_its_least_exits_1_naming_the_key(self, task, key, least, request,
+                                                              tmp_path, capsys):
+        data = request.getfixturevalue("cu_data" if task == "forward" else "mixed_data")
+        out = tmp_path / "x"
+        rc = cli.main(["train", "--task", task, "--data", str(data), "--out", str(out),
+                       "--set", "epochs=1", "--set", f"{key}={least - 1}"])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"error: config key '{key}' must be at least {least}, got {least - 1}" in err, err
+        assert not list(out.glob("*.json"))
+
     @pytest.mark.parametrize("task", ["forward", "mnnd", "neighbor"])
     def test_validation_predicts_once_an_epoch_and_not_after_fit(self, task, request,
                                                                  monkeypatch, tmp_path):
