@@ -370,18 +370,19 @@ def batch_norm_1d(x, gamma, beta, state: BatchNormState, training: bool) -> Tens
     if gamma.shape != (n_features,) or beta.shape != (n_features,):
         raise _shape_error("batch_norm_1d scale", x.shape, gamma.shape, beta.shape)
 
+    n_reduced = int(np.prod([x.shape[a] for a in axes]))
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        # the reductions np.mean and np.var run, with the deviations formed once
+        mean = x.data.sum(axis=axes, keepdims=True) / n_reduced
+        xhat = x.data - mean
+        var = (xhat * xhat).sum(axis=axes) / n_reduced
         m = state.momentum
-        state.running_mean = m * state.running_mean + (1.0 - m) * mean
+        state.running_mean = m * state.running_mean + (1.0 - m) * mean.reshape(-1)
         state.running_var = m * state.running_var + (1.0 - m) * var
     else:
-        mean, var = state.running_mean, state.running_var
-
+        xhat, var = x.data - state.running_mean.reshape(stat_shape), state.running_var
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x.data - mean.reshape(stat_shape)) * inv_std.reshape(stat_shape)
-    n_reduced = int(np.prod([x.shape[a] for a in axes]))
+    xhat *= inv_std.reshape(stat_shape)
 
     def backward(g):
         dxhat = g * gamma.data.reshape(stat_shape)

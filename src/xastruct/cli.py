@@ -9,10 +9,13 @@
     xastruct plot      FILES... --out DIR
 
 Every command accepts --config (flat key = value text), --seed, and --set
-key=value overrides; precedence is flags > config file > defaults. Each run
-writes run.json next to its outputs: the command name, the config file path,
-the seed, git-style content hashes of the inputs, and the output paths. Exit
-codes: 0 success, 1 runtime or validation failure, 2 usage error.
+key=value overrides; precedence is flags > config file > defaults. Each
+command first checks every key against the config-key table (config.KEYS),
+so an unknown key or a bad value fails naming it before a file is read or
+written. Each run writes run.json next to its outputs: the command name, the
+config file path, the seed, git-style content hashes of the inputs, and the
+output paths. Exit codes: 0 success, 1 runtime or validation failure, 2
+usage error, which includes a bad value of a key the table marks `usage`.
 
 Importing this module loads the data stack only (config, jsonio, crystal,
 spectra, exafs_oracle), so synth, extract and plot start without the model
@@ -25,7 +28,6 @@ import csv
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -35,10 +37,9 @@ from typing import Callable
 import numpy as np
 
 from . import exafs_oracle as oracle
-from .config import config_value
+from .config import KEYS, UsageError, check_config, read
 from .crystal import (
     DESCRIPTOR_CUTOFF,
-    MIN_SITE_SEPARATION,
     CrystalStructure,
     Element,
     Lattice,
@@ -65,32 +66,14 @@ from .spectra import (
     split_dataset,
 )
 
-CONFIG_DEFAULTS = {
-    "seed": "0",
-    "n_samples": "100",
-    "elements": "Ti,Fe,Cu,Zn",
-    "templates": "sc,fcc,rocksalt,fluorite_cation,fluorite_anion",
-    "mnnd_min": "1.8",
-    "mnnd_max": "3.2",
-    "strain": "0.05",
-    "jitter": "0.05",
-    "n_grid": "100",
-    "cutoff": "6.0",
-    "forward_kind": "XANES",
-    "absorber": "",
-    "task": "",
-}
-
-
-class UsageError(ValueError):
-    pass
+CONFIG_DEFAULTS = {key: row.default for key, row in KEYS.items()}
 
 
 # --- config -------------------------------------------------------------------
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines; # comments and blank lines are skipped."""
+    """Flat `key = value` lines of config-key table keys; # comments and blank lines are skipped."""
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -99,23 +82,25 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
+        if key.strip() not in KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
         out[key.strip()] = value.strip()
     return out
 
 
 def resolve_config(args) -> dict:
-    cfg = dict(CONFIG_DEFAULTS)
-    if args.config:
-        cfg.update(parse_config_file(args.config))
-    for item in args.set or []:
+    """Every key of the config-key table, typed: --seed, else --set, else --config, else default.
+
+    Each command calls it first, so a bad key or value fails before it reads or writes a file.
+    """
+    cfg = parse_config_file(args.config) if args.config else {}
+    seed = [] if args.seed is None else [f"seed={args.seed}"]  # --seed is a last --set
+    for item in [*(args.set or []), *seed]:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         cfg[key.strip()] = value.strip()
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    cfg["seed"] = config_value("seed", cfg["seed"], int, least=0)  # before any command writes
-    return cfg
+    return check_config(cfg)
 
 
 # --- run manifest ----------------------------------------------------------------
@@ -228,46 +213,16 @@ def synth_structure(rng, template: str, absorber: Element, scatterer: Element,
     raise RuntimeError(f"template {template} failed to produce cn={nominal_cn} after 64 draws")
 
 
-def _synth_value(cfg: dict, key: str, cast, least=None):
-    """cfg[key] as cast, finite and at least `least`; else a usage error naming the key."""
-    try:
-        value = config_value(key, cfg[key], cast)
-        if cast is float and not math.isfinite(value):
-            raise ValueError(f"config key {key!r} must be finite, got {value}")
-        return config_value(key, value, cast, least)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def synth_samples(cfg: dict):
-    """Draw the labeled corpus described by cfg; returns (samples, structures)."""
-    seed = _synth_value(cfg, "seed", int, least=0)
-    n = _synth_value(cfg, "n_samples", int, least=0)
-    try:
-        elements = [Element.from_symbol(sym.strip()) for sym in cfg["elements"].split(",")
-                    if sym.strip()]
-    except ValueError as exc:
-        raise UsageError(f"config key 'elements' names an {exc}") from None
-    if not elements:
-        raise UsageError("config key 'elements' must name at least one element")
-    template_names = [t.strip() for t in cfg["templates"].split(",") if t.strip()]
-    for t in template_names:
-        if t not in TEMPLATES:
-            raise UsageError(f"unknown template {t!r}; choose from {sorted(TEMPLATES)}")
-    mnnd_range = (_synth_value(cfg, "mnnd_min", float, least=MIN_SITE_SEPARATION),
-                  _synth_value(cfg, "mnnd_max", float))
-    if mnnd_range[0] > mnnd_range[1]:
-        raise UsageError(f"config key 'mnnd_min' ({mnnd_range[0]}) exceeds 'mnnd_max' "
-                         f"({mnnd_range[1]})")
-    strain = _synth_value(cfg, "strain", float, least=0.0)
-    jitter = _synth_value(cfg, "jitter", float, least=0.0)
-    n_grid = _synth_value(cfg, "n_grid", int, least=2)
-    cutoff = _cutoff(cfg)
-
-    oracle_inputs = {}  # absorber element -> (OracleParams, XANES grid, EXAFS grid)
+    """(samples, structures) of the corpus that cfg describes, checked by the config-key table."""
+    cfg = check_config(cfg)
+    elements = [Element.from_symbol(symbol) for symbol in cfg["elements"]]
+    template_names, cutoff = cfg["templates"], cfg["cutoff"]
+    # absorber element -> (OracleParams, XANES grid, EXAFS grid, the EXAFS grid's wavenumbers)
+    oracle_inputs = {}
     samples, structures = [], []
-    for i in range(n):
-        rng = np.random.default_rng([seed, i])
+    for i in range(cfg["n_samples"]):
+        rng = np.random.default_rng([cfg["seed"], i])
         template = template_names[rng.integers(len(template_names))]
         absorber = elements[rng.integers(len(elements))]
         scatterer = absorber
@@ -276,38 +231,30 @@ def synth_samples(cfg: dict):
             scatterer = others[rng.integers(len(others))]
         sid = f"{template}-{absorber.symbol}-{i:06d}"
         s, absorber_index, labels, neighbors = synth_structure(
-            rng, template, absorber, scatterer, mnnd_range, strain, jitter, sid
+            rng, template, absorber, scatterer, (cfg["mnnd_min"], cfg["mnnd_max"]),
+            cfg["strain"], cfg["jitter"], sid,
         )
         if absorber not in oracle_inputs:
             params = oracle.OracleParams.from_config(cfg, e0_ev=oracle.default_edge_energy(absorber))
-            oracle_inputs[absorber] = (params, oracle.default_xanes_grid(params.e0_ev, n=n_grid),
-                                       oracle.default_exafs_grid(params.e0_ev, n=n_grid))
-        params, xanes_grid, exafs_grid = oracle_inputs[absorber]
+            e0, n_grid = params.e0_ev, cfg["n_grid"]
+            exafs_grid = oracle.default_exafs_grid(e0, n=n_grid)
+            oracle_inputs[absorber] = (params, oracle.default_xanes_grid(e0, n=n_grid), exafs_grid,
+                                       oracle.wavenumber(exafs_grid.values, e0))
+        params, xanes_grid, exafs_grid, k = oracle_inputs[absorber]
         xanes = oracle.synth_xanes(labels, absorber, params, xanes_grid, structure_id=sid)
         exafs = oracle.synth_exafs(
             s, absorber_index, params, exafs_grid, cutoff=cutoff,
-            neighbors=neighbors if cutoff == DESCRIPTOR_CUTOFF else None,
+            neighbors=neighbors if cutoff == DESCRIPTOR_CUTOFF else None, k=k,
         )
         samples.append(LabeledSample(xanes=xanes, exafs=exafs, labels=labels))
         structures.append((s, absorber_index))
     return samples, structures
 
 
-def _cutoff(cfg: dict) -> float:
-    """The `cutoff` config key: a neighbor distance in angstroms, positive and finite."""
-    try:
-        if 0 < float(cfg["cutoff"]) < np.inf:
-            return float(cfg["cutoff"])
-    except ValueError:
-        pass
-    raise UsageError(f"config key 'cutoff' must be a positive, finite distance, got {cfg['cutoff']!r}")
-
-
 def _absorber(cfg: dict, s: CrystalStructure, absorber: int) -> int:
     """The site index that the `absorber` config key sets, else the record's `absorber`."""
-    if cfg["absorber"]:
-        return site_index(cfg["absorber"], len(s), "config key 'absorber'")
-    return absorber
+    index = read(cfg, "absorber")
+    return absorber if index is None else site_index(index, len(s), "config key 'absorber'")
 
 
 # --- tasks -------------------------------------------------------------------------
@@ -334,13 +281,8 @@ def _samples(data_dir: Path, cfg: dict, model=None) -> list:
 
 def _forward_pairs(data_dir: Path, cfg: dict, model=None) -> list:
     """(graph, spectrum) pairs of the forward_kind spectra; for a model, its kind and element's."""
-    cutoff = _cutoff(cfg)
-    if model is None:
-        kind, element = cfg["forward_kind"], None
-        if kind not in ("XANES", "EXAFS"):
-            raise UsageError(f"forward_kind must be XANES or EXAFS, got {kind!r}")
-    else:
-        kind, element = model.kind, model.element
+    cutoff = read(cfg, "cutoff")
+    kind, element = (read(cfg, "forward_kind"), None) if model is None else (model.kind, model.element)
     manifest, structures_path = data_dir / "manifest.jsonl", data_dir / "structures.jsonl"
     samples = load_dataset(manifest)
     structures = {s.id: (s, a) for s, a in read_structures(structures_path)}
@@ -359,7 +301,7 @@ def _forward_pairs(data_dir: Path, cfg: dict, model=None) -> list:
 def _predict_spectrum(model, path, cfg: dict, out_dir: Path) -> dict:
     """Write the spectrum of the input structure file's absorber as spectrum.csv."""
     s, absorber = read_structure(path)
-    g = build_graph(s, _absorber(cfg, s, absorber), _cutoff(cfg))
+    g = build_graph(s, _absorber(cfg, s, absorber), read(cfg, "cutoff"))
     sp = Spectrum(
         grid=EnergyGrid(model.grid_values), mu=_pl().forward_predict(model, g), kind=model.kind,
         edge=model.edge, absorber=Element.from_symbol(model.element), structure_id=s.id,
@@ -478,8 +420,8 @@ def cmd_train(args) -> int:
     """One model per scope with at least 5 samples: checkpoint, metrics and history."""
     cfg = resolve_config(args)
     name = args.task or cfg["task"]
-    if name not in TASKS:
-        raise UsageError(f"unknown task {name!r}; choose from {', '.join(TASKS)}")
+    if name is None:
+        raise UsageError(f"train needs --task or the config key 'task': {', '.join(TASKS)}")
     task = TASKS[name]
     pl = _pl()
     tcfg = pl.TrainConfig.from_config(cfg)
@@ -487,7 +429,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     seed = cfg["seed"]
     items = task.load(data_dir, cfg)
-    scope = cfg.get("scope", task.scope) if task.scope_settable else task.scope
+    scope = (cfg["scope"] or task.scope) if task.scope_settable else task.scope
     scoped = {"unified": items}
     if scope == "per-element":
         scoped = {}
@@ -559,6 +501,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    resolve_config(args)
     from . import gradcheck
 
     return 1 if gradcheck.run(int(args.seeds), args.corrupt) else 0

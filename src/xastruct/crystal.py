@@ -29,25 +29,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import ELEMENT_SYMBOLS
 from .jsonio import read_json, read_jsonl, write_jsonl
 
 MIN_SITE_SEPARATION = 0.5  # angstrom; guards the 1/R^2 terms downstream
 DESCRIPTOR_CUTOFF = 6.0  # angstrom; neighbor search radius of extract_descriptors
-
-_SYMBOLS = (
-    "H", "He", "Li", "Be", "B", "C", "N", "O", "F", "Ne",
-    "Na", "Mg", "Al", "Si", "P", "S", "Cl", "Ar", "K", "Ca",
-    "Sc", "Ti", "V", "Cr", "Mn", "Fe", "Co", "Ni", "Cu", "Zn",
-    "Ga", "Ge", "As", "Se", "Br", "Kr", "Rb", "Sr", "Y", "Zr",
-    "Nb", "Mo", "Tc", "Ru", "Rh", "Pd", "Ag", "Cd", "In", "Sn",
-    "Sb", "Te", "I", "Xe", "Cs", "Ba", "La", "Ce", "Pr", "Nd",
-    "Pm", "Sm", "Eu", "Gd", "Tb", "Dy", "Ho", "Er", "Tm", "Yb",
-    "Lu", "Hf", "Ta", "W", "Re", "Os", "Ir", "Pt", "Au", "Hg",
-    "Tl", "Pb", "Bi", "Po", "At", "Rn", "Fr", "Ra", "Ac", "Th",
-    "Pa", "U", "Np", "Pu", "Am", "Cm", "Bk", "Cf", "Es", "Fm",
-    "Md", "No", "Lr", "Rf", "Db", "Sg", "Bh", "Hs", "Mt", "Ds",
-    "Rg", "Cn", "Nh", "Fl", "Mc", "Lv", "Ts", "Og",
-)
 
 
 class InvalidStructureError(ValueError):
@@ -68,7 +54,7 @@ class Element:
     def __post_init__(self):
         if not 1 <= self.atomic_number <= 118:
             raise InvalidStructureError(f"atomic number out of range: {self.atomic_number}")
-        expected = _SYMBOLS[self.atomic_number - 1]
+        expected = ELEMENT_SYMBOLS[self.atomic_number - 1]
         if self.symbol == "":
             object.__setattr__(self, "symbol", expected)
         elif self.symbol != expected:
@@ -85,7 +71,7 @@ class Element:
             raise InvalidStructureError(f"unknown element symbol: {symbol!r}") from None
 
 
-_ELEMENT_BY_SYMBOL = {s: Element(z + 1) for z, s in enumerate(_SYMBOLS)}
+_ELEMENT_BY_SYMBOL = {s: Element(z + 1) for z, s in enumerate(ELEMENT_SYMBOLS)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,12 +398,8 @@ def structure_from_dict(d: dict) -> CrystalStructure:
         raise InvalidStructureError(f"malformed structure record: {exc}") from exc
 
 
-def site_index(value, n_sites: int, source: str) -> int:
-    """`value` as the index of one of n_sites sites; an error names `source`."""
-    try:
-        index = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{source} must be a site index, got {value!r}") from None
+def site_index(index: int, n_sites: int, source: str) -> int:
+    """`index` if it names one of n_sites sites; else an error naming `source`."""
     if not 0 <= index < n_sites:
         raise ValueError(f"{source} is {index}, out of range for {n_sites} sites")
     return index
@@ -426,7 +408,7 @@ def site_index(value, n_sites: int, source: str) -> int:
 def _from_record(record: dict) -> tuple:
     s = structure_from_dict(record)
     absorber = record.get("absorber", 0)
-    if type(absorber) is not int:  # a JSON integer; site_index would also take 2.7, true or "1"
+    if type(absorber) is not int:  # a JSON integer, not 2.7, true or "1"
         raise ValueError(f"field 'absorber' must be a site index, got {absorber!r}")
     return s, site_index(absorber, len(s), "field 'absorber'")
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import check_config, read
 from .crystal import (
     CrystalStructure,
     DescriptorLabels,
@@ -77,43 +78,26 @@ class ScatteringShell:
 
 @dataclass(frozen=True)
 class OracleParams:
-    s0_squared: float = 0.9
-    e0_ev: float = 8979.0
-    lambda_a: float = 0.8
-    lambda_b: float = 3.0
-    amp_scale: float = 1.0
-    sigma2: float = 0.003
-    r_phase: float = 0.35
+    """The oracle keys of the config-key table, with their defaults and bounds."""
+
+    s0_squared: float = read({}, "s0_squared")
+    e0_ev: float = 8979.0  # the Cu K edge; the `e0_ev` key defaults to the absorber's own edge
+    lambda_a: float = read({}, "lambda_a")
+    lambda_b: float = read({}, "lambda_b")
+    amp_scale: float = read({}, "amp_scale")
+    sigma2: float = read({}, "sigma2")
+    r_phase: float = read({}, "r_phase")
 
     def __post_init__(self):
-        """Every field finite, and in range; a message starts with the field's quoted name."""
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name!r} must be finite, got {value}")
-        for name, ok, rule in (
-            ("e0_ev", self.e0_ev > 0, "must be positive"),
-            ("s0_squared", 0 < self.s0_squared <= 1.2, "must lie in (0, 1.2]"),
-            ("lambda_b", self.lambda_b > 0, "must be positive"),
-            ("lambda_a", self.lambda_b + 16.0 * self.lambda_a > 0, "must keep lambda(k) > 0 on (0, 16]"),
-            ("amp_scale", self.amp_scale > 0, "must be positive"),
-            ("sigma2", self.sigma2 >= 0, "must be non-negative"),
-        ):
-            if not ok:
-                raise ValueError(f"{name!r} {rule}, got {getattr(self, name)}")
+        """Every field within its key's bounds, and lambda(k) > 0 on (0, 16]; errors name it."""
+        check_config(vars(self))
 
     @classmethod
     def from_config(cls, cfg: dict, e0_ev=None) -> "OracleParams":
         """The parameters that cfg sets, else the defaults; e0_ev, if given, is the default edge."""
-        kwargs = {} if e0_ev is None else {"e0_ev": float(e0_ev)}
-        for key in (f.name for f in fields(cls) if f.name in cfg):
-            try:
-                kwargs[key] = float(cfg[key])
-            except ValueError:
-                raise ValueError(f"config key {key!r} must be a number, got {cfg[key]!r}") from None
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise ValueError(f"config key {exc}") from None
+        kwargs = {f.name: read(cfg, f.name) for f in fields(cls)}
+        kwargs["e0_ev"] = kwargs["e0_ev"] or float(e0_ev or cls.e0_ev)
+        return cls(**kwargs)
 
 
 def default_edge_energy(element: Element) -> float:
@@ -210,12 +194,13 @@ def synth_exafs(
     cutoff: float = SHELL_CUTOFF,
     edge: str = "K",
     neighbors: Neighbors = None,
+    k: np.ndarray = None,
 ) -> Spectrum:
-    """Oracle EXAFS spectrum: mu(E) = 1 + sum over shells of chi_shell(k(E))."""
+    """Oracle EXAFS spectrum: mu(E) = 1 + sum over shells of chi_shell(k(E)); `k` is k(E) if given."""
     if grid.values[0] <= params.e0_ev:
         raise BelowEdgeError("EXAFS grid must lie strictly above the edge")
     counts, radius, z = _shell_columns(s, absorber, cutoff, neighbors)
-    k = wavenumber(grid.values, params.e0_ev)
+    k = wavenumber(grid.values, params.e0_ev) if k is None else k
     chi = np.zeros_like(k)
     for row in _chi_rows(counts, radius, z, params.sigma2, params, k):  # summed in shell order
         chi += row

@@ -14,14 +14,16 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .config import read
+
 _FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
 class ForestConfig:
-    n_trees: int = 100
-    max_depth: int = 16  # None for unbounded
-    min_samples_leaf: int = 2
+    n_trees: int = read({}, "n_trees")
+    max_depth: int = read({}, "max_depth")  # None for unbounded
+    min_samples_leaf: int = read({}, "min_samples_leaf")
     max_features: object = "sqrt"  # "sqrt", an int, or None for all
     bootstrap: bool = True
     seed: int = 0

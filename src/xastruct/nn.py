@@ -236,7 +236,7 @@ class MPEncoder(Module):
         r_max: float = 6.0,
         n_elements: int = N_ELEMENTS,
     ):
-        hidden = hidden or d
+        hidden = d if hidden is None else hidden
         self.d = d
         self.centers = np.linspace(0.0, r_max, n_rbf)
         self.width = self.centers[1] - self.centers[0]

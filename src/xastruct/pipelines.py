@@ -23,9 +23,8 @@ them.
 """
 
 import csv
-import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +43,8 @@ from .autodiff import (
     reshape,
     save_params,
     softmax,
-    zero_grad,
 )
-from .config import config_value
+from .config import ARCH, FOREST, check_config, read
 from .crystal import Element, StructureGraph
 from .jsonio import read_json, write_json
 from .nn import ConvBlock, Module, MPEncoder, SGMLP
@@ -57,76 +55,34 @@ class ScopeError(ValueError):
     pass
 
 
-# architecture hyperparameters; flat config keys override these
-DEFAULT_ARCH = {
-    "encoder_dim": 64,
-    "encoder_rounds": 3,
-    "encoder_rbf": 16,
-    "encoder_hidden": 64,
-    "encoder_k": 2,
-    "forward_hidden": 128,
-    "forward_k": 3,
-    "masked_mean_by_mask_sum": 0,
-    "embed_dim": 32,
-    "embed_hidden": 64,
-    "embed_k": 2,
-    "conv_channels": 8,
-    "conv_blocks": 2,
-    "conv_kernel": 3,
-    "head_hidden": 64,
-    "head_k": 2,
-}
-# the least value of each size that a smaller one breaks: a size of 0 divides by
-# zero in a Glorot bound, and the radial basis needs two centers for its width
-ARCH_LEAST = {"encoder_dim": 1, "encoder_rbf": 2, "forward_hidden": 1, "embed_hidden": 1,
-              "conv_channels": 1, "conv_kernel": 1, "head_hidden": 1}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 1e-4
-    weight_decay: float = 0.01
-    epochs: int = 100
-    batch_size: int = 16
-    seed: int = 0
+    """The training keys of the config-key table, and in `extras` the keys models read; checked."""
+
+    lr: float = read({}, "lr")
+    weight_decay: float = read({}, "weight_decay")
+    epochs: int = read({}, "epochs")
+    batch_size: int = read({}, "batch_size")
+    seed: int = read({}, "seed")
     scope: str = "per-element"
-    patience: int = 20
+    patience: int = read({}, "patience")
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(
-                f"weight_decay must be non-negative and finite, got {self.weight_decay}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.scope not in ("per-element", "unified"):
-            raise ValueError(f"scope must be per-element or unified, got {self.scope!r}")
+        check_config({**self.extras, **{k: v for k, v in vars(self).items() if k != "extras"}})
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TrainConfig":
-        known = {
-            "lr": float,
-            "weight_decay": float,
-            "epochs": int,
-            "batch_size": int,
-            "seed": int,
-            "patience": int,
-            "scope": str,
-        }
-        kwargs = {k: config_value(k, cfg[k], cast) for k, cast in known.items() if k in cfg}
-        extras = {k: v for k, v in cfg.items() if k not in known}
-        return cls(extras=extras, **kwargs)
+        """The fields that cfg sets, typed by their rows; cfg's other keys are the extras."""
+        names = [f.name for f in fields(cls) if f.name != "extras"]
+        kwargs = {k: read(cfg, k) for k in names if k in cfg}
+        return cls(extras={k: v for k, v in cfg.items() if k not in names},
+                   **{k: v for k, v in kwargs.items() if v is not None})
 
-    def arch(self, key: str):
-        return self.extra(key, DEFAULT_ARCH[key], ARCH_LEAST.get(key))
-
-    def extra(self, key: str, default, least=None):
-        """The `key` extra as the type of `default`, which stands in when it is unset."""
-        return config_value(key, self.extras.get(key, default), type(default), least)
+    @property
+    def arch(self) -> dict:
+        """The architecture keys, typed, as a checkpoint header stores them."""
+        return {key: read(self.extras, key) for key in ARCH}
 
 
 # --- metrics ------------------------------------------------------------------
@@ -251,9 +207,8 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, validate=None)
     positive `train_loss_stop` config key also stops training, once an
     epoch's mean training loss falls below it.
     """
-    plist = list(model.named_parameters().values())
-    state = AdamWState(plist)
-    loss_stop = cfg.extra("train_loss_stop", 0.0)
+    state = AdamWState(model.named_parameters().values())
+    loss_stop = read(cfg.extras, "train_loss_stop")
     history = History()
     best_metric, best = np.inf, None
     patience_left = cfg.patience
@@ -262,7 +217,7 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, validate=None)
         order = rng.permutation(n)
         for batch in (order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)):
             loss = batch_loss(batch)
-            zero_grad(plist)
+            state.grad.fill(0.0)  # every parameter's gradient is a view of it
             backward(loss)
             adamw_step(state, lr=cfg.lr, weight_decay=cfg.weight_decay)
             epoch_losses.append(loss.item())
@@ -364,17 +319,11 @@ class ForwardModel(Module):
     task = "forward"
 
     def __init__(self, rng, n_out: int, cfg: TrainConfig, element: str, edge: str, kind: str, grid_values):
-        self.encoder = MPEncoder(
-            rng,
-            d=cfg.arch("encoder_dim"),
-            t_rounds=cfg.arch("encoder_rounds"),
-            n_rbf=cfg.arch("encoder_rbf"),
-            hidden=cfg.arch("encoder_hidden"),
-            k=cfg.arch("encoder_k"),
-        )
-        self.head = SGMLP(rng, cfg.arch("encoder_dim"), cfg.arch("forward_hidden"), n_out, cfg.arch("forward_k"))
-        self.arch = {key: cfg.arch(key) for key in DEFAULT_ARCH}
-        self.by_mask_sum = bool(cfg.arch("masked_mean_by_mask_sum"))
+        self.arch = a = cfg.arch
+        self.encoder = MPEncoder(rng, d=a["encoder_dim"], t_rounds=a["encoder_rounds"],
+                                 n_rbf=a["encoder_rbf"], hidden=a["encoder_hidden"], k=a["encoder_k"])
+        self.head = SGMLP(rng, a["encoder_dim"], a["forward_hidden"], n_out, a["forward_k"])
+        self.by_mask_sum = bool(a["masked_mean_by_mask_sum"])
         self.n_out = n_out
         self.element = element
         self.edge = edge
@@ -485,7 +434,7 @@ class SpectrumModel(Module):
     INPUTS = ()
 
     def __init__(self, n_xanes: int, n_exafs: int, cfg: TrainConfig):
-        self.arch = {key: cfg.arch(key) for key in DEFAULT_ARCH}
+        self.arch = cfg.arch
         self.n_xanes = n_xanes
         self.n_exafs = n_exafs
         width = {"ex": n_xanes, "ax": n_xanes, "ee": n_exafs, "ae": n_exafs}
@@ -528,28 +477,21 @@ class InverseMNND(SpectrumModel):
 
     def __init__(self, rng, n_xanes: int, n_exafs: int, cfg: TrainConfig):
         super().__init__(n_xanes, n_exafs, cfg)
-        d = cfg.arch("embed_dim")
-        hidden = cfg.arch("embed_hidden")
-        k = cfg.arch("embed_k")
+        a = self.arch
+        d, hidden, k = a["embed_dim"], a["embed_hidden"], a["embed_k"]
         self.f_E_xanes = SGMLP(rng, n_xanes, hidden, d, k)
         self.f_A_xanes = SGMLP(rng, n_xanes, hidden, d, k)
         self.f_E_exafs = SGMLP(rng, n_exafs, hidden, d, k)
         self.f_A_exafs = SGMLP(rng, n_exafs, hidden, d, k)
-        channels = cfg.arch("conv_channels")
-        kernel = cfg.arch("conv_kernel")
-        n_blocks = cfg.arch("conv_blocks")
+        channels, kernel, n_blocks = a["conv_channels"], a["conv_kernel"], a["conv_blocks"]
         self.conv_xanes = []
         self.conv_exafs = []
-        length = 2 * d
         for b in range(n_blocks):
             c_in = 1 if b == 0 else channels
             self.conv_xanes.append(ConvBlock(rng, c_in, channels, kernel))
             self.conv_exafs.append(ConvBlock(rng, c_in, channels, kernel))
-            length //= 2
-        if length < 1:
-            raise ValueError("too many conv blocks for the embedding width")
-        feat = 2 * channels * length
-        self.f_d = SGMLP(rng, feat, cfg.arch("head_hidden"), 1, cfg.arch("head_k"))
+        feat = 2 * channels * ((2 * d) >> n_blocks)  # each block halves the length
+        self.f_d = SGMLP(rng, feat, a["head_hidden"], 1, a["head_k"])
         self.d = d
         # target normalization, set by the training loop
         self.y_mean = 0.0
@@ -643,12 +585,11 @@ class InverseNeighbor(SpectrumModel):
 
     def __init__(self, rng, n_xanes: int, n_exafs: int, classes, cfg: TrainConfig):
         super().__init__(n_xanes, n_exafs, cfg)
-        d = cfg.arch("embed_dim")
-        hidden = cfg.arch("embed_hidden")
-        k = cfg.arch("embed_k")
+        a = self.arch
+        d, hidden, k = a["embed_dim"], a["embed_hidden"], a["embed_k"]
         self.f_A_xanes = SGMLP(rng, n_xanes, hidden, d, k)
         self.f_A_exafs = SGMLP(rng, n_exafs, hidden, d, k)
-        self.f_t = SGMLP(rng, 2 * d, cfg.arch("head_hidden"), len(classes), cfg.arch("head_k"))
+        self.f_t = SGMLP(rng, 2 * d, a["head_hidden"], len(classes), a["head_k"])
         self.classes = [int(z) for z in classes]  # atomic numbers, sorted
 
     def forward(self, ax, ae) -> Tensor:
@@ -767,8 +708,7 @@ def train_cn(samples, cfg: TrainConfig) -> CNClassifier:
     n_exafs = samples[0].exafs.grid.n
     X = np.concatenate(_spectra(samples, n_xanes, n_exafs, CNClassifier.INPUTS), axis=1)
     y = np.array([class_index[s.labels.cn] for s in samples])
-    fcfg = rf.ForestConfig(seed=cfg.seed, **{k: cfg.extra(k, getattr(rf.ForestConfig, k))
-                                             for k in ("n_trees", "max_depth", "min_samples_leaf")})
+    fcfg = rf.ForestConfig(seed=cfg.seed, **{k: read(cfg.extras, k) for k in FOREST})
     forest_model = rf.fit(X, y, fcfg)
     return CNClassifier(forest_model, classes, n_xanes, n_exafs)
 

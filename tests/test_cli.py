@@ -516,6 +516,35 @@ def test_training_value_that_does_not_parse_exits_1_naming_the_key(setting, mess
     assert not list((tmp_path / "run").glob(f"{task}_*.json"))
 
 
+@pytest.mark.parametrize("setting,message", [
+    ("encoder_rounds=-1", "error: config key 'encoder_rounds' must be at least 0, got -1"),
+    ("max_depth=-1", "error: config key 'max_depth' must be at least 1, got -1"),
+    ("patience=-5", "error: config key 'patience' must be at least 1, got -5"),
+    ("masked_mean_by_mask_sum=7",
+     "error: config key 'masked_mean_by_mask_sum' must be 0 or 1, got 7"),
+    ("train_loss_stop=nan", "error: config key 'train_loss_stop' must be finite, got nan"),
+    ("train_loss_stop=-1", "error: config key 'train_loss_stop' must be at least 0, got -1.0"),
+    ("embed_dim=-3", "error: config key 'embed_dim' must be at least 1, got -3"),
+    ("conv_blocks=7",
+     "error: config key 'conv_blocks' must halve 2 * embed_dim = 64 at most 6 times, got 7"),
+    ("conv_kernel=2", "error: config key 'conv_kernel' must be odd, got 2"),
+    ("batch_size=0", "error: config key 'batch_size' must be at least 1, got 0"),
+    ("scope=global", "error: config key 'scope' must be per-element or unified, got 'global'"),
+    ("sigma2=-1", "error: config key 'sigma2' must be at least 0, got -1.0"),
+    ("forward_kind=xanes",
+     "usage error: config key 'forward_kind' must be XANES or EXAFS, got 'xanes'"),
+    ("epoch=3", "usage error: unknown config key 'epoch'"),
+])
+def test_bad_setting_fails_before_train_reads_its_data(setting, message, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--task", "mnnd", "--data", str(tmp_path / "no-data"),
+                   "--out", str(out), "--set", setting])
+    err = capsys.readouterr().err
+    assert rc == (2 if message.startswith("usage") else 1), err
+    assert err == message + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["checkpoint", "sidecar", "pair"])
 def test_non_utf8_byte_exits_1_naming_file_and_line(target, mixed_data, mnnd_run, tmp_path,
                                                      capsys):
@@ -603,13 +632,17 @@ class TestTrain:
                        "--out", str(out), "--set", f"{key}={value}"])
         err = capsys.readouterr().err
         assert rc == 1, err
-        assert f"{key} must be" in err and "Traceback" not in err, err
-        assert not list(out.glob("*.json"))
+        assert f"error: config key '{key}' must be finite, got {value}\n" in err, err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("task,key,least", [
         ("forward", "encoder_dim", 1), ("forward", "forward_hidden", 1),
         ("forward", "encoder_rbf", 2), ("mnnd", "embed_hidden", 1),
         ("mnnd", "conv_channels", 1), ("mnnd", "conv_kernel", 1), ("neighbor", "head_hidden", 1),
+        ("forward", "encoder_hidden", 1), ("forward", "encoder_rounds", 0),
+        ("forward", "encoder_k", 1), ("forward", "forward_k", 1), ("mnnd", "embed_dim", 1),
+        ("mnnd", "embed_k", 1), ("mnnd", "conv_blocks", 1), ("neighbor", "head_k", 1),
+        ("cn", "n_trees", 1), ("cn", "max_depth", 1), ("cn", "min_samples_leaf", 1),
     ])
     def test_arch_size_below_its_least_exits_1_naming_the_key(self, task, key, least, request,
                                                               tmp_path, capsys):
@@ -1093,6 +1126,33 @@ class TestConfig:
         cfg.write_text("this line has no equals sign\n")
         rc = cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_unknown_key_is_usage_error_naming_it_and_its_line(self, command, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("# synth keys\nn_samples = 4\nbogus_key = 1\n")
+        argv = [command, "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--task", "cn", "--data", str(tmp_path / "no-data")]
+        assert cli.main([*argv, "--set", "bogus_key=1"]) == 2
+        assert capsys.readouterr().err == "usage error: unknown config key 'bogus_key'\n"
+        assert cli.main([*argv, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"usage error: {cfg}:3: unknown config key 'bogus_key'\n"
+        cfg.write_text("n_samples = 4\n")  # --set wins over the file
+        assert cli.main([*argv, "--config", str(cfg), "--set", "n_samples=x"]) == 2
+        assert capsys.readouterr().err == ("usage error: config key 'n_samples' must be an "
+                                           "integer, got 'x'\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_file_of_synth_and_training_keys_serves_both(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_samples = 12\nn_grid = 30\nelements = Ni,Cu\nseed = 5\n"
+                       "n_trees = 3\nmax_depth = 3\nlr = 0.003\nepochs = 2\n")
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+        assert cli.main(["train", "--task", "cn", "--data", str(data), "--config", str(cfg),
+                         "--out", str(tmp_path / "run")]) == 0
+        assert len(load_dataset(data / "manifest.jsonl")) == 12
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -120,13 +120,17 @@ class TestParams:
             OracleParams(lambda_a=-1.0, lambda_b=3.0)
 
     def test_from_config(self):
-        p = OracleParams.from_config({"s0_squared": "0.8", "r_phase": 0.4, "unrelated": 1})
+        # it reads the oracle rows of the config-key table; a training key is not its to check
+        p = OracleParams.from_config({"s0_squared": "0.8", "r_phase": 0.4, "lr": "abc"})
         assert p.s0_squared == 0.8
         assert p.r_phase == 0.4
         assert p.lambda_b == 3.0
         # e0_ev= is the default edge energy; a set e0_ev wins over it
         assert OracleParams.from_config({}, e0_ev=7112.0).e0_ev == 7112.0
         assert OracleParams.from_config({"e0_ev": "5000"}, e0_ev=7112.0).e0_ev == 5000.0
+        with pytest.raises(ValueError, match=r"^config key 's0_squared' must lie in \(0, 1.2\], "
+                                             r"got 2.0$"):
+            OracleParams.from_config({"s0_squared": "2"})
 
     @pytest.mark.parametrize("e0", [0.0, -5.0, math.inf, math.nan])
     def test_edge_energy_positive_and_finite(self, e0):

@@ -16,6 +16,7 @@ from helpers import (
     simple_cubic,
 )
 
+from xastruct import config
 from xastruct import pipelines as pl
 from xastruct.autodiff import params_from_doc
 from xastruct.jsonio import write_json
@@ -161,8 +162,8 @@ def test_train_config_from_flat_dict():
         {"lr": "0.001", "epochs": "5", "scope": "unified", "embed_dim": 16}
     )
     assert cfg.lr == 0.001 and cfg.epochs == 5 and cfg.scope == "unified"
-    assert cfg.arch("embed_dim") == 16
-    assert cfg.arch("conv_blocks") == pl.DEFAULT_ARCH["conv_blocks"]
+    assert cfg.arch["embed_dim"] == 16
+    assert cfg.arch["conv_blocks"] == config.read({}, "conv_blocks") == 2
 
 
 @pytest.mark.parametrize("key,value,kind", [
@@ -177,12 +178,10 @@ def test_train_config_value_that_does_not_parse_names_its_key(key, value, kind):
 
 
 def test_arch_value_that_does_not_parse_names_its_key():
-    cfg = pl.TrainConfig.from_config({"embed_dim": "abc", "conv_blocks": "2.0"})
-    assert cfg.arch("head_k") == pl.DEFAULT_ARCH["head_k"]
     for key, value in (("embed_dim", "abc"), ("conv_blocks", "2.0")):
         with pytest.raises(ValueError, match=rf"^config key '{key}' must be an integer, "
                                              rf"got '{value}'$"):
-            cfg.arch(key)
+            pl.TrainConfig.from_config({key: value})
 
 
 # --- forward model ---------------------------------------------------------------
