@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jsonio import read_json, write_json
+from .jsonio import integer, list_of, read_json, real, record, write_json
 
 
 class ShapeError(ValueError):
@@ -875,31 +875,34 @@ def save_params(named_params: dict, path, header: dict = None) -> None:
     })
 
 
-def _array_from_record(rec: dict) -> np.ndarray:
+# the checks of a parameter record's fields: `data` is base64 text, or a list of
+# numbers in checkpoints written before the base64 codec
+_NUMBERS = list_of(real())
+PARAM = record({"shape": list_of(integer(0)),
+                "data": lambda data, path: _NUMBERS(data, path) if type(data) is list else data})
+
+
+def _array_from_record(rec, at: str) -> np.ndarray:
+    """The array of the parameter record at path `at`; an error names the field."""
+    rec = PARAM(rec, at)
     shape, data = rec["shape"], rec["data"]
-    if type(shape) is not list or any(type(n) is not int or n < 0 for n in shape):
-        raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
-    if isinstance(data, list):  # checkpoints written before the base64 codec
-        return np.array(data, dtype=float).reshape(shape)
-    raw = base64.b64decode(data, validate=True)
-    n = math.prod(shape)
-    if len(raw) != 8 * n:
-        raise ValueError(f"{len(raw)} data bytes for shape {shape}, expected {8 * n}")
-    # copied out of the bytes object: callers keep and update these arrays
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    try:
+        if type(data) is list:
+            return np.array(data, dtype=float).reshape(shape)
+        raw = base64.b64decode(data, validate=True)
+        n = math.prod(shape)
+        if len(raw) != 8 * n:
+            raise ValueError(f"{len(raw)} data bytes for shape {shape}, expected {8 * n}")
+        # copied out of the bytes object: callers keep and update these arrays
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {at + '.data'!r}: {exc}") from None
 
 
 def params_from_doc(doc: dict) -> tuple:
     """(header dict, name -> ndarray) of a parsed save_params document."""
-    params = doc["params"]
-    if not isinstance(params, dict):
-        raise ValueError(f"field 'params': expected a JSON object, got {type(params).__name__}")
-    arrays = {}
-    for name, rec in params.items():
-        try:
-            arrays[name] = _array_from_record(rec)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"parameter {name!r}: {exc}") from None
+    params = record()(doc.get("params"), "params")
+    arrays = {name: _array_from_record(rec, f"params.{name}") for name, rec in params.items()}
     return doc.get("header", {}), arrays
 
 

@@ -303,7 +303,7 @@ def _predict_spectrum(model, path, cfg: dict, out_dir: Path) -> dict:
     s, absorber = read_structure(path)
     g = build_graph(s, _absorber(cfg, s, absorber), read(cfg, "cutoff"))
     sp = Spectrum(
-        grid=EnergyGrid(model.grid_values), mu=_pl().forward_predict(model, g), kind=model.kind,
+        grid=EnergyGrid(model.grid), mu=_pl().forward_predict(model, g), kind=model.kind,
         edge=model.edge, absorber=Element.from_symbol(model.element), structure_id=s.id,
     )
     out_path = out_dir / "spectrum.csv"
@@ -336,7 +336,7 @@ class Task:
     score: Callable
     predict: Callable  # (model, input file, cfg, out dir) -> the prediction's fields
     scope: str = "per-element"  # the training scope where the `scope` key is unset
-    scope_settable: bool = True  # whether the `scope` key applies to this task
+    scope_settable: bool = True  # else a set `scope` key must name `scope`
     tag: Callable = lambda model: model.element or "unified"  # checkpoint name after the task
     report_scope: Callable = lambda model, unscoped: model.element or unscoped
 
@@ -423,13 +423,15 @@ def cmd_train(args) -> int:
     if name is None:
         raise UsageError(f"train needs --task or the config key 'task': {', '.join(TASKS)}")
     task = TASKS[name]
+    scope = cfg["scope"] or task.scope
+    if not task.scope_settable and scope != task.scope:
+        raise ValueError(f"config key 'scope' must be {task.scope} for task {name!r}, got {scope!r}")
     pl = _pl()
     tcfg = pl.TrainConfig.from_config(cfg)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
     seed = cfg["seed"]
     items = task.load(data_dir, cfg)
-    scope = (cfg["scope"] or task.scope) if task.scope_settable else task.scope
     scoped = {"unified": items}
     if scope == "per-element":
         scoped = {}
@@ -502,9 +504,11 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     resolve_config(args)
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     from . import gradcheck
 
-    return 1 if gradcheck.run(int(args.seeds), args.corrupt) else 0
+    return 1 if gradcheck.run(args.seeds, args.corrupt) else 0
 
 
 # --- plotting ---------------------------------------------------------------------
@@ -638,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, out_default="xastruct_predict")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op and block")
-    p.add_argument("--seeds", default="20", help="number of random seeds")
+    p.add_argument("--seeds", type=int, default=20, help="number of random seeds, at least 1")
     p.add_argument("--corrupt", action="store_true",
                    help="include a deliberately wrong gradient (must fail)")
     common(p)

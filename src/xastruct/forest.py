@@ -10,11 +10,12 @@ then the lowest threshold.
 """
 
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import read
+from .jsonio import choice, integer, record
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -253,14 +254,16 @@ def forest_to_doc(forest: RandomForest) -> dict:
     return {"header": header, "trees": [tree.nodes for tree in forest.trees]}
 
 
+# the checks of a forest document's header fields
+HEADER = record({"n_trees": integer(1), "max_depth": integer(1), "min_samples_leaf": integer(1),
+                 "max_features": choice(("sqrt",)), "bootstrap": choice((True, False)),
+                 "seed": integer(0), "n_features": integer(1), "n_classes": integer(1)})
+
+
 def forest_from_doc(doc: dict) -> RandomForest:
-    """The forest of a forest_to_doc document; a malformed node raises naming its tree."""
-    h = doc["header"]
-    config = ForestConfig(**{f.name: h[f.name] for f in fields(ForestConfig)})
-    n_features, n_classes = h["n_features"], h["n_classes"]
-    for key in ("n_features", "n_classes"):
-        if type(h[key]) is not int or h[key] < 1:
-            raise ValueError(f"forest header field {key!r}: expected a positive integer, "
-                             f"got {h[key]!r}")
+    """The forest of a forest_to_doc document, as a cn checkpoint holds it in `forest`;
+    a bad header field raises naming it, a malformed node naming its tree."""
+    h = HEADER(doc["header"], "forest.header")
+    n_features, n_classes = h.pop("n_features"), h.pop("n_classes")
     trees = [DecisionTree(nodes, n_classes) for nodes in doc["trees"]]
-    return RandomForest(trees, config, n_features, n_classes)
+    return RandomForest(trees, ForestConfig(**h), n_features, n_classes)

@@ -1,15 +1,24 @@
 """The JSON file codec: every JSON document or JSON-lines file xastruct writes,
-and every JSON document it reads whole.
+every JSON document it reads whole, and the checks of the fields it reads back.
 
 Writers sort keys and end each document with a newline, so a rerun writes
 the same bytes. Readers raise a ValueError that names the file and the line
 at fault, never a bare decoder error. Numbers are finite both ways: writers
 refuse NaN and the infinities, readers the NaN, Infinity and -Infinity
-tokens that json otherwise takes.
+tokens that json otherwise takes, and reals past the float range, such as
+1e999, that float() reads as infinities.
+
+A check takes a decoded value and its path in the document, such as
+`header.n_out` or `sites[0].frac`, and returns the value as the reader uses
+it; a value of another type raises "field '<path>': expected <what>, got
+<value>". The checks accept what the writers write and nothing looser: a
+boolean is no integer and a quoted number no number.
 """
 
 import json
+import math
 import re
+import sys
 from pathlib import Path
 
 
@@ -17,9 +26,16 @@ def _refuse_constant(token: str):
     raise ValueError(f"non-finite number {token}")
 
 
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
-# a JSON string, or a token that parse_constant sees
-_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|NaN|-?Infinity')
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if math.isinf(value):
+        _refuse_constant(token)
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
+# a JSON string, a token that parse_constant sees, or a number
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|NaN|-?Infinity|-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?')
 
 
 def _dumps(path, doc, indent=None) -> str:
@@ -55,8 +71,12 @@ def read_json(path):
         raise ValueError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    except ValueError as exc:  # _refuse_constant's, at the first constant outside a string
-        at = next(m.start() for m in _STRING_OR_CONSTANT.finditer(text) if m.group()[0] != '"')
+    except ValueError as exc:
+        # _refuse_constant's, at the first such token outside a string; else int()'s digit limit
+        token = str(exc).removeprefix("non-finite number ")
+        at = next((m.start() for m in _TOKEN.finditer(text) if m.group() == token), None)
+        if at is None:
+            raise ValueError(f"{path}: {exc}") from None
         lineno = text.count("\n", 0, at) + 1
         raise ValueError(f"{path}:{lineno}: {exc}") from None
 
@@ -87,3 +107,80 @@ def read_jsonl(path, convert) -> list:
             except (AttributeError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
+
+
+# --- field checks --------------------------------------------------------------
+
+_FLOAT_MAX = sys.float_info.max
+_NUMBER = (int, float)
+
+
+def _expected(path: str, what: str, got: str) -> ValueError:
+    return ValueError(f"{f'field {path!r}: ' if path else ''}expected {what}, got {got}")
+
+
+def record(checks: dict = None):
+    """Check: a JSON object; with `checks`, the dict of checks[key](value, path) of each key
+    of `checks`, where a key that the object lacks has the value None."""
+    def check(value, path):
+        if type(value) is not dict:
+            raise _expected(path, "a JSON object", type(value).__name__)
+        if checks is None:
+            return value
+        try:  # each field's path is formatted only for an error
+            return {key: c(value.get(key), path) for key, c in checks.items()}
+        except ValueError:
+            return {key: c(value.get(key), f"{path}.{key}" if path else key)
+                    for key, c in checks.items()}
+    return check
+
+
+def list_of(item):
+    """Check: a JSON list, each entry checked by `item` and named by its index."""
+    def check(value, path):
+        if type(value) is not list:
+            raise _expected(path, "a list", repr(value))
+        try:  # each entry's path is formatted only for an error
+            for x in value:
+                item(x, path)
+        except ValueError:
+            for i, x in enumerate(value):
+                item(x, f"{path}[{i}]")
+        return value
+    return check
+
+
+def integer(least: int = 0):
+    """Check: a JSON integer, not a boolean, of at least `least`."""
+    what = f"an integer of at least {least}"
+
+    def check(value, path):
+        if type(value) is int and value >= least:
+            return value
+        raise _expected(path, what, repr(value))
+    return check
+
+
+def real(positive: bool = False):
+    """Check: a JSON number in the float range, above 0 if `positive`."""
+    what = "a positive, finite number" if positive else "a finite number"
+    low = 0 if positive else -_FLOAT_MAX
+
+    def check(value, path):
+        # a bound on both sides also refuses an int past the float range
+        if type(value) in _NUMBER and low <= value <= _FLOAT_MAX and not (positive and value == 0):
+            return value
+        raise _expected(path, what, repr(value))
+    return check
+
+
+def choice(choices, what: str = None):
+    """Check: one of `choices`, of its type too (true is not 1)."""
+    what = what or "one of " + ", ".join(map(repr, choices))
+    allowed = {(type(c), c) for c in choices}
+
+    def check(value, path):
+        if type(value) not in (list, dict) and (type(value), value) in allowed:
+            return value
+        raise _expected(path, what, repr(value))
+    return check

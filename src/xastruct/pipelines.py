@@ -12,7 +12,8 @@ Four predictors:
 
 The two inverse networks are SpectrumModels: each names the spectrum rows
 it reads in INPUTS and standardizes them with statistics of its training
-set. Every model names its checkpoint task once, in its `task` attribute.
+set. Every model names its checkpoint task once, in its `task` attribute,
+and the checks of its other header fields in HEADER.
 
 The three neural models train through one loop, `fit`: plain AdamW with
 minibatch shuffling, optional early stopping on a validation metric, and
@@ -23,7 +24,6 @@ them.
 """
 
 import csv
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -44,11 +44,11 @@ from .autodiff import (
     save_params,
     softmax,
 )
-from .config import ARCH, FOREST, check_config, read
+from .config import ARCH, ELEMENT_SYMBOLS, FOREST, check_config, read
 from .crystal import Element, StructureGraph
-from .jsonio import read_json, write_json
+from .jsonio import choice, integer, list_of, read_json, real, record, write_json
 from .nn import ConvBlock, Module, MPEncoder, SGMLP
-from .spectra import InsufficientDataError, LabeledSample
+from .spectra import EDGES, KINDS, InsufficientDataError, LabeledSample
 
 
 class ScopeError(ValueError):
@@ -277,7 +277,7 @@ def load_checkpoint(path, cls=None) -> tuple:
     if task not in models:
         raise ValueError(f"checkpoint {path} has unknown task {task!r}")
     try:
-        return task, models[task].from_doc(doc)
+        return task, _from_doc(models[task], doc)
     except KeyError as exc:
         # str() of a KeyError is only the quoted key, as in "error: 'forest'"
         raise ValueError(f"checkpoint {path}: missing {exc.args[0]}") from None
@@ -285,29 +285,50 @@ def load_checkpoint(path, cls=None) -> tuple:
         raise ValueError(f"checkpoint {path}: {exc}") from None
 
 
-def _header(model, **fields) -> dict:
-    """The model's task, `fields` and, for a per-element model, its absorber."""
-    if model.element is not None:
-        fields["element"] = model.element
-    return {"task": model.task, **fields}
+# The checks of the checkpoint header fields that several models share. A model class
+# gives the checks of its header's fields, besides the task, in HEADER: each field is
+# an attribute of the model and an argument of its constructor.
+MODEL_ELEMENT = choice(ELEMENT_SYMBOLS + (None,), "an element symbol")  # None: every element
+SIZE = integer(2)
 
 
-def _save_neural(model: Module, path, header: dict) -> None:
-    """Header with the model's arch; the model's state by name."""
-    save_params(model.state(), path, header=_header(model, arch=model.arch, **header))
+def _save(model, path) -> None:
+    """Save `model` as a checkpoint: its task and HEADER fields, then its arrays or forest."""
+    header = {"task": model.task}
+    for name in model.HEADER:
+        value = getattr(model, name)
+        if value is not None:
+            header[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    if isinstance(model, CNClassifier):
+        write_json(path, {"header": header, "forest": rf.forest_to_doc(model.forest)})
+    else:
+        save_params(model.state(), path, header=header)
 
 
-def _neural_from_doc(doc: dict, build) -> tuple:
-    """(header, model): build(header, cfg) constructs it without an rng, so with
-    zeros for weights and no random draws, then its state loads in over every array."""
-    header, arrays = params_from_doc(doc)
-    arch = header["arch"]
-    if not isinstance(arch, dict):
-        raise ValueError(f"field 'header.arch': expected a JSON object, got {type(arch).__name__}")
-    model = build(header, TrainConfig(extras=arch))
-    model.load_state(arrays)
-    model.element = header.get("element")
-    return header, model
+def _from_doc(cls, doc: dict):
+    """The model of a parsed checkpoint. Each header field is checked first; a neural model
+    is then built without an rng, so with zeros for weights and no random draws, and its
+    arrays load in over every array."""
+    h = record(cls.HEADER)(doc["header"], "header")
+    if cls is CNClassifier:
+        forest = rf.forest_from_doc(doc["forest"])
+        sizes = (len(h["classes"]), h["n_xanes"] + h["n_exafs"])
+        if sizes != (forest.n_classes, forest.n_features):
+            raise ValueError(f"header has {sizes[0]} classes and {sizes[1]} features, the forest "
+                             f"{forest.n_classes} and {forest.n_features}")
+        return cls(forest, **h)
+    grid = h.get("grid")
+    if grid is not None and (len(grid) != h["n_out"] or not np.all(np.diff(grid) > 0)):
+        raise ValueError(f"field 'header.grid': expected {h['n_out']} (header.n_out) increasing "
+                         f"numbers, got {len(grid)} numbers")
+    model = cls(None, cfg=TrainConfig(extras=h.pop("arch")), **h)
+    model.load_state(params_from_doc(doc)[1])
+    return model
+
+
+def _load(cls, path):
+    """The `cls` model of a checkpoint file."""
+    return load_checkpoint(path, cls)[1]
 
 
 # --- forward model -------------------------------------------------------------
@@ -317,8 +338,10 @@ class ForwardModel(Module):
     """Graph encoder + SGMLP head predicting an n-point spectrum."""
 
     task = "forward"
+    HEADER = {"element": MODEL_ELEMENT, "edge": choice(EDGES), "kind": choice(KINDS),
+              "n_out": SIZE, "grid": list_of(real()), "arch": record()}
 
-    def __init__(self, rng, n_out: int, cfg: TrainConfig, element: str, edge: str, kind: str, grid_values):
+    def __init__(self, rng, n_out: int, cfg: TrainConfig, element: str, edge: str, kind: str, grid):
         self.arch = a = cfg.arch
         self.encoder = MPEncoder(rng, d=a["encoder_dim"], t_rounds=a["encoder_rounds"],
                                  n_rbf=a["encoder_rbf"], hidden=a["encoder_hidden"], k=a["encoder_k"])
@@ -328,7 +351,7 @@ class ForwardModel(Module):
         self.element = element
         self.edge = edge
         self.kind = kind
-        self.grid_values = np.asarray(grid_values, dtype=float)
+        self.grid = np.asarray(grid, dtype=float)
         # the head learns the residual around the mean training spectrum
         self.y_center = np.zeros(n_out)
 
@@ -348,20 +371,8 @@ class ForwardModel(Module):
         """Residual prediction [n_out] of one graph."""
         return reshape(self([g]), (self.n_out,))
 
-    def save(self, path) -> None:
-        header = {"edge": self.edge, "kind": self.kind, "n_out": self.n_out,
-                  "grid": [float(v) for v in self.grid_values]}
-        _save_neural(self, path, header)
-
-    @classmethod
-    def load(cls, path) -> "ForwardModel":
-        return load_checkpoint(path, cls)[1]
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ForwardModel":
-        return _neural_from_doc(doc, lambda h, cfg: cls(
-            None, h["n_out"], cfg, h["element"], h["edge"], h["kind"], h["grid"]
-        ))[1]
+    save = _save
+    load = classmethod(_load)
 
 
 def forward_predict(model: ForwardModel, graphs,
@@ -400,7 +411,7 @@ def train_forward(pairs, cfg: TrainConfig, val_pairs=None):
             raise ScopeError("forward training mixes spectra of different grid lengths")
 
     rng = np.random.default_rng(cfg.seed)
-    model = ForwardModel(rng, first.grid.n, cfg, *triple, grid_values=first.grid.values)
+    model = ForwardModel(rng, first.grid.n, cfg, *triple, grid=first.grid.values)
     model.y_center = np.mean([sp.mu for _, sp in pairs], axis=0)
     graphs = [g for g, _ in pairs]
     # MSE(head + center, mu) == MSE(head, mu - center): train on residuals.
@@ -432,14 +443,16 @@ class SpectrumModel(Module):
     """
 
     INPUTS = ()
+    # arch's keys are read through the config-key table
+    HEADER = {"element": MODEL_ELEMENT, "n_xanes": SIZE, "n_exafs": SIZE, "arch": record()}
 
-    def __init__(self, n_xanes: int, n_exafs: int, cfg: TrainConfig):
+    def __init__(self, n_xanes: int, n_exafs: int, cfg: TrainConfig, element: str = None):
         self.arch = cfg.arch
         self.n_xanes = n_xanes
         self.n_exafs = n_exafs
         width = {"ex": n_xanes, "ax": n_xanes, "ee": n_exafs, "ae": n_exafs}
         self.norm = {name: (np.zeros(width[name]), np.ones(width[name])) for name in self.INPUTS}
-        self.element = None  # absorber symbol of a per-element model
+        self.element = element  # absorber symbol of a per-element model
 
     def own_buffers(self) -> dict:
         return {f"norm.{name}.{stat}": arr for name, pair in self.norm.items()
@@ -462,9 +475,6 @@ class SpectrumModel(Module):
         """The standardized input Tensors of `samples`, in forward()'s order."""
         return [Tensor(X) for X in self._standardize(self._rows(samples))]
 
-    def _save(self, path, header: dict) -> None:
-        _save_neural(self, path, {"n_xanes": self.n_xanes, "n_exafs": self.n_exafs, **header})
-
 
 # --- inverse MNND ---------------------------------------------------------------
 
@@ -474,9 +484,11 @@ class InverseMNND(SpectrumModel):
 
     task = "mnnd"
     INPUTS = ("ex", "ax", "ee", "ae")
+    HEADER = {**SpectrumModel.HEADER, "y_mean": real(), "y_std": real(positive=True)}
 
-    def __init__(self, rng, n_xanes: int, n_exafs: int, cfg: TrainConfig):
-        super().__init__(n_xanes, n_exafs, cfg)
+    def __init__(self, rng, n_xanes: int, n_exafs: int, cfg: TrainConfig, element: str = None,
+                 y_mean: float = 0.0, y_std: float = 1.0):
+        super().__init__(n_xanes, n_exafs, cfg, element)
         a = self.arch
         d, hidden, k = a["embed_dim"], a["embed_hidden"], a["embed_k"]
         self.f_E_xanes = SGMLP(rng, n_xanes, hidden, d, k)
@@ -494,8 +506,8 @@ class InverseMNND(SpectrumModel):
         self.f_d = SGMLP(rng, feat, a["head_hidden"], 1, a["head_k"])
         self.d = d
         # target normalization, set by the training loop
-        self.y_mean = 0.0
-        self.y_std = 1.0
+        self.y_mean = y_mean
+        self.y_std = y_std
 
     def _conv_features(self, blocks, z, training):
         h = reshape(z, (z.shape[0], 1, z.shape[1]))
@@ -511,27 +523,8 @@ class InverseMNND(SpectrumModel):
         out = self.f_d(concat([fx, fe], axis=1))  # [B, 1]
         return reshape(out, (out.shape[0],))
 
-    def save(self, path) -> None:
-        self._save(path, {"y_mean": self.y_mean, "y_std": self.y_std})
-
-    @classmethod
-    def load(cls, path) -> "InverseMNND":
-        return load_checkpoint(path, cls)[1]
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "InverseMNND":
-        header, model = _neural_from_doc(doc, lambda h, cfg: cls(
-            None, h["n_xanes"], h["n_exafs"], cfg
-        ))
-        for key in ("y_mean", "y_std"):
-            value = header[key]
-            # abs() <= max also refuses an int past the float range, and nan
-            finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
-            if not finite or (key == "y_std" and value <= 0):
-                kind = "a finite number" if key == "y_mean" else "a positive, finite number"
-                raise ValueError(f"field 'header.{key}': expected {kind}, got {value!r}")
-            setattr(model, key, float(value))
-        return model
+    save = _save
+    load = classmethod(_load)
 
 
 def mnnd_predict(model: InverseMNND, sample: LabeledSample) -> float:
@@ -582,9 +575,12 @@ class InverseNeighbor(SpectrumModel):
 
     task = "neighbor"
     INPUTS = ("ax", "ae")
+    HEADER = {**SpectrumModel.HEADER,
+              "classes": list_of(choice(range(1, len(ELEMENT_SYMBOLS) + 1), "an atomic number"))}
 
-    def __init__(self, rng, n_xanes: int, n_exafs: int, classes, cfg: TrainConfig):
-        super().__init__(n_xanes, n_exafs, cfg)
+    def __init__(self, rng, n_xanes: int, n_exafs: int, classes, cfg: TrainConfig,
+                 element: str = None):
+        super().__init__(n_xanes, n_exafs, cfg, element)
         a = self.arch
         d, hidden, k = a["embed_dim"], a["embed_hidden"], a["embed_k"]
         self.f_A_xanes = SGMLP(rng, n_xanes, hidden, d, k)
@@ -601,18 +597,8 @@ class InverseNeighbor(SpectrumModel):
             out = self.forward(*self.inputs(samples))
         return out.data
 
-    def save(self, path) -> None:
-        self._save(path, {"classes": self.classes})
-
-    @classmethod
-    def load(cls, path) -> "InverseNeighbor":
-        return load_checkpoint(path, cls)[1]
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "InverseNeighbor":
-        return _neural_from_doc(doc, lambda h, cfg: cls(
-            None, h["n_xanes"], h["n_exafs"], h["classes"], cfg
-        ))[1]
+    save = _save
+    load = classmethod(_load)
 
 
 def neighbor_predict(model: InverseNeighbor, sample: LabeledSample) -> Element:
@@ -658,37 +644,23 @@ class CNClassifier:
 
     task = "cn"
     INPUTS = ("ax", "ae")
+    HEADER = {"element": MODEL_ELEMENT, "classes": list_of(integer(1)), "n_xanes": SIZE,
+              "n_exafs": SIZE}
 
-    def __init__(self, forest_model: rf.RandomForest, classes, n_xanes: int, n_exafs: int):
+    def __init__(self, forest_model: rf.RandomForest, classes, n_xanes: int, n_exafs: int,
+                 element: str = None):
         self.forest = forest_model
         self.classes = [int(c) for c in classes]
         self.n_xanes = n_xanes
         self.n_exafs = n_exafs
-        self.element = None  # absorber symbol of a per-element model
+        self.element = element  # absorber symbol of a per-element model
 
     def features(self, samples) -> np.ndarray:
         """The [N, n_xanes + n_exafs] forest input of N samples."""
         return np.concatenate(_spectra(samples, self.n_xanes, self.n_exafs, self.INPUTS), axis=1)
 
-    def save(self, path) -> None:
-        header = _header(self, classes=self.classes, n_xanes=self.n_xanes, n_exafs=self.n_exafs)
-        write_json(path, {"header": header, "forest": rf.forest_to_doc(self.forest)})
-
-    @classmethod
-    def load(cls, path) -> "CNClassifier":
-        return load_checkpoint(path, cls)[1]
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "CNClassifier":
-        header = doc["header"]
-        forest_model = rf.forest_from_doc(doc["forest"])
-        model = cls(forest_model, header["classes"], header["n_xanes"], header["n_exafs"])
-        sizes = (len(model.classes), model.n_xanes + model.n_exafs)
-        if sizes != (forest_model.n_classes, forest_model.n_features):
-            raise ValueError(f"header has {sizes[0]} classes and {sizes[1]} features, the forest "
-                             f"{forest_model.n_classes} and {forest_model.n_features}")
-        model.element = header.get("element")
-        return model
+    save = _save
+    load = classmethod(_load)
 
 
 def cn_predict(model: CNClassifier, sample: LabeledSample) -> int:

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crystal import DescriptorLabels, Element
-from .jsonio import read_json, read_jsonl, write_json, write_jsonl
+from .crystal import ELEMENT_SYMBOL, DescriptorLabels, Element
+from .jsonio import integer, list_of, read_json, read_jsonl, real, record, write_json, write_jsonl
 
 XANES = "XANES"
 EXAFS = "EXAFS"
@@ -255,44 +255,16 @@ def labels_to_dict(labels: DescriptorLabels) -> dict:
     }
 
 
-def _wrong_type(value) -> TypeError:
-    return TypeError(f"wrong type {type(value).__name__} ({value!r})")
-
-
-def _count(value) -> int:
-    if type(value) is not int:  # a bool is an int, but not of this type
-        raise _wrong_type(value)
-    return value
-
-
-def _real(value) -> float:
-    """A JSON number as a float; a boolean or a string, such as "2", is not one."""
-    if type(value) not in (int, float):
-        raise _wrong_type(value)
-    return float(value)
-
-
-def _reals(value) -> tuple:
-    if type(value) is not list:
-        raise _wrong_type(value)
-    return tuple(map(_real, value))
+# the checks of a manifest record's labels
+LABELS = record({"cn": integer(1), "mnnd": real(), "neighbor_type": ELEMENT_SYMBOL,
+                 "shell_distances": list_of(real())})
 
 
 def labels_from_dict(d: dict) -> DescriptorLabels:
-    """The labels of a manifest record; a value of the wrong type raises naming its field.
-
-    No label may be a boolean or a quoted number: `cn` must be an integer,
-    `mnnd` a number and `shell_distances` a list of numbers.
-    """
-    fields = {"cn": _count, "mnnd": _real, "neighbor_type": Element.from_symbol,
-              "shell_distances": _reals}
-    values = {}
-    for key, cast in fields.items():
-        value = d[key]
-        try:
-            values[key] = cast(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"label {key!r}: {exc}") from None
+    """The labels of a manifest record, `labels` in it; a value of the wrong type raises
+    naming its field. No label may be a boolean or a quoted number."""
+    values = LABELS(d, "labels")
+    values["neighbor_type"] = Element.from_symbol(values["neighbor_type"])
     return DescriptorLabels(**values)
 
 

@@ -851,6 +851,14 @@ class TestCheckpoints:
         assert arrays["w"].tobytes() == w.tobytes()
         assert arrays["b"].tobytes() == np.array([7.0, 2.0 ** -40]).tobytes()
         assert arrays["scale"].shape == () and float(arrays["scale"]) == 3.0
+        # the lists hold numbers only: no booleans, quoted numbers or nested lists
+        for data, bad in (([True, False], "[0]': expected a finite number, got True"),
+                          (["1.5", "2"], "[0]': expected a finite number, got '1.5'"),
+                          ([[1.0], [2.0]], "[0]': expected a finite number, got [1.0]")):
+            doc = {"params": {"b": {"data": data, "shape": [2]}}}
+            with pytest.raises(ValueError) as exc:
+                params_from_doc(doc)
+            assert str(exc.value) == "field 'params.b.data" + bad
 
     def test_special_values_round_trip_bit_for_bit(self, tmp_path):
         special = np.array([5e-324, -0.0, 1e-300, 1.7976931348623157e308, -5e-324, 0.0])
@@ -872,14 +880,14 @@ class TestCheckpoints:
     ])
     def test_bad_data_names_the_parameter(self, data, match):
         doc = {"params": {"layer.W": {"shape": [3], "data": data}}}
-        with pytest.raises(ValueError, match=r"^parameter 'layer\.W': .*" + match):
+        with pytest.raises(ValueError, match=r"^field 'params\.layer\.W\.data': .*" + match):
             params_from_doc(doc)
 
     @pytest.mark.parametrize("shape", [[2, "a"], [2, True], [-1], [2.0], "2"])
     def test_bad_shape_names_the_parameter(self, shape):
         doc = {"params": {"layer.W": {"shape": shape, "data": "AAAAAAAAHEAAAAAAAABwPQ=="}}}
-        with pytest.raises(ValueError, match=r"^parameter 'layer\.W': shape .* is not a list of "
-                                             r"non-negative integers$"):
+        with pytest.raises(ValueError, match=r"^field 'params\.layer\.W\.shape(\[\d\])?': expected "
+                                             r"(a list|an integer of at least 0), got "):
             params_from_doc(doc)
 
     def test_shape_mismatch_rejected(self, tmp_path):

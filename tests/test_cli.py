@@ -376,6 +376,15 @@ def _set_label(key, value):
     return _set_line(2, row)
 
 
+def _with_token(corrupt, token):
+    """`corrupt`, with each "@" it writes made the raw JSON number `token`."""
+    def raw(text):
+        text, lineno = corrupt(text)
+        return text.replace('"@"', token), lineno
+
+    return raw
+
+
 def _write_predict_inputs(data):
     """pair.json (the first sample's spectra) and one.json (the first structure) in `data`."""
     row = json.loads((data / "manifest.jsonl").read_text().splitlines()[0])
@@ -407,6 +416,14 @@ MALFORMED = {
     "string mnnd label": ("manifest.jsonl", _set_label("mnnd", "2"), "mnnd"),
     "string shell_distances label": ("manifest.jsonl", _set_label("shell_distances", "22"),
                                      "mnnd"),
+    # reals past the float range, which json reads as infinities
+    "overflowing mnnd label": ("manifest.jsonl", _with_token(_set_label("mnnd", "@"), "1e999"),
+                               "mnnd"),
+    "overflowing lattice entry": ("structures.jsonl", _with_token(_set_line(
+        2, lambda r: json.dumps({**json.loads(r), "lattice": ["@"] * 9})), "-1e999"), "forward"),
+    "overflowing absorber": ("one.json", _with_token(_set_line(
+        1, lambda r: json.dumps({**json.loads(r), "absorber": "@"})), "1" + "0" * 400 + ".0"),
+        "predict forward"),
 }
 # cases whose message must also name the field at fault
 MALFORMED_FIELD = {
@@ -414,12 +431,15 @@ MALFORMED_FIELD = {
     "non-integer absorber": "'absorber'",
     "out-of-range absorber": "'absorber'",
     "missing spectrum csv": "sample_000002_gone.csv",
-    "non-integer cn label": "'cn'",
-    "fractional cn label": "'cn'",
-    "boolean cn label": "'cn'",
-    "boolean mnnd label": "'mnnd'",
-    "string mnnd label": "'mnnd'",
-    "string shell_distances label": "'shell_distances'",
+    "non-integer cn label": "field 'labels.cn'",
+    "fractional cn label": "field 'labels.cn'",
+    "boolean cn label": "field 'labels.cn'",
+    "boolean mnnd label": "field 'labels.mnnd'",
+    "string mnnd label": "field 'labels.mnnd'",
+    "string shell_distances label": "field 'labels.shell_distances'",
+    "overflowing mnnd label": "non-finite number 1e999",
+    "overflowing lattice entry": "non-finite number -1e999",
+    "overflowing absorber": "non-finite number 1000",
 }
 
 
@@ -545,6 +565,16 @@ def test_bad_setting_fails_before_train_reads_its_data(setting, message, tmp_pat
     assert not out.exists()
 
 
+def test_scope_of_a_forward_model_is_per_element(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--task", "forward", "--data", str(tmp_path / "no-data"),
+                   "--out", str(out), "--set", "scope=unified"])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err == "error: config key 'scope' must be per-element for task 'forward', got 'unified'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["checkpoint", "sidecar", "pair"])
 def test_non_utf8_byte_exits_1_naming_file_and_line(target, mixed_data, mnnd_run, tmp_path,
                                                      capsys):
@@ -576,7 +606,10 @@ def test_mnnd_target_scale_that_is_no_finite_number_exits_1(key, token, mixed_da
     rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(mixed_data), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1, err
-    assert f"error: checkpoint {ckpt}: field 'header.{key}'" in err, err
+    # a real past the float range is refused as it is read, naming the line
+    expected = (f"error: {ckpt}:1: non-finite number {token}" if "e999" in token
+                else f"error: checkpoint {ckpt}: field 'header.{key}'")
+    assert expected in err, err
     assert not (out / "metrics.json").exists()
 
 
@@ -861,6 +894,55 @@ def test_corrupt_array_exits_1_naming_checkpoint_and_array(task, name, kind, req
         assert not (out / "metrics.json").exists()
 
 
+# (checkpoint task, header field, its value as train never writes it, from the header)
+HEADER_PROBES = {
+    "forward kind": ("forward", "kind", lambda h: "FOO"),
+    "forward edge": ("forward", "edge", lambda h: "Q"),
+    "forward grid one point short": ("forward", "grid", lambda h: h["grid"][:-1]),
+    "forward unknown element": ("forward", "element", lambda h: "Xx"),
+    "forward real n_out": ("forward", "n_out", lambda h: float(h["n_out"])),
+    "mnnd boolean n_xanes": ("mnnd", "n_xanes", lambda h: True),
+    "mnnd unknown element": ("mnnd", "element", lambda h: "Xx"),
+    "mnnd quoted y_mean": ("mnnd", "y_mean", lambda h: str(h["y_mean"])),
+    "neighbor boolean class": ("neighbor", "classes", lambda h: [True, 29]),
+    "neighbor class past the periodic table": ("neighbor", "classes",
+                                               lambda h: [200] + h["classes"][1:]),
+    "neighbor real n_exafs": ("neighbor", "n_exafs", lambda h: 40.0),
+    "cn quoted classes": ("cn", "classes", lambda h: ["22", "29"]),
+    "cn boolean n_xanes": ("cn", "n_xanes", lambda h: True),
+    "cn unknown element": ("cn", "element", lambda h: "Xx"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_PROBES))
+def test_header_field_train_never_writes_exits_1_naming_it(case, request, tmp_path, capsys):
+    task, field, value = HEADER_PROBES[case]
+    source = next(request.getfixturevalue(f"{task}_run").glob(f"{task}_*.json"))
+    doc = json.loads(source.read_text())
+    doc["header"][field] = value(doc["header"])
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    data = request.getfixturevalue("cu_data" if task == "forward" else "mixed_data")
+    for command, written in ((["eval", "--data", str(data)], "metrics.json"),
+                             (["predict", "--input", str(ckpt)], "prediction.json")):
+        out = tmp_path / command[0]
+        rc = cli.main([*command, "--checkpoint", str(ckpt), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"error: checkpoint {ckpt}: field 'header.{field}" in err, err
+        assert not (out / written).exists()
+
+
+@pytest.mark.parametrize("task", ["forward", "mnnd", "neighbor", "cn"])
+def test_checkpoint_saved_from_its_load_has_the_same_bytes(task, request, tmp_path):
+    from xastruct import pipelines as pl
+
+    for ckpt in sorted(request.getfixturevalue(f"{task}_run").glob(f"{task}_*.json")):
+        _, model = pl.load_checkpoint(ckpt)
+        model.save(tmp_path / ckpt.name)
+        assert (tmp_path / ckpt.name).read_bytes() == ckpt.read_bytes()
+
+
 class TestEvalPredict:
     def test_eval_reports_on_full_manifest(self, mixed_data, mnnd_run, tmp_path):
         out = tmp_path / "eval"
@@ -1058,7 +1140,22 @@ class TestGradcheck:
         assert cli.main(["gradcheck", "--seeds", "2"]) == 0
 
     def test_corrupted_gradient_exits_1(self):
-        assert cli.main(["gradcheck", "--seeds", "0", "--corrupt"]) == 1
+        assert cli.main(["gradcheck", "--seeds", "1", "--corrupt"]) == 1
+
+    @pytest.mark.parametrize("seeds,message", [
+        ("0", "usage error: --seeds must be at least 1, got 0"),
+        ("-1", "usage error: --seeds must be at least 1, got -1"),
+        ("abc", "argument --seeds: invalid int value: 'abc'"),
+        ("2.5", "argument --seeds: invalid int value: '2.5'"),
+    ])
+    def test_seed_count_that_is_no_integer_of_at_least_1_exits_2_naming_it(self, seeds, message,
+                                                                            capsys):
+        try:
+            rc = cli.main(["gradcheck", f"--seeds={seeds}"])
+        except SystemExit as exc:  # argparse's own usage error
+            rc = exc.code
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_every_op_and_block_covered(self):
         names = {name for name, _, _ in gradcheck.cases(0)}

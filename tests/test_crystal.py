@@ -607,12 +607,31 @@ class TestJsonInterchange:
             read_structures(path)
         assert str(exc.value).startswith(f"{path}:1: field 'absorber' is 1, out of range")
 
-    @pytest.mark.parametrize("absorber", [1.7, 1.0, True, "1"])
-    def test_record_absorber_must_be_a_json_integer(self, absorber, tmp_path):
+    @pytest.mark.parametrize("field,value,message", [
+        *[pytest.param("absorber", v, f"field 'absorber': expected an integer of at least 0, "
+                                      f"got {v!r}", id=f"absorber {v!r}")
+          for v in (1.7, 1.0, True, "1")],
+        pytest.param("lattice", ["2.82", 2.82, 0, 2.82, 0, 2.82, 0, 2.82, 2.82],
+                     "field 'lattice[0]': expected a finite number, got '2.82'", id="quoted lattice"),
+        pytest.param("lattice", [[0, 2.82, 2.82], [2.82, 0, 2.82], [2.82, 2.82, 0]],
+                     "field 'lattice[0]': expected a finite number, got [0, 2.82, 2.82]",
+                     id="nested lattice"),
+        pytest.param("sites", [{"element": "Na", "frac": [True, False, False]}],
+                     "field 'sites[0].frac[0]': expected a finite number, got True", id="boolean frac"),
+        pytest.param("sites", [{"element": "Na", "frac": [0, 0, 0]},
+                               {"element": "Xx", "frac": [0.5] * 3}],
+                     "field 'sites[1].element': expected an element symbol, got 'Xx'",
+                     id="unknown element"),
+        pytest.param("sites", {"element": "Na", "frac": [0, 0, 0]},
+                     "field 'sites': expected a list, got {'element': 'Na', 'frac': [0, 0, 0]}",
+                     id="sites object"),
+    ])
+    def test_record_field_of_the_wrong_type_is_named(self, field, value, message, tmp_path):
         path = tmp_path / "stream.jsonl"
-        path.write_text(json.dumps({**structure_to_dict(rocksalt_structure()),
-                                    "absorber": absorber}) + "\n")
-        message = f"field 'absorber' must be a site index, got {absorber!r}"
+        path.write_text(json.dumps({**structure_to_dict(rocksalt_structure()), "absorber": 0,
+                                    field: value}) + "\n")
+        if field != "absorber":
+            message = f"malformed structure record: {message}"
         for read, where in ((read_structures, f"{path}:1"), (read_structure, f"{path}")):
             with pytest.raises(ValueError) as exc:
                 read(path)

@@ -376,8 +376,8 @@ class TestFromDoc:
     def test_header_size_that_is_no_positive_integer_is_named(self, key, value):
         doc = _fitted_doc()
         doc["header"][key] = value
-        with pytest.raises(ValueError, match=rf"^forest header field '{key}': expected a "
-                                             rf"positive integer, got {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=rf"^field 'forest\.header\.{key}': expected an "
+                                             rf"integer of at least 1, got {re.escape(repr(value))}$"):
             forest_from_doc(doc)
 
     def test_no_trees_loads_as_an_empty_forest(self):

@@ -66,7 +66,9 @@ def test_read_jsonl_non_utf8_byte_names_file_and_line(read, tmp_path):
     assert str(exc.value) == f"{path}:2: byte 0xff is not UTF-8"
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+# a real past the float range reads as an infinity, so it is refused as one
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+                                   pytest.param("1" + "0" * 400 + ".5", id="400-digit real")])
 def test_read_json_refuses_non_finite_numbers_naming_file_and_line(token, tmp_path):
     path = tmp_path / "ckpt.json"
     # the same words inside strings are text, not numbers
@@ -74,6 +76,13 @@ def test_read_json_refuses_non_finite_numbers_naming_file_and_line(token, tmp_pa
     with pytest.raises(ValueError) as exc:
         read_json(path)
     assert str(exc.value) == f"{path}:2: non-finite number {token}"
+
+
+def test_read_json_integer_past_the_digit_limit_names_the_file(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text('{"header": {"n": ' + "1" * 5000 + "}}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: Exceeds the limit"):
+        read_json(path)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -109,6 +118,7 @@ def _open_field(record):
     ("[1]", "list indices must be integers or slices, not str"),
     ('{"a": NaN}', "non-finite number NaN"),
     ('{"a": [1, -Infinity]}', "non-finite number -Infinity"),
+    ('{"a": [1, 2e308]}', "non-finite number 2e308"),
 ])
 def test_read_jsonl_error_names_file_and_line(line, message, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
