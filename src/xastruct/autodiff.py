@@ -879,12 +879,12 @@ def save_params(named_params: dict, path, header: dict = None) -> None:
 # numbers in checkpoints written before the base64 codec
 _NUMBERS = list_of(real())
 PARAM = record({"shape": list_of(integer(0)),
-                "data": lambda data, path: _NUMBERS(data, path) if type(data) is list else data})
+                "data": lambda data, at: _NUMBERS(data, at) if type(data) is list else data})
 
 
-def _array_from_record(rec, at: str) -> np.ndarray:
-    """The array of the parameter record at path `at`; an error names the field."""
-    rec = PARAM(rec, at)
+def _array_from_record(rec, name: str) -> np.ndarray:
+    """The array of parameter `name`'s record; an error names the field."""
+    rec = PARAM(rec, ("params", name))
     shape, data = rec["shape"], rec["data"]
     try:
         if type(data) is list:
@@ -896,13 +896,13 @@ def _array_from_record(rec, at: str) -> np.ndarray:
         # copied out of the bytes object: callers keep and update these arrays
         return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {at + '.data'!r}: {exc}") from None
+        raise ValueError(f"field 'params.{name}.data': {exc}") from None
 
 
 def params_from_doc(doc: dict) -> tuple:
     """(header dict, name -> ndarray) of a parsed save_params document."""
-    params = record()(doc.get("params"), "params")
-    arrays = {name: _array_from_record(rec, f"params.{name}") for name, rec in params.items()}
+    params = record()(doc.get("params"), ("params",))
+    arrays = {name: _array_from_record(rec, name) for name, rec in params.items()}
     return doc.get("header", {}), arrays
 
 

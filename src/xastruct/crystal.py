@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import ELEMENT_SYMBOLS
-from .jsonio import choice, integer, list_of, read_json, read_jsonl, real, record, write_jsonl
+from .jsonio import ELEMENT, integer, list_of, read_json, read_jsonl, real, record, write_jsonl
 
 MIN_SITE_SEPARATION = 0.5  # angstrom; guards the 1/R^2 terms downstream
 DESCRIPTOR_CUTOFF = 6.0  # angstrom; neighbor search radius of extract_descriptors
@@ -72,7 +72,6 @@ class Element:
 
 
 _ELEMENT_BY_SYMBOL = {s: Element(z + 1) for z, s in enumerate(ELEMENT_SYMBOLS)}
-ELEMENT_SYMBOL = choice(ELEMENT_SYMBOLS, "an element symbol")
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,14 +386,14 @@ def structure_to_dict(s: CrystalStructure) -> dict:
 
 # the checks of a structure record's fields; a record without an absorber names site 0
 STRUCTURE = record({"lattice": list_of(real()),
-                    "sites": list_of(record({"element": ELEMENT_SYMBOL, "frac": list_of(real())}))})
+                    "sites": list_of(record({"element": ELEMENT, "frac": list_of(real())}))})
 ABSORBER = integer(0)
 
 
 def structure_from_dict(d: dict) -> CrystalStructure:
     """The structure of a record; a field of the wrong type raises naming it."""
     try:
-        checked = STRUCTURE(d, "")
+        checked = STRUCTURE(d, ())
         basis = np.array(checked["lattice"], dtype=float).reshape(3, 3)
     except ValueError as exc:  # a field check's, or a lattice of other than 9 numbers
         raise InvalidStructureError(f"malformed structure record: {exc}") from None
@@ -411,7 +410,7 @@ def site_index(index: int, n_sites: int, source: str) -> int:
 
 def _from_record(record: dict) -> tuple:
     s = structure_from_dict(record)
-    absorber = ABSORBER(record.get("absorber", 0), "absorber")
+    absorber = ABSORBER(record.get("absorber", 0), ("absorber",))
     return s, site_index(absorber, len(s), "field 'absorber'")
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import read
-from .jsonio import choice, integer, record
+from .jsonio import choice, integer, optional, record
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -254,16 +254,18 @@ def forest_to_doc(forest: RandomForest) -> dict:
     return {"header": header, "trees": [tree.nodes for tree in forest.trees]}
 
 
-# the checks of a forest document's header fields
-HEADER = record({"n_trees": integer(1), "max_depth": integer(1), "min_samples_leaf": integer(1),
-                 "max_features": choice(("sqrt",)), "bootstrap": choice((True, False)),
-                 "seed": integer(0), "n_features": integer(1), "n_classes": integer(1)})
+_SIZE, _SQRT = integer(1), choice(("sqrt",))
+# the checks of a forest document's header fields, as ForestConfig takes them
+HEADER = record({"n_trees": _SIZE, "max_depth": optional(_SIZE), "min_samples_leaf": _SIZE,
+                 "max_features": optional(lambda v, at: (_SQRT if type(v) is str else _SIZE)(v, at)),
+                 "bootstrap": choice((True, False)), "seed": integer(0), "n_features": _SIZE,
+                 "n_classes": _SIZE})
 
 
 def forest_from_doc(doc: dict) -> RandomForest:
     """The forest of a forest_to_doc document, as a cn checkpoint holds it in `forest`;
     a bad header field raises naming it, a malformed node naming its tree."""
-    h = HEADER(doc["header"], "forest.header")
+    h = HEADER(doc["header"], ("forest", "header"))
     n_features, n_classes = h.pop("n_features"), h.pop("n_classes")
     trees = [DecisionTree(nodes, n_classes) for nodes in doc["trees"]]
     return RandomForest(trees, ForestConfig(**h), n_features, n_classes)

@@ -8,11 +8,12 @@ refuse NaN and the infinities, readers the NaN, Infinity and -Infinity
 tokens that json otherwise takes, and reals past the float range, such as
 1e999, that float() reads as infinities.
 
-A check takes a decoded value and its path in the document, such as
-`header.n_out` or `sites[0].frac`, and returns the value as the reader uses
-it; a value of another type raises "field '<path>': expected <what>, got
-<value>". The checks accept what the writers write and nothing looser: a
-boolean is no integer and a quoted number no number.
+A check takes a decoded value and its path in the document, the keys and
+list indices from its root such as ("sites", 0, "frac"), and returns the
+value; a value of another type raises "field '<path>': expected <what>, got
+<value>", the path written as `sites[0].frac`. The checks accept what the
+writers write and nothing looser: a boolean is no integer and a quoted
+number no number.
 """
 
 import json
@@ -20,6 +21,8 @@ import math
 import re
 import sys
 from pathlib import Path
+
+from .config import ELEMENT_SYMBOLS
 
 
 def _refuse_constant(token: str):
@@ -112,11 +115,12 @@ def read_jsonl(path, convert) -> list:
 # --- field checks --------------------------------------------------------------
 
 _FLOAT_MAX = sys.float_info.max
-_NUMBER = (int, float)
 
 
-def _expected(path: str, what: str, got: str) -> ValueError:
-    return ValueError(f"{f'field {path!r}: ' if path else ''}expected {what}, got {got}")
+def _expected(path: tuple, what: str, got: str) -> ValueError:
+    """The error of the field at `path`, its keys and list indices from the document's root."""
+    name = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path).lstrip(".")
+    return ValueError(f"{f'field {name!r}: ' if name else ''}expected {what}, got {got}")
 
 
 def record(checks: dict = None):
@@ -127,11 +131,7 @@ def record(checks: dict = None):
             raise _expected(path, "a JSON object", type(value).__name__)
         if checks is None:
             return value
-        try:  # each field's path is formatted only for an error
-            return {key: c(value.get(key), path) for key, c in checks.items()}
-        except ValueError:
-            return {key: c(value.get(key), f"{path}.{key}" if path else key)
-                    for key, c in checks.items()}
+        return {key: c(value.get(key), (*path, key)) for key, c in checks.items()}
     return check
 
 
@@ -140,47 +140,44 @@ def list_of(item):
     def check(value, path):
         if type(value) is not list:
             raise _expected(path, "a list", repr(value))
-        try:  # each entry's path is formatted only for an error
-            for x in value:
-                item(x, path)
-        except ValueError:
-            for i, x in enumerate(value):
-                item(x, f"{path}[{i}]")
+        for i, x in enumerate(value):
+            item(x, (*path, i))
         return value
+    return check
+
+
+def _check(ok, what: str):
+    """Check: a value for which ok(value) holds, described as `what`."""
+    def check(value, path):
+        if ok(value):
+            return value
+        raise _expected(path, what, repr(value))
     return check
 
 
 def integer(least: int = 0):
     """Check: a JSON integer, not a boolean, of at least `least`."""
-    what = f"an integer of at least {least}"
-
-    def check(value, path):
-        if type(value) is int and value >= least:
-            return value
-        raise _expected(path, what, repr(value))
-    return check
+    return _check(lambda v: type(v) is int and v >= least, f"an integer of at least {least}")
 
 
 def real(positive: bool = False):
-    """Check: a JSON number in the float range, above 0 if `positive`."""
-    what = "a positive, finite number" if positive else "a finite number"
-    low = 0 if positive else -_FLOAT_MAX
-
-    def check(value, path):
-        # a bound on both sides also refuses an int past the float range
-        if type(value) in _NUMBER and low <= value <= _FLOAT_MAX and not (positive and value == 0):
-            return value
-        raise _expected(path, what, repr(value))
-    return check
+    """Check: a JSON number, above 0 if `positive`. The decoder refuses a real past the
+    float range; an integer past it, which float() cannot convert, is refused here."""
+    return _check(lambda v: type(v) in (int, float) and abs(v) <= _FLOAT_MAX
+                  and (v > 0 or not positive),
+                  "a positive, finite number" if positive else "a finite number")
 
 
 def choice(choices, what: str = None):
     """Check: one of `choices`, of its type too (true is not 1)."""
-    what = what or "one of " + ", ".join(map(repr, choices))
     allowed = {(type(c), c) for c in choices}
+    return _check(lambda v: type(v) not in (list, dict) and (type(v), v) in allowed,
+                  what or "one of " + ", ".join(map(repr, choices)))
 
-    def check(value, path):
-        if type(value) not in (list, dict) and (type(value), value) in allowed:
-            return value
-        raise _expected(path, what, repr(value))
-    return check
+
+def optional(check):
+    """Check: None, or a value that `check` accepts."""
+    return lambda value, path: value if value is None else check(value, path)
+
+
+ELEMENT = choice(ELEMENT_SYMBOLS, "an element symbol")

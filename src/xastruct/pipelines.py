@@ -46,7 +46,7 @@ from .autodiff import (
 )
 from .config import ARCH, ELEMENT_SYMBOLS, FOREST, check_config, read
 from .crystal import Element, StructureGraph
-from .jsonio import choice, integer, list_of, read_json, real, record, write_json
+from .jsonio import ELEMENT, choice, integer, list_of, optional, read_json, real, record, write_json
 from .nn import ConvBlock, Module, MPEncoder, SGMLP
 from .spectra import EDGES, KINDS, InsufficientDataError, LabeledSample
 
@@ -277,7 +277,8 @@ def load_checkpoint(path, cls=None) -> tuple:
     if task not in models:
         raise ValueError(f"checkpoint {path} has unknown task {task!r}")
     try:
-        return task, _from_doc(models[task], doc)
+        header = record(models[task].HEADER)(doc["header"], ("header",))
+        return task, models[task]._build(header, doc)
     except KeyError as exc:
         # str() of a KeyError is only the quoted key, as in "error: 'forest'"
         raise ValueError(f"checkpoint {path}: missing {exc.args[0]}") from None
@@ -285,43 +286,27 @@ def load_checkpoint(path, cls=None) -> tuple:
         raise ValueError(f"checkpoint {path}: {exc}") from None
 
 
-# The checks of the checkpoint header fields that several models share. A model class
-# gives the checks of its header's fields, besides the task, in HEADER: each field is
-# an attribute of the model and an argument of its constructor.
-MODEL_ELEMENT = choice(ELEMENT_SYMBOLS + (None,), "an element symbol")  # None: every element
+# A model class gives the checks of its checkpoint header's fields, besides the task, in
+# HEADER: each is an attribute of the model and an argument of its constructor. Its
+# classmethod `_build(header, doc)` makes the model from the checked header and the document.
 SIZE = integer(2)
 
 
-def _save(model, path) -> None:
-    """Save `model` as a checkpoint: its task and HEADER fields, then its arrays or forest."""
-    header = {"task": model.task}
-    for name in model.HEADER:
-        value = getattr(model, name)
-        if value is not None:
-            header[name] = value.tolist() if isinstance(value, np.ndarray) else value
-    if isinstance(model, CNClassifier):
-        write_json(path, {"header": header, "forest": rf.forest_to_doc(model.forest)})
-    else:
-        save_params(model.state(), path, header=header)
+def _header_of(model) -> dict:
+    """The checkpoint header of `model`: its task and its HEADER fields that are set."""
+    fields = {name: getattr(model, name) for name in model.HEADER}
+    return {"task": model.task, **{k: v for k, v in fields.items() if v is not None}}
 
 
-def _from_doc(cls, doc: dict):
-    """The model of a parsed checkpoint. Each header field is checked first; a neural model
-    is then built without an rng, so with zeros for weights and no random draws, and its
-    arrays load in over every array."""
-    h = record(cls.HEADER)(doc["header"], "header")
-    if cls is CNClassifier:
-        forest = rf.forest_from_doc(doc["forest"])
-        sizes = (len(h["classes"]), h["n_xanes"] + h["n_exafs"])
-        if sizes != (forest.n_classes, forest.n_features):
-            raise ValueError(f"header has {sizes[0]} classes and {sizes[1]} features, the forest "
-                             f"{forest.n_classes} and {forest.n_features}")
-        return cls(forest, **h)
-    grid = h.get("grid")
-    if grid is not None and (len(grid) != h["n_out"] or not np.all(np.diff(grid) > 0)):
-        raise ValueError(f"field 'header.grid': expected {h['n_out']} (header.n_out) increasing "
-                         f"numbers, got {len(grid)} numbers")
-    model = cls(None, cfg=TrainConfig(extras=h.pop("arch")), **h)
+def _save_arrays(model: Module, path) -> None:
+    """Save a neural model as a checkpoint: its header, then its arrays by name."""
+    save_params(model.state(), path, header=_header_of(model))
+
+
+def _build_neural(cls, header: dict, doc: dict) -> Module:
+    """The neural model of a checkpoint, built without an rng, so with zeros for weights
+    and no random draws; then its arrays load in over every array."""
+    model = cls(None, cfg=TrainConfig(extras=header.pop("arch")), **header)
     model.load_state(params_from_doc(doc)[1])
     return model
 
@@ -338,8 +323,9 @@ class ForwardModel(Module):
     """Graph encoder + SGMLP head predicting an n-point spectrum."""
 
     task = "forward"
-    HEADER = {"element": MODEL_ELEMENT, "edge": choice(EDGES), "kind": choice(KINDS),
-              "n_out": SIZE, "grid": list_of(real()), "arch": record()}
+    # a forward model is of one element
+    HEADER = {"element": ELEMENT, "edge": choice(EDGES), "kind": choice(KINDS), "n_out": SIZE,
+              "grid": list_of(real()), "arch": record()}
 
     def __init__(self, rng, n_out: int, cfg: TrainConfig, element: str, edge: str, kind: str, grid):
         self.arch = a = cfg.arch
@@ -351,7 +337,7 @@ class ForwardModel(Module):
         self.element = element
         self.edge = edge
         self.kind = kind
-        self.grid = np.asarray(grid, dtype=float)
+        self.grid = [float(v) for v in grid]  # energies in eV
         # the head learns the residual around the mean training spectrum
         self.y_center = np.zeros(n_out)
 
@@ -371,8 +357,16 @@ class ForwardModel(Module):
         """Residual prediction [n_out] of one graph."""
         return reshape(self([g]), (self.n_out,))
 
-    save = _save
+    save = _save_arrays
     load = classmethod(_load)
+
+    @classmethod
+    def _build(cls, header: dict, doc: dict) -> "ForwardModel":
+        grid = header["grid"]
+        if len(grid) != header["n_out"] or not np.all(np.diff(grid) > 0):
+            raise ValueError(f"field 'header.grid': expected {header['n_out']} (header.n_out) "
+                             f"increasing numbers, got {len(grid)} numbers")
+        return _build_neural(cls, header, doc)
 
 
 def forward_predict(model: ForwardModel, graphs,
@@ -443,8 +437,9 @@ class SpectrumModel(Module):
     """
 
     INPUTS = ()
-    # arch's keys are read through the config-key table
-    HEADER = {"element": MODEL_ELEMENT, "n_xanes": SIZE, "n_exafs": SIZE, "arch": record()}
+    # element None: a model of every element; arch's keys are read through the config-key table
+    HEADER = {"element": optional(ELEMENT), "n_xanes": SIZE, "n_exafs": SIZE, "arch": record()}
+    _build = classmethod(_build_neural)
 
     def __init__(self, n_xanes: int, n_exafs: int, cfg: TrainConfig, element: str = None):
         self.arch = cfg.arch
@@ -505,7 +500,7 @@ class InverseMNND(SpectrumModel):
         feat = 2 * channels * ((2 * d) >> n_blocks)  # each block halves the length
         self.f_d = SGMLP(rng, feat, a["head_hidden"], 1, a["head_k"])
         self.d = d
-        # target normalization, set by the training loop
+        # target normalization
         self.y_mean = y_mean
         self.y_std = y_std
 
@@ -523,7 +518,7 @@ class InverseMNND(SpectrumModel):
         out = self.f_d(concat([fx, fe], axis=1))  # [B, 1]
         return reshape(out, (out.shape[0],))
 
-    save = _save
+    save = _save_arrays
     load = classmethod(_load)
 
 
@@ -535,11 +530,10 @@ def train_mnnd(samples, cfg: TrainConfig, val_samples=None):
     if len(samples) < 2:
         raise InsufficientDataError("mnnd training needs at least 2 samples")
     rng = np.random.default_rng(cfg.seed)
-    model = InverseMNND(rng, samples[0].xanes.grid.n, samples[0].exafs.grid.n, cfg)
-    X = model.fit_inputs(samples)
     y = np.array([s.labels.mnnd for s in samples])
-    model.y_mean = float(y.mean())
-    model.y_std = float(max(y.std(), 1e-8))
+    model = InverseMNND(rng, samples[0].xanes.grid.n, samples[0].exafs.grid.n, cfg,
+                        y_mean=float(y.mean()), y_std=float(max(y.std(), 1e-8)))
+    X = model.fit_inputs(samples)
     y_norm = (y - model.y_mean) / model.y_std
 
     def batch_loss(batch):
@@ -597,7 +591,7 @@ class InverseNeighbor(SpectrumModel):
             out = self.forward(*self.inputs(samples))
         return out.data
 
-    save = _save
+    save = _save_arrays
     load = classmethod(_load)
 
 
@@ -644,7 +638,7 @@ class CNClassifier:
 
     task = "cn"
     INPUTS = ("ax", "ae")
-    HEADER = {"element": MODEL_ELEMENT, "classes": list_of(integer(1)), "n_xanes": SIZE,
+    HEADER = {"element": optional(ELEMENT), "classes": list_of(integer(1)), "n_xanes": SIZE,
               "n_exafs": SIZE}
 
     def __init__(self, forest_model: rf.RandomForest, classes, n_xanes: int, n_exafs: int,
@@ -659,8 +653,19 @@ class CNClassifier:
         """The [N, n_xanes + n_exafs] forest input of N samples."""
         return np.concatenate(_spectra(samples, self.n_xanes, self.n_exafs, self.INPUTS), axis=1)
 
-    save = _save
+    def save(self, path) -> None:
+        write_json(path, {"header": _header_of(self), "forest": rf.forest_to_doc(self.forest)})
+
     load = classmethod(_load)
+
+    @classmethod
+    def _build(cls, header: dict, doc: dict) -> "CNClassifier":
+        forest = rf.forest_from_doc(doc["forest"])
+        sizes = (len(header["classes"]), header["n_xanes"] + header["n_exafs"])
+        if sizes != (forest.n_classes, forest.n_features):
+            raise ValueError(f"header has {sizes[0]} classes and {sizes[1]} features, the forest "
+                             f"{forest.n_classes} and {forest.n_features}")
+        return cls(forest, **header)
 
 
 def cn_predict(model: CNClassifier, sample: LabeledSample) -> int:

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crystal import ELEMENT_SYMBOL, DescriptorLabels, Element
-from .jsonio import integer, list_of, read_json, read_jsonl, real, record, write_json, write_jsonl
+from .crystal import DescriptorLabels, Element
+from .jsonio import ELEMENT, integer, list_of, read_json, read_jsonl, real, record, write_json, write_jsonl
 
 XANES = "XANES"
 EXAFS = "EXAFS"
@@ -256,14 +256,14 @@ def labels_to_dict(labels: DescriptorLabels) -> dict:
 
 
 # the checks of a manifest record's labels
-LABELS = record({"cn": integer(1), "mnnd": real(), "neighbor_type": ELEMENT_SYMBOL,
+LABELS = record({"cn": integer(1), "mnnd": real(), "neighbor_type": ELEMENT,
                  "shell_distances": list_of(real())})
 
 
 def labels_from_dict(d: dict) -> DescriptorLabels:
     """The labels of a manifest record, `labels` in it; a value of the wrong type raises
     naming its field. No label may be a boolean or a quoted number."""
-    values = LABELS(d, "labels")
+    values = LABELS(d, ("labels",))
     values["neighbor_type"] = Element.from_symbol(values["neighbor_type"])
     return DescriptorLabels(**values)
 

@@ -894,9 +894,13 @@ def test_corrupt_array_exits_1_naming_checkpoint_and_array(task, name, kind, req
         assert not (out / "metrics.json").exists()
 
 
+_MISSING = object()  # a probe value: the field is left out
 # (checkpoint task, header field, its value as train never writes it, from the header)
 HEADER_PROBES = {
     "forward kind": ("forward", "kind", lambda h: "FOO"),
+    # a forward model is of one element: no header of it lacks the element
+    "forward missing element": ("forward", "element", lambda h: _MISSING),
+    "forward null element": ("forward", "element", lambda h: None),
     "forward edge": ("forward", "edge", lambda h: "Q"),
     "forward grid one point short": ("forward", "grid", lambda h: h["grid"][:-1]),
     "forward unknown element": ("forward", "element", lambda h: "Xx"),
@@ -920,6 +924,8 @@ def test_header_field_train_never_writes_exits_1_naming_it(case, request, tmp_pa
     source = next(request.getfixturevalue(f"{task}_run").glob(f"{task}_*.json"))
     doc = json.loads(source.read_text())
     doc["header"][field] = value(doc["header"])
+    if doc["header"][field] is _MISSING:
+        del doc["header"][field]
     ckpt = tmp_path / "bad.json"
     ckpt.write_text(json.dumps(doc))
     data = request.getfixturevalue("cu_data" if task == "forward" else "mixed_data")

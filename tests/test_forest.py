@@ -278,6 +278,19 @@ class TestCheckpoint:
         for row in queries[:5]:
             assert np.allclose(predict_proba(forest, row), predict_proba(loaded, row), atol=1e-15)
 
+    # max_depth None grows unbounded trees; max_features None takes every feature
+    @pytest.mark.parametrize("options", [{"max_depth": None, "max_features": None},
+                                         {"max_depth": 3, "max_features": 2}])
+    def test_every_config_fit_takes_round_trips(self, options):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(60, 6))
+        forest = fit(X, rng.integers(0, 4, size=60), ForestConfig(n_trees=5, seed=14, **options))
+        loaded = forest_from_doc(json.loads(json.dumps(forest_to_doc(forest))))
+        assert loaded.config == forest.config
+        assert forest_to_doc(loaded) == forest_to_doc(forest)
+        queries = rng.normal(size=(10, 6))
+        assert predict_proba(loaded, queries).tobytes() == predict_proba(forest, queries).tobytes()
+
     def test_header_fields(self):
         forest = fit(np.zeros((4, 2)) + np.arange(4)[:, None], np.array([0, 0, 1, 1]))
         doc = json.loads(json.dumps(forest_to_doc(forest)))
@@ -378,6 +391,21 @@ class TestFromDoc:
         doc["header"][key] = value
         with pytest.raises(ValueError, match=rf"^field 'forest\.header\.{key}': expected an "
                                              rf"integer of at least 1, got {re.escape(repr(value))}$"):
+            forest_from_doc(doc)
+
+    @pytest.mark.parametrize("key,value,what", [
+        ("max_depth", 0, "an integer of at least 1"),
+        ("max_depth", 2.5, "an integer of at least 1"),
+        ("max_features", "log2", "one of 'sqrt'"),
+        ("max_features", True, "an integer of at least 1"),
+        ("bootstrap", 1, "one of True, False"),
+        ("seed", -1, "an integer of at least 0"),
+    ])
+    def test_header_config_field_fit_never_writes_is_named(self, key, value, what):
+        doc = _fitted_doc()
+        doc["header"][key] = value
+        with pytest.raises(ValueError, match=rf"^field 'forest\.header\.{key}': expected "
+                                             rf"{re.escape(what)}, got {re.escape(repr(value))}$"):
             forest_from_doc(doc)
 
     def test_no_trees_loads_as_an_empty_forest(self):
