@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jsonio import integer, list_of, read_json, real, record, write_json
+from .jsonio import dumps, integer, list_of, read_json, real, record, write_bytes
 
 
 class ShapeError(ValueError):
@@ -857,22 +857,28 @@ def finite_difference_check(build_loss, params, eps: float = 1e-4, rel_tol: floa
 
 
 def save_params(named_params: dict, path, header: dict = None) -> None:
-    """JSON checkpoint: {"header": ..., "params": name -> {shape, data}}, sorted.
+    """JSON checkpoint: {"header": ..., "params": name -> {data, shape}}, sorted.
 
     `data` is the base64 of the array's little-endian float64 bytes in C
     order, so values round-trip bit for bit. Values may be
-    Parameters/Tensors or plain arrays (e.g. running stats).
+    Parameters/Tensors or plain arrays (e.g. running stats). The file holds
+    the bytes write_json writes of that document, built here so that the
+    base64 text, whose alphabet JSON never escapes, is copied in unscanned.
     """
 
-    def record(p):
+    def encoded(doc) -> bytes:
+        return dumps(path, doc).encode()
+
+    # the pieces of the text, joined once; each record is led by a ", "
+    records = []
+    for name in sorted(named_params):
+        p = named_params[name]
         a = np.asarray(p.data if isinstance(p, Tensor) else p, dtype="<f8")
         # tobytes() is in C order for any layout; ascontiguousarray would make a 0-d array 1-d
-        return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
-
-    write_json(path, {
-        "header": header or {},
-        "params": {name: record(p) for name, p in named_params.items()},
-    })
+        records += [b", ", encoded(name), b': {"data": "', base64.b64encode(a.tobytes()),
+                    b'", "shape": ', encoded(list(a.shape)), b"}"]
+    parts = [b'{"header": ', encoded(header or {}), b', "params": {', *records[1:], b"}}\n"]
+    write_bytes(path, b"".join(parts))
 
 
 # the checks of a parameter record's fields: `data` is base64 text, or a list of

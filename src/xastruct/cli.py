@@ -52,7 +52,7 @@ from .crystal import (
     site_index,
     write_structures,
 )
-from .jsonio import read_json, write_json, write_jsonl
+from .jsonio import read_bytes, read_json, write_json, write_jsonl
 from .spectra import (
     EnergyGrid,
     LabeledSample,
@@ -107,8 +107,7 @@ def resolve_config(args) -> dict:
 
 
 def _blob_hash(path) -> str:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_bytes(path)
     h = hashlib.sha1()
     h.update(b"blob %d\0" % len(data))
     h.update(data)

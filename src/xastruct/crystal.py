@@ -30,7 +30,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import ELEMENT_SYMBOLS
-from .jsonio import ELEMENT, integer, list_of, read_json, read_jsonl, real, record, write_jsonl
+from .jsonio import (ELEMENT, integer, list_of, optional, read_json, read_jsonl, real, record, string,
+                     write_jsonl)
 
 MIN_SITE_SEPARATION = 0.5  # angstrom; guards the 1/R^2 terms downstream
 DESCRIPTOR_CUTOFF = 6.0  # angstrom; neighbor search radius of extract_descriptors
@@ -384,8 +385,9 @@ def structure_to_dict(s: CrystalStructure) -> dict:
     }
 
 
-# the checks of a structure record's fields; a record without an absorber names site 0
-STRUCTURE = record({"lattice": list_of(real()),
+# the checks of a structure record's fields; a record without an absorber names site 0,
+# and a null or absent id reads as ""
+STRUCTURE = record({"id": optional(string()), "lattice": list_of(real()),
                     "sites": list_of(record({"element": ELEMENT, "frac": list_of(real())}))})
 ABSORBER = integer(0)
 
@@ -398,7 +400,7 @@ def structure_from_dict(d: dict) -> CrystalStructure:
     except ValueError as exc:  # a field check's, or a lattice of other than 9 numbers
         raise InvalidStructureError(f"malformed structure record: {exc}") from None
     sites = tuple(Site(Element.from_symbol(site["element"]), site["frac"]) for site in checked["sites"])
-    return CrystalStructure(lattice=Lattice(basis), sites=sites, id=str(d.get("id", "")))
+    return CrystalStructure(lattice=Lattice(basis), sites=sites, id=checked["id"] or "")
 
 
 def site_index(index: int, n_sites: int, source: str) -> int:

@@ -2,11 +2,13 @@
 every JSON document it reads whole, and the checks of the fields it reads back.
 
 Writers sort keys and end each document with a newline, so a rerun writes
-the same bytes. Readers raise a ValueError that names the file and the line
-at fault, never a bare decoder error. Numbers are finite both ways: writers
-refuse NaN and the infinities, readers the NaN, Infinity and -Infinity
-tokens that json otherwise takes, and reals past the float range, such as
-1e999, that float() reads as infinities.
+the same bytes; the checkpoint writer, which assembles its document from
+parts, encodes each part with dumps. A file read whole is read in one
+unbuffered read (read_bytes). Readers raise a ValueError that names the
+file and the line at fault, never a bare decoder error. Numbers are finite
+both ways: writers refuse NaN and the infinities, readers the NaN, Infinity
+and -Infinity tokens that json otherwise takes, and reals past the float
+range, such as 1e999, that float() reads as infinities.
 
 A check takes a decoded value and its path in the document, the keys and
 list indices from its root such as ("sites", 0, "frac"), and returns the
@@ -41,31 +43,41 @@ _DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|NaN|-?Infinity|-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?')
 
 
-def _dumps(path, doc, indent=None) -> str:
+def dumps(path, doc, indent=None) -> str:
+    """`doc` as sorted-key JSON; a non-finite number raises naming `path`."""
     try:
-        return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def write_bytes(path, data: bytes) -> None:
+    """`data` in one write; creates the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+
+
 def write_json(path, doc, indent=None) -> None:
     """`doc` as sorted-key JSON plus a newline; creates the parent directory."""
-    path = Path(path)
-    text = _dumps(path, doc, indent)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    write_bytes(path, (dumps(path, doc, indent) + "\n").encode())
 
 
 def write_jsonl(path, records) -> None:
     """Each record as one line of sorted-key JSON, in one write."""
-    Path(path).write_text("".join(_dumps(path, record) for record in records))
+    Path(path).write_text("".join(dumps(path, record) + "\n" for record in records))
+
+
+def read_bytes(path) -> bytes:
+    """The whole file, read unbuffered: a reader that reads it once needs no BufferedReader."""
+    with open(path, "rb", buffering=0) as fh:
+        return fh.read()
 
 
 def read_json(path):
     """The parsed document of a UTF-8 JSON file; a byte that is not UTF-8, a syntax
     error or a non-finite number names the line."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = read_bytes(path)
     try:
         text = raw.decode()
         return _DECODER.decode(text)
@@ -173,6 +185,11 @@ def choice(choices, what: str = None):
     allowed = {(type(c), c) for c in choices}
     return _check(lambda v: type(v) not in (list, dict) and (type(v), v) in allowed,
                   what or "one of " + ", ".join(map(repr, choices)))
+
+
+def string():
+    """Check: a JSON string."""
+    return _check(lambda v: type(v) is str, "a string")
 
 
 def optional(check):

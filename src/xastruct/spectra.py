@@ -14,7 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .crystal import DescriptorLabels, Element
-from .jsonio import ELEMENT, integer, list_of, read_json, read_jsonl, real, record, write_json, write_jsonl
+from .jsonio import (ELEMENT, choice, integer, list_of, optional, read_bytes, read_json, read_jsonl,
+                     real, record, string, write_json, write_jsonl)
 
 XANES = "XANES"
 EXAFS = "EXAFS"
@@ -170,8 +171,7 @@ def _read_columns(csv_path: Path) -> tuple:
     _read_columns_csv, which gives the same values or the error that names
     the line.
     """
-    with open(csv_path, "rb") as fh:
-        raw = fh.read()
+    raw = read_bytes(csv_path)
     header, _, body = raw.partition(b"\n")
     rows = body.count(b"\n")
     if (
@@ -190,36 +190,44 @@ def _read_columns(csv_path: Path) -> tuple:
     return _read_columns_csv(csv_path)
 
 
-def load_spectrum(csv_path) -> Spectrum:
+# the checks of a spectrum sidecar's fields; a null or absent structure_id reads as ""
+SIDECAR = record({"kind": choice(KINDS), "edge": choice(EDGES), "absorber": ELEMENT,
+                  "structure_id": optional(string())})
+
+
+def load_spectrum(csv_path, grids: dict = None) -> Spectrum:
     """A spectrum from its CSV and JSON sidecar.
 
-    Malformed content raises a ValueError that names the file, and the line
-    where one line is at fault.
+    `grids` maps the bytes of an energy axis to its EnergyGrid; a spectrum
+    whose axis is in it shares that grid, and a new axis is added. Malformed
+    content raises a ValueError that names the file, and the line where one
+    line is at fault; an error of the CSV comes before one of the sidecar.
     """
     csv_path = Path(csv_path)
     energies, mu = _read_columns(csv_path)
-    sidecar = csv_path.with_suffix(".json")
-    meta = read_json(sidecar)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{sidecar}: expected a JSON object, got {type(meta).__name__}")
+    grids = {} if grids is None else grids
     try:
-        return Spectrum(
-            grid=EnergyGrid(energies),
-            mu=mu,
-            kind=meta["kind"],
-            edge=meta["edge"],
-            absorber=Element.from_symbol(meta["absorber"]),
-            structure_id=meta.get("structure_id", ""),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{sidecar}: missing field {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+        key = energies.tobytes()
+        grid = grids.get(key)
+        if grid is None:
+            grid = grids[key] = EnergyGrid(energies)
+        if not np.isfinite(mu).all():
+            raise ValueError("mu contains non-finite values")
+    except ValueError as exc:
         # a NaN energy fails as a non-increasing grid: name the first non-finite
         # line (line 1 is the header)
         bad = np.flatnonzero(~(np.isfinite(energies) & np.isfinite(mu)))
         if bad.size:
             raise ValueError(f"{csv_path}:{bad[0] + 2}: non-finite value") from None
         raise ValueError(f"{csv_path}: {exc}") from None
+    sidecar = csv_path.with_suffix(".json")
+    meta = read_json(sidecar)
+    try:
+        meta = SIDECAR(meta, ())
+    except ValueError as exc:
+        raise ValueError(f"{sidecar}: {exc}") from None
+    return Spectrum(grid, mu, meta["kind"], meta["edge"], Element.from_symbol(meta["absorber"]),
+                    meta["structure_id"] or "")
 
 
 class SpectrumPair(NamedTuple):
@@ -287,13 +295,17 @@ def save_dataset(samples, manifest_path) -> None:
 
 
 def load_dataset(manifest_path) -> list:
-    """The samples of a manifest; a bad line raises a ValueError naming the file and line."""
+    """The samples of a manifest; a bad line raises a ValueError naming the file and line.
+
+    Spectra on equal energy axes share one EnergyGrid, checked once.
+    """
     root = Path(manifest_path).parent
+    grids = {}
 
     def sample(record) -> LabeledSample:
         return LabeledSample(
-            xanes=load_spectrum(root / record["xanes"]),
-            exafs=load_spectrum(root / record["exafs"]),
+            xanes=load_spectrum(root / record["xanes"], grids),
+            exafs=load_spectrum(root / record["exafs"], grids),
             labels=labels_from_dict(record["labels"]),
         )
 

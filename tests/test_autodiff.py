@@ -1,8 +1,14 @@
+import base64
 import gc
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from helpers import TINY_FORWARD_ARCH, TINY_INVERSE_ARCH, forward_pairs, labeled_sample, rocksalt
 
 from xastruct import pipelines as pl
@@ -46,6 +52,17 @@ from xastruct.autodiff import (
     zero_grad,
 )
 from xastruct.nn import Module
+
+# names with non-ASCII, quote, backslash and control characters, which JSON escapes
+PARAM_NAMES = st.text(st.sampled_from('ab."\\/\x00\x1f\n\t\x7fé€\u2028😀') | st.characters(),
+                      max_size=6)
+# 0-d, zero-size and small arrays of any float64, NaN and the infinities too
+PARAM_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+HEADER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8)
 
 
 def assert_grads_match(build_loss, params, tol=1e-4):
@@ -870,6 +887,31 @@ class TestCheckpoints:
             assert arrays[name].tobytes() == a.tobytes()
             # decoded arrays are owned copies that callers may update in place
             assert arrays[name].dtype == np.float64 and arrays[name].flags.writeable
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(params=st.dictionaries(PARAM_NAMES, PARAM_ARRAYS, max_size=4),
+           as_parameter=st.booleans(), transposed=st.booleans(),
+           header=st.none() | st.dictionaries(st.text(max_size=5), HEADER_VALUES, max_size=4))
+    def test_bytes_are_json_dumps_of_the_document(self, tmp_path, params, as_parameter, transposed,
+                                                  header):
+        if transposed:  # a layout other than C order
+            params = {name: a.T for name, a in params.items()}
+        # a Parameter holds finite values only; a plain array, such as a buffer, may hold any
+        values = {name: Parameter(a) if as_parameter and np.isfinite(a).all() else a
+                  for name, a in params.items()}
+        save_params(values, tmp_path / "p.json", header=header)
+        doc = {"header": header or {},
+               "params": {name: {"data": base64.b64encode(a.astype("<f8").tobytes()).decode(),
+                                 "shape": list(a.shape)} for name, a in params.items()}}
+        expected = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+        assert (tmp_path / "p.json").read_bytes() == expected.encode()
+
+    def test_non_finite_header_names_the_file_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "out" / "p.json"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: Out of range float"):
+            save_params({"w": np.zeros(2)}, path, header={"y_std": math.inf})
+        assert not path.exists()
 
     @pytest.mark.parametrize("data,match", [
         ("AAAAAAAAHEAAAAAAAABwPQ==", r"16 data bytes for shape \[3\], expected 24"),

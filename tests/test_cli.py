@@ -479,6 +479,30 @@ def test_missing_sidecar_exits_1_naming_the_manifest_line(mixed_data, tmp_path, 
     assert "Traceback" not in err, err
 
 
+def test_bad_sidecar_field_exits_1_naming_the_sidecar(mixed_data, mnnd_run, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(mixed_data, data)
+    _write_predict_inputs(data)
+    sidecar = (data / json.loads((data / "pair.json").read_text())["xanes"]).with_suffix(".json")
+    sidecar.write_text(sidecar.read_text().replace('"XANES"', '"FOO"'))
+    rc = cli.main(["predict", "--checkpoint", str(mnnd_run / "mnnd_unified.json"),
+                   "--input", str(data / "pair.json"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"error: {sidecar}: field 'kind': expected one of 'XANES', 'EXAFS', got 'FOO'" in err, err
+
+
+@pytest.mark.parametrize("value", [5, [1]])
+def test_structure_id_that_is_no_string_exits_1_naming_the_field(value, cu_data, tmp_path, capsys):
+    one = tmp_path / "one.json"
+    record = json.loads((cu_data / "structures.jsonl").read_text().splitlines()[0])
+    one.write_text(json.dumps({**record, "id": value}))
+    rc = cli.main(["extract", str(one), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"error: {one}:1: malformed structure record: field 'id': expected a string" in err, err
+
+
 @pytest.mark.parametrize("command", ["predict", "extract"])
 @pytest.mark.parametrize("value", ["x", "99"])
 def test_bad_absorber_setting_exits_1_naming_the_key(command, value, cu_data, forward_run,

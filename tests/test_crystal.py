@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xastruct.crystal import (
@@ -625,6 +626,8 @@ class TestJsonInterchange:
         pytest.param("sites", {"element": "Na", "frac": [0, 0, 0]},
                      "field 'sites': expected a list, got {'element': 'Na', 'frac': [0, 0, 0]}",
                      id="sites object"),
+        pytest.param("id", 5, "field 'id': expected a string, got 5", id="integer id"),
+        pytest.param("id", [1], "field 'id': expected a string, got [1]", id="list id"),
     ])
     def test_record_field_of_the_wrong_type_is_named(self, field, value, message, tmp_path):
         path = tmp_path / "stream.jsonl"
@@ -636,6 +639,25 @@ class TestJsonInterchange:
             with pytest.raises(ValueError) as exc:
                 read(path)
             assert str(exc.value) == f"{where}: {message}"
+
+    @pytest.mark.parametrize("record_id", [None, ...])
+    def test_null_or_absent_id_reads_as_empty(self, record_id):
+        record = {**structure_to_dict(rocksalt_structure()), "id": record_id}
+        assert structure_from_dict({k: v for k, v in record.items() if v is not ...}).id == ""
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=st.lists(st.tuples(triclinic_structures(), st.text(max_size=6)), min_size=1,
+                          max_size=3))
+    def test_write_read_keeps_lattice_frac_and_id_bits(self, tmp_path, drawn):
+        records = [(dataclasses.replace(s, id=sid), absorber) for (s, absorber), sid in drawn]
+        path = tmp_path / "stream.jsonl"
+        write_structures(records, path)
+        for (s, absorber), (got, got_absorber) in zip(records, read_structures(path), strict=True):
+            assert (got.id, got_absorber) == (s.id, absorber)
+            assert got.lattice.basis.tobytes() == s.lattice.basis.tobytes()
+            assert got.frac_coords().tobytes() == s.frac_coords().tobytes()
+            assert [x.element for x in got.sites] == [x.element for x in s.sites]
 
     def test_malformed_record(self):
         with pytest.raises(InvalidStructureError):

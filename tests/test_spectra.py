@@ -1,10 +1,11 @@
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from xastruct import spectra
@@ -146,6 +147,46 @@ class TestIo:
             load_spectrum(tmp_path / "cu.csv")
         assert str(err.value).startswith(f"{tmp_path / 'cu.json'}: ")
 
+    @pytest.mark.parametrize("field,value,expected", [
+        ("kind", "FOO", "one of 'XANES', 'EXAFS', got 'FOO'"),
+        ("kind", 1, "one of 'XANES', 'EXAFS', got 1"),
+        ("kind", ..., "one of 'XANES', 'EXAFS', got None"),  # absent
+        ("edge", "M", "one of 'K', 'L', got 'M'"),
+        ("absorber", "Xx", "an element symbol, got 'Xx'"),
+        ("absorber", 29, "an element symbol, got 29"),
+        ("structure_id", 5, "a string, got 5"),
+        ("structure_id", [1], "a string, got [1]"),
+    ])
+    def test_sidecar_field_of_the_wrong_type_names_the_sidecar(self, tmp_path, field, value,
+                                                                expected):
+        save_spectrum(step_spectrum(), tmp_path / "cu.csv")
+        sidecar = tmp_path / "cu.json"
+        meta = json.loads(sidecar.read_text())
+        meta[field] = value
+        sidecar.write_text(json.dumps({k: v for k, v in meta.items() if v is not ...}))
+        with pytest.raises(ValueError) as err:
+            load_spectrum(tmp_path / "cu.csv")
+        assert str(err.value) == f"{sidecar}: field {field!r}: expected {expected}"
+
+    @pytest.mark.parametrize("sidecar_id", [None, ...])
+    def test_null_or_absent_structure_id_reads_as_empty(self, tmp_path, sidecar_id):
+        save_spectrum(step_spectrum(), tmp_path / "cu.csv")
+        sidecar = tmp_path / "cu.json"
+        meta = {**json.loads(sidecar.read_text()), "structure_id": sidecar_id}
+        sidecar.write_text(json.dumps({k: v for k, v in meta.items() if v is not ...}))
+        assert load_spectrum(tmp_path / "cu.csv").structure_id == ""
+
+    def test_csv_error_comes_before_a_sidecar_error(self, tmp_path):
+        csv_path = tmp_path / "cu.csv"
+        save_spectrum(step_spectrum(), csv_path)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].split(",")[0] + ",nan\r\n"
+        csv_path.write_text("".join(lines), newline="")
+        (tmp_path / "cu.json").write_text('{"kind": "FOO"}')
+        with pytest.raises(ValueError) as err:
+            load_spectrum(csv_path)
+        assert str(err.value) == f"{csv_path}:4: non-finite value"
+
     def test_dataset_round_trip(self, tmp_path):
         labels = DescriptorLabels(2, 2.5, CU, (2.0, 3.0))
         samples = []
@@ -160,6 +201,70 @@ class TestIo:
         assert loaded[1].labels.cn == 2
         assert abs(loaded[1].labels.mnnd - 2.5) < 1e-12
         assert np.allclose(loaded[2].exafs.mu, samples[2].exafs.mu, atol=1e-9)
+
+
+def _ten_digits(values) -> np.ndarray:
+    """`values` rounded as a spectrum CSV stores them, to ten significant digits."""
+    return np.array([float(f"{x:.10g}") for x in values])
+
+
+@st.composite
+def ten_digit_datasets(draw):
+    """Samples on up to three energy axes, drawn with repeats, each spectrum with a grid
+    object of its own; every value has at most the ten digits that the CSV keeps."""
+    axes = []
+    for _ in range(draw(st.integers(1, 3))):
+        steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=7))
+        energies = _ten_digits(draw(st.floats(-1e4, 1e4)) + np.cumsum([0.0, *steps]))
+        assume(np.all(np.diff(energies) > 0))
+        axes.append(energies)
+    labels = DescriptorLabels(2, 2.5, CU, (2.0, 3.0))
+    samples = []
+    for i in range(draw(st.integers(1, 5))):
+        pair = []
+        for kind in (XANES, EXAFS):
+            energies = draw(st.sampled_from(axes))
+            mu = draw(st.lists(st.floats(-1e300, 1e300), min_size=energies.size,
+                               max_size=energies.size))
+            pair.append(make_spectrum(energies.copy(), _ten_digits(mu), kind=kind, sid=f"s{i}"))
+        samples.append(LabeledSample(*pair, labels))
+    return samples
+
+
+class TestDatasetRoundTrip:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(samples=ten_digit_datasets())
+    def test_save_load_save_keeps_bytes_and_bits(self, tmp_path, samples):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+            first, second = Path(tmp) / "first", Path(tmp) / "second"
+            save_dataset(samples, first / "manifest.jsonl")
+            loaded = load_dataset(first / "manifest.jsonl")
+            save_dataset(loaded, second / "manifest.jsonl")
+            names = sorted(p.name for p in first.iterdir())
+            assert names == sorted(p.name for p in second.iterdir())
+            for name in names:
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        for sample, got in zip(samples, loaded, strict=True):
+            assert got.labels == sample.labels
+            for sp, back in ((sample.xanes, got.xanes), (sample.exafs, got.exafs)):
+                assert back.grid.values.tobytes() == sp.grid.values.tobytes()
+                assert back.mu.tobytes() == sp.mu.tobytes()
+                assert (back.kind, back.edge, back.absorber, back.structure_id) == (
+                    sp.kind, sp.edge, sp.absorber, sp.structure_id)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(samples=ten_digit_datasets())
+    def test_spectra_on_equal_grids_share_one_grid(self, tmp_path, samples):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+            save_dataset(samples, Path(tmp) / "manifest.jsonl")
+            loaded = load_dataset(Path(tmp) / "manifest.jsonl")
+        grids = {}  # grid bytes -> the ids of the grid objects on that axis
+        for sp in (sp for sample in loaded for sp in (sample.xanes, sample.exafs)):
+            grids.setdefault(sp.grid.values.tobytes(), set()).add(id(sp.grid))
+        assert all(len(ids) == 1 for ids in grids.values())
+        assert len(set().union(*grids.values())) == len(grids)
 
 
 def reference_load_spectrum(csv_path) -> Spectrum:
