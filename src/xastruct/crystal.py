@@ -17,6 +17,19 @@ shifts of the minimum-image check and one `Element` per symbol. A structure
 graph holds one edge row per distinct (receiver, sender, distance) with its
 count of periodic images, the form the encoder reads, so a batch of graphs
 joins into one graph by offsetting node indices.
+
+Where a numpy call would cost more than its arithmetic, the geometry runs on
+Python floats or whole columns, with the bits of the numpy formulas it
+replaced. Each `Lattice` computes its cell heights once, from np.cross's
+products and a left-to-right sum of their squares; the distances sum whole
+columns of squares left to right (`_squared_lengths`). np.linalg.norm is
+the root of np.add.reduce over the last axis, which sums three terms left
+to right too, and each operation rounds once, so both give norm's bits. A
+`Site` wraps its coordinates with float % 1.0, which rounds as numpy's
+remainder does. The minimum pair distance is the root of the smallest
+squared distance: sqrt is correctly rounded and monotone, so sqrt(min) is
+min(sqrt). A lattice whose volume or face areas pass the float range is
+refused, since a height of 0.0 or inf bounds no search box.
 """
 
 from __future__ import annotations
@@ -81,27 +94,42 @@ class Lattice:
 
     basis: np.ndarray
     volume: float = field(init=False, repr=False)  # the determinant of basis, in cubic angstroms
+    _heights: tuple = field(init=False, repr=False)  # the three cell heights, as floats
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
         if basis.shape != (3, 3):
             raise InvalidStructureError(f"lattice basis must be 3x3, got {basis.shape}")
-        if not np.isfinite(basis).all():
+        rows = basis.tolist()
+        if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
             raise InvalidStructureError("lattice basis contains non-finite entries")
-        volume = float(np.linalg.det(basis))
+        with np.errstate(over="ignore"):  # an overflowing volume is refused below, unwarned
+            volume = float(np.linalg.det(basis))
         if volume <= 0:
             raise InvalidStructureError("lattice determinant must be strictly positive")
+        if not volume < math.inf:
+            raise InvalidStructureError(f"lattice volume {volume} is past the float range")
+        # height_i = volume / |a_j x a_k|, with np.cross's products and np.linalg.norm's
+        # left-to-right sum; a face area past the float range gives a height of 0.0
+        heights = []
+        for (u0, u1, u2), (v0, v1, v2) in ((rows[1], rows[2]), (rows[2], rows[0]), (rows[0], rows[1])):
+            x, y, z = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+            area = math.sqrt(x * x + y * y + z * z)
+            heights.append(volume / area if area else math.inf)
+        if not all(0 < h < math.inf for h in heights):
+            raise InvalidStructureError(f"lattice cell heights must be finite and positive, "
+                                        f"got {heights}")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "_heights", tuple(heights))
 
     def heights(self) -> np.ndarray:
         """Perpendicular cell heights: distance between opposite cell faces.
 
-        height_i = volume / |a_j x a_k|; bounds the periodic-image search.
+        height_i = volume / |a_j x a_k|, computed when the lattice is built; bounds the
+        periodic-image search.
         """
-        b, c = self.basis[[1, 2, 0]], self.basis[[2, 0, 1]]  # row i: a_j x a_k
-        cross = b[:, [1, 2, 0]] * c[:, [2, 0, 1]] - b[:, [2, 0, 1]] * c[:, [1, 2, 0]]
-        return self.volume / np.linalg.norm(cross, axis=1)
+        return np.array(self._heights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +141,12 @@ class Site:
 
     def __post_init__(self):
         frac = np.asarray(self.frac_coords, dtype=float)
-        if frac.shape != (3,) or not np.isfinite(frac).all():
+        coords = frac.tolist()
+        if frac.shape != (3,) or not all(map(math.isfinite, coords)):
             raise InvalidStructureError("site coordinates must be a finite 3-vector")
         # x % 1.0 has the bits of x - floor(x), which round to 1.0 for x just
         # below 0 (-1e-17); the second % 1.0 wraps that to 0.0
-        object.__setattr__(self, "frac_coords", frac % 1.0 % 1.0)
+        object.__setattr__(self, "frac_coords", np.array([x % 1.0 % 1.0 for x in coords]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,12 +156,16 @@ class CrystalStructure:
     lattice: Lattice
     sites: tuple
     id: str = ""
+    _frac: np.ndarray = field(init=False, repr=False)  # [N, 3] site coordinates, read-only
 
     def __post_init__(self):
         sites = tuple(self.sites)
         if len(sites) == 0:
             raise InvalidStructureError("structure needs at least one site")
+        frac = np.array([s.frac_coords for s in sites])
+        frac.flags.writeable = False
         object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "_frac", frac)
         dmin = self._min_pair_distance()
         if dmin is not None and dmin < MIN_SITE_SEPARATION:
             raise InvalidStructureError(
@@ -143,15 +176,16 @@ class CrystalStructure:
         n = len(self.sites)
         if n < 2:
             return None
-        frac = self.frac_coords()
+        frac = self._frac
         diff = frac[:, None, :] - frac[None, :, :]
-        diff -= np.round(diff)  # minimum image in fractional space
-        d = np.linalg.norm((diff + _HALF_SHIFTS[:, None, None, :]) @ self.lattice.basis, axis=-1)
-        d[:, np.eye(n, dtype=bool)] = np.inf
-        return float(d.min())
+        diff -= np.rint(diff)  # minimum image in fractional space; np.round's bits
+        shifted = (diff.reshape(1, -1) + _pair_shifts(n)).reshape(len(_HALF_SHIFTS), n, n, 3)
+        squared = _squared_lengths(shifted @ self.lattice.basis)
+        squared.reshape(len(_HALF_SHIFTS), n * n)[:, :: n + 1] = np.inf  # each site with itself
+        return math.sqrt(squared.min())
 
     def frac_coords(self) -> np.ndarray:
-        return np.array([s.frac_coords for s in self.sites])
+        return self._frac.copy()
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -164,9 +198,25 @@ class CrystalStructure:
 _HALF_SHIFTS = (np.array(list(np.ndindex(3, 3, 3))) - 1)[13:]
 _HALF_SHIFTS.flags.writeable = False
 
-# the four body diagonals of a cell, in fractional coordinates
-_DIAGONALS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1]])
-_DIAGONALS.flags.writeable = False
+
+@functools.lru_cache(maxsize=64)
+def _pair_shifts(n: int) -> np.ndarray:
+    """[14, n * n * 3] float: row s holds shift s of _HALF_SHIFTS once per pair of n sites,
+    so that one flat add shifts every pair (a 4-d broadcast add walks rows of 3); read-only."""
+    shifts = np.tile(_HALF_SHIFTS.astype(float), (1, n * n))
+    shifts.flags.writeable = False
+    return shifts
+
+
+def _squared_lengths(v: np.ndarray) -> np.ndarray:
+    """x*x + y*y + z*z of each 3-vector along v's last axis, summed left to right.
+
+    np.linalg.norm takes the root of np.add.reduce(v * v, axis=-1), which over an axis
+    of three sums in the same order, so the roots are norm's bits; summing whole
+    columns avoids the reduction's short inner loops.
+    """
+    w = v * v
+    return w[..., 0] + w[..., 1] + w[..., 2]
 
 
 class Neighbor(NamedTuple):
@@ -243,11 +293,13 @@ def _search_cells(lattice: Lattice, centers: np.ndarray, cutoff: float) -> list:
     no image within the cutoff and is dropped. The kept offsets stay in the
     box's ij order.
     """
-    box = _offset_grid(tuple(math.ceil(cutoff / h) + 1 for h in lattice.heights().tolist()))
-    half_diagonal = 0.5 * np.linalg.norm(_DIAGONALS @ lattice.basis, axis=1).max()
+    box = _offset_grid(tuple(math.ceil(cutoff / h) + 1 for h in lattice._heights))
+    # per axis, the four body diagonals a + b + c, a + b - c, a - b + c and -a + b + c
+    axes = [(p + q + r, p + q - r, p - q + r, -p + q + r) for p, q, r in zip(*lattice.basis.tolist())]
+    half_diagonal = 0.5 * math.sqrt(max(x * x + y * y + z * z for x, y, z in zip(*axes)))
     reach = (cutoff + half_diagonal) * (1 + 1e-9)  # margin for rounding
     to_midpoints = (box + (0.5 - centers)[:, None, :]) @ lattice.basis  # [C, T, 3]
-    near = np.einsum("cti,cti->ct", to_midpoints, to_midpoints) <= reach * reach
+    near = _squared_lengths(to_midpoints) <= reach * reach
     return [box[keep] for keep in near]
 
 
@@ -259,13 +311,15 @@ def _image_pairs(s: CrystalStructure, centers, cutoff: float) -> list:
     """
     if not 0 < cutoff < math.inf:
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
-    frac = s.frac_coords()
+    frac, basis = s._frac, s.lattice.basis
     parts = []
     for center, offsets in zip(centers, _search_cells(s.lattice, frac[centers], cutoff)):
-        disp_frac = frac[None, :, :] + offsets[:, None, :] - frac[center]  # [T, N, 3]
-        dists = np.linalg.norm(disp_frac @ s.lattice.basis, axis=-1)
+        v = (frac[None, :, :] + offsets[:, None, :] - frac[center]) @ basis  # [T, N, 3]
+        dists = np.sqrt(_squared_lengths(v))
         t_idx, site_idx = np.nonzero((dists <= cutoff) & (dists > 0))
         parts.append((np.full(t_idx.size, center), offsets[t_idx], site_idx, dists[t_idx, site_idx]))
+    if len(parts) == 1:
+        return list(parts[0])
     return [np.concatenate(column) for column in zip(*parts)]
 
 

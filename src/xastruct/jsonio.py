@@ -148,22 +148,29 @@ def record(checks: dict = None):
 
 
 def list_of(item):
-    """Check: a JSON list, each entry checked by `item` and named by its index."""
+    """Check: a JSON list, each entry checked by `item` and named by its index. Over a
+    check of single values, one pass of its test takes the whole list, and the walk
+    with paths runs only to name the first entry that fails."""
+    ok = getattr(item, "ok", None)
+
     def check(value, path):
         if type(value) is not list:
             raise _expected(path, "a list", repr(value))
-        for i, x in enumerate(value):
-            item(x, (*path, i))
+        if ok is None or not all(map(ok, value)):
+            for i, x in enumerate(value):
+                item(x, (*path, i))
         return value
     return check
 
 
 def _check(ok, what: str):
-    """Check: a value for which ok(value) holds, described as `what`."""
+    """Check: a value for which ok(value) holds, described as `what`; the check keeps
+    the test as its `ok`."""
     def check(value, path):
         if ok(value):
             return value
         raise _expected(path, what, repr(value))
+    check.ok = ok
     return check
 
 

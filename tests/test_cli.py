@@ -468,6 +468,37 @@ def test_malformed_input_exits_1_naming_file_and_line(case, mixed_data, tmp_path
     assert MALFORMED_FIELD.get(case, "") in err, err
 
 
+# finite lattices past the float range: two face areas overflow (heights of 0.0), or the volume does
+OVERFLOWING_LATTICES = {"areas": [3.0, 0, 0, 0, 3.0, 0, 0, 0, 1e300],
+                        "volume": [1e120, 0, 0, 0, 1e120, 0, 0, 0, 1e120]}
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "eval", "predict"])
+@pytest.mark.parametrize("probe", sorted(OVERFLOWING_LATTICES))
+def test_lattice_past_the_float_range_exits_1_naming_file_and_line(probe, command, cu_data,
+                                                                   forward_run, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(cu_data, data)
+    lines = (data / "structures.jsonl").read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "lattice": OVERFLOWING_LATTICES[probe]})
+    (data / "structures.jsonl").write_text("\n".join(lines) + "\n")
+    (data / "one.json").write_text(lines[1])
+    ckpt = ["--checkpoint", str(forward_run / "forward_Cu_XANES.json")]
+    argv, where = {
+        "extract": (["extract", str(data / "structures.jsonl")], f"{data / 'structures.jsonl'}:2:"),
+        "train": (["train", "--task", "forward", "--data", str(data), *TINY_FORWARD],
+                  f"{data / 'structures.jsonl'}:2:"),
+        "eval": (["eval", *ckpt, "--data", str(data)], f"{data / 'structures.jsonl'}:2:"),
+        "predict": (["predict", *ckpt, "--input", str(data / "one.json")], f"{data / 'one.json'}:"),
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"error: {where} lattice" in err and "Traceback" not in err, err
+
+
 def test_missing_sidecar_exits_1_naming_the_manifest_line(mixed_data, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(mixed_data, data)

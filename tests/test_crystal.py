@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -28,7 +29,7 @@ from xastruct.crystal import (
     structure_to_dict,
     write_structures,
 )
-from xastruct.crystal import _HALF_SHIFTS, _search_cells
+from xastruct.crystal import _HALF_SHIFTS, _search_cells, _squared_lengths
 from xastruct.cli import TEMPLATES
 
 from conftest import (
@@ -112,6 +113,14 @@ def assert_same_array(got, want):
     assert (got == want).all()
 
 
+def reference_site_coords(frac):
+    """The array arithmetic that the float wrapping replaced: shape and finiteness, then % 1.0 % 1.0."""
+    frac = np.asarray(frac, dtype=float)
+    if frac.shape != (3,) or not np.isfinite(frac).all():
+        raise InvalidStructureError("site coordinates must be a finite 3-vector")
+    return frac % 1.0 % 1.0
+
+
 def reference_min_pair_distance(s):
     """The loop over 27 image shifts that the broadcast replaced."""
     frac = s.frac_coords()
@@ -163,6 +172,49 @@ class TestStructureValidation:
         largest = np.nextafter(1.0, 0.0)
         assert Site(Element(29), np.array([largest, 0.0, -1.0])).frac_coords.tolist() == [largest, 0.0, 0.0]
 
+    @pytest.mark.parametrize("frac", [
+        pytest.param([-1e-17, -5e-17, -1e-300], id="just below 0"),
+        pytest.param([np.nextafter(0.0, -1.0), -0.0, 0.0], id="-ulp and signed zeros"),
+        pytest.param([np.nextafter(1.0, 0.0), 1.0, -1.0], id="1 - ulp and whole numbers"),
+        pytest.param([1e300, -1e300, 2.5e-300], id="huge and tiny"),
+        pytest.param([5e-324, -5e-324, 2.2250738585072e-308], id="subnormals"),
+        pytest.param([-2.75, 3.125, 1e16 + 2.0], id="several cells away"),
+        pytest.param(np.array([True, False, True]), id="boolean array"),
+        pytest.param([True, 0, 0.5], id="boolean and integer entries"),
+    ])
+    def test_site_wrapping_has_the_bits_of_the_array_remainder(self, frac):
+        want = reference_site_coords(frac)
+        got = Site(Element(29), frac).frac_coords
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert all(0.0 <= x < 1.0 and math.copysign(1.0, x) == 1.0 for x in got.tolist())
+
+    @pytest.mark.parametrize("frac", [
+        pytest.param(np.full((3, 1), 0.5), id="(3, 1) array"),
+        pytest.param([0.5, 0.5], id="two entries"),
+        pytest.param([0.5, math.nan, 0.5], id="NaN"),
+        pytest.param([0.5, 0.5, -math.inf], id="inf"),
+        pytest.param(True, id="a bool"),
+        pytest.param(0.5, id="a scalar"),
+    ])
+    def test_site_refuses_what_the_array_check_refuses(self, frac):
+        with pytest.raises(InvalidStructureError):
+            reference_site_coords(frac)
+        with pytest.raises(InvalidStructureError, match="finite 3-vector"):
+            Site(Element(29), frac)
+
+    @pytest.mark.parametrize("basis,message", [
+        # one finite volume, two face areas past the float range: heights of 0.0
+        pytest.param(np.diag([3.0, 3.0, 1e300]), "cell heights", id="areas overflow"),
+        pytest.param(np.diag([1e120, 1e120, 1e120]), "volume inf", id="volume overflows"),
+        # a face area that underflows to 0.0: an infinite height
+        pytest.param(np.diag([1e-170, 1e-170, 1e300]), "cell heights", id="area underflows"),
+    ])
+    def test_lattice_past_the_float_range_rejected_without_warnings(self, basis, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStructureError, match=message):
+                Lattice(basis)
+
     def test_too_close_sites_rejected(self):
         el = Element(29)
         with pytest.raises(InvalidStructureError):
@@ -202,6 +254,13 @@ class TestStructureValidation:
         assert all(next(c for c in shift if c) == 1 for shift in _HALF_SHIFTS[1:].tolist())
         both = {tuple(t) for t in np.concatenate([_HALF_SHIFTS, -_HALF_SHIFTS]).tolist()}
         assert both == {tuple(c - 1 for c in t) for t in np.ndindex(3, 3, 3)}
+
+    @pytest.mark.parametrize("shape", [(40, 3), (200, 1, 3), (30, 7, 3), (14, 5, 5, 3)])
+    def test_squared_lengths_are_the_norm_sum(self, shape, rng):
+        v = rng.standard_normal(shape) * rng.uniform(0.01, 100.0, size=shape)
+        got = _squared_lengths(v)
+        assert got.tobytes() == np.add.reduce(v * v, axis=-1).tobytes()
+        assert np.sqrt(got).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
 
     def test_heights_equal_the_cross_product_formula(self, rng):
         for _ in range(20):

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import xastruct
-from xastruct.crystal import read_structures
-from xastruct.jsonio import read_json, read_jsonl, write_json, write_jsonl
-from xastruct.spectra import load_dataset
+from xastruct.crystal import read_structures, structure_from_dict
+from xastruct.jsonio import list_of, read_json, read_jsonl, real, record, string, write_json, write_jsonl
+from xastruct.pipelines import ForwardModel
+from xastruct.spectra import labels_from_dict, load_dataset
 
 SRC = Path(xastruct.__file__).parent
 
@@ -127,6 +128,38 @@ def test_read_jsonl_error_names_file_and_line(line, message, tmp_path, monkeypat
     with pytest.raises(ValueError) as exc:
         read_jsonl(path, _open_field)
     assert str(exc.value) == f"{path}:3: {message}"
+
+
+def test_list_check_passes_the_list_through_and_names_the_first_bad_entry():
+    values = [0.5, 1, -2.0]
+    assert list_of(real())(values, ("a",)) is values
+    with pytest.raises(ValueError, match=r"^field 'a\[3\]': expected a finite number, got '4'$"):
+        list_of(real())([*values, "4", True], ("a",))
+    # a list of records has no single-value test: each entry is walked
+    with pytest.raises(ValueError, match=r"^field 'a\[1\]\.b': expected a string, got 2$"):
+        list_of(record({"b": string()}))([{"b": "x"}, {"b": 2}], ("a",))
+
+
+_STRUCTURE = {"lattice": [3.0, 0, 0, 0, 3.0, 0, 0, 0, 3.0],
+              "sites": [{"element": "Cu", "frac": [0, 0, 0]}, {"element": "O", "frac": [0.5, 0.5, 0.5]}]}
+
+
+# a bad entry after good ones, in each kind of list a reader checks: the name gives its index
+@pytest.mark.parametrize("read,doc,name", [
+    (structure_from_dict, {**_STRUCTURE, "lattice": [3.0, 0, 0, 0, 3.0, 0, 0, 0, "3"]}, "lattice[8]"),
+    (structure_from_dict,
+     {**_STRUCTURE, "sites": [_STRUCTURE["sites"][0], {"element": "O", "frac": [0.5, 0.5, None]}]},
+     "sites[1].frac[2]"),
+    (labels_from_dict, {"cn": 4, "mnnd": 2.0, "neighbor_type": "O", "shell_distances": [2.0] * 3 + ["2"]},
+     "labels.shell_distances[3]"),
+    (lambda header: record(ForwardModel.HEADER)(header, ("header",)),
+     {"element": "Cu", "edge": "K", "kind": "XANES", "n_out": 60, "arch": {},
+      "grid": [8979.0 + i for i in range(57)] + [False, 9037.0, 9038.0]},
+     "header.grid[57]"),
+], ids=["lattice", "frac", "shell distances", "forward grid"])
+def test_list_entry_after_good_ones_is_named_by_its_index(read, doc, name):
+    with pytest.raises(ValueError, match=rf"field '{re.escape(name)}': expected a finite number, got"):
+        read(doc)
 
 
 def test_only_jsonio_parses_or_writes_json_files():
