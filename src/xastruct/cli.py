@@ -52,7 +52,7 @@ from .crystal import (
     site_index,
     write_structures,
 )
-from .jsonio import read_bytes, read_json, write_json, write_jsonl
+from .jsonio import read_bytes, read_json, read_text, write_json, write_jsonl
 from .spectra import (
     EnergyGrid,
     LabeledSample,
@@ -75,7 +75,7 @@ CONFIG_DEFAULTS = {key: row.default for key, row in KEYS.items()}
 def parse_config_file(path) -> dict:
     """Flat `key = value` lines of config-key table keys; # comments and blank lines are skipped."""
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -91,16 +91,23 @@ def parse_config_file(path) -> dict:
 def resolve_config(args) -> dict:
     """Every key of the config-key table, typed: --seed, else --set, else --config, else default.
 
-    Each command calls it first, so a bad key or value fails before it reads or writes a file.
+    Each command calls it first, so a bad key or value fails before a file is read or written;
+    a bad value from the config file that no flag overrides names the file.
     """
-    cfg = parse_config_file(args.config) if args.config else {}
+    in_file = parse_config_file(args.config) if args.config else {}
+    flags = {}
     seed = [] if args.seed is None else [f"seed={args.seed}"]  # --seed is a last --set
     for item in [*(args.set or []), *seed]:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        cfg[key.strip()] = value.strip()
-    return check_config(cfg)
+        flags[key.strip()] = value.strip()
+    try:
+        return check_config({**in_file, **flags})
+    except ValueError as exc:
+        if getattr(exc, "key", None) in in_file.keys() - flags.keys():
+            exc.args = (f"{args.config}: {exc}",)
+        raise
 
 
 # --- run manifest ----------------------------------------------------------------
@@ -312,7 +319,8 @@ def _predict_spectrum(model, path, cfg: dict, out_dir: Path) -> dict:
 
 def _predict_label(field: str, predict):
     """A predictor that reports predict(model, spectrum pair of the input file) as `field`."""
-    return lambda model, path, cfg, out_dir: {field: predict(model, load_spectrum_pair(path))}
+    return lambda model, path, cfg, out_dir: {
+        field: predict(model, load_spectrum_pair(path, (model.n_xanes, model.n_exafs)))}
 
 
 def _sample_absorber(sample) -> str:

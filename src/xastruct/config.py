@@ -112,8 +112,10 @@ RULES = (
 
 
 def _error(key: str, text: str) -> ValueError:
-    """The error of a bad value of `key`: a UsageError for a usage key."""
-    return (UsageError if KEYS[key].usage else ValueError)(f"config key {key!r} {text}")
+    """The error of a bad value of `key`, kept as its `key`: a UsageError for a usage key."""
+    exc = (UsageError if KEYS[key].usage else ValueError)(f"config key {key!r} {text}")
+    exc.key = key
+    return exc
 
 
 def read(cfg: dict, key: str):

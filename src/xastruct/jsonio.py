@@ -1,14 +1,17 @@
-"""The JSON file codec: every JSON document or JSON-lines file xastruct writes,
-every JSON document it reads whole, and the checks of the fields it reads back.
+"""The JSON file codec: every JSON document or JSON-lines file xastruct writes
+or reads, and the checks of the fields it reads back.
 
 Writers sort keys and end each document with a newline, so a rerun writes
 the same bytes; the checkpoint writer, which assembles its document from
-parts, encodes each part with dumps. A file read whole is read in one
-unbuffered read (read_bytes). Readers raise a ValueError that names the
-file and the line at fault, never a bare decoder error. Numbers are finite
-both ways: writers refuse NaN and the infinities, readers the NaN, Infinity
-and -Infinity tokens that json otherwise takes, and reals past the float
-range, such as 1e999, that float() reads as infinities.
+parts, encodes each part with dumps. read_text reads every input text file
+(JSON, JSON lines, spectrum CSV, config) unbuffered and decodes it as UTF-8,
+naming the line of a bad byte; a JSON-lines file is decoded whole first, so
+such a byte is reported before a bad record on an earlier line. Readers
+raise a ValueError that names the file and the line at fault, never a bare
+decoder error. Numbers are finite both ways: writers refuse NaN and the
+infinities, readers the NaN, Infinity and -Infinity tokens that json
+otherwise takes, and reals past the float range, such as 1e999, that float()
+reads as infinities.
 
 A check takes a decoded value and its path in the document, the keys and
 list indices from its root such as ("sites", 0, "frac"), and returns the
@@ -74,16 +77,22 @@ def read_bytes(path) -> bytes:
         return fh.read()
 
 
-def read_json(path):
-    """The parsed document of a UTF-8 JSON file; a byte that is not UTF-8, a syntax
-    error or a non-finite number names the line."""
+def read_text(path) -> str:
+    """The whole file as UTF-8 text; a byte that is not UTF-8 names the file and its line."""
     raw = read_bytes(path)
     try:
-        text = raw.decode()
-        return _DECODER.decode(text)
+        return raw.decode()
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+
+
+def read_json(path):
+    """The parsed document of a UTF-8 JSON file; a byte that is not UTF-8, a syntax
+    error or a non-finite number names the line."""
+    text = read_text(path)
+    try:
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
     except ValueError as exc:
@@ -99,28 +108,23 @@ def read_json(path):
 def read_jsonl(path, convert) -> list:
     """convert(record) of each non-blank line of a UTF-8 JSON-lines file.
 
-    A line that is not UTF-8, or that does not parse or convert, raises a
-    ValueError naming the file and the line; a missing key reads "missing
+    A byte that is not UTF-8, or a line that does not parse or convert, raises
+    a ValueError naming the file and the line; a missing key reads "missing
     field 'k'". A line ends at a newline byte, as read_json counts lines.
     """
     out = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode().strip()
-            except UnicodeDecodeError as exc:
-                byte = raw[exc.start]
-                raise ValueError(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
-            if not line:
-                continue
-            try:
-                out.append(convert(_DECODER.decode(line)))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
-            except OSError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc.strerror}: {exc.filename}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(convert(_DECODER.decode(line)))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
+        except OSError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc.strerror}: {exc.filename}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

@@ -4,9 +4,14 @@ A spectrum is a plain pair (energy grid, mu values) tagged with enough
 metadata to route it through the models: XANES or EXAFS, absorption edge,
 absorber element, and the id of the structure it came from. Datasets are
 kept on disk as one CSV per spectrum plus a JSON-lines manifest.
+
+A spectrum CSV is UTF-8 text (jsonio.read_text): the header `energy_ev,mu`,
+then rows of exactly two unquoted fields that float() parses, spaces around
+them allowed, each line ended by LF or CRLF and the last maybe by neither.
+Anything else (a quoted field, a bare CR line end, a third field, a trailing
+comma) or a non-finite value raises a ValueError naming the file and line.
 """
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -14,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .crystal import DescriptorLabels, Element
-from .jsonio import (ELEMENT, choice, integer, list_of, optional, read_bytes, read_json, read_jsonl,
+from .jsonio import (ELEMENT, choice, integer, list_of, optional, read_json, read_jsonl, read_text,
                      real, record, string, write_json, write_jsonl)
 
 XANES = "XANES"
@@ -132,62 +137,38 @@ def save_spectrum(sp: Spectrum, csv_path) -> None:
     write_json(csv_path.with_suffix(".json"), sidecar)
 
 
-# Every byte but the four that delimit or quote CSV fields; deleting them
-# leaves a file's field separators.
-_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b',\r\n"')))
-
-
-def _read_columns_csv(csv_path: Path) -> tuple:
-    """(energies, mu) of a spectrum CSV, row by row through csv.reader.
-
-    It defines the accepted format and the errors: a file that the single
-    pass of _read_columns does not take is read here instead.
-    """
-    energies, mu = [], []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["energy_ev", "mu"]:
-            raise ValueError(f"{csv_path}:1: unexpected spectrum CSV header {header}")
-        try:
-            for row in reader:
-                energies.append(float(row[0]))
-                mu.append(float(row[1]))
-        except IndexError:
-            where = f"{csv_path}:{reader.line_num}"
-            raise ValueError(f"{where}: expected 2 fields, got {len(row)}") from None
-        except (csv.Error, ValueError) as exc:
-            raise ValueError(f"{csv_path}:{reader.line_num}: malformed row: {exc}") from None
-    return np.array(energies), np.array(mu)
+# every byte but the comma and LF: deleting them leaves ",\n" once per row of two fields
+_NOT_COMMA_OR_LF = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _read_columns(csv_path: Path) -> tuple:
-    """(energies, mu) of a spectrum CSV, read in one pass over its bytes.
-
-    A regular file goes through one np.array(fields, dtype=float), which
-    parses each field as float() does: ASCII, the header, then rows of two
-    unquoted fields, each line ended by LF or each by CRLF (float() strips
-    the CR). Anything else, and any field that does not parse, goes to
-    _read_columns_csv, which gives the same values or the error that names
-    the line.
-    """
-    raw = read_bytes(csv_path)
-    header, _, body = raw.partition(b"\n")
-    rows = body.count(b"\n")
-    if (
-        raw.endswith(b"\n")
-        and header in (b"energy_ev,mu", b"energy_ev,mu\r")
-        and body.translate(None, _NOT_SEPARATORS) in (b",\n" * rows, b",\r\n" * rows)
-        and raw.isascii()
-    ):
-        fields = body.decode("ascii").replace("\n", ",").split(",")[:-1]
-        try:
-            values = np.array(fields, dtype=float)
-        except ValueError:
-            pass
-        else:
-            return np.ascontiguousarray(values[0::2]), np.ascontiguousarray(values[1::2])
-    return _read_columns_csv(csv_path)
+    """(energies, mu) of a spectrum CSV, all finite. One check of the separators and one
+    np.array(fields, dtype=float), which parses as float() does and so strips the CR of a
+    CRLF, take every row; a loop that names the line at fault runs only if either fails."""
+    header, _, body = read_text(csv_path).partition("\n")
+    header = header.removesuffix("\r")
+    if header != "energy_ev,mu":
+        raise ValueError(f"{csv_path}:1: unexpected spectrum CSV header {header.split(',')}")
+    if body and not body.endswith("\n"):
+        body += "\n"  # the last line may have no newline
+    separators = body.encode().translate(None, _NOT_COMMA_OR_LF)
+    try:
+        if separators != b",\n" * (len(separators) // 2):
+            raise ValueError("a row without two fields")
+        values = np.array(body.replace("\n", ",").split(",")[:-1], dtype=float)
+    except ValueError:
+        for lineno, line in enumerate(body.replace("\r\n", "\n").split("\n")[:-1], 2):
+            fields = line.split(",") if line.strip() else []  # a blank line has no fields
+            if len(fields) != 2:
+                raise ValueError(f"{csv_path}:{lineno}: expected 2 fields, got {len(fields)}") from None
+            try:
+                float(fields[0]), float(fields[1])
+            except ValueError as exc:
+                raise ValueError(f"{csv_path}:{lineno}: malformed row: {exc}") from None
+        raise
+    if not np.isfinite(values).all():
+        raise ValueError(f"{csv_path}:{np.argmin(np.isfinite(values)) // 2 + 2}: non-finite value")
+    return np.ascontiguousarray(values[0::2]), np.ascontiguousarray(values[1::2])
 
 
 # the checks of a spectrum sidecar's fields; a null or absent structure_id reads as ""
@@ -206,20 +187,13 @@ def load_spectrum(csv_path, grids: dict = None) -> Spectrum:
     csv_path = Path(csv_path)
     energies, mu = _read_columns(csv_path)
     grids = {} if grids is None else grids
-    try:
-        key = energies.tobytes()
-        grid = grids.get(key)
-        if grid is None:
+    key = energies.tobytes()
+    grid = grids.get(key)
+    if grid is None:
+        try:
             grid = grids[key] = EnergyGrid(energies)
-        if not np.isfinite(mu).all():
-            raise ValueError("mu contains non-finite values")
-    except ValueError as exc:
-        # a NaN energy fails as a non-increasing grid: name the first non-finite
-        # line (line 1 is the header)
-        bad = np.flatnonzero(~(np.isfinite(energies) & np.isfinite(mu)))
-        if bad.size:
-            raise ValueError(f"{csv_path}:{bad[0] + 2}: non-finite value") from None
-        raise ValueError(f"{csv_path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}: {exc}") from None
     sidecar = csv_path.with_suffix(".json")
     meta = read_json(sidecar)
     try:
@@ -237,21 +211,25 @@ class SpectrumPair(NamedTuple):
     exafs: Spectrum
 
 
-def load_spectrum_pair(path) -> SpectrumPair:
-    """The spectra of a pair file {"xanes": csv, "exafs": csv}, paths relative to it.
+def load_spectrum_pair(path, points: tuple) -> SpectrumPair:
+    """The spectra of a pair file {"xanes": csv, "exafs": csv}, paths relative to it, on
+    grids of `points` = (XANES, EXAFS) points, the lengths a model reads.
 
     A parse error names the file and line, a key that is not a path string
-    names the file and the key.
+    names the file and the key, and a grid of another length names its CSV.
     """
     path = Path(path)
     doc = read_json(path)
     if not isinstance(doc, dict) or "xanes" not in doc or "exafs" not in doc:
         raise ValueError(f"{path} is not a spectrum-pair input; expected JSON with xanes/exafs keys")
-    for key in ("xanes", "exafs"):
+    pair = []
+    for key, n in zip(("xanes", "exafs"), points):
         if not isinstance(doc[key], str):
             raise ValueError(f"{path}: {key!r} must be a CSV path, got {doc[key]!r}")
-    return SpectrumPair(load_spectrum(path.parent / doc["xanes"]),
-                        load_spectrum(path.parent / doc["exafs"]))
+        pair.append(load_spectrum(path.parent / doc[key]))
+        if pair[-1].grid.n != n:
+            raise ValueError(f"{path.parent / doc[key]}: {pair[-1].grid.n} grid points, model reads {n}")
+    return SpectrumPair(*pair)
 
 
 def labels_to_dict(labels: DescriptorLabels) -> dict:

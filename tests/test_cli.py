@@ -4,13 +4,17 @@ import argparse
 import base64
 import hashlib
 import json
+import re
 import shutil
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from xastruct import cli, gradcheck
 from xastruct import exafs_oracle as oracle
@@ -355,6 +359,16 @@ def _set_line(lineno, row):
     return corrupt
 
 
+def _bare_cr(lineno):
+    """End line `lineno` with a bare CR in place of its newline."""
+    def corrupt(text):
+        lines = text.splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1].replace("\n", "\r")
+        return "".join(lines), lineno
+
+    return corrupt
+
+
 def _cut_last_line(text):
     lines = text.splitlines()
     return "\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]), len(lines)
@@ -400,6 +414,12 @@ MALFORMED = {
     "nan in mu": ("sample_000005_xanes.csv", _set_line(7, lambda r: r.split(",")[0] + ",nan"),
                   "cn"),
     "re-headed csv": ("sample_000006_xanes.csv", _set_line(1, lambda r: "E,mu"), "cn"),
+    # quoted fields, a bare CR line end and rows of more than two fields are refused
+    "long row": ("sample_000007_xanes.csv", _set_line(5, lambda r: r + ",1.0"), "cn"),
+    "trailing comma": ("sample_000008_exafs.csv", _set_line(6, lambda r: r + ","), "cn"),
+    "quoted field": ("sample_000009_xanes.csv",
+                     _set_line(4, lambda r: '"{}",{}'.format(*r.split(","))), "cn"),
+    "bare CR": ("sample_000010_exafs.csv", _bare_cr(7), "cn"),
     "truncated manifest line": ("manifest.jsonl", _cut_last_line, "cn"),
     "truncated structure line": ("structures.jsonl", _cut_last_line, "forward"),
     "non-path xanes in pair": ("pair.json", _set_field("xanes", 3), "predict mnnd"),
@@ -427,6 +447,7 @@ MALFORMED = {
 }
 # cases whose message must also name the field at fault
 MALFORMED_FIELD = {
+    "long row": "expected 2 fields, got 3",
     "non-path xanes in pair": "'xanes'",
     "non-integer absorber": "'absorber'",
     "out-of-range absorber": "'absorber'",
@@ -630,7 +651,7 @@ def test_scope_of_a_forward_model_is_per_element(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("target", ["checkpoint", "sidecar", "pair"])
+@pytest.mark.parametrize("target", ["checkpoint", "sidecar", "pair", "config"])
 def test_non_utf8_byte_exits_1_naming_file_and_line(target, mixed_data, mnnd_run, tmp_path,
                                                      capsys):
     data = tmp_path / "data"
@@ -638,15 +659,87 @@ def test_non_utf8_byte_exits_1_naming_file_and_line(target, mixed_data, mnnd_run
     _write_predict_inputs(data)
     ckpt = tmp_path / "mnnd.json"
     shutil.copy(mnnd_run / "mnnd_unified.json", ckpt)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('# "predict" settings\nseed = 3\n')
     pair = json.loads((data / "pair.json").read_text())
     bad = {"checkpoint": ckpt, "sidecar": (data / pair["xanes"]).with_suffix(".json"),
-           "pair": data / "pair.json"}[target]
+           "pair": data / "pair.json", "config": cfg}[target]
     bad.write_bytes(bad.read_bytes().replace(b'"', b'"\xff', 1))  # inside the first string
     rc = cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(data / "pair.json"),
-                   "--out", str(tmp_path / "out")])
+                   "--config", str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1, err
     assert f"error: {bad}:1: byte 0xff is not UTF-8" in err, err
+
+
+# --- input fuzzing: one mutation of one file that predict or synth reads ------
+
+FUZZ_CONFIG = (b"n_samples = 6\nn_grid = 20\nseed = 4\nsigma2 = 0.003\n"
+               b"lambda_a = 0.8\nlambda_b = 3.0\n")
+_NUMBER = re.compile(rb"\d+(?:\.\d+)?")
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """`data` cut at a byte, with a byte flipped, with a comma or a field inserted, or
+    with one number made nan, 1e999 or text."""
+    how = draw(st.sampled_from(["cut", "flip", "comma", "field", "nan", "1e999", "text"]))
+    at = draw(st.integers(0, len(data) - 1))
+    if how == "cut":
+        return data[:at]
+    if how == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if how in ("comma", "field"):
+        return data[:at] + (b"," if how == "comma" else b",1.5") + data[at:]
+    numbers = list(_NUMBER.finditer(data))
+    assume(numbers)
+    number = draw(st.sampled_from(numbers))
+    word = {"nan": b"nan", "1e999": b"1e999", "text": b"abc"}[how]
+    return data[:number.start()] + word + data[number.end():]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(["xanes", "exafs", "sidecar", "config"]), data=st.data())
+def test_one_mutated_input_exits_0_1_or_2_and_an_error_names_it(target, data, mixed_data, mnnd_run,
+                                                                 tmp_path, capsys):
+    """predict of a spectrum pair whose CSV or XANES sidecar has one mutation, or synth of a
+    mutated config file: exit 0, 1 or 2, never an exception; an exit 1 names the file."""
+    pair = json.loads((mixed_data / "manifest.jsonl").read_text().splitlines()[0])
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        tmp = Path(tmp)
+        for key in ("xanes", "exafs"):
+            for suffix in (".csv", ".json"):
+                shutil.copy((mixed_data / pair[key]).with_suffix(suffix), tmp / f"{key}{suffix}")
+        (tmp / "pair.json").write_text('{"xanes": "xanes.csv", "exafs": "exafs.csv"}')
+        (tmp / "run.cfg").write_bytes(FUZZ_CONFIG)
+        bad = {"xanes": tmp / "xanes.csv", "exafs": tmp / "exafs.csv",
+               "sidecar": tmp / "xanes.json", "config": tmp / "run.cfg"}[target]
+        bad.write_bytes(data.draw(_mutated(bad.read_bytes())))
+        if target == "config":
+            argv = ["synth", "--config", str(bad)]
+        else:
+            argv = ["predict", "--checkpoint", str(mnnd_run / "mnnd_unified.json"),
+                    "--input", str(tmp / "pair.json")]
+        rc = cli.main([*argv, "--out", str(tmp / "out")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2), err
+    assert rc != 1 or str(bad) in err, err
+
+
+@pytest.mark.parametrize("key", ["xanes", "exafs"])
+def test_pair_csv_of_another_grid_length_names_the_csv(key, mixed_data, mnnd_run, tmp_path,
+                                                        capsys):
+    data = tmp_path / "data"
+    shutil.copytree(mixed_data, data)
+    _write_predict_inputs(data)
+    csv_path = data / json.loads((data / "pair.json").read_text())[key]
+    csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:-1]))
+    rc = cli.main(["predict", "--checkpoint", str(mnnd_run / "mnnd_unified.json"),
+                   "--input", str(data / "pair.json"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err == f"error: {csv_path}: 39 grid points, model reads 40\n"
 
 
 @pytest.mark.parametrize("key,token", [("y_std", "0"), ("y_std", "1e999"), ("y_std", '"abc"'),
@@ -1316,3 +1409,23 @@ class TestConfig:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\n\nn_samples = 3\n")
         assert cli.parse_config_file(cfg) == {"n_samples": "3"}
+
+    @pytest.mark.parametrize("text,message", [
+        ("seed = -1\n", "error: {cfg}: config key 'seed' must be at least 0, got -1"),
+        ("lambda_a = -1\nlambda_b = 3.0\n",
+         "error: {cfg}: config key 'lambda_a' must keep lambda(k) > 0 on (0, 16], got -1.0"),
+        ("n_grid = x\n", "usage error: {cfg}: config key 'n_grid' must be an integer, got 'x'"),
+    ])
+    def test_bad_value_from_the_file_names_the_file(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]
+        assert cli.main(argv) == (2 if message.startswith("usage") else 1)
+        assert capsys.readouterr().err == message.format(cfg=cfg) + "\n"
+        # a flag that overrides the bad value leaves no error; one of its own names no file
+        key = text.split()[0]
+        good = {"seed": "2", "lambda_a": "0.8", "n_grid": "20"}[key]
+        assert cli.main([*argv, "--set", f"{key}={good}", "--set", "n_samples=-3"]) == 2
+        assert capsys.readouterr().err == ("usage error: config key 'n_samples' must be at "
+                                           "least 0, got -3\n")
+        assert not (tmp_path / "d").exists()
