@@ -338,45 +338,39 @@ class Task:
 
     load: Callable  # (data dir, cfg, model or None) -> items: all, or those a model is scored on
     absorber: Callable  # item -> absorber symbol, the key of a per-element scope
-    train: Callable  # (items, TrainConfig, validation items) -> (History, model)
-    # (model, items, TrainConfig, the model's output on the items or None) -> Metrics
-    score: Callable
+    train: Callable  # (items, cfg, validation items) -> (History, model)
+    score: Callable  # (model, items, cfg, the model's output on the items or None) -> Metrics
     predict: Callable  # (model, input file, cfg, out dir) -> the prediction's fields
     scope: str = "per-element"  # the training scope where the `scope` key is unset
     scope_settable: bool = True  # else a set `scope` key must name `scope`
     tag: Callable = lambda model: model.element or "unified"  # checkpoint name after the task
-    report_scope: Callable = lambda model, unscoped: model.element or unscoped
-
-    @property
-    def unscoped(self) -> str:
-        """eval's report scope of a model of every element."""
-        return "unified" if self.scope == "unified" else "all"
+    report_scope: Callable = lambda model: model.element or "unified"  # "scope" of the metrics
 
 
 TASKS = {
     "forward": Task(
         load=_forward_pairs,
         absorber=lambda pair: pair[1].absorber.symbol,
-        train=lambda items, tcfg, val: _pl().train_forward(items, tcfg, val_pairs=val),
-        score=lambda model, items, tcfg, out: _pl().eval_forward(model, items, tcfg.batch_size, out),
+        train=lambda items, cfg, val: _pl().train_forward(items, cfg, val_pairs=val),
+        score=lambda model, items, cfg, out: _pl().eval_forward(model, items, cfg["batch_size"], out),
         predict=_predict_spectrum,
         scope_settable=False,
         tag=lambda model: f"{model.element}_{model.kind}",
-        report_scope=lambda model, unscoped: f"{model.element}/{model.edge}/{model.kind}",
+        report_scope=lambda model: f"{model.element}/{model.edge}/{model.kind}",
     ),
     "mnnd": Task(
         load=_samples,
         absorber=_sample_absorber,
-        train=lambda items, tcfg, val: _pl().train_mnnd(items, tcfg, val_samples=val),
-        score=lambda model, items, tcfg, out: _pl().eval_mnnd(model, items, out),
+        train=lambda items, cfg, val: _pl().train_mnnd(items, cfg, val_samples=val),
+        score=lambda model, items, cfg, out: _pl().eval_mnnd(model, items, out),
         predict=_predict_label("mnnd_angstrom", lambda model, pair: _pl().mnnd_predict(model, pair)),
         scope="unified",
     ),
     "neighbor": Task(
         load=_samples,
         absorber=_sample_absorber,
-        train=lambda items, tcfg, val: _pl().train_neighbor(items, tcfg, val_samples=val),
-        score=lambda model, items, tcfg, out: _pl().eval_neighbor(model, items, out),
+        train=lambda items, cfg, val: _pl().train_neighbor(items, cfg, val_samples=val),
+        score=lambda model, items, cfg, out: _pl().eval_neighbor(model, items, out),
         predict=_predict_label(
             "neighbor_type", lambda model, pair: _pl().neighbor_predict(model, pair).symbol
         ),
@@ -384,8 +378,8 @@ TASKS = {
     "cn": Task(
         load=_samples,
         absorber=_sample_absorber,
-        train=lambda items, tcfg, val: (_pl().History(), _pl().train_cn(items, tcfg)),
-        score=lambda model, items, tcfg, out: _pl().eval_cn(model, items),
+        train=lambda items, cfg, val: (_pl().History(), _pl().train_cn(items, cfg)),
+        score=lambda model, items, cfg, out: _pl().eval_cn(model, items),
         predict=_predict_label("cn", lambda model, pair: _pl().cn_predict(model, pair)),
     ),
 }
@@ -434,7 +428,6 @@ def cmd_train(args) -> int:
     if not task.scope_settable and scope != task.scope:
         raise ValueError(f"config key 'scope' must be {task.scope} for task {name!r}, got {scope!r}")
     pl = _pl()
-    tcfg = pl.TrainConfig.from_config(cfg)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
     seed = cfg["seed"]
@@ -451,15 +444,15 @@ def cmd_train(args) -> int:
             print(f"skipping scope {key}: {len(part)} samples is too few to split", file=sys.stderr)
             continue
         train_part, val_part = split_dataset(part, seed)
-        history, model = task.train(train_part, tcfg, val_part)
+        history, model = task.train(train_part, cfg, val_part)
         # the validation output of the epoch whose parameters training kept
-        metrics = task.score(model, val_part, tcfg, history.val_output)
+        metrics = task.score(model, val_part, cfg, history.val_output)
         if scope == "per-element":
             model.element = key  # eval scores the model on this element only
         tag = f"{name}_{task.tag(model)}"
         ckpt = out_dir / f"{tag}.json"
         model.save(ckpt)
-        report = pl.metrics_report(name, task.report_scope(model, "unified"), metrics,
+        report = pl.metrics_report(name, task.report_scope(model), metrics,
                                    n_train=len(train_part), n_val=len(val_part), seed=seed)
         write_json(out_dir / f"metrics_{tag}.json", report)
         if history:
@@ -483,8 +476,8 @@ def cmd_eval(args) -> int:
     if not items:
         of = f" of {model.element}" if model.element else ""
         raise ValueError(f"{data_dir} has no samples{of} to evaluate {args.checkpoint} on")
-    metrics = task.score(model, items, pl.TrainConfig.from_config(cfg), None)
-    report = pl.metrics_report(name, task.report_scope(model, task.unscoped), metrics,
+    metrics = task.score(model, items, cfg, None)
+    report = pl.metrics_report(name, task.report_scope(model), metrics,
                                n_train=0, n_val=len(items), seed=cfg["seed"])
     out_path = Path(args.out) / "metrics.json"
     write_json(out_path, report)

@@ -3,9 +3,10 @@
 A row of KEYS gives a key's type, default (as a config file writes it),
 bounds, reading commands and exit code (2 for a `usage` key, else 1); RULES
 relate two keys. The CLI runs `check_config` before a command reads or
-writes a file. The synth corpus, TrainConfig, OracleParams, ForestConfig and
-a checkpoint header's arch `read` their keys from the same rows. The module
-imports nothing of the package, so reading a config loads no model code.
+writes a file. Synth and training take the dict it returns, as does a
+checkpoint header's arch; OracleParams and ForestConfig `read` defaults from
+the same rows. The module imports nothing of the package, so reading a
+config loads no model code.
 """
 
 import math

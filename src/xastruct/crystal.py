@@ -29,7 +29,8 @@ to right too, and each operation rounds once, so both give norm's bits. A
 remainder does. The minimum pair distance is the root of the smallest
 squared distance: sqrt is correctly rounded and monotone, so sqrt(min) is
 min(sqrt). A lattice whose volume or face areas pass the float range is
-refused, since a height of 0.0 or inf bounds no search box.
+refused, since a height of 0.0 or inf bounds no search box, and so is a
+search whose box would hold more than MAX_SEARCH_CELLS cells (a thin cell).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .jsonio import (ELEMENT, integer, list_of, optional, read_json, read_jsonl,
 
 MIN_SITE_SEPARATION = 0.5  # angstrom; guards the 1/R^2 terms downstream
 DESCRIPTOR_CUTOFF = 6.0  # angstrom; neighbor search radius of extract_descriptors
+MAX_SEARCH_CELLS = 1 << 20  # image cells of the largest search box (24 MiB of int offsets)
 
 
 class InvalidStructureError(ValueError):
@@ -282,7 +284,7 @@ def _offset_grid(bounds: tuple) -> np.ndarray:
     return grid
 
 
-def _search_cells(lattice: Lattice, centers: np.ndarray, cutoff: float) -> list:
+def _search_cells(s: CrystalStructure, centers: np.ndarray, cutoff: float) -> list:
     """Per row of ``centers`` [C, 3] (fractional), the [T, 3] offsets of the cells to search.
 
     |T_i| <= ceil(cutoff / height_i) + 1 bounds a box that covers all images:
@@ -291,9 +293,15 @@ def _search_cells(lattice: Lattice, centers: np.ndarray, cutoff: float) -> list:
     within half the longest cell diagonal of the midpoint (T + 1/2) B; a cell
     whose midpoint is farther from the center than the cutoff plus that holds
     no image within the cutoff and is dropped. The kept offsets stay in the
-    box's ij order.
+    box's ij order. A box of more than MAX_SEARCH_CELLS cells is refused.
     """
-    box = _offset_grid(tuple(math.ceil(cutoff / h) + 1 for h in lattice._heights))
+    lattice = s.lattice
+    b0, b1, b2 = bounds = tuple(math.ceil(cutoff / h) + 1 for h in lattice._heights)
+    if (2 * b0 + 1) * (2 * b1 + 1) * (2 * b2 + 1) > MAX_SEARCH_CELLS:
+        raise InvalidStructureError(
+            f"structure {s.id!r}: a {cutoff} A search needs image cells up to {bounds} away, "
+            f"more than {MAX_SEARCH_CELLS} cells; its cell is too thin for the cutoff")
+    box = _offset_grid(bounds)
     # per axis, the four body diagonals a + b + c, a + b - c, a - b + c and -a + b + c
     axes = [(p + q + r, p + q - r, p - q + r, -p + q + r) for p, q, r in zip(*lattice.basis.tolist())]
     half_diagonal = 0.5 * math.sqrt(max(x * x + y * y + z * z for x, y, z in zip(*axes)))
@@ -313,7 +321,7 @@ def _image_pairs(s: CrystalStructure, centers, cutoff: float) -> list:
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     frac, basis = s._frac, s.lattice.basis
     parts = []
-    for center, offsets in zip(centers, _search_cells(s.lattice, frac[centers], cutoff)):
+    for center, offsets in zip(centers, _search_cells(s, frac[centers], cutoff)):
         v = (frac[None, :, :] + offsets[:, None, :] - frac[center]) @ basis  # [T, N, 3]
         dists = np.sqrt(_squared_lengths(v))
         t_idx, site_idx = np.nonzero((dists <= cutoff) & (dists > 0))

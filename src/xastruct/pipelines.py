@@ -20,11 +20,13 @@ minibatch shuffling, optional early stopping on a validation metric, and
 deterministic behavior for a fixed seed. `fit` builds one AdamWState per
 run, which moves the model's parameters into flat buffers; they stay views
 of those buffers after training, and the early-stop restore writes through
-them.
+them. Training and the neural models take `cfg`, the dict that
+config.check_config returns: every key of the config-key table, typed. A
+neural model keeps the ARCH keys as `arch`, for its checkpoint header.
 """
 
 import csv
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,34 +57,9 @@ class ScopeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """The training keys of the config-key table, and in `extras` the keys models read; checked."""
-
-    lr: float = read({}, "lr")
-    weight_decay: float = read({}, "weight_decay")
-    epochs: int = read({}, "epochs")
-    batch_size: int = read({}, "batch_size")
-    seed: int = read({}, "seed")
-    scope: str = "per-element"
-    patience: int = read({}, "patience")
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_config({**self.extras, **{k: v for k, v in vars(self).items() if k != "extras"}})
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "TrainConfig":
-        """The fields that cfg sets, typed by their rows; cfg's other keys are the extras."""
-        names = [f.name for f in fields(cls) if f.name != "extras"]
-        kwargs = {k: read(cfg, k) for k in names if k in cfg}
-        return cls(extras={k: v for k, v in cfg.items() if k not in names},
-                   **{k: v for k, v in kwargs.items() if v is not None})
-
-    @property
-    def arch(self) -> dict:
-        """The architecture keys, typed, as a checkpoint header stores them."""
-        return {key: read(self.extras, key) for key in ARCH}
+def _arch(cfg: dict) -> dict:
+    """The architecture keys of a checked config, as a checkpoint header stores them."""
+    return {key: cfg[key] for key in ARCH}
 
 
 # --- metrics ------------------------------------------------------------------
@@ -196,7 +173,7 @@ class History(list):
     val_output = None
 
 
-def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, validate=None) -> History:
+def fit(model: Module, cfg: dict, rng, n: int, batch_loss, validate=None) -> History:
     """AdamW over shuffled minibatches of range(n); returns one history row per epoch.
 
     batch_loss(indices) builds the scalar loss of one minibatch. With
@@ -208,25 +185,25 @@ def fit(model: Module, cfg: TrainConfig, rng, n: int, batch_loss, validate=None)
     epoch's mean training loss falls below it.
     """
     state = AdamWState(model.named_parameters().values())
-    loss_stop = read(cfg.extras, "train_loss_stop")
+    loss_stop, batch_size = cfg["train_loss_stop"], cfg["batch_size"]
     history = History()
     best_metric, best = np.inf, None
-    patience_left = cfg.patience
-    for epoch in range(cfg.epochs):
+    patience_left = cfg["patience"]
+    for epoch in range(cfg["epochs"]):
         epoch_losses = []
         order = rng.permutation(n)
-        for batch in (order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)):
+        for batch in (order[i : i + batch_size] for i in range(0, n, batch_size)):
             loss = batch_loss(batch)
             state.grad.fill(0.0)  # every parameter's gradient is a view of it
             backward(loss)
-            adamw_step(state, lr=cfg.lr, weight_decay=cfg.weight_decay)
+            adamw_step(state, lr=cfg["lr"], weight_decay=cfg["weight_decay"])
             epoch_losses.append(loss.item())
         metric, output = (None, None) if validate is None else validate()
         if metric is not None:
             if metric < best_metric:
                 best_metric = metric
                 best = ({name: arr.copy() for name, arr in model.state().items()}, output)
-                patience_left = cfg.patience
+                patience_left = cfg["patience"]
             else:
                 patience_left -= 1
         history.append(
@@ -287,8 +264,8 @@ def load_checkpoint(path, cls=None) -> tuple:
 
 
 # A model class gives the checks of its checkpoint header's fields, besides the task, in
-# HEADER: each is an attribute of the model and an argument of its constructor. Its
-# classmethod `_build(header, doc)` makes the model from the checked header and the document.
+# HEADER: each is a model attribute and, but for a forward model's n_out, a constructor
+# argument. Its classmethod `_build(header, doc)` builds the model from the checked header.
 SIZE = integer(2)
 
 
@@ -306,7 +283,7 @@ def _save_arrays(model: Module, path) -> None:
 def _build_neural(cls, header: dict, doc: dict) -> Module:
     """The neural model of a checkpoint, built without an rng, so with zeros for weights
     and no random draws; then its arrays load in over every array."""
-    model = cls(None, cfg=TrainConfig(extras=header.pop("arch")), **header)
+    model = cls(None, cfg=check_config(header.pop("arch")), **header)
     model.load_state(params_from_doc(doc)[1])
     return model
 
@@ -327,17 +304,17 @@ class ForwardModel(Module):
     HEADER = {"element": ELEMENT, "edge": choice(EDGES), "kind": choice(KINDS), "n_out": SIZE,
               "grid": list_of(real()), "arch": record()}
 
-    def __init__(self, rng, n_out: int, cfg: TrainConfig, element: str, edge: str, kind: str, grid):
-        self.arch = a = cfg.arch
+    def __init__(self, rng, cfg: dict, element: str, edge: str, kind: str, grid):
+        self.grid = [float(v) for v in grid]  # energies in eV
+        self.n_out = n_out = len(self.grid)
+        self.arch = a = _arch(cfg)
         self.encoder = MPEncoder(rng, d=a["encoder_dim"], t_rounds=a["encoder_rounds"],
                                  n_rbf=a["encoder_rbf"], hidden=a["encoder_hidden"], k=a["encoder_k"])
         self.head = SGMLP(rng, a["encoder_dim"], a["forward_hidden"], n_out, a["forward_k"])
         self.by_mask_sum = bool(a["masked_mean_by_mask_sum"])
-        self.n_out = n_out
         self.element = element
         self.edge = edge
         self.kind = kind
-        self.grid = [float(v) for v in grid]  # energies in eV
         # the head learns the residual around the mean training spectrum
         self.y_center = np.zeros(n_out)
 
@@ -362,15 +339,15 @@ class ForwardModel(Module):
 
     @classmethod
     def _build(cls, header: dict, doc: dict) -> "ForwardModel":
-        grid = header["grid"]
-        if len(grid) != header["n_out"] or not np.all(np.diff(grid) > 0):
-            raise ValueError(f"field 'header.grid': expected {header['n_out']} (header.n_out) "
+        grid, n_out = header["grid"], header.pop("n_out")  # the model counts its grid
+        if len(grid) != n_out or not np.all(np.diff(grid) > 0):
+            raise ValueError(f"field 'header.grid': expected {n_out} (header.n_out) "
                              f"increasing numbers, got {len(grid)} numbers")
         return _build_neural(cls, header, doc)
 
 
 def forward_predict(model: ForwardModel, graphs,
-                    batch_size: int = TrainConfig.batch_size) -> np.ndarray:
+                    batch_size: int = read({}, "batch_size")) -> np.ndarray:
     """Spectrum [n_out] of one graph, or spectra [B, n_out] of a list of graphs.
 
     A list is encoded batch_size graphs at a time, which bounds the size of
@@ -383,7 +360,7 @@ def forward_predict(model: ForwardModel, graphs,
     return np.concatenate(chunks) + model.y_center
 
 
-def train_forward(pairs, cfg: TrainConfig, val_pairs=None):
+def train_forward(pairs, cfg: dict, val_pairs=None):
     """Fit one forward model on (StructureGraph, Spectrum) pairs.
 
     One model covers exactly one absorber/edge/kind combination; mixing
@@ -404,8 +381,8 @@ def train_forward(pairs, cfg: TrainConfig, val_pairs=None):
         if sp.grid.n != first.grid.n:
             raise ScopeError("forward training mixes spectra of different grid lengths")
 
-    rng = np.random.default_rng(cfg.seed)
-    model = ForwardModel(rng, first.grid.n, cfg, *triple, grid=first.grid.values)
+    rng = np.random.default_rng(cfg["seed"])
+    model = ForwardModel(rng, cfg, *triple, grid=first.grid.values)
     model.y_center = np.mean([sp.mu for _, sp in pairs], axis=0)
     graphs = [g for g, _ in pairs]
     # MSE(head + center, mu) == MSE(head, mu - center): train on residuals.
@@ -416,7 +393,7 @@ def train_forward(pairs, cfg: TrainConfig, val_pairs=None):
         return mse_loss(model([graphs[i] for i in batch]), targets[batch])
 
     def val_mae():
-        preds = forward_predict(model, [g for g, _ in val_pairs], cfg.batch_size)
+        preds = forward_predict(model, [g for g, _ in val_pairs], cfg["batch_size"])
         errors = np.abs(preds - np.stack([sp.mu for _, sp in val_pairs]))
         return float(np.mean(errors.mean(axis=1))), preds
 
@@ -441,8 +418,8 @@ class SpectrumModel(Module):
     HEADER = {"element": optional(ELEMENT), "n_xanes": SIZE, "n_exafs": SIZE, "arch": record()}
     _build = classmethod(_build_neural)
 
-    def __init__(self, n_xanes: int, n_exafs: int, cfg: TrainConfig, element: str = None):
-        self.arch = cfg.arch
+    def __init__(self, n_xanes: int, n_exafs: int, cfg: dict, element: str = None):
+        self.arch = _arch(cfg)
         self.n_xanes = n_xanes
         self.n_exafs = n_exafs
         width = {"ex": n_xanes, "ax": n_xanes, "ee": n_exafs, "ae": n_exafs}
@@ -481,7 +458,7 @@ class InverseMNND(SpectrumModel):
     INPUTS = ("ex", "ax", "ee", "ae")
     HEADER = {**SpectrumModel.HEADER, "y_mean": real(), "y_std": real(positive=True)}
 
-    def __init__(self, rng, n_xanes: int, n_exafs: int, cfg: TrainConfig, element: str = None,
+    def __init__(self, rng, n_xanes: int, n_exafs: int, cfg: dict, element: str = None,
                  y_mean: float = 0.0, y_std: float = 1.0):
         super().__init__(n_xanes, n_exafs, cfg, element)
         a = self.arch
@@ -526,10 +503,10 @@ def mnnd_predict(model: InverseMNND, sample: LabeledSample) -> float:
     return float(predict_mnnd_batch(model, [sample])[0])
 
 
-def train_mnnd(samples, cfg: TrainConfig, val_samples=None):
+def train_mnnd(samples, cfg: dict, val_samples=None):
     if len(samples) < 2:
         raise InsufficientDataError("mnnd training needs at least 2 samples")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg["seed"])
     y = np.array([s.labels.mnnd for s in samples])
     model = InverseMNND(rng, samples[0].xanes.grid.n, samples[0].exafs.grid.n, cfg,
                         y_mean=float(y.mean()), y_std=float(max(y.std(), 1e-8)))
@@ -572,8 +549,7 @@ class InverseNeighbor(SpectrumModel):
     HEADER = {**SpectrumModel.HEADER,
               "classes": list_of(choice(range(1, len(ELEMENT_SYMBOLS) + 1), "an atomic number"))}
 
-    def __init__(self, rng, n_xanes: int, n_exafs: int, classes, cfg: TrainConfig,
-                 element: str = None):
+    def __init__(self, rng, n_xanes: int, n_exafs: int, classes, cfg: dict, element: str = None):
         super().__init__(n_xanes, n_exafs, cfg, element)
         a = self.arch
         d, hidden, k = a["embed_dim"], a["embed_hidden"], a["embed_k"]
@@ -600,12 +576,12 @@ def neighbor_predict(model: InverseNeighbor, sample: LabeledSample) -> Element:
     return Element(model.classes[int(np.argmax(logits))])
 
 
-def train_neighbor(samples, cfg: TrainConfig, val_samples=None):
+def train_neighbor(samples, cfg: dict, val_samples=None):
     if len(samples) < 2:
         raise InsufficientDataError("neighbor training needs at least 2 samples")
     classes = sorted({s.labels.neighbor_type.atomic_number for s in samples})
     class_index = {z: i for i, z in enumerate(classes)}
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg["seed"])
     model = InverseNeighbor(rng, samples[0].xanes.grid.n, samples[0].exafs.grid.n, classes, cfg)
     X = model.fit_inputs(samples)
     y = np.array([class_index[s.labels.neighbor_type.atomic_number] for s in samples])
@@ -676,7 +652,7 @@ def cn_proba(model: CNClassifier, sample: LabeledSample) -> np.ndarray:
     return rf.predict_proba(model.forest, model.features([sample]))[0]
 
 
-def train_cn(samples, cfg: TrainConfig) -> CNClassifier:
+def train_cn(samples, cfg: dict) -> CNClassifier:
     if len(samples) < 2:
         raise InsufficientDataError("cn training needs at least 2 samples")
     classes = sorted({s.labels.cn for s in samples})
@@ -685,7 +661,7 @@ def train_cn(samples, cfg: TrainConfig) -> CNClassifier:
     n_exafs = samples[0].exafs.grid.n
     X = np.concatenate(_spectra(samples, n_xanes, n_exafs, CNClassifier.INPUTS), axis=1)
     y = np.array([class_index[s.labels.cn] for s in samples])
-    fcfg = rf.ForestConfig(seed=cfg.seed, **{k: read(cfg.extras, k) for k in FOREST})
+    fcfg = rf.ForestConfig(seed=cfg["seed"], **{k: cfg[k] for k in FOREST})
     forest_model = rf.fit(X, y, fcfg)
     return CNClassifier(forest_model, classes, n_xanes, n_exafs)
 
@@ -706,7 +682,7 @@ def group_by_element(samples) -> dict:
 # of predicting them again.
 
 
-def eval_forward(model: ForwardModel, pairs, batch_size: int = TrainConfig.batch_size,
+def eval_forward(model: ForwardModel, pairs, batch_size: int = read({}, "batch_size"),
                  preds=None) -> Metrics:
     if preds is None:
         preds = forward_predict(model, [g for g, _ in pairs], batch_size)

@@ -14,7 +14,6 @@ comma) or a non-finite value raises a ValueError naming the file and line.
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,12 +79,11 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """One absorbing site: its XANES spectrum, its EXAFS spectrum, and labels."""
+class SpectrumPair:
+    """The XANES and EXAFS spectra of one absorbing site, checked to belong together."""
 
     xanes: Spectrum
     exafs: Spectrum
-    labels: DescriptorLabels
 
     def __post_init__(self):
         if self.xanes.kind != XANES or self.exafs.kind != EXAFS:
@@ -94,6 +92,13 @@ class LabeledSample:
             raise ValueError("XANES and EXAFS absorbers differ")
         if self.xanes.structure_id != self.exafs.structure_id:
             raise ValueError("XANES and EXAFS structure ids differ")
+
+
+@dataclass(frozen=True)
+class LabeledSample(SpectrumPair):
+    """One absorbing site: its spectrum pair, and labels."""
+
+    labels: DescriptorLabels
 
 
 def split_indices(n: int, seed: int) -> tuple:
@@ -204,19 +209,13 @@ def load_spectrum(csv_path, grids: dict = None) -> Spectrum:
                     meta["structure_id"] or "")
 
 
-class SpectrumPair(NamedTuple):
-    """The XANES and EXAFS spectra of one absorbing site, without labels."""
-
-    xanes: Spectrum
-    exafs: Spectrum
-
-
 def load_spectrum_pair(path, points: tuple) -> SpectrumPair:
     """The spectra of a pair file {"xanes": csv, "exafs": csv}, paths relative to it, on
     grids of `points` = (XANES, EXAFS) points, the lengths a model reads.
 
     A parse error names the file and line, a key that is not a path string
-    names the file and the key, and a grid of another length names its CSV.
+    names the file and the key, a grid of another length names its CSV, and
+    spectra that fail SpectrumPair's checks name the file and both sidecars.
     """
     path = Path(path)
     doc = read_json(path)
@@ -229,7 +228,11 @@ def load_spectrum_pair(path, points: tuple) -> SpectrumPair:
         pair.append(load_spectrum(path.parent / doc[key]))
         if pair[-1].grid.n != n:
             raise ValueError(f"{path.parent / doc[key]}: {pair[-1].grid.n} grid points, model reads {n}")
-    return SpectrumPair(*pair)
+    try:
+        return SpectrumPair(*pair)
+    except ValueError as exc:
+        sidecars = [(path.parent / doc[key]).with_suffix(".json") for key in ("xanes", "exafs")]
+        raise ValueError(f"{path}: {exc} (sidecars {sidecars[0]} and {sidecars[1]})") from None
 
 
 def labels_to_dict(labels: DescriptorLabels) -> dict:

@@ -19,6 +19,7 @@ from xastruct import cli, gradcheck
 from xastruct import exafs_oracle as oracle
 from xastruct import pipelines as pl
 from xastruct.autodiff import finite_difference_check
+from xastruct.config import check_config
 from xastruct.crystal import build_graph, neighbor_list
 from xastruct.spectra import split_dataset
 
@@ -129,11 +130,11 @@ def test_c4_closed_loop_mnnd_regression(corpus):
     t0 = time.time()
     train, held = split_dataset(samples, 0)
     inner_train, inner_val = split_dataset(train, 1)
-    cfg = pl.TrainConfig(
-        lr=3e-3, weight_decay=1e-5, epochs=12, batch_size=32, seed=0,
-        scope="unified", patience=12,
-        extras={"embed_dim": 32, "embed_hidden": 64, "conv_channels": 8, "head_hidden": 64},
-    )
+    cfg = check_config({
+        "lr": 3e-3, "weight_decay": 1e-5, "epochs": 12, "batch_size": 32, "seed": 0,
+        "scope": "unified", "patience": 12,
+        "embed_dim": 32, "embed_hidden": 64, "conv_channels": 8, "head_hidden": 64,
+    })
     _, model = pl.train_mnnd(inner_train, cfg, val_samples=inner_val)
     metrics = pl.eval_mnnd(model, held)
     elapsed = synth_seconds + (time.time() - t0)
@@ -159,7 +160,7 @@ def test_c4_closed_loop_mnnd_regression(corpus):
 def test_c5_coordination_number_forest(corpus):
     samples, _ = corpus
     train, held = split_dataset(samples, 0)
-    cfg = pl.TrainConfig(seed=0, extras={"n_trees": 40, "max_depth": 12, "min_samples_leaf": 2})
+    cfg = check_config({"seed": 0, "n_trees": 40, "max_depth": 12, "min_samples_leaf": 2})
     model = pl.train_cn(train, cfg)
     metrics = pl.eval_cn(model, held)
     classes = sorted({s.labels.cn for s in samples})
@@ -181,10 +182,10 @@ def test_c6_neighbor_species_classification_absorption_only():
     samples, _ = cli.synth_samples(cfg)
     ni = pl.group_by_element(samples)["Ni"]
     train, held = split_dataset(ni, 0)
-    tc = pl.TrainConfig(
-        lr=3e-3, weight_decay=1e-5, epochs=25, batch_size=16, seed=0,
-        extras={"embed_dim": 16, "embed_hidden": 32},
-    )
+    tc = check_config({
+        "lr": 3e-3, "weight_decay": 1e-5, "epochs": 25, "batch_size": 16, "seed": 0,
+        "embed_dim": 16, "embed_hidden": 32,
+    })
     _, model = pl.train_neighbor(train, tc, val_samples=held)
     metrics = pl.eval_neighbor(model, held)
     classes = sorted({s.labels.neighbor_type.symbol for s in ni})
@@ -199,12 +200,12 @@ def test_c6_neighbor_species_classification_absorption_only():
 
 def test_c7_forward_overfit_and_permutation_invariance():
     pairs = forward_pairs(np.linspace(2.0, 3.2, 10), "Cu", n_grid=80)
-    cfg = pl.TrainConfig(
-        lr=1e-4, weight_decay=0.01, epochs=2000, batch_size=10, seed=0,
-        extras={"encoder_dim": 32, "encoder_rounds": 2, "encoder_rbf": 16,
-                "encoder_hidden": 32, "forward_hidden": 128,
-                "train_loss_stop": 1e-3},
-    )
+    cfg = check_config({
+        "lr": 1e-4, "weight_decay": 0.01, "epochs": 2000, "batch_size": 10, "seed": 0,
+        "encoder_dim": 32, "encoder_rounds": 2, "encoder_rbf": 16,
+        "encoder_hidden": 32, "forward_hidden": 128,
+        "train_loss_stop": 1e-3,
+    })
     history, model = pl.train_forward(pairs, cfg)
     steps = len(history)  # batch covers all 10 samples, so one step per epoch
     mse = float(np.mean([np.mean((pl.forward_predict(model, g) - sp.mu) ** 2) for g, sp in pairs]))

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from helpers import TINY_FORWARD_ARCH, TINY_INVERSE_ARCH, forward_pairs, labeled_sample, rocksalt
 
 from xastruct import pipelines as pl
+from xastruct.config import check_config
 from xastruct.autodiff import (
     AdamWState,
     BatchNormState,
@@ -382,7 +383,7 @@ class TestNoGrad:
     def test_model_predictions_equal_a_tape_built_pass(self):
         """forward, mnnd and neighbor inference under no_grad, bit for bit."""
         pairs = forward_pairs([2.4, 2.7, 3.0])
-        cfg = pl.TrainConfig(lr=3e-3, epochs=1, batch_size=2, extras=dict(TINY_FORWARD_ARCH))
+        cfg = check_config({"lr": 3e-3, "epochs": 1, "batch_size": 2, **TINY_FORWARD_ARCH})
         _, fwd = pl.train_forward(pairs, cfg)
         graphs = [g for g, _ in pairs]
         taped = fwd(graphs)
@@ -392,8 +393,8 @@ class TestNoGrad:
 
         samples = [labeled_sample(rocksalt(a, "Ni", other))
                    for other in ("O", "S") for a in (3.9, 4.2, 4.5)]
-        cfg = pl.TrainConfig(lr=3e-3, epochs=1, batch_size=4, scope="unified",
-                             extras=dict(TINY_INVERSE_ARCH))
+        cfg = check_config({"lr": 3e-3, "epochs": 1, "batch_size": 4, "scope": "unified",
+                            **TINY_INVERSE_ARCH})
         _, mnnd = pl.train_mnnd(samples, cfg)
         for batch in (samples, samples[:1]):
             taped = mnnd.forward(*mnnd.inputs(batch), training=False)
@@ -786,7 +787,7 @@ class TestAdamW:
         # the metric is best after the first epoch, so patience 2 stops after
         # the third and the first epoch's values are restored
         model = pl.InverseMNND(np.random.default_rng(5), 40, 40,
-                               pl.TrainConfig(extras=TINY_INVERSE_ARCH))
+                               check_config(TINY_INVERSE_ARCH))
         params = list(model.named_parameters().values())
         snapshots = []
 
@@ -798,7 +799,7 @@ class TestAdamW:
             snapshots.append([p.data.copy() for p in params])
             return float(len(snapshots) > 1), len(snapshots)
 
-        cfg = pl.TrainConfig(lr=1e-2, epochs=10, batch_size=4, patience=2)
+        cfg = check_config({"lr": 1e-2, "epochs": 10, "batch_size": 4, "patience": 2})
         history = pl.fit(model, cfg, np.random.default_rng(0), 8, batch_loss, validate)
         assert len(history) == 3
         assert history.val_output == 1  # the first epoch's output, with its parameters

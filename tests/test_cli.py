@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from xastruct import cli, gradcheck
 from xastruct import exafs_oracle as oracle
+from xastruct.config import check_config
 from xastruct.crystal import Element, extract_descriptors, structure_from_dict
 from xastruct.spectra import load_dataset, load_spectrum
 
@@ -343,6 +344,19 @@ class TestExtract:
     def test_missing_file_exits_1(self, tmp_path):
         rc = cli.main(["extract", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_cell_too_thin_for_the_search_exits_1_naming_it(self, tmp_path, capsys):
+        """A valid one-site record whose 6 A search box would hold 1.01e9 cells (24 GB of
+        offsets) is refused before the box is built."""
+        path = tmp_path / "thin.jsonl"
+        path.write_text(json.dumps({"id": "thin", "lattice": [3, 0, 0, 3, 0.001, 0, 0, 0, 3],
+                                    "sites": [{"element": "Cu", "frac": [0, 0, 0]}]}) + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["extract", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: structure 'thin': a 6.0 A search needs image cells up to (6002, 6001, 3) "
+            "away, more than 1048576 cells; its cell is too thin for the cutoff\n")
+        assert not (out / "labels.jsonl").exists()
 
 
 def _cut_inside_first_column(text):
@@ -742,6 +756,33 @@ def test_pair_csv_of_another_grid_length_names_the_csv(key, mixed_data, mnnd_run
     assert err == f"error: {csv_path}: 39 grid points, model reads 40\n"
 
 
+# a pair's XANES sidecar edit, each spectrum valid alone, and the SpectrumPair check it breaks
+MISMATCHED_PAIRS = {
+    "kind": ({"kind": "EXAFS"}, "sample spectra must be (XANES, EXAFS) in that order"),
+    "absorber": ({"absorber": "O"}, "XANES and EXAFS absorbers differ"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_PAIRS))
+def test_pair_of_spectra_that_do_not_belong_together_exits_1_naming_it(case, mixed_data, mnnd_run,
+                                                                        tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(mixed_data, data)
+    _write_predict_inputs(data)
+    pair = json.loads((data / "pair.json").read_text())
+    sidecars = [(data / pair[key]).with_suffix(".json") for key in ("xanes", "exafs")]
+    edit, message = MISMATCHED_PAIRS[case]
+    sidecars[0].write_text(json.dumps({**json.loads(sidecars[0].read_text()), **edit}))
+    out = tmp_path / "out"
+    rc = cli.main(["predict", "--checkpoint", str(mnnd_run / "mnnd_unified.json"),
+                   "--input", str(data / "pair.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err == (f"error: {data / 'pair.json'}: {message} "
+                   f"(sidecars {sidecars[0]} and {sidecars[1]})\n")
+    assert not (out / "prediction.json").exists()
+
+
 @pytest.mark.parametrize("key,token", [("y_std", "0"), ("y_std", "1e999"), ("y_std", '"abc"'),
                                        ("y_std", "true"), ("y_mean", "1e999")])
 def test_mnnd_target_scale_that_is_no_finite_number_exits_1(key, token, mixed_data, mnnd_run,
@@ -878,7 +919,7 @@ class TestTrain:
             name, model = pl.load_checkpoint(out / path.name.replace("metrics_", ""))
             items = cli.TASKS[name].load(data, dict(cli.CONFIG_DEFAULTS), model)
             _, val = split_dataset(items, 4)
-            fresh = cli.TASKS[name].score(model, val, pl.TrainConfig(), None)
+            fresh = cli.TASKS[name].score(model, val, check_config({}), None)
             for field, value in vars(fresh).items():
                 assert report[field] == value, (path.name, field)
 
@@ -927,6 +968,17 @@ class TestTrain:
         assert report["n_train"] + report["n_val"] == 24
         assert report["mae"] > 0
         assert report["accuracy"] is None
+
+    def test_mnnd_checkpoint_is_train_mnnd_of_the_checked_config(self, mixed_data, mnnd_run,
+                                                                 tmp_path):
+        """train --task mnnd writes the bytes of train_mnnd given check_config of its keys."""
+        from xastruct import pipelines as pl
+        from xastruct.spectra import split_dataset
+
+        cfg = check_config({"seed": 3, **dict(item.split("=") for item in TINY_MNND[1::2])})
+        train, val = split_dataset(load_dataset(mixed_data / "manifest.jsonl"), 3)
+        pl.train_mnnd(train, cfg, val_samples=val)[1].save(tmp_path / "mnnd.json")
+        assert (tmp_path / "mnnd.json").read_bytes() == (mnnd_run / "mnnd_unified.json").read_bytes()
 
     def test_rerun_metrics_byte_identical(self, mixed_data, mnnd_run, tmp_path):
         again = tmp_path / "again"
@@ -1142,7 +1194,7 @@ class TestEvalPredict:
                        "--out", str(tmp_path / "eval_legacy")])
         assert rc == 0
         report = json.loads((tmp_path / "eval_legacy" / "metrics.json").read_text())
-        assert (report["scope"], report["n_val"]) == ("all", sum(counts.values()))
+        assert (report["scope"], report["n_val"]) == ("unified", sum(counts.values()))
 
     def test_eval_without_the_checkpoint_element_exits_1(self, two_element_data, cu_data,
                                                           tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xastruct import cli, config, crystal, pipelines
+from xastruct import cli, config, crystal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -111,6 +111,5 @@ def test_unknown_key_is_usage_error_naming_it(key, command, tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [("conv_blocks", 9), ("encoder_hidden", 0), ("lr", 0.0)])
 def test_train_config_from_python_meets_the_same_rows(key, value):
-    field = {"lr": value} if key == "lr" else {"extras": {key: value}}
     with pytest.raises(ValueError, match=f"^config key '{key}' must "):
-        pipelines.TrainConfig(**field)
+        config.check_config({key: value})

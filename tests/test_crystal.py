@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xastruct.crystal import (
+    MIN_SITE_SEPARATION,
     CrystalStructure,
     DescriptorLabels,
     Element,
@@ -431,10 +432,19 @@ class TestPrunedSearch:
                                  tuple(Site(Element(26 + sp), np.array(f)) for sp, f in sites))
             box = math.prod(2 * (math.ceil(cutoff / h) + 1) + 1
                             for h in reference_heights(s.lattice.basis))
-            for center, cells in enumerate(_search_cells(s.lattice, s.frac_coords(), cutoff)):
+            for center, cells in enumerate(_search_cells(s, s.frac_coords(), cutoff)):
                 assert len(cells) <= 0.4 * box, (m, center, len(cells), box)
                 with_pairs = {nb.offset for nb in reference_neighbor_list(s, center, cutoff)}
                 assert with_pairs <= set(map(tuple, cells.tolist()))
+
+    @pytest.mark.parametrize("template", sorted(TEMPLATES))
+    def test_template_at_the_least_separation_searches_under_the_box_limit(self, template):
+        """The smallest cell of each template (first shell at MIN_SITE_SEPARATION, the least
+        `mnnd_min`) still extracts its coordination number; sc needs 19,683 cells."""
+        basis, sites, absorber, cn = TEMPLATES[template]
+        s = CrystalStructure(Lattice(basis(MIN_SITE_SEPARATION)),
+                             tuple(Site(Element(26 + sp), np.array(f)) for sp, f in sites))
+        assert extract_descriptors(s, absorber).cn == cn  # a box over the limit would raise
 
     def test_coordinate_below_zero_round_trips_with_the_same_search(self):
         el = Element(29)

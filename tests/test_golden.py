@@ -19,6 +19,7 @@ import pytest
 
 from xastruct import cli
 from xastruct import pipelines as pl
+from xastruct.config import check_config
 from xastruct.crystal import build_graph
 
 GOLDEN = Path(__file__).with_name("golden_models.json")
@@ -59,13 +60,14 @@ def fingerprints() -> dict:
 
     pairs = [(build_graph(s, a, 4.0), smp.xanes)
              for smp, (s, a) in zip(samples, structures) if smp.xanes.absorber.symbol == "Cu"]
-    fcfg = pl.TrainConfig(lr=1e-2, epochs=3, batch_size=4, seed=2, extras=FORWARD_ARCH)
+    fcfg = check_config({"lr": 1e-2, "epochs": 3, "batch_size": 4, "seed": 2, **FORWARD_ARCH})
     history, model = pl.train_forward(pairs[:-4], fcfg, val_pairs=pairs[-4:])
     preds = [pl.forward_predict(model, g) for g, _ in pairs[-4:]]
     out["forward"] = _neural(history, model, preds, {"y_center": model.y_center})
 
     # patience 2 fires after epoch 8; the best epoch is 6
-    mcfg = pl.TrainConfig(lr=3e-2, epochs=12, batch_size=8, seed=3, patience=2, extras=INVERSE_ARCH)
+    mcfg = check_config({"lr": 3e-2, "epochs": 12, "batch_size": 8, "seed": 3, "patience": 2,
+                         **INVERSE_ARCH})
     history, model = pl.train_mnnd(train, mcfg, val_samples=val)
     stats = {}
     for stack in ("conv_xanes", "conv_exafs"):
@@ -74,11 +76,12 @@ def fingerprints() -> dict:
             stats[f"{stack}{i}.running_var"] = block.bn_state.running_var
     out["mnnd"] = _neural(history, model, pl.predict_mnnd_batch(model, val), stats)
 
-    ncfg = pl.TrainConfig(lr=1e-2, epochs=4, batch_size=8, seed=4, patience=2, extras=INVERSE_ARCH)
+    ncfg = check_config({"lr": 1e-2, "epochs": 4, "batch_size": 8, "seed": 4, "patience": 2,
+                         **INVERSE_ARCH})
     history, model = pl.train_neighbor(train, ncfg, val_samples=val)
     out["neighbor"] = _neural(history, model, model.logits(val), {})
 
-    cn = pl.train_cn(train, pl.TrainConfig(seed=6, extras={"n_trees": 5, "max_depth": 4}))
+    cn = pl.train_cn(train, check_config({"seed": 6, "n_trees": 5, "max_depth": 4}))
     out["cn"] = {"classes": cn.classes,
                  "predictions": np.stack([pl.cn_proba(cn, s) for s in val]).tolist()}
     return out

@@ -17,6 +17,7 @@ from xastruct.autodiff import (
     segment_sum,
     total,
 )
+from xastruct.config import check_config
 from xastruct.crystal import CrystalStructure, Site, build_graph
 from xastruct.nn import (
     ConvBlock,
@@ -352,8 +353,7 @@ class TestBatchedMatchesPerGraphReference:
         arch = {"encoder_dim": 8, "encoder_rounds": 2, "encoder_rbf": 6, "encoder_hidden": 8,
                 "encoder_k": k, "forward_hidden": 10, "forward_k": 2,
                 "masked_mean_by_mask_sum": by_mask_sum}
-        cfg = pl.TrainConfig(extras=arch)
-        return pl.ForwardModel(np.random.default_rng(seed), 7, cfg, "Cu", "K", "XANES",
+        return pl.ForwardModel(np.random.default_rng(seed), check_config(arch), "Cu", "K", "XANES",
                                np.linspace(0.0, 1.0, 7))
 
     def cases(self, rng, n):

@@ -140,30 +140,30 @@ def test_history_csv(tmp_path):
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        pl.TrainConfig(lr=0.0)
+        config.check_config({"lr": 0.0})
     with pytest.raises(ValueError):
-        pl.TrainConfig(weight_decay=-0.1)
+        config.check_config({"weight_decay": -0.1})
     with pytest.raises(ValueError):
-        pl.TrainConfig(scope="global")
+        config.check_config({"scope": "global"})
     with pytest.raises(ValueError, match="batch_size"):
-        pl.TrainConfig(batch_size=0)
+        config.check_config({"batch_size": 0})
 
 
 def test_train_config_rejects_non_finite_rates():
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr"):
-            pl.TrainConfig(lr=value)
+            config.check_config({"lr": value})
         with pytest.raises(ValueError, match="weight_decay"):
-            pl.TrainConfig(weight_decay=value)
+            config.check_config({"weight_decay": value})
 
 
 def test_train_config_from_flat_dict():
-    cfg = pl.TrainConfig.from_config(
-        {"lr": "0.001", "epochs": "5", "scope": "unified", "embed_dim": 16}
-    )
-    assert cfg.lr == 0.001 and cfg.epochs == 5 and cfg.scope == "unified"
-    assert cfg.arch["embed_dim"] == 16
-    assert cfg.arch["conv_blocks"] == config.read({}, "conv_blocks") == 2
+    cfg = config.check_config({"lr": "0.001", "epochs": "5", "scope": "unified", "embed_dim": 16})
+    assert cfg["lr"] == 0.001 and cfg["epochs"] == 5 and cfg["scope"] == "unified"
+    model = pl.InverseMNND(None, 40, 40, cfg)
+    assert model.arch == {key: cfg[key] for key in config.ARCH}
+    assert model.arch["embed_dim"] == 16
+    assert model.arch["conv_blocks"] == config.read({}, "conv_blocks") == 2
 
 
 @pytest.mark.parametrize("key,value,kind", [
@@ -174,24 +174,23 @@ def test_train_config_from_flat_dict():
 ])
 def test_train_config_value_that_does_not_parse_names_its_key(key, value, kind):
     with pytest.raises(ValueError, match=rf"^config key '{key}' must be {kind}, got '{value}'$"):
-        pl.TrainConfig.from_config({key: value})
+        config.check_config({key: value})
 
 
 def test_arch_value_that_does_not_parse_names_its_key():
     for key, value in (("embed_dim", "abc"), ("conv_blocks", "2.0")):
         with pytest.raises(ValueError, match=rf"^config key '{key}' must be an integer, "
                                              rf"got '{value}'$"):
-            pl.TrainConfig.from_config({key: value})
+            config.check_config({key: value})
 
 
 # --- forward model ---------------------------------------------------------------
 
 
 def _forward_cfg(**kw):
-    base = dict(lr=3e-3, weight_decay=0.01, epochs=60, batch_size=16, seed=0,
-                extras=dict(TINY_FORWARD_ARCH))
+    base = dict(lr=3e-3, weight_decay=0.01, epochs=60, batch_size=16, seed=0, **TINY_FORWARD_ARCH)
     base.update(kw)
-    return pl.TrainConfig(**base)
+    return config.check_config(base)
 
 
 def test_forward_requires_samples():
@@ -273,8 +272,8 @@ def test_forward_early_stopping_restores_best():
 
 def test_forward_train_loss_stop_halts_training():
     pairs = forward_pairs([2.4, 2.8, 3.0])
-    extras = {**TINY_FORWARD_ARCH, "train_loss_stop": "1e9"}  # any epoch clears it
-    history, _ = pl.train_forward(pairs, _forward_cfg(epochs=200, extras=extras))
+    cfg = _forward_cfg(epochs=200, train_loss_stop="1e9")  # any epoch clears it
+    history, _ = pl.train_forward(pairs, cfg)
     assert len(history) == 1
 
 
@@ -288,9 +287,9 @@ def mnnd_samples():
 
 def _inverse_cfg(**kw):
     base = dict(lr=3e-3, weight_decay=0.01, epochs=10, batch_size=16, seed=1,
-                scope="unified", extras=dict(TINY_INVERSE_ARCH))
+                scope="unified", **TINY_INVERSE_ARCH)
     base.update(kw)
-    return pl.TrainConfig(**base)
+    return config.check_config(base)
 
 
 def test_mnnd_needs_data():
@@ -420,8 +419,7 @@ def test_neighbor_training_deterministic(neighbor_samples):
 
 
 def test_inverse_train_loss_stop_halts_training(mnnd_samples, neighbor_samples):
-    extras = {**TINY_INVERSE_ARCH, "train_loss_stop": "1e9"}  # any epoch clears it
-    cfg = _inverse_cfg(epochs=50, extras=extras)
+    cfg = _inverse_cfg(epochs=50, train_loss_stop="1e9")  # any epoch clears it
     history, _ = pl.train_mnnd(mnnd_samples, cfg)
     assert len(history) == 1
     history, _ = pl.train_neighbor(neighbor_samples, cfg)
@@ -466,10 +464,9 @@ def test_loaded_predictions_bit_identical_in_both_formats(task, mnnd_samples, ne
 
 def _seeded_build(model):
     """`model` built from glorot draws of default_rng(0), then given its state."""
-    cfg, rng = pl.TrainConfig(extras=model.arch), np.random.default_rng(0)
+    cfg, rng = config.check_config(model.arch), np.random.default_rng(0)
     if isinstance(model, pl.ForwardModel):
-        built = pl.ForwardModel(rng, model.n_out, cfg, model.element, model.edge, model.kind,
-                                model.grid)
+        built = pl.ForwardModel(rng, cfg, model.element, model.edge, model.kind, model.grid)
     elif isinstance(model, pl.InverseMNND):
         built = pl.InverseMNND(rng, model.n_xanes, model.n_exafs, cfg)
         built.y_mean, built.y_std = model.y_mean, model.y_std
@@ -538,7 +535,7 @@ def cn_samples():
 def test_cn_classifier_memorizes(cn_samples):
     cns = sorted({s.labels.cn for s in cn_samples})
     assert len(cns) >= 2
-    model = pl.train_cn(cn_samples, pl.TrainConfig(seed=3, extras={"n_trees": 30}))
+    model = pl.train_cn(cn_samples, config.check_config({"seed": 3, "n_trees": 30}))
     assert model.classes == cns
     metrics = pl.eval_cn(model, cn_samples)
     assert metrics.accuracy == 1.0
@@ -550,7 +547,7 @@ def test_cn_classifier_memorizes(cn_samples):
 
 
 def test_cn_checkpoint_roundtrip(cn_samples, tmp_path):
-    model = pl.train_cn(cn_samples, pl.TrainConfig(seed=3, extras={"n_trees": 10}))
+    model = pl.train_cn(cn_samples, config.check_config({"seed": 3, "n_trees": 10}))
     path = tmp_path / "cn.json"
     model.save(path)
     loaded = pl.CNClassifier.load(path)
@@ -564,14 +561,14 @@ def test_cn_checkpoint_roundtrip(cn_samples, tmp_path):
 
 def test_cn_needs_data():
     with pytest.raises(InsufficientDataError):
-        pl.train_cn([], pl.TrainConfig())
+        pl.train_cn([], config.check_config({}))
 
 
 def test_model_load_of_another_task_names_the_file_and_both_tasks(mnnd_samples, cn_samples,
                                                                   tmp_path):
     mnnd, cn = tmp_path / "mnnd.json", tmp_path / "cn.json"
     pl.train_mnnd(mnnd_samples, _inverse_cfg(epochs=1))[1].save(mnnd)
-    pl.train_cn(cn_samples, pl.TrainConfig(seed=3, extras={"n_trees": 2})).save(cn)
+    pl.train_cn(cn_samples, config.check_config({"seed": 3, "n_trees": 2})).save(cn)
     for cls, path, task in ((pl.InverseMNND, cn, "cn"), (pl.CNClassifier, mnnd, "mnnd")):
         with pytest.raises(ValueError) as exc:
             cls.load(path)
@@ -582,7 +579,7 @@ def test_model_load_of_another_task_names_the_file_and_both_tasks(mnnd_samples, 
 def test_cyclic_forest_is_rejected_on_load(cn_samples, tmp_path):
     """A child index that points back up the tree would send a walk round forever."""
     path = tmp_path / "cn.json"
-    pl.train_cn(cn_samples, pl.TrainConfig(seed=3, extras={"n_trees": 3})).save(path)
+    pl.train_cn(cn_samples, config.check_config({"seed": 3, "n_trees": 3})).save(path)
     doc = json.loads(path.read_text())
     t, nodes = next((t, nodes) for t, nodes in enumerate(doc["forest"]["trees"])
                     if "feature" in nodes[0])
@@ -595,7 +592,7 @@ def test_cyclic_forest_is_rejected_on_load(cn_samples, tmp_path):
 def test_spectrum_models_reject_another_grid_length(mnnd_samples, neighbor_samples, cn_samples):
     """mnnd, neighbor and the cn forest read spectra through one grid check and message."""
     cfg = _inverse_cfg(epochs=1)
-    forest_cfg = pl.TrainConfig(seed=3, extras={"n_trees": 3})
+    forest_cfg = config.check_config({"seed": 3, "n_trees": 3})
     models = {
         pl.mnnd_predict: pl.train_mnnd(mnnd_samples, cfg)[1],
         pl.neighbor_predict: pl.train_neighbor(neighbor_samples, cfg)[1],

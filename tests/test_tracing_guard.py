@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 from helpers import TINY_FORWARD_ARCH, cscl, forward_pairs
+from xastruct.config import check_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -57,7 +58,7 @@ def test_traced_forward_train_predict_and_graph_build(tracing):
     modules = {name: importlib.import_module(f"xastruct.{name}") for name in tracing.MODULES}
     crystal, pl = modules["crystal"], modules["pipelines"]
     spectra = [sp for _, sp in forward_pairs([2.3, 2.5, 2.7, 2.9, 3.1])]  # targets only
-    cfg = pl.TrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=1, extras=TINY_FORWARD_ARCH)
+    cfg = check_config({"lr": 1e-3, "epochs": 2, "batch_size": 2, "seed": 1, **TINY_FORWARD_ARCH})
     tracer = tracing.Tracer()
     with tracing.instrument(tracer, modules):
         structures = [cscl(a, "Cu", "O") for a in (2.3, 2.5, 2.7, 2.9, 3.1)]
