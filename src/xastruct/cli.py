@@ -236,10 +236,6 @@ def synth_samples(cfg: dict):
             others = [el for el in elements if el.atomic_number != absorber.atomic_number]
             scatterer = others[rng.integers(len(others))]
         sid = f"{template}-{absorber.symbol}-{i:06d}"
-        s, absorber_index, labels, neighbors = synth_structure(
-            rng, template, absorber, scatterer, (cfg["mnnd_min"], cfg["mnnd_max"]),
-            cfg["strain"], cfg["jitter"], sid,
-        )
         if absorber not in oracle_inputs:
             params = oracle.OracleParams.from_config(cfg, e0_ev=oracle.default_edge_energy(absorber))
             e0, n_grid = params.e0_ev, cfg["n_grid"]
@@ -247,11 +243,19 @@ def synth_samples(cfg: dict):
             oracle_inputs[absorber] = (params, oracle.default_xanes_grid(e0, n=n_grid), exafs_grid,
                                        oracle.wavenumber(exafs_grid.values, e0))
         params, xanes_grid, exafs_grid, k = oracle_inputs[absorber]
+        try:  # a drawn cell can still break the 0.5 A floor of a site separation or shell radius
+            s, absorber_index, labels, neighbors = synth_structure(
+                rng, template, absorber, scatterer, (cfg["mnnd_min"], cfg["mnnd_max"]),
+                cfg["strain"], cfg["jitter"], sid,
+            )
+            exafs = oracle.synth_exafs(
+                s, absorber_index, params, exafs_grid, cutoff=cutoff,
+                neighbors=neighbors if cutoff == DESCRIPTOR_CUTOFF else None, k=k,
+            )
+        except ValueError as exc:
+            raise ValueError(f"structure {sid!r}: {exc} (drawn with 'mnnd_min' {cfg['mnnd_min']} "
+                             f"and 'jitter' {cfg['jitter']})") from None
         xanes = oracle.synth_xanes(labels, absorber, params, xanes_grid, structure_id=sid)
-        exafs = oracle.synth_exafs(
-            s, absorber_index, params, exafs_grid, cutoff=cutoff,
-            neighbors=neighbors if cutoff == DESCRIPTOR_CUTOFF else None, k=k,
-        )
         samples.append(LabeledSample(xanes=xanes, exafs=exafs, labels=labels))
         structures.append((s, absorber_index))
     return samples, structures

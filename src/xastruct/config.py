@@ -10,6 +10,7 @@ config loads no model code.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -34,6 +35,7 @@ class Key:
     default: str  # "" leaves an optional key unset: it reads as None
     commands: str  # the commands that read the key, space-separated
     least: float = None
+    above: bool = False  # `least` itself is refused
     positive: bool = False  # above 0, and at most `most` where it is given
     most: float = None
     odd: bool = False
@@ -49,7 +51,7 @@ DATA = {
                     item="element symbol", usage=True),
     "templates": Key(list, ",".join(TEMPLATE_NAMES), "synth", choices=TEMPLATE_NAMES,
                      item="template", usage=True),
-    "mnnd_min": Key(float, "1.8", "synth", least=0.5, usage=True),  # crystal.MIN_SITE_SEPARATION
+    "mnnd_min": Key(float, "1.8", "synth", least=0.5, above=True, usage=True),  # the 0.5 A floors
     "mnnd_max": Key(float, "3.2", "synth", usage=True),
     "strain": Key(float, "0.05", "synth", least=0, usage=True),
     "jitter": Key(float, "0.05", "synth", least=0, usage=True),
@@ -119,6 +121,11 @@ def _error(key: str, text: str) -> ValueError:
     return exc
 
 
+# a row type's name in errors, and the class a value that is not a string must be of
+_KINDS = {int: ("an integer", numbers.Integral), float: ("a number", numbers.Real),
+          str: ("a string", str)}
+
+
 def read(cfg: dict, key: str):
     """cfg's value of `key`, else its default, typed by its row and in bounds; None if unset."""
     row = KEYS[key]
@@ -133,15 +140,17 @@ def read(cfg: dict, key: str):
             raise _error(key, f"names an unknown {row.item}: {unknown[0]!r}" if unknown
                          else f"must name at least one {row.item}")
         return value
-    try:
+    kind, cls = _KINDS[row.type]
+    try:  # a string parses; any other value must already be of the row's kind
+        if not isinstance(value, str) and (isinstance(value, bool) or not isinstance(value, cls)):
+            raise TypeError
         value = row.type(value)
     except (TypeError, ValueError):
-        kind = "a number" if row.type is float else "an integer"
         raise _error(key, f"must be {kind}, got {value!r}") from None
     if row.type is float and not math.isfinite(value):
         broken = "be finite"
-    elif row.least is not None and value < row.least:
-        broken = f"be at least {row.least}"
+    elif row.least is not None and (value <= row.least if row.above else value < row.least):
+        broken = f"be {'above' if row.above else 'at least'} {row.least}"
     elif row.positive and not 0 < value <= (row.most or math.inf):
         broken = "be positive" if row.most is None else f"lie in (0, {row.most}]"
     elif row.odd and value % 2 == 0:

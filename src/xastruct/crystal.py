@@ -31,6 +31,9 @@ squared distance: sqrt is correctly rounded and monotone, so sqrt(min) is
 min(sqrt). A lattice whose volume or face areas pass the float range is
 refused, since a height of 0.0 or inf bounds no search box, and so is a
 search whose box would hold more than MAX_SEARCH_CELLS cells (a thin cell).
+When `extract_descriptors` searches itself, it checks the box of the full cutoff, then
+reaches only max(tol_factor, 1) times the shortest lattice row L: the absorber's image one
+row away bounds the nearest distance by L, and each image keeps its distance bits and rank.
 """
 
 from __future__ import annotations
@@ -181,9 +184,9 @@ class CrystalStructure:
         frac = self._frac
         diff = frac[:, None, :] - frac[None, :, :]
         diff -= np.rint(diff)  # minimum image in fractional space; np.round's bits
-        shifted = (diff.reshape(1, -1) + _pair_shifts(n)).reshape(len(_HALF_SHIFTS), n, n, 3)
-        squared = _squared_lengths(shifted @ self.lattice.basis)
-        squared.reshape(len(_HALF_SHIFTS), n * n)[:, :: n + 1] = np.inf  # each site with itself
+        shifted = (diff.reshape(1, -1) + _pair_shifts(n)).reshape(-1, 3)  # [14 * n * n, 3]
+        squared = _squared_lengths(shifted @ self.lattice.basis).reshape(len(_HALF_SHIFTS), n * n)
+        squared[:, :: n + 1] = np.inf  # each site with itself
         return math.sqrt(squared.min())
 
     def frac_coords(self) -> np.ndarray:
@@ -284,6 +287,18 @@ def _offset_grid(bounds: tuple) -> np.ndarray:
     return grid
 
 
+def _search_bounds(s: CrystalStructure, cutoff: float) -> tuple:
+    """Bounds ceil(cutoff / h_i) + 1 of the search box; refuses a bad cutoff and a thin cell."""
+    if not 0 < cutoff < math.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
+    b0, b1, b2 = bounds = tuple(math.ceil(cutoff / h) + 1 for h in s.lattice._heights)
+    if (2 * b0 + 1) * (2 * b1 + 1) * (2 * b2 + 1) > MAX_SEARCH_CELLS:
+        raise InvalidStructureError(
+            f"structure {s.id!r}: a {cutoff} A search needs image cells up to {bounds} away, "
+            f"more than {MAX_SEARCH_CELLS} cells; its cell is too thin for the cutoff")
+    return bounds
+
+
 def _search_cells(s: CrystalStructure, centers: np.ndarray, cutoff: float) -> list:
     """Per row of ``centers`` [C, 3] (fractional), the [T, 3] offsets of the cells to search.
 
@@ -292,16 +307,10 @@ def _search_cells(s: CrystalStructure, centers: np.ndarray, cutoff: float) -> li
     height_i. Sites lie in the closed unit cell, so an image in cell T lies
     within half the longest cell diagonal of the midpoint (T + 1/2) B; a cell
     whose midpoint is farther from the center than the cutoff plus that holds
-    no image within the cutoff and is dropped. The kept offsets stay in the
-    box's ij order. A box of more than MAX_SEARCH_CELLS cells is refused.
+    no image within the cutoff and is dropped. The kept offsets stay in the box's ij order.
     """
     lattice = s.lattice
-    b0, b1, b2 = bounds = tuple(math.ceil(cutoff / h) + 1 for h in lattice._heights)
-    if (2 * b0 + 1) * (2 * b1 + 1) * (2 * b2 + 1) > MAX_SEARCH_CELLS:
-        raise InvalidStructureError(
-            f"structure {s.id!r}: a {cutoff} A search needs image cells up to {bounds} away, "
-            f"more than {MAX_SEARCH_CELLS} cells; its cell is too thin for the cutoff")
-    box = _offset_grid(bounds)
+    box = _offset_grid(_search_bounds(s, cutoff))
     # per axis, the four body diagonals a + b + c, a + b - c, a - b + c and -a + b + c
     axes = [(p + q + r, p + q - r, p - q + r, -p + q + r) for p, q, r in zip(*lattice.basis.tolist())]
     half_diagonal = 0.5 * math.sqrt(max(x * x + y * y + z * z for x, y, z in zip(*axes)))
@@ -315,15 +324,13 @@ def _image_pairs(s: CrystalStructure, centers, cutoff: float) -> list:
     """(center, offset, site, distance) arrays of all pairs within ``cutoff`` of ``centers``.
 
     The self-image at zero offset is excluded. One [T, N] block per center
-    over the cells `_search_cells` keeps for it.
+    over the cells `_search_cells` keeps for it, as one [T * N, 3] @ basis product.
     """
-    if not 0 < cutoff < math.inf:
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     frac, basis = s._frac, s.lattice.basis
     parts = []
     for center, offsets in zip(centers, _search_cells(s, frac[centers], cutoff)):
-        v = (frac[None, :, :] + offsets[:, None, :] - frac[center]) @ basis  # [T, N, 3]
-        dists = np.sqrt(_squared_lengths(v))
+        v = (frac[None, :, :] + offsets[:, None, :] - frac[center]).reshape(-1, 3) @ basis
+        dists = np.sqrt(_squared_lengths(v)).reshape(len(offsets), len(frac))  # [T, N]
         t_idx, site_idx = np.nonzero((dists <= cutoff) & (dists > 0))
         parts.append((np.full(t_idx.size, center), offsets[t_idx], site_idx, dists[t_idx, site_idx]))
     if len(parts) == 1:
@@ -411,16 +418,23 @@ def extract_descriptors(
 
     Ties in the species count break toward the lowest atomic number so the
     label always collapses to a single class. ``neighbors``, if given, is
-    ``neighbor_search(s, absorber, cutoff)`` computed by the caller.
+    ``neighbor_search(s, absorber, cutoff)`` computed by the caller. Else, once
+    the full cutoff's box passes its size check, the search reaches only
+    max(tol_factor, 1) * L, L the shortest lattice row (the absorber's image
+    one row away is at L), with the full search's distance bits and order.
     """
-    nbs = neighbor_search(s, absorber, cutoff) if neighbors is None else neighbors
-    if not nbs.dists.size:
+    if neighbors is None:
+        if 0 <= absorber < len(s):  # else neighbor_search names the index, as at the full cutoff
+            _search_bounds(s, cutoff)
+        shortest = min(math.sqrt(x * x + y * y + z * z) for x, y, z in s.lattice.basis.tolist())
+        neighbors = neighbor_search(s, absorber, min(cutoff, max(tol_factor, 1) * shortest * (1 + 1e-9)))
+    if not neighbors.dists.size:
         raise NoNeighborsError(
             f"site {absorber} has no neighbors within {cutoff} A"
         )
-    n = _shell_size(nbs.dists, tol_factor)
-    distances = tuple(nbs.dists[:n].tolist())
-    counts = Counter(s.sites[j].element for j in nbs.sites[:n].tolist())
+    n = _shell_size(neighbors.dists, tol_factor)
+    distances = tuple(neighbors.dists[:n].tolist())
+    counts = Counter(s.sites[j].element for j in neighbors.sites[:n].tolist())
     dominant = min(counts, key=lambda el: (-counts[el], el.atomic_number))
     return DescriptorLabels(
         cn=n,

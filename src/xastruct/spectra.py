@@ -152,8 +152,10 @@ def _read_columns(csv_path: Path) -> tuple:
     CRLF, take every row; a loop that names the line at fault runs only if either fails."""
     header, _, body = read_text(csv_path).partition("\n")
     header = header.removesuffix("\r")
-    if header != "energy_ev,mu":
-        raise ValueError(f"{csv_path}:1: unexpected spectrum CSV header {header.split(',')}")
+    if header != "energy_ev,mu":  # quoted up to 80 characters: a bare-CR file is one line
+        shown = f"{header[:80].split(',')}{'...' if len(header) > 80 else ''}"
+        bare_cr = " (the line holds bare CRs; a line ends with LF or CRLF)" if "\r" in header else ""
+        raise ValueError(f"{csv_path}:1: unexpected spectrum CSV header {shown}{bare_cr}")
     if body and not body.endswith("\n"):
         body += "\n"  # the last line may have no newline
     separators = body.encode().translate(None, _NOT_COMMA_OR_LF)

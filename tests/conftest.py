@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from xastruct.crystal import CrystalStructure, Element, InvalidStructureError, Lattice, Site
+
+# `pytest --hypothesis-profile=ci` (the tier-1 CI step): every run draws the same examples, so a
+# failure there reproduces locally with that flag; without it, each run searches anew. Tests
+# that set no max_examples run 100.
+settings.register_profile("ci", derandomize=True, max_examples=100, database=None, print_blob=True)
 
 
 def cubic_structure(a=3.0, symbol="Cu", sid="sc"):

@@ -162,6 +162,25 @@ class TestSynth:
                 for sp, grid in zip(got, want):
                     assert np.allclose(sp.grid.values, grid, rtol=1e-9, atol=0), sp.kind
 
+    def test_mnnd_min_at_the_floor_is_a_usage_error_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["synth", "--out", str(out), "--set", "mnnd_min=0.5", "--set", "mnnd_max=0.5",
+                       "--set", "jitter=0", "--set", "strain=0"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "usage error: config key 'mnnd_min' must be above 0.5, got 0.5\n")
+        assert not out.exists()
+
+    def test_cell_jittered_under_the_floor_exits_1_naming_the_keys_and_structure(self, tmp_path,
+                                                                                  capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["synth", "--out", str(out), "--set", "mnnd_min=0.52", "--set", "mnnd_max=0.6"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: structure 'fluorite_anion-Cu-000000': sites closer than 0.5 A under PBC: "
+            "0.447 A (drawn with 'mnnd_min' 0.52 and 'jitter' 0.05)\n")
+        assert not out.exists()
+
     def test_one_neighbor_search_per_draw(self, monkeypatch):
         calls = Counter()
 
@@ -257,7 +276,7 @@ class TestSynth:
         ("mnnd_max=-inf", "usage error: config key 'mnnd_max' must be finite, got -inf"),
         ("seed=abc", "error: config key 'seed' must be an integer, got 'abc'"),
         ("seed=-1", "error: config key 'seed' must be at least 0, got -1"),
-        ("mnnd_min=0", "usage error: config key 'mnnd_min' must be at least 0.5, got 0.0"),
+        ("mnnd_min=0", "usage error: config key 'mnnd_min' must be above 0.5, got 0.0"),
         ("elements=Xx", "usage error: config key 'elements' names an unknown element symbol: 'Xx'"),
     ])
     def test_bad_draw_range_is_usage_error_naming_the_key(self, setting, key, cu_data, tmp_path,
@@ -434,6 +453,8 @@ MALFORMED = {
     "quoted field": ("sample_000009_xanes.csv",
                      _set_line(4, lambda r: '"{}",{}'.format(*r.split(","))), "cn"),
     "bare CR": ("sample_000010_exafs.csv", _bare_cr(7), "cn"),
+    "bare CR every line": ("sample_000011_xanes.csv", lambda text: (text.replace("\n", "\r"), 1),
+                           "cn"),
     "truncated manifest line": ("manifest.jsonl", _cut_last_line, "cn"),
     "truncated structure line": ("structures.jsonl", _cut_last_line, "forward"),
     "non-path xanes in pair": ("pair.json", _set_field("xanes", 3), "predict mnnd"),
@@ -462,6 +483,7 @@ MALFORMED = {
 # cases whose message must also name the field at fault
 MALFORMED_FIELD = {
     "long row": "expected 2 fields, got 3",
+    "bare CR every line": "(the line holds bare CRs; a line ends with LF or CRLF)",
     "non-path xanes in pair": "'xanes'",
     "non-integer absorber": "'absorber'",
     "out-of-range absorber": "'absorber'",
@@ -501,6 +523,8 @@ def test_malformed_input_exits_1_naming_file_and_line(case, mixed_data, tmp_path
     where = f"{data / name}:" if lineno is None else f"{data / name}:{lineno}:"
     assert where in err and "Traceback" not in err, err
     assert MALFORMED_FIELD.get(case, "") in err, err
+    if case.startswith("bare CR"):  # a bare-CR file is one line, which is quoted only in part
+        assert len(err.split(where, 1)[1]) <= 250, err
 
 
 # finite lattices past the float range: two face areas overflow (heights of 0.0), or the volume does
@@ -1137,6 +1161,39 @@ def test_header_field_train_never_writes_exits_1_naming_it(case, request, tmp_pa
         assert rc == 1, err
         assert f"error: checkpoint {ckpt}: field 'header.{field}" in err, err
         assert not (out / written).exists()
+
+
+# (arch key, a value train never writes, the error; None where the value reads as written)
+ARCH_VALUES = {
+    "real conv_blocks": ("conv_blocks", 2.7, "config key 'conv_blocks' must be an integer, got 2.7"),
+    "boolean embed_k": ("embed_k", True, "config key 'embed_k' must be an integer, got True"),
+    "quoted embed_k": ("embed_k", "2", None),  # a string parses, as in a config file
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARCH_VALUES))
+def test_checkpoint_arch_value_is_checked_not_coerced(case, mixed_data, mnnd_run, tmp_path, capsys):
+    key, value, error = ARCH_VALUES[case]
+    doc = json.loads((mnnd_run / "mnnd_unified.json").read_text())
+    assert doc["header"]["arch"][key] == 2
+    doc["header"]["arch"][key] = value
+    ckpt = tmp_path / "edited.json"
+    ckpt.write_text(json.dumps(doc))
+    row = json.loads((mixed_data / "manifest.jsonl").read_text().splitlines()[0])
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({k: str(mixed_data / row[k]) for k in ("xanes", "exafs")}))
+    codes = [cli.main(["predict", "--checkpoint", str(source), "--input", str(pair),
+                       "--out", str(tmp_path / source.stem)])
+             for source in (mnnd_run / "mnnd_unified.json", ckpt)]
+    err = capsys.readouterr().err
+    written = tmp_path / "edited" / "prediction.json"
+    if error is None:
+        assert codes == [0, 0], err
+        assert written.read_bytes() == (tmp_path / "mnnd_unified" / "prediction.json").read_bytes()
+    else:
+        assert codes == [0, 1]
+        assert err == f"error: checkpoint {ckpt}: {error}\n"
+        assert not written.exists()
 
 
 @pytest.mark.parametrize("task", ["forward", "mnnd", "neighbor", "cn"])

@@ -113,3 +113,31 @@ def test_unknown_key_is_usage_error_naming_it(key, command, tmp_path, capsys):
 def test_train_config_from_python_meets_the_same_rows(key, value):
     with pytest.raises(ValueError, match=f"^config key '{key}' must "):
         config.check_config({key: value})
+
+
+@pytest.mark.parametrize("key,value,kind", [
+    ("conv_blocks", 2.7, "an integer"), ("embed_k", True, "an integer"), ("seed", 3.0, "an integer"),
+    ("lr", True, "a number"), ("task", 3, "a string"), ("forward_kind", None, "a string"),
+])
+def test_value_that_is_not_a_string_must_be_of_its_rows_kind(key, value, kind):
+    """A value from Python or a checkpoint header is checked, not coerced: int(2.7) is 2 and
+    int(True) is 1."""
+    with pytest.raises(ValueError, match=f"^config key '{key}' must be {kind}, got {value!r}$"):
+        config.check_config({key: value})
+
+
+def test_string_values_parse_and_numbers_of_the_kind_pass():
+    values = config.check_config({"embed_k": "2", "conv_blocks": 2, "lr": 1, "sigma2": "0.004"})
+    assert values["embed_k"] == 2 and type(values["embed_k"]) is int
+    assert values["lr"] == 1.0 and type(values["lr"]) is float
+    assert (values["conv_blocks"], values["sigma2"]) == (2, 0.004)
+
+
+@pytest.mark.parametrize("value", [0.5, "0.5", 0.25])
+def test_mnnd_min_at_or_below_the_site_separation_floor_is_refused(value):
+    """No template cell at mnnd 0.5 passes the oracle's shell-radius floor, so the table stops
+    what synth would refuse later."""
+    with pytest.raises(config.UsageError, match=f"^config key 'mnnd_min' must be above 0.5, "
+                                                f"got {float(value)}$"):
+        config.check_config({"mnnd_min": value, "mnnd_max": 0.5})
+    assert config.check_config({"mnnd_min": 0.51, "mnnd_max": 0.6})["mnnd_min"] == 0.51

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from xastruct.crystal import (
@@ -30,7 +30,7 @@ from xastruct.crystal import (
     structure_to_dict,
     write_structures,
 )
-from xastruct.crystal import _HALF_SHIFTS, _search_cells, _squared_lengths
+from xastruct.crystal import _HALF_SHIFTS, _image_pairs, _pair_shifts, _search_cells, _squared_lengths
 from xastruct.cli import TEMPLATES
 
 from conftest import (
@@ -456,6 +456,111 @@ class TestPrunedSearch:
             for got, want in zip(neighbor_search(back, center, 6.0), neighbor_search(s, center, 6.0)):
                 assert_same_array(got, want)
                 assert got.tobytes() == want.tobytes()
+
+
+def reference_image_pairs(s, centers, cutoff):
+    """`_image_pairs` with one [T, N, 3] @ basis product per center: T BLAS calls of [N, 3]."""
+    frac, basis = s.frac_coords(), s.lattice.basis
+    parts = []
+    for center, offsets in zip(centers, _search_cells(s, frac[centers], cutoff)):
+        dists = np.sqrt(_squared_lengths((frac[None, :, :] + offsets[:, None, :] - frac[center]) @ basis))
+        t_idx, site_idx = np.nonzero((dists <= cutoff) & (dists > 0))
+        parts.append((np.full(t_idx.size, center), offsets[t_idx], site_idx, dists[t_idx, site_idx]))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def reference_block_min_pair_distance(s):
+    """`_min_pair_distance` with the [14, n, n, 3] @ basis product: 14 * n BLAS calls of [n, 3]."""
+    n, frac = len(s), s.frac_coords()
+    diff = frac[:, None, :] - frac[None, :, :]
+    diff -= np.rint(diff)
+    shifted = (diff.reshape(1, -1) + _pair_shifts(n)).reshape(len(_HALF_SHIFTS), n, n, 3)
+    squared = _squared_lengths(shifted @ s.lattice.basis)
+    squared.reshape(len(_HALF_SHIFTS), n * n)[:, :: n + 1] = np.inf
+    return math.sqrt(squared.min())
+
+
+@st.composite
+def template_structures(draw):
+    """A cell of any synth template at a random mnnd, strained, sheared and jittered, and its
+    absorber index."""
+    template = draw(st.sampled_from(sorted(TEMPLATES)))
+    basis, sites, absorber, _ = TEMPLATES[template]
+    m = draw(st.floats(0.6, 3.2)) * (1 + draw(st.floats(-0.05, 0.05)))
+    shear = np.eye(3) + np.array(draw(st.lists(st.floats(-0.15, 0.15), min_size=9, max_size=9))).reshape(3, 3)
+    jitter = draw(st.floats(0.0, 0.1))
+    cart = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3 * len(sites),
+                                  max_size=3 * len(sites)))).reshape(-1, 3) * jitter
+    try:
+        lattice = Lattice(basis(m) @ shear)
+        frac = cart @ np.linalg.inv(lattice.basis)
+        s = CrystalStructure(lattice, tuple(Site(Element(26 + sp), np.add(f, d))
+                                            for (sp, f), d in zip(sites, frac)), id=template)
+    except InvalidStructureError:
+        assume(False)
+    return s, absorber
+
+
+def _labels_or_error(call):
+    """The labels of a call as (cn, mnnd, species, distances) with the floats' bits, or its error."""
+    try:
+        labels = call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (labels.cn, np.float64(labels.mnnd).tobytes(), labels.neighbor_type.symbol,
+            np.array(labels.shell_distances).tobytes())
+
+
+class TestFirstShellReach:
+    """`extract_descriptors`' own search reaches only as far as the first shell can."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(structure=template_structures(), tol_factor=st.floats(1.0, 3.0),
+           cutoff=st.floats(2.0, 8.0))
+    def test_labels_equal_those_of_the_full_cutoff_search(self, structure, tol_factor, cutoff):
+        s, absorber = structure
+        full = neighbor_search(s, absorber, cutoff)
+        assert (_labels_or_error(lambda: extract_descriptors(s, absorber, tol_factor=tol_factor,
+                                                             cutoff=cutoff))
+                == _labels_or_error(lambda: extract_descriptors(s, absorber, tol_factor=tol_factor,
+                                                                cutoff=cutoff, neighbors=full)))
+
+    def test_tol_factor_below_one_raises_the_shell_error(self):
+        for s in (cubic_structure(a=3.0), rocksalt_structure(a=5.64)):
+            with pytest.raises(ValueError, match=r"^tol_factor must be >= 1, got 0.9$") as exc:
+                extract_descriptors(s, 0, tol_factor=0.9)
+            assert not isinstance(exc.value, NoNeighborsError)
+
+    def test_no_neighbors_below_the_cutoff_names_the_cutoff(self):
+        with pytest.raises(NoNeighborsError, match=r"^site 0 has no neighbors within 6.0 A$"):
+            extract_descriptors(cubic_structure(a=9.0), 0)
+
+    def test_box_of_the_full_cutoff_is_checked_before_the_search_narrows(self):
+        """A 0.12 A cubic cell's 6 A box holds 103^3 cells, over the limit; its first shell
+        would need 7^3. It is refused as synth and train refuse it, naming the 6 A search."""
+        with pytest.raises(InvalidStructureError, match=r"a 6.0 A search needs image cells up to "
+                                                        r"\(51, 51, 51\) away"):
+            extract_descriptors(cubic_structure(a=0.12, sid="tiny"), 0)
+        assert extract_descriptors(cubic_structure(a=0.12), 0, cutoff=0.2).cn == 6
+
+    @pytest.mark.parametrize("template", sorted(TEMPLATES))
+    def test_folded_products_equal_the_per_block_products(self, template, rng):
+        """One [T * N, 3] @ basis product has the bits of T per-block [N, 3] products."""
+        basis, sites, _, _ = TEMPLATES[template]
+        for m in (0.6, 1.8, 2.5, 3.2):
+            for jitter in (0.0, 0.05):
+                lattice = Lattice(basis(m) @ (np.eye(3) + rng.uniform(-0.1, 0.1, (3, 3))))
+                frac = rng.uniform(-jitter, jitter, (len(sites), 3)) @ np.linalg.inv(lattice.basis)
+                s = CrystalStructure(lattice, tuple(Site(Element(26 + sp), np.add(f, d))
+                                                    for (sp, f), d in zip(sites, frac)))
+                for cutoff in (2.0, 4.0, 6.0):
+                    centers = range(len(s))
+                    for got, want in zip(_image_pairs(s, centers, cutoff),
+                                         reference_image_pairs(s, centers, cutoff)):
+                        assert_same_array(got, want)
+                        assert got.tobytes() == want.tobytes()
+                if len(s) > 1:
+                    assert s._min_pair_distance() == reference_block_min_pair_distance(s)
 
 
 class TestFirstShell:

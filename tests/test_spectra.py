@@ -277,8 +277,11 @@ def reference_load_spectrum(csv_path) -> Spectrum:
     if len(lines) > 1 and lines[-1] == "":
         lines.pop()  # the text after the last line's newline
     lines = [line.removesuffix("\r") for line in lines]
-    if lines[0] != "energy_ev,mu":
-        raise ValueError(f"{csv_path}:1: unexpected spectrum CSV header {lines[0].split(',')}")
+    if lines[0] != "energy_ev,mu":  # its first 80 characters, and a note of bare CRs in it
+        head = lines[0]
+        shown = str(head[:80].split(",")) + ("..." if len(head) > 80 else "")
+        note = " (the line holds bare CRs; a line ends with LF or CRLF)" if "\r" in head else ""
+        raise ValueError(f"{csv_path}:1: unexpected spectrum CSV header {shown}{note}")
     values = []
     for lineno, line in enumerate(lines[1:], 2):
         fields = line.split(",") if line.strip() else []  # a blank line has no fields
@@ -392,6 +395,8 @@ class TestReaderMatchesCsvReference:
     @example(text="energy_ev,mu")
     @example(text="energy_ev,mu\n\u0661,2\n3,4\u00a0\n")  # float() takes both
     @example(text="energy_ev,mu\n1,2,3\n4\n")  # four fields, but not two a row
+    @example(text="energy_ev,mu\r" + "8000.25,0.125\r" * 12)  # bare CRs: one long header line
+    @example(text="energy_ev," + "mu" * 60 + "\n1,2\n")  # a long header, quoted in part
     def test_same_bits_or_same_error(self, tmp_path, text):
         path = tmp_path / "sp.csv"
         path.write_bytes(text.encode())
