@@ -11,10 +11,11 @@ AdamWState, whose flat buffers the parameters' values and gradients are
 views of.
 
 A step pays only for the tape it uses:
-  * Gradient buffers are lazy. An op output gets its buffer when the first
-    gradient reaches it (see _accumulate), and reading `grad` before that
-    gives zeros; backward() skips nodes no gradient reached. Parameters
-    keep an eager buffer, which zero_grad updates in place.
+  * Gradient buffers are lazy, and every backward writes through one path,
+    _accumulate: an op output gets its buffer when the first gradient
+    reaches it. Reading `grad` allocates nothing; before a gradient arrives
+    it gives read-only zeros. backward() skips nodes no gradient reached.
+    Parameters keep an eager buffer, which zero_grad updates in place.
   * The optimizer step costs a fixed dozen-odd ufunc calls, however many
     parameters a model has: adamw_step works on AdamWState's flat buffers.
   * Inside `with no_grad():` ops compute the same values with the same
@@ -94,9 +95,9 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray:
-        """The accumulated gradient; zeros until a gradient reaches this tensor."""
+        """The accumulated gradient; read-only zeros until a gradient reaches this tensor."""
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
+            return np.broadcast_to(0.0, self.data.shape)
         return self._grad
 
     @property
@@ -353,24 +354,15 @@ class BatchNormState:
 
 
 def batch_norm_1d(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
-    """Batch normalization for [B, d] or [B, C, L] inputs.
+    """Batch normalization of [B, C, L] inputs, with statistics per channel.
 
-    Stats are per-feature ([B, d]) or per-channel ([B, C, L]); training
-    mode normalizes by batch statistics and updates the running averages,
-    eval mode uses the stored running statistics.
+    Training mode normalizes by batch statistics and updates the running
+    averages; eval mode uses the stored running statistics.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.ndim == 2:
-        axes, stat_shape = (0,), (1, -1)
-    elif x.ndim == 3:
-        axes, stat_shape = (0, 2), (1, -1, 1)
-    else:
-        raise _shape_error("batch_norm_1d", x.shape)
-    n_features = x.shape[1]
-    if gamma.shape != (n_features,) or beta.shape != (n_features,):
-        raise _shape_error("batch_norm_1d scale", x.shape, gamma.shape, beta.shape)
-
-    n_reduced = int(np.prod([x.shape[a] for a in axes]))
+    if x.ndim != 3 or gamma.shape != x.shape[1:2] or beta.shape != x.shape[1:2]:
+        raise _shape_error("batch_norm_1d", x.shape, gamma.shape, beta.shape)
+    axes, stat_shape, n_reduced = (0, 2), (1, -1, 1), x.shape[0] * x.shape[2]
     if training:
         # the reductions np.mean and np.var run, with the deviations formed once
         mean = x.data.sum(axis=axes, keepdims=True) / n_reduced
@@ -424,10 +416,11 @@ def conv1d(x, W, b) -> Tensor:
     data += b.data.reshape(1, -1, 1)
 
     def backward(g):
-        dxp = np.zeros_like(xp)
+        dW, dxp = np.empty_like(W.data), np.zeros_like(xp)
         for t in range(kernel):
-            W.grad[:, :, t] += np.einsum("bol,bcl->oc", g, xp[:, :, t : t + length])
+            dW[:, :, t] = np.einsum("bol,bcl->oc", g, xp[:, :, t : t + length])
             dxp[:, :, t : t + length] += np.einsum("bol,oc->bcl", g, W.data[:, :, t])
+        _accumulate(W, dW)
         _accumulate(x, dxp[:, :, pad : pad + length])
         _accumulate(b, g.sum(axis=(0, 2)))
 
@@ -444,8 +437,9 @@ def avg_pool1d(x) -> Tensor:
     odd = x.data[:, :, 1 : 2 * l_out : 2]
 
     def backward(g):
-        x.grad[:, :, 0 : 2 * l_out : 2] += 0.5 * g
-        x.grad[:, :, 1 : 2 * l_out : 2] += 0.5 * g
+        dx = np.zeros_like(x.data)
+        dx[:, :, 0 : 2 * l_out : 2] = dx[:, :, 1 : 2 * l_out : 2] = 0.5 * g
+        _accumulate(x, dx)
 
     return Tensor(0.5 * (even + odd), (x,), backward)
 
@@ -484,7 +478,7 @@ def gather_rows(table, indices) -> Tensor:
         raise ValueError(f"gather_rows index out of range for table of {table.shape[0]} rows")
 
     def backward(g):
-        np.add.at(table.grad, idx, g)
+        _accumulate(table, _scatter_rows(g, idx, table.shape[0]))
 
     return Tensor(table.data[idx], (table,), backward)
 
@@ -566,9 +560,7 @@ def _edge_affine(H, R, i, j, W, b, op: str):
     def backward(g):
         g_i = _scatter_rows(g, i, n_nodes)
         g_j = _scatter_rows(g, j, n_nodes)
-        W.grad[:, :d] += g_i.T @ H.data
-        W.grad[:, d : 2 * d] += g_j.T @ H.data
-        W.grad[:, 2 * d :] += g.T @ R.data
+        _accumulate(W, np.concatenate([g_i.T @ H.data, g_j.T @ H.data, g.T @ R.data], axis=1))
         _accumulate(H, g_i @ W_i + g_j @ W_j)
         if not constant:
             _accumulate(R, g @ W_r)
@@ -690,29 +682,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy_loss(logits, labels) -> Tensor:
-    """-log softmax(logits)[label]; mean over the batch for [B, C] inputs."""
+    """Mean over the batch of -log softmax(logits)[label]: logits [B, C], labels [B]."""
     logits = as_tensor(logits)
-    if logits.ndim == 1:
-        idx = np.array([int(labels)])
-        rows = logits.data[None, :]
-    elif logits.ndim == 2:
-        idx = np.asarray(labels, dtype=int)
-        rows = logits.data
-        if idx.shape != (rows.shape[0],):
-            raise _shape_error("cross_entropy_loss labels", logits.shape, idx.shape)
-    else:
-        raise _shape_error("cross_entropy_loss", logits.shape)
-    n, c = rows.shape
+    idx = np.asarray(labels, dtype=int)
+    if logits.ndim != 2 or idx.shape != logits.shape[:1]:
+        raise _shape_error("cross_entropy_loss", logits.shape, idx.shape)
+    n, c = logits.shape
     if idx.min() < 0 or idx.max() >= c:
         raise ValueError(f"class index out of range for {c} classes")
-    p = softmax(rows)
+    p = softmax(logits.data)
     ce = -np.log(p[np.arange(n), idx])
 
     def backward(g):
         grad = p.copy()
         grad[np.arange(n), idx] -= 1.0
         grad *= g / n
-        _accumulate(logits, grad[0] if logits.ndim == 1 else grad)
+        _accumulate(logits, grad)
 
     return Tensor(np.mean(ce), (logits,), backward)
 
@@ -747,8 +732,10 @@ def backward(loss: Tensor) -> None:
 
 
 def zero_grad(params) -> None:
+    """Zero each gradient buffer in place; a tensor without one has nothing to clear."""
     for p in params:
-        p.grad[...] = 0.0
+        if p._grad is not None:
+            p._grad[...] = 0.0
 
 
 class AdamWState:

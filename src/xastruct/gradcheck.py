@@ -82,11 +82,12 @@ def cases(seed: int):
     case("swish_beta", (s1, beta), lambda: swish_beta(s1, beta))
     g_, b_, ln_x = p(4), p(4), p(3, 4)
     case("layer_norm", (ln_x, g_, b_), lambda: layer_norm(ln_x, g_, b_))
+    # [B, C, 1] from a [4, 3] draw, which keeps this case's draws and every later one's
     bn_x, bn_g, bn_b = p(4, 3), p(3), p(3)
     case(
         "batch_norm(train)",
         (bn_x, bn_g, bn_b),
-        lambda: batch_norm_1d(bn_x, bn_g, bn_b, BatchNormState(3), training=True),
+        lambda: batch_norm_1d(reshape(bn_x, (4, 3, 1)), bn_g, bn_b, BatchNormState(3), training=True),
     )
     bn_state = BatchNormState(3)
     bn_state.running_mean = rng.standard_normal(3) * 0.1
@@ -94,7 +95,7 @@ def cases(seed: int):
     case(
         "batch_norm(eval)",
         (bn_x, bn_g, bn_b),
-        lambda: batch_norm_1d(bn_x, bn_g, bn_b, bn_state, training=False),
+        lambda: batch_norm_1d(reshape(bn_x, (4, 3, 1)), bn_g, bn_b, bn_state, training=False),
     )
     cw, cb, cx = p(2, 1, 3), p(2), p(2, 1, 6)
     case("conv1d", (cw, cb, cx), lambda: conv1d(cx, cw, cb))

@@ -280,15 +280,24 @@ def save_dataset(samples, manifest_path) -> None:
 def load_dataset(manifest_path) -> list:
     """The samples of a manifest; a bad line raises a ValueError naming the file and line.
 
-    Spectra on equal energy axes share one EnergyGrid, checked once.
+    Spectra on equal energy axes share one EnergyGrid, checked once. Every
+    spectrum must have as many grid points as the manifest's first spectrum
+    of its kind; one that does not is refused, naming both CSVs.
     """
     root = Path(manifest_path).parent
-    grids = {}
+    grids, first = {}, {}
+
+    def spectrum(csv_path) -> Spectrum:
+        s = load_spectrum(csv_path, grids)
+        first_path, n = first.setdefault(s.kind, (csv_path, s.grid.n))
+        if s.grid.n != n:
+            raise ValueError(f"{csv_path}: {s.grid.n} grid points, but {first_path} has {n}")
+        return s
 
     def sample(record) -> LabeledSample:
         return LabeledSample(
-            xanes=load_spectrum(root / record["xanes"], grids),
-            exafs=load_spectrum(root / record["exafs"], grids),
+            xanes=spectrum(root / record["xanes"]),
+            exafs=spectrum(root / record["exafs"]),
             labels=labels_from_dict(record["labels"]),
         )
 

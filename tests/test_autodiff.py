@@ -243,13 +243,13 @@ class TestForwardValues:
 
     def test_batch_norm_train_vs_eval(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(16, 4)) * 2.0 + 1.0)
+        x = Tensor(rng.normal(size=(16, 4, 1)) * 2.0 + 1.0)
         gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
         state = BatchNormState(4)
         y = batch_norm_1d(x, gamma, beta, state, training=True)
-        assert np.max(np.abs(y.data.mean(axis=0))) < 1e-9
+        assert np.max(np.abs(y.data.mean(axis=(0, 2)))) < 1e-9
         # running stats moved toward the batch stats
-        assert np.allclose(state.running_mean, 0.1 * x.data.mean(axis=0))
+        assert np.allclose(state.running_mean, 0.1 * x.data.mean(axis=(0, 2)))
         y_eval = batch_norm_1d(x, gamma, beta, state, training=False)
         assert not np.allclose(y_eval.data, y.data)
 
@@ -259,6 +259,10 @@ class TestForwardValues:
         state = BatchNormState(3)
         y = batch_norm_1d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), state, training=True)
         assert np.max(np.abs(y.data.mean(axis=(0, 2)))) < 1e-9
+        # [B, d] rows are normalized as [B, d, 1]; the op takes no other layout
+        with pytest.raises(ShapeError):
+            batch_norm_1d(Tensor(x.data[:, :, 0]), Tensor(np.ones(3)), Tensor(np.zeros(3)), state,
+                          training=True)
 
     def test_gather_rows(self):
         table = Tensor(np.arange(10.0).reshape(5, 2))
@@ -350,8 +354,87 @@ class TestLazyGradients:
         assert x.grad.tobytes() == np.array([0.0, 3.0]).tobytes()
 
     def test_fresh_output_grad_reads_as_zeros(self):
-        y = mul(Tensor(np.ones((2, 3))), Tensor(2.0))
-        assert y.grad.shape == (2, 3) and not y.grad.any()
+        # read-only zeros, which the tensor does not keep: a read allocates no buffer
+        for t in (Tensor(np.ones((2, 3))), mul(Tensor(np.ones((2, 3))), Tensor(2.0))):
+            assert t.grad.shape == (2, 3) and not t.grad.any()
+            assert not t.grad.flags.writeable and t._grad is None
+
+    def test_zero_grad_gives_no_tensor_a_buffer(self):
+        t, p = Tensor(np.ones(3)), Parameter(np.ones(3))
+        p.grad[...] = 2.0
+        zero_grad([t, p])
+        assert t._grad is None and p.grad.tolist() == [0.0] * 3
+
+
+def _leaf(rng, shape, start):
+    """A leaf, and its gradient before backward: none yet, zeros, or an earlier pass's."""
+    if start == "fresh":
+        return Tensor(rng.normal(size=shape)), np.zeros(shape)
+    p = Parameter(rng.normal(size=shape))
+    if start == "earlier":
+        p.grad[...] = rng.normal(size=shape)
+    return p, p.grad.copy()
+
+
+def _backward_with_upstream(out, c):
+    """backward() of total(out * c), which hands `out` the gradient c bit for bit."""
+    backward(total(mul(out, Tensor(c))))
+
+
+class TestBackwardsMatchTheirInPlaceFormulas:
+    """Backwards that once added into `.grad` in place give the bytes they gave then.
+
+    Each reference is the old in-place formula, applied to a copy of the
+    gradient as it stood before backward.
+    """
+
+    @pytest.mark.parametrize("start", ["fresh", "earlier"])
+    def test_conv1d_weight(self, start):
+        rng = np.random.default_rng(51)
+        x, b = Tensor(rng.normal(size=(3, 2, 7))), Tensor(rng.normal(size=4))
+        W, ref = _leaf(rng, (4, 2, 3), start)
+        c = rng.normal(size=(3, 4, 7))
+        _backward_with_upstream(conv1d(x, W, b), c)
+        xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1)))
+        for t in range(3):
+            ref[:, :, t] += np.einsum("bol,bcl->oc", c, xp[:, :, t : t + 7])
+        assert W.grad.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("start", ["fresh", "earlier"])
+    def test_avg_pool1d_of_odd_length(self, start):
+        rng = np.random.default_rng(52)
+        x, ref = _leaf(rng, (2, 3, 7), start)
+        c = rng.normal(size=(2, 3, 3))
+        _backward_with_upstream(avg_pool1d(x), c)
+        ref[:, :, 0:6:2] += 0.5 * c
+        ref[:, :, 1:6:2] += 0.5 * c
+        assert x.grad.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("start", ["fresh", "zeroed"])
+    def test_gather_rows_with_repeated_indices(self, start):
+        rng = np.random.default_rng(53)
+        table, ref = _leaf(rng, (5, 3), start)
+        idx = [3, 0, 3, 3, 1, 0]
+        c = rng.normal(size=(6, 3))
+        _backward_with_upstream(gather_rows(table, idx), c)
+        np.add.at(ref, idx, c)
+        assert table.grad.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("start", ["fresh", "earlier"])
+    def test_edge_affine_weight(self, start):
+        rng = np.random.default_rng(54)
+        H, R, b = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=4))
+        i, j = np.array([0, 0, 1, 2, 2]), np.array([1, 2, 0, 0, 1])
+        W, ref = _leaf(rng, (4, 6), start)
+        c = rng.normal(size=(5, 4))
+        _backward_with_upstream(edge_linear(H, R, i, j, W, b), c)
+        g_i, g_j = np.zeros((3, 4)), np.zeros((3, 4))
+        np.add.at(g_i, i, c)
+        np.add.at(g_j, j, c)
+        ref[:, :2] += g_i.T @ H.data
+        ref[:, 2:4] += g_j.T @ H.data
+        ref[:, 4:] += c.T @ R.data
+        assert W.grad.tobytes() == ref.tobytes()
 
 
 class TestNoGrad:
@@ -538,10 +621,10 @@ class TestFiniteDifferences:
 
     def test_batch_norm_training_mode(self):
         rng = np.random.default_rng(16)
-        x = Parameter(rng.normal(size=(6, 3)))
+        x = Parameter(rng.normal(size=(6, 3, 1)))
         gamma = Parameter(rng.normal(size=3))
         beta = Parameter(rng.normal(size=3))
-        c = rng.normal(size=(6, 3))
+        c = rng.normal(size=(6, 3, 1))
 
         def build():
             state = BatchNormState(3)  # fresh state keeps the loss pure
@@ -551,13 +634,13 @@ class TestFiniteDifferences:
 
     def test_batch_norm_eval_mode(self):
         rng = np.random.default_rng(17)
-        x = Parameter(rng.normal(size=(5, 3)))
+        x = Parameter(rng.normal(size=(5, 3, 1)))
         gamma = Parameter(rng.normal(size=3))
         beta = Parameter(rng.normal(size=3))
         state = BatchNormState(3)
         state.running_mean = rng.normal(size=3)
         state.running_var = np.abs(rng.normal(size=3)) + 0.5
-        c = rng.normal(size=(5, 3))
+        c = rng.normal(size=(5, 3, 1))
         assert_grads_match(
             lambda: total(mul(batch_norm_1d(x, gamma, beta, state, training=False), Tensor(c))),
             [x, gamma, beta],
@@ -641,21 +724,26 @@ class TestLosses:
         with pytest.raises(ShapeError):
             mse_loss(Tensor(np.zeros(3)), np.zeros(4))
 
+    def test_cross_entropy_takes_logits_of_a_batch_only(self):
+        for logits, labels in ((np.zeros(3), 0), (np.zeros((2, 3)), [0]), (np.zeros((1, 1, 3)), [0])):
+            with pytest.raises(ShapeError):
+                cross_entropy_loss(Tensor(logits), labels)
+
     def test_uniform_logits_give_log_c(self):
         for c in (2, 5, 13):
-            ce = cross_entropy_loss(Tensor(np.zeros(c)), 0)
+            ce = cross_entropy_loss(Tensor(np.zeros((1, c))), [0])
             assert ce.item() == pytest.approx(math.log(c), abs=1e-12)
 
     def test_two_class_hand_value(self):
         # ce([2, 0], class 0) = -log(e^2/(e^2+1)) = log(1 + e^-2)
-        ce = cross_entropy_loss(Tensor(np.array([2.0, 0.0])), 0)
+        ce = cross_entropy_loss(Tensor(np.array([[2.0, 0.0]])), [0])
         assert ce.item() == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
         assert ce.item() == pytest.approx(0.126928, abs=1e-6)
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            cross_entropy_loss(Tensor(np.zeros(3)), 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of range"):
+            cross_entropy_loss(Tensor(np.zeros((1, 3))), [3])
+        with pytest.raises(ValueError, match="out of range"):
             cross_entropy_loss(Tensor(np.zeros((2, 3))), np.array([0, -1]))
 
     def test_softmax_normalized(self):
@@ -667,7 +755,8 @@ class TestLosses:
         rng = np.random.default_rng(25)
         logits = rng.normal(size=(6, 4))
         labels = np.array([1, 0, 3, 2, 2, 0])
-        per_row = [cross_entropy_loss(Tensor(l), int(y)).item() for l, y in zip(logits, labels)]
+        per_row = [cross_entropy_loss(Tensor(logits[k : k + 1]), labels[k : k + 1]).item()
+                   for k in range(len(labels))]
         batch = cross_entropy_loss(Tensor(logits), labels).item()
         assert batch == pytest.approx(np.mean(per_row), abs=1e-12)
 

@@ -780,6 +780,32 @@ def test_pair_csv_of_another_grid_length_names_the_csv(key, mixed_data, mnnd_run
     assert err == f"error: {csv_path}: 39 grid points, model reads 40\n"
 
 
+@pytest.mark.parametrize("line", [1, 5])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dataset_csv_of_another_grid_length_names_the_line_and_both_csvs(command, line,
+                                                                         mixed_data, mnnd_run,
+                                                                         tmp_path, capsys):
+    """One XANES CSV cut by a row, first in the manifest or later: train and eval exit 1
+    naming the manifest line, the CSV of another length and the first XANES CSV."""
+    data = tmp_path / "data"
+    shutil.copytree(mixed_data, data)
+    manifest = data / "manifest.jsonl"
+    xanes = [data / json.loads(rec)["xanes"] for rec in manifest.read_text().splitlines()]
+    cut = xanes[line - 1]
+    cut.write_text("".join(cut.read_text().splitlines(keepends=True)[:-1]))
+    argv = {"train": ["train", "--task", "mnnd", "--data", str(data), "--seed", "3", *TINY_MNND],
+            "eval": ["eval", "--checkpoint", str(mnnd_run / "mnnd_unified.json"),
+                     "--data", str(data)]}[command]
+    rc = cli.main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    if line == 1:
+        expected = f"{manifest}:2: {xanes[1]}: 40 grid points, but {cut} has 39"
+    else:
+        expected = f"{manifest}:{line}: {cut}: 39 grid points, but {xanes[0]} has 40"
+    assert err == f"error: {expected}\n"
+
+
 # a pair's XANES sidecar edit, each spectrum valid alone, and the SpectrumPair check it breaks
 MISMATCHED_PAIRS = {
     "kind": ({"kind": "EXAFS"}, "sample spectra must be (XANES, EXAFS) in that order"),

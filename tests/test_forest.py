@@ -256,8 +256,10 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         X = np.round(rng.normal(size=(n_rows, n_features)), decimals)
         y = rng.integers(0, n_classes, size=n_rows)
-        forest = fit(X, y, ForestConfig(n_trees=n_trees, max_depth=max_depth,
-                                        min_samples_leaf=1, seed=seed))
+        cfg = ForestConfig(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=1, seed=seed)
+        forest = fit(X, y, cfg)
+        # one seed, one forest: a second fit writes the same checkpoint bytes
+        assert json.dumps(forest_to_doc(fit(X, y, cfg))) == json.dumps(forest_to_doc(forest))
         # training rows sit on the thresholds' sides exactly; fresh rows anywhere
         queries = np.concatenate([X, np.round(rng.normal(size=(7, n_features)), decimals)])
         batched = predict_proba(forest, queries)

@@ -202,6 +202,29 @@ class TestIo:
         assert abs(loaded[1].labels.mnnd - 2.5) < 1e-12
         assert np.allclose(loaded[2].exafs.mu, samples[2].exafs.mu, atol=1e-9)
 
+    @pytest.mark.parametrize("short", [0, 2])
+    @pytest.mark.parametrize("kind", [XANES, EXAFS])
+    def test_spectrum_of_another_grid_length_names_both_csvs(self, tmp_path, kind, short):
+        """The first spectrum of a kind sets the grid length; a spectrum of another
+        length is refused, naming its manifest line, its CSV and the first's."""
+        labels = DescriptorLabels(2, 2.5, CU, (2.0, 3.0))
+        lengths = [31, 31, 31]
+        lengths[short] = 30
+        samples = []
+        for n in lengths:
+            n_xanes, n_exafs = (n, 31) if kind == XANES else (31, n)
+            e = np.linspace(8900.0, 9100.0, n_exafs)
+            samples.append(LabeledSample(step_spectrum(n=n_xanes),
+                                         make_spectrum(e, np.sin(e / 40.0), kind=EXAFS), labels))
+        manifest = tmp_path / "manifest.jsonl"
+        save_dataset(samples, manifest)
+        bad = 1 if short == 0 else short
+        csv = [tmp_path / f"sample_{k:06d}_{kind.lower()}.csv" for k in (0, bad)]
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        assert str(err.value) == (f"{manifest}:{bad + 1}: {csv[1]}: {lengths[bad]} grid points, "
+                                  f"but {csv[0]} has {lengths[0]}")
+
 
 def _ten_digits(values) -> np.ndarray:
     """`values` rounded as a spectrum CSV stores them, to ten significant digits."""
@@ -211,7 +234,8 @@ def _ten_digits(values) -> np.ndarray:
 @st.composite
 def ten_digit_datasets(draw):
     """Samples on up to three energy axes, drawn with repeats, each spectrum with a grid
-    object of its own; every value has at most the ten digits that the CSV keeps."""
+    object of its own; every value has at most the ten digits that the CSV keeps. All
+    spectra of a kind have one grid length, as a dataset must."""
     axes = []
     for _ in range(draw(st.integers(1, 3))):
         steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=7))
@@ -219,11 +243,15 @@ def ten_digit_datasets(draw):
         assume(np.all(np.diff(energies) > 0))
         axes.append(energies)
     labels = DescriptorLabels(2, 2.5, CU, (2.0, 3.0))
+    kind_axes = {}
+    for kind in (XANES, EXAFS):
+        n = draw(st.sampled_from(axes)).size
+        kind_axes[kind] = [a for a in axes if a.size == n]
     samples = []
     for i in range(draw(st.integers(1, 5))):
         pair = []
         for kind in (XANES, EXAFS):
-            energies = draw(st.sampled_from(axes))
+            energies = draw(st.sampled_from(kind_axes[kind]))
             mu = draw(st.lists(st.floats(-1e300, 1e300), min_size=energies.size,
                                max_size=energies.size))
             pair.append(make_spectrum(energies.copy(), _ten_digits(mu), kind=kind, sid=f"s{i}"))
