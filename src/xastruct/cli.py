@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import exafs_oracle as oracle
-from .config import KEYS, UsageError, check_config, read
+from .config import KEYS, UsageError, check_config
 from .crystal import (
     DESCRIPTOR_CUTOFF,
     CrystalStructure,
@@ -224,7 +224,7 @@ def synth_samples(cfg: dict):
     cfg = check_config(cfg)
     elements = [Element.from_symbol(symbol) for symbol in cfg["elements"]]
     template_names, cutoff = cfg["templates"], cfg["cutoff"]
-    # absorber element -> (OracleParams, XANES grid, EXAFS grid, the EXAFS grid's wavenumbers)
+    # absorber element -> (XANES grid, EXAFS grid, the EXAFS grid's wavenumbers)
     oracle_inputs = {}
     samples, structures = [], []
     for i in range(cfg["n_samples"]):
@@ -237,25 +237,24 @@ def synth_samples(cfg: dict):
             scatterer = others[rng.integers(len(others))]
         sid = f"{template}-{absorber.symbol}-{i:06d}"
         if absorber not in oracle_inputs:
-            params = oracle.OracleParams.from_config(cfg, e0_ev=oracle.default_edge_energy(absorber))
-            e0, n_grid = params.e0_ev, cfg["n_grid"]
+            e0, n_grid = oracle.edge_energy(cfg, absorber), cfg["n_grid"]
             exafs_grid = oracle.default_exafs_grid(e0, n=n_grid)
-            oracle_inputs[absorber] = (params, oracle.default_xanes_grid(e0, n=n_grid), exafs_grid,
+            oracle_inputs[absorber] = (oracle.default_xanes_grid(e0, n=n_grid), exafs_grid,
                                        oracle.wavenumber(exafs_grid.values, e0))
-        params, xanes_grid, exafs_grid, k = oracle_inputs[absorber]
+        xanes_grid, exafs_grid, k = oracle_inputs[absorber]
         try:  # a drawn cell can still break the 0.5 A floor of a site separation or shell radius
             s, absorber_index, labels, neighbors = synth_structure(
                 rng, template, absorber, scatterer, (cfg["mnnd_min"], cfg["mnnd_max"]),
                 cfg["strain"], cfg["jitter"], sid,
             )
             exafs = oracle.synth_exafs(
-                s, absorber_index, params, exafs_grid, cutoff=cutoff,
+                s, absorber_index, cfg, exafs_grid, cutoff=cutoff,
                 neighbors=neighbors if cutoff == DESCRIPTOR_CUTOFF else None, k=k,
             )
         except ValueError as exc:
             raise ValueError(f"structure {sid!r}: {exc} (drawn with 'mnnd_min' {cfg['mnnd_min']} "
                              f"and 'jitter' {cfg['jitter']})") from None
-        xanes = oracle.synth_xanes(labels, absorber, params, xanes_grid, structure_id=sid)
+        xanes = oracle.synth_xanes(labels, absorber, cfg, xanes_grid, structure_id=sid)
         samples.append(LabeledSample(xanes=xanes, exafs=exafs, labels=labels))
         structures.append((s, absorber_index))
     return samples, structures
@@ -263,7 +262,7 @@ def synth_samples(cfg: dict):
 
 def _absorber(cfg: dict, s: CrystalStructure, absorber: int) -> int:
     """The site index that the `absorber` config key sets, else the record's `absorber`."""
-    index = read(cfg, "absorber")
+    index = cfg["absorber"]
     return absorber if index is None else site_index(index, len(s), "config key 'absorber'")
 
 
@@ -290,9 +289,9 @@ def _samples(data_dir: Path, cfg: dict, model=None) -> list:
 
 
 def _forward_pairs(data_dir: Path, cfg: dict, model=None) -> list:
-    """(graph, spectrum) pairs of the forward_kind spectra; for a model, its kind and element's."""
-    cutoff = read(cfg, "cutoff")
-    kind, element = (read(cfg, "forward_kind"), None) if model is None else (model.kind, model.element)
+    """(graph, spectrum) pairs at the cutoff and forward_kind keys; for a model, at its own."""
+    cutoff, kind, element = ((cfg["cutoff"], cfg["forward_kind"], None) if model is None
+                             else (model.cutoff, model.kind, model.element))
     manifest, structures_path = data_dir / "manifest.jsonl", data_dir / "structures.jsonl"
     samples = load_dataset(manifest)
     structures = {s.id: (s, a) for s, a in read_structures(structures_path)}
@@ -309,9 +308,9 @@ def _forward_pairs(data_dir: Path, cfg: dict, model=None) -> list:
 
 
 def _predict_spectrum(model, path, cfg: dict, out_dir: Path) -> dict:
-    """Write the spectrum of the input structure file's absorber as spectrum.csv."""
+    """Write the spectrum of the input structure file's absorber at the model's cutoff."""
     s, absorber = read_structure(path)
-    g = build_graph(s, _absorber(cfg, s, absorber), read(cfg, "cutoff"))
+    g = build_graph(s, _absorber(cfg, s, absorber), model.cutoff)
     sp = Spectrum(
         grid=EnergyGrid(model.grid), mu=_pl().forward_predict(model, g), kind=model.kind,
         edge=model.edge, absorber=Element.from_symbol(model.element), structure_id=s.id,

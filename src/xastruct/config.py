@@ -3,10 +3,10 @@
 A row of KEYS gives a key's type, default (as a config file writes it),
 bounds, reading commands and exit code (2 for a `usage` key, else 1); RULES
 relate two keys. The CLI runs `check_config` before a command reads or
-writes a file. Synth and training take the dict it returns, as does a
-checkpoint header's arch; OracleParams and ForestConfig `read` defaults from
-the same rows. The module imports nothing of the package, so reading a
-config loads no model code.
+writes a file. Synth, the oracle, training and the forest take the dict it
+returns and read its keys directly, as does a checkpoint header's arch. The
+module imports nothing of the package, so reading a config loads no model
+code.
 """
 
 import math
@@ -56,7 +56,7 @@ DATA = {
     "strain": Key(float, "0.05", "synth", least=0, usage=True),
     "jitter": Key(float, "0.05", "synth", least=0, usage=True),
     "n_grid": Key(int, "100", "synth", least=2, usage=True),
-    "cutoff": Key(float, "6.0", "synth train eval predict", positive=True, usage=True),
+    "cutoff": Key(float, "6.0", "synth train", positive=True, usage=True),
     "absorber": Key(int, "", "extract predict", least=0),
 }
 ORACLE = {

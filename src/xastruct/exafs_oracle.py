@@ -11,7 +11,9 @@ contributes a damped sine in photoelectron wavenumber,
 with smooth analytic surrogates for the scattering functions:
 F(k) = amp_scale * Z / (1 + k^2), phi(k) = -2 k r_phase, and mean free
 path lambda(k) = lambda_a * k + lambda_b. The total signal is the plain
-sum over shells, mu(E) = 1 + sum_p chi_p(k(E)).
+sum over shells, mu(E) = 1 + sum_p chi_p(k(E)). The spectrum functions take
+`cfg`, the dict that config.check_config returns, and read the ORACLE keys
+of the config-key table from it.
 
 XANES has no closed form, so the proxy here is descriptor-keyed by
 construction: an arctangent edge step plus a white line whose height
@@ -21,11 +23,10 @@ Deterministic given its inputs, which is what the inverse models need.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_config, read
 from .crystal import (
     CrystalStructure,
     DescriptorLabels,
@@ -76,33 +77,14 @@ class ScatteringShell:
             raise ValueError("sigma2 must be non-negative")
 
 
-@dataclass(frozen=True)
-class OracleParams:
-    """The oracle keys of the config-key table, with their defaults and bounds."""
-
-    s0_squared: float = read({}, "s0_squared")
-    e0_ev: float = 8979.0  # the Cu K edge; the `e0_ev` key defaults to the absorber's own edge
-    lambda_a: float = read({}, "lambda_a")
-    lambda_b: float = read({}, "lambda_b")
-    amp_scale: float = read({}, "amp_scale")
-    sigma2: float = read({}, "sigma2")
-    r_phase: float = read({}, "r_phase")
-
-    def __post_init__(self):
-        """Every field within its key's bounds, and lambda(k) > 0 on (0, 16]; errors name it."""
-        check_config(vars(self))
-
-    @classmethod
-    def from_config(cls, cfg: dict, e0_ev=None) -> "OracleParams":
-        """The parameters that cfg sets, else the defaults; e0_ev, if given, is the default edge."""
-        kwargs = {f.name: read(cfg, f.name) for f in fields(cls)}
-        kwargs["e0_ev"] = kwargs["e0_ev"] or float(e0_ev or cls.e0_ev)
-        return cls(**kwargs)
-
-
 def default_edge_energy(element: Element) -> float:
     """Synthetic K-edge energy in eV, a power law in atomic number."""
     return _E0_COEFF * element.atomic_number**_E0_EXP
+
+
+def edge_energy(cfg: dict, element: Element) -> float:
+    """The `e0_ev` key if it is set, else `element`'s own edge energy (eV)."""
+    return default_edge_energy(element) if cfg["e0_ev"] is None else cfg["e0_ev"]
 
 
 def wavenumber(E, e0: float):
@@ -114,30 +96,30 @@ def wavenumber(E, e0: float):
     return float(k) if k.ndim == 0 else k
 
 
-def _chi_rows(counts, radius, z, sigma2: float, params: OracleParams, k: np.ndarray) -> np.ndarray:
+def _chi_rows(counts, radius, z, sigma2: float, cfg: dict, k: np.ndarray) -> np.ndarray:
     """chi_shell at k > 0 of shell columns sharing one sigma2: a row per shell, one broadcast."""
     # Python's pow for radius**2, as seeded spectra were made: r * r can differ in the last bit
     r2 = [r**2 for r in radius.tolist()]
     # sigma2 as a column too, so that np.exp sees [shells, k] arrays as it always has
     columns = np.array([counts, radius, r2, z, np.full(len(r2), sigma2)], dtype=float)
     n, r, r2, z, s2 = columns.reshape((5, -1) + (1,) * k.ndim)
-    lam = params.lambda_a * k + params.lambda_b
+    lam = cfg["lambda_a"] * k + cfg["lambda_b"]
     amplitude = (
-        n * params.s0_squared * params.amp_scale * z / ((1.0 + k * k) * k * r2)
+        n * cfg["s0_squared"] * cfg["amp_scale"] * z / ((1.0 + k * k) * k * r2)
         * np.exp(-2.0 * r / lam)
         * np.exp(-2.0 * s2 * k * k)
     )
-    phase = 2.0 * k * r - 2.0 * k * params.r_phase
+    phase = 2.0 * k * r - 2.0 * k * cfg["r_phase"]
     return amplitude * np.sin(phase)
 
 
-def chi_shell(shell: ScatteringShell, params: OracleParams, k):
+def chi_shell(shell: ScatteringShell, cfg: dict, k):
     """Single-shell EXAFS contribution at wavenumber(s) k > 0."""
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
         raise ValueError("chi_shell requires k > 0")
     chi = _chi_rows([shell.n_atoms], np.array([shell.radius]), [shell.z_scatter], shell.sigma2,
-                    params, k)[0]
+                    cfg, k)[0]
     return float(chi) if chi.ndim == 0 else chi
 
 
@@ -169,7 +151,7 @@ def _shell_columns(s: CrystalStructure, absorber: int, cutoff: float, neighbors:
 
 
 def shells_from_structure(
-    s: CrystalStructure, absorber: int, params: OracleParams, cutoff: float = SHELL_CUTOFF,
+    s: CrystalStructure, absorber: int, cfg: dict, cutoff: float = SHELL_CUTOFF,
     neighbors: Neighbors = None,
 ) -> list:
     """Collapse the periodic neighbor environment into discrete shells.
@@ -181,7 +163,7 @@ def shells_from_structure(
     """
     counts, radius, z = _shell_columns(s, absorber, cutoff, neighbors)
     return [
-        ScatteringShell(n_atoms=n, radius=r, z_scatter=zs, sigma2=params.sigma2)
+        ScatteringShell(n_atoms=n, radius=r, z_scatter=zs, sigma2=cfg["sigma2"])
         for n, r, zs in zip(counts.tolist(), radius.tolist(), z.tolist())
     ]
 
@@ -189,7 +171,7 @@ def shells_from_structure(
 def synth_exafs(
     s: CrystalStructure,
     absorber: int,
-    params: OracleParams,
+    cfg: dict,
     grid: EnergyGrid,
     cutoff: float = SHELL_CUTOFF,
     edge: str = "K",
@@ -197,12 +179,13 @@ def synth_exafs(
     k: np.ndarray = None,
 ) -> Spectrum:
     """Oracle EXAFS spectrum: mu(E) = 1 + sum over shells of chi_shell(k(E)); `k` is k(E) if given."""
-    if grid.values[0] <= params.e0_ev:
+    e0 = edge_energy(cfg, s.sites[absorber].element)
+    if grid.values[0] <= e0:
         raise BelowEdgeError("EXAFS grid must lie strictly above the edge")
     counts, radius, z = _shell_columns(s, absorber, cutoff, neighbors)
-    k = wavenumber(grid.values, params.e0_ev) if k is None else k
+    k = wavenumber(grid.values, e0) if k is None else k
     chi = np.zeros_like(k)
-    for row in _chi_rows(counts, radius, z, params.sigma2, params, k):  # summed in shell order
+    for row in _chi_rows(counts, radius, z, cfg["sigma2"], cfg, k):  # summed in shell order
         chi += row
     return Spectrum(grid, 1.0 + chi, EXAFS, edge, s.sites[absorber].element, s.id)
 
@@ -210,13 +193,13 @@ def synth_exafs(
 def synth_xanes(
     labels: DescriptorLabels,
     absorber: Element,
-    params: OracleParams,
+    cfg: dict,
     grid: EnergyGrid,
     structure_id: str = "",
     edge: str = "K",
 ) -> Spectrum:
     """Descriptor-keyed XANES proxy: edge step + white line + pre-edge feature."""
-    e0 = params.e0_ev
+    e0 = edge_energy(cfg, absorber)
     E = grid.values
     if not (E[0] < e0 < E[-1]):
         raise ValueError("XANES grid must span the edge energy")

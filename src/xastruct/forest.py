@@ -1,33 +1,25 @@
 """From-scratch random forest classifier.
 
-Gini-impurity CART trees on bootstrap samples with a random feature
-subset per split. Growth is deliberately eager: a node splits even at
-zero impurity gain as long as a valid split exists, so a forest with
-unlimited depth memorizes any consistently-labeled training set (XOR
-included). Determinism is part of the contract: a fixed seed yields an
-identical forest, and split ties resolve to the lowest feature index,
-then the lowest threshold.
+Breiman's forest (Breiman, "Random Forests", Machine Learning 45, 2001):
+each Gini-impurity CART tree grows on a bootstrap sample of the n training
+rows, drawn with replacement, and draws max(1, floor(sqrt(d))) of the d
+features at each split. Growth is deliberately eager: a node splits even at
+zero impurity gain as long as a valid split exists, so a tree grown to
+enough depth with one-row leaves memorizes the rows it drew (XOR included).
+Determinism is part of the contract: a fixed seed yields an identical
+forest, and split ties resolve to the lowest feature index, then the lowest
+threshold. `fit` takes `cfg`, the dict that config.check_config returns,
+and reads the FOREST keys and `seed` from it.
 """
 
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import read
-from .jsonio import choice, integer, optional, record
+from .config import FOREST
+from .jsonio import choice, integer, record
 
 _FLOAT_MAX = sys.float_info.max
-
-
-@dataclass(frozen=True)
-class ForestConfig:
-    n_trees: int = read({}, "n_trees")
-    max_depth: int = read({}, "max_depth")  # None for unbounded
-    min_samples_leaf: int = read({}, "min_samples_leaf")
-    max_features: object = "sqrt"  # "sqrt", an int, or None for all
-    bootstrap: bool = True
-    seed: int = 0
 
 
 class DecisionTree:
@@ -40,7 +32,8 @@ class DecisionTree:
 
 
 class RandomForest:
-    """Trees, and the columns that prediction reads, built once from their nodes.
+    """Trees, and the columns that prediction reads, built once from their nodes; `config`
+    is the header of its document, but for its sizes.
 
     The columns are one table of every tree's nodes, tree after tree, from
     row roots[t] on: `feature`, `threshold`, `left` and `right` of each row
@@ -49,7 +42,7 @@ class RandomForest:
     histograms. A malformed node raises naming its tree and index.
     """
 
-    def __init__(self, trees: list, config: ForestConfig, n_features: int, n_classes: int):
+    def __init__(self, trees: list, config: dict, n_features: int, n_classes: int):
         self.trees = trees
         self.config = config
         self.n_features = n_features
@@ -150,14 +143,10 @@ def _best_split(X, y, rows, n_classes, features, min_samples_leaf):
     return gain[k], features[fi[k]], 0.5 * (sv[bi[k], fi[k]] + sv[bi[k] + 1, fi[k]])
 
 
-def _grow_tree(X, y, rows, n_classes, config, rng) -> list:
+def _grow_tree(X, y, rows, n_classes, cfg, rng) -> list:
     n_total_features = X.shape[1]
-    if config.max_features is None:
-        m_feat = n_total_features
-    elif config.max_features == "sqrt":
-        m_feat = max(1, int(np.sqrt(n_total_features)))
-    else:
-        m_feat = min(int(config.max_features), n_total_features)
+    m_feat = max(1, int(np.sqrt(n_total_features)))
+    max_depth, min_samples_leaf = cfg["max_depth"], cfg["min_samples_leaf"]
 
     nodes = []
 
@@ -166,15 +155,14 @@ def _grow_tree(X, y, rows, n_classes, config, rng) -> list:
         nodes.append(None)  # reserve slot
         hist = np.bincount(y[rows], minlength=n_classes)
         pure = np.count_nonzero(hist) <= 1
-        at_depth = config.max_depth is not None and depth >= config.max_depth
         split = None
-        if not pure and not at_depth and rows.size >= 2 * config.min_samples_leaf:
+        if not pure and depth < max_depth and rows.size >= 2 * min_samples_leaf:
             subset = np.sort(rng.choice(n_total_features, size=m_feat, replace=False))
-            split = _best_split(X, y, rows, n_classes, subset, config.min_samples_leaf)
+            split = _best_split(X, y, rows, n_classes, subset, min_samples_leaf)
             if split is None and m_feat < n_total_features:
                 # the drawn subset was constant on this node; retry with all features
                 split = _best_split(
-                    X, y, rows, n_classes, np.arange(n_total_features), config.min_samples_leaf
+                    X, y, rows, n_classes, np.arange(n_total_features), min_samples_leaf
                 )
         if split is None:
             nodes[index] = {"histogram": [int(c) for c in hist]}
@@ -195,7 +183,8 @@ def _grow_tree(X, y, rows, n_classes, config, rng) -> list:
     return nodes
 
 
-def fit(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
+def fit(X, y, cfg: dict) -> RandomForest:
+    """cfg's n_trees trees, tree t grown on a bootstrap sample drawn with seed [seed, t]."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -206,14 +195,14 @@ def fit(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     if y.min() < 0:
         raise ValueError("labels must be non-negative class indices")
     n_classes = int(y.max()) + 1
-    if config.n_trees < 1:
-        raise ValueError("n_trees must be at least 1")
 
     trees = []
-    for t in range(config.n_trees):
-        rng = np.random.default_rng([config.seed, t])
-        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        trees.append(DecisionTree(_grow_tree(X, y, rows, n_classes, config, rng), n_classes))
+    for t in range(cfg["n_trees"]):
+        rng = np.random.default_rng([cfg["seed"], t])
+        rows = rng.integers(0, n, size=n)
+        trees.append(DecisionTree(_grow_tree(X, y, rows, n_classes, cfg, rng), n_classes))
+    config = {**{key: cfg[key] for key in FOREST}, "max_features": "sqrt", "bootstrap": True,
+              "seed": cfg["seed"]}
     return RandomForest(trees, config, X.shape[1], n_classes)
 
 
@@ -250,16 +239,15 @@ def predict(forest: RandomForest, x) -> int:
 
 
 def forest_to_doc(forest: RandomForest) -> dict:
-    header = {**asdict(forest.config), "n_features": forest.n_features, "n_classes": forest.n_classes}
+    header = {**forest.config, "n_features": forest.n_features, "n_classes": forest.n_classes}
     return {"header": header, "trees": [tree.nodes for tree in forest.trees]}
 
 
-_SIZE, _SQRT = integer(1), choice(("sqrt",))
-# the checks of a forest document's header fields, as ForestConfig takes them
-HEADER = record({"n_trees": _SIZE, "max_depth": optional(_SIZE), "min_samples_leaf": _SIZE,
-                 "max_features": optional(lambda v, at: (_SQRT if type(v) is str else _SIZE)(v, at)),
-                 "bootstrap": choice((True, False)), "seed": integer(0), "n_features": _SIZE,
-                 "n_classes": _SIZE})
+_SIZE = integer(1)
+# the checks of a forest document's header fields: exactly what fit writes
+HEADER = record({"n_trees": _SIZE, "max_depth": _SIZE, "min_samples_leaf": _SIZE,
+                 "max_features": choice(("sqrt",)), "bootstrap": choice((True,)),
+                 "seed": integer(0), "n_features": _SIZE, "n_classes": _SIZE})
 
 
 def forest_from_doc(doc: dict) -> RandomForest:
@@ -268,4 +256,4 @@ def forest_from_doc(doc: dict) -> RandomForest:
     h = HEADER(doc["header"], ("forest", "header"))
     n_features, n_classes = h.pop("n_features"), h.pop("n_classes")
     trees = [DecisionTree(nodes, n_classes) for nodes in doc["trees"]]
-    return RandomForest(trees, ForestConfig(**h), n_features, n_classes)
+    return RandomForest(trees, h, n_features, n_classes)

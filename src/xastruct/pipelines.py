@@ -46,7 +46,7 @@ from .autodiff import (
     save_params,
     softmax,
 )
-from .config import ARCH, ELEMENT_SYMBOLS, FOREST, check_config, read
+from .config import ARCH, ELEMENT_SYMBOLS, check_config, read
 from .crystal import Element, StructureGraph
 from .jsonio import ELEMENT, choice, integer, list_of, optional, read_json, real, record, write_json
 from .nn import ConvBlock, Module, MPEncoder, SGMLP
@@ -264,8 +264,9 @@ def load_checkpoint(path, cls=None) -> tuple:
 
 
 # A model class gives the checks of its checkpoint header's fields, besides the task, in
-# HEADER: each is a model attribute and, but for a forward model's n_out, a constructor
-# argument. Its classmethod `_build(header, doc)` builds the model from the checked header.
+# HEADER: each is a model attribute and, but for a forward model's n_out and cutoff, a
+# constructor argument. Its classmethod `_build(header, doc)` builds the model from the
+# checked header.
 SIZE = integer(2)
 
 
@@ -302,10 +303,11 @@ class ForwardModel(Module):
     task = "forward"
     # a forward model is of one element
     HEADER = {"element": ELEMENT, "edge": choice(EDGES), "kind": choice(KINDS), "n_out": SIZE,
-              "grid": list_of(real()), "arch": record()}
+              "grid": list_of(real()), "cutoff": real(positive=True), "arch": record()}
 
     def __init__(self, rng, cfg: dict, element: str, edge: str, kind: str, grid):
         self.grid = [float(v) for v in grid]  # energies in eV
+        self.cutoff = cfg["cutoff"]  # of the graphs it trains on and predicts from, Angstrom
         self.n_out = n_out = len(self.grid)
         self.arch = a = _arch(cfg)
         self.encoder = MPEncoder(rng, d=a["encoder_dim"], t_rounds=a["encoder_rounds"],
@@ -343,6 +345,7 @@ class ForwardModel(Module):
         if len(grid) != n_out or not np.all(np.diff(grid) > 0):
             raise ValueError(f"field 'header.grid': expected {n_out} (header.n_out) "
                              f"increasing numbers, got {len(grid)} numbers")
+        header["arch"] = {**header["arch"], "cutoff": header.pop("cutoff")}  # the model's cfg
         return _build_neural(cls, header, doc)
 
 
@@ -661,9 +664,7 @@ def train_cn(samples, cfg: dict) -> CNClassifier:
     n_exafs = samples[0].exafs.grid.n
     X = np.concatenate(_spectra(samples, n_xanes, n_exafs, CNClassifier.INPUTS), axis=1)
     y = np.array([class_index[s.labels.cn] for s in samples])
-    fcfg = rf.ForestConfig(seed=cfg["seed"], **{k: cfg[k] for k in FOREST})
-    forest_model = rf.fit(X, y, fcfg)
-    return CNClassifier(forest_model, classes, n_xanes, n_exafs)
+    return CNClassifier(rf.fit(X, y, cfg), classes, n_xanes, n_exafs)
 
 
 # --- dataset-level evaluation ----------------------------------------------------

@@ -6,6 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from xastruct import exafs_oracle as oracle
+from xastruct.config import check_config
 from xastruct.crystal import (
     CrystalStructure,
     Element,
@@ -109,24 +110,25 @@ def labeled_sample(s: CrystalStructure, absorber: int = 0, n_grid: int = 40) -> 
     """Oracle spectra plus extracted labels for one absorber site."""
     labels = extract_descriptors(s, absorber)
     el = s.sites[absorber].element
-    params = oracle.OracleParams(e0_ev=oracle.default_edge_energy(el))
+    cfg = check_config({})  # e0_ev unset: the absorber's own edge
+    e0 = oracle.edge_energy(cfg, el)
     xanes = oracle.synth_xanes(
-        labels, el, params, oracle.default_xanes_grid(params.e0_ev, n=n_grid), structure_id=s.id
+        labels, el, cfg, oracle.default_xanes_grid(e0, n=n_grid), structure_id=s.id
     )
-    exafs = oracle.synth_exafs(s, absorber, params, oracle.default_exafs_grid(params.e0_ev, n=n_grid))
+    exafs = oracle.synth_exafs(s, absorber, cfg, oracle.default_exafs_grid(e0, n=n_grid))
     return LabeledSample(xanes=xanes, exafs=exafs, labels=labels)
 
 
 def forward_pairs(lattice_constants, symbol: str = "Cu", n_grid: int = 40, cutoff: float = 6.0):
     """(graph, XANES spectrum) training pairs over simple cubic cells."""
     el = Element.from_symbol(symbol)
-    params = oracle.OracleParams(e0_ev=oracle.default_edge_energy(el))
-    grid = oracle.default_xanes_grid(params.e0_ev, n=n_grid)
+    cfg = check_config({})  # e0_ev unset: the absorber's own edge
+    grid = oracle.default_xanes_grid(oracle.edge_energy(cfg, el), n=n_grid)
     pairs = []
     for a in lattice_constants:
         s = simple_cubic(a, symbol)
         labels = extract_descriptors(s, 0)
-        sp = oracle.synth_xanes(labels, el, params, grid, structure_id=s.id)
+        sp = oracle.synth_xanes(labels, el, cfg, grid, structure_id=s.id)
         pairs.append((build_graph(s, 0, cutoff), sp))
     return pairs
 

@@ -86,14 +86,14 @@ def test_c2_neighbor_list_matches_brute_force_enumeration():
 
 
 def test_c3_single_shell_radius_recovery_and_additivity():
-    params = oracle.OracleParams(e0_ev=8979.0)
+    params = check_config({"e0_ev": 8979.0})
     k = np.linspace(2.5, 12.5, 4000)
     worst_rel = 0.0
     for r_true in (2.0, 2.5, 3.0):
         shell = oracle.ScatteringShell(n_atoms=6, radius=r_true, z_scatter=8, sigma2=0.003)
         chi = oracle.chi_shell(shell, params, k)
         spacing = oracle.median_crossing_spacing(k, chi)
-        r_est = oracle.radius_from_spacing(spacing, params.r_phase)
+        r_est = oracle.radius_from_spacing(spacing, params["r_phase"])
         worst_rel = max(worst_rel, abs(r_est - r_true) / r_true)
 
     shells = [
@@ -108,8 +108,8 @@ def test_c3_single_shell_radius_recovery_and_additivity():
     additivity_gap = float(np.max(np.abs(summed - parts)))
     # the spectrum itself must be exactly 1 + the sum of its shell terms
     s = cscl(3.2, "Cu", "O", sid="additivity")
-    sp = oracle.synth_exafs(s, 0, params, oracle.default_exafs_grid(params.e0_ev, n=200))
-    k_sp = oracle.wavenumber(sp.grid.values, params.e0_ev)
+    sp = oracle.synth_exafs(s, 0, params, oracle.default_exafs_grid(params["e0_ev"], n=200))
+    k_sp = oracle.wavenumber(sp.grid.values, params["e0_ev"])
     rebuilt = np.ones_like(k_sp)
     for sh in oracle.shells_from_structure(s, 0, params):
         rebuilt = rebuilt + oracle.chi_shell(sh, params, k_sp)

@@ -1155,6 +1155,9 @@ HEADER_PROBES = {
     "forward grid one point short": ("forward", "grid", lambda h: h["grid"][:-1]),
     "forward unknown element": ("forward", "element", lambda h: "Xx"),
     "forward real n_out": ("forward", "n_out", lambda h: float(h["n_out"])),
+    # eval and predict build graphs at the cutoff the model trained at: no header lacks it
+    "forward missing cutoff": ("forward", "cutoff", lambda h: _MISSING),
+    "forward zero cutoff": ("forward", "cutoff", lambda h: 0),
     "mnnd boolean n_xanes": ("mnnd", "n_xanes", lambda h: True),
     "mnnd unknown element": ("mnnd", "element", lambda h: "Xx"),
     "mnnd quoted y_mean": ("mnnd", "y_mean", lambda h: str(h["y_mean"])),
@@ -1187,6 +1190,30 @@ def test_header_field_train_never_writes_exits_1_naming_it(case, request, tmp_pa
         assert rc == 1, err
         assert f"error: checkpoint {ckpt}: field 'header.{field}" in err, err
         assert not (out / written).exists()
+
+
+def test_cn_forest_header_is_breimans_forest(cn_run):
+    for ckpt in sorted(cn_run.glob("cn_*.json")):
+        header = json.loads(ckpt.read_text())["forest"]["header"]
+        assert header == {"n_trees": 3, "max_depth": 3, "min_samples_leaf": 2,
+                          "max_features": "sqrt", "bootstrap": True, "seed": 0,
+                          "n_features": 80, "n_classes": header["n_classes"]}, ckpt
+
+
+# a forest header field and a value that fit never writes
+@pytest.mark.parametrize("field,value", [("max_features", None), ("bootstrap", False),
+                                         ("max_depth", None)])
+def test_cn_forest_header_fit_never_writes_exits_1_naming_it(field, value, mixed_data, cn_run,
+                                                             tmp_path, capsys):
+    doc = json.loads((cn_run / "cn_Cu.json").read_text())
+    doc["forest"]["header"][field] = value
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    for command in (["eval", "--data", str(mixed_data)], ["predict", "--input", str(ckpt)]):
+        rc = cli.main([*command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"error: checkpoint {ckpt}: field 'forest.header.{field}': expected " in err, err
 
 
 # (arch key, a value train never writes, the error; None where the value reads as written)
@@ -1397,6 +1424,26 @@ class TestEvalPredict:
         sp = load_spectrum(out / "spectrum.csv")
         assert sp.grid.n == 40
         assert sp.kind == "XANES"
+
+    def test_forward_eval_and_predict_use_the_cutoff_of_training(self, cu_data, tmp_path):
+        run = tmp_path / "fwd"
+        cutoff = ["--set", "cutoff=4.0"]
+        assert cli.main(["train", "--task", "forward", "--data", str(cu_data), "--out", str(run),
+                         "--seed", "2", *TINY_FORWARD, *cutoff]) == 0
+        ckpt = run / "forward_Cu_XANES.json"
+        one = tmp_path / "one.json"
+        one.write_text((cu_data / "structures.jsonl").read_text().splitlines()[0])
+        outputs = []
+        for name, flags in (("with", cutoff), ("without", [])):
+            eval_out, predict_out = tmp_path / f"eval_{name}", tmp_path / f"predict_{name}"
+            assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(cu_data),
+                             "--out", str(eval_out), *flags]) == 0
+            assert cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(one),
+                             "--out", str(predict_out), *flags]) == 0
+            outputs.append(((eval_out / "metrics.json").read_bytes(),
+                            (predict_out / "spectrum.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(ckpt.read_text())["header"]["cutoff"] == 4.0
 
     def test_predict_task_mismatch_exits_1(self, mnnd_run, cu_data, tmp_path):
         structure_line = (cu_data / "structures.jsonl").read_text().splitlines()[0]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xastruct.config import check_config
 from xastruct.crystal import (
     CrystalStructure,
     DescriptorLabels,
@@ -16,12 +17,12 @@ from xastruct.crystal import (
 )
 from xastruct.exafs_oracle import (
     BelowEdgeError,
-    OracleParams,
     ScatteringShell,
     chi_shell,
     default_edge_energy,
     default_exafs_grid,
     default_xanes_grid,
+    edge_energy,
     median_crossing_spacing,
     radius_from_spacing,
     shells_from_structure,
@@ -41,7 +42,7 @@ from conftest import (
 )
 from helpers import cscl, fcc, fluorite, rocksalt
 
-P = OracleParams()
+P = check_config({"e0_ev": 8979.0})  # the Cu K edge, whatever the absorber
 
 # radii whose Python radius**2 differs from radius * radius in the last bit
 POW_SENSITIVE_RADII = (3.416353081323097, 2.402410973962667, 2.4723344269563374)
@@ -50,17 +51,17 @@ POW_SENSITIVE_RADII = (3.416353081323097, 2.402410973962667, 2.4723344269563374)
 def reference_chi_shell(shell, params, k):
     """The single-shell formula, one shell per call, as synth_exafs once looped over it."""
     k = np.asarray(k, dtype=float)
-    lam = params.lambda_a * k + params.lambda_b
+    lam = params["lambda_a"] * k + params["lambda_b"]
     amplitude = (
         shell.n_atoms
-        * params.s0_squared
-        * params.amp_scale
+        * params["s0_squared"]
+        * params["amp_scale"]
         * shell.z_scatter
         / ((1.0 + k * k) * k * shell.radius**2)
         * np.exp(-2.0 * shell.radius / lam)
         * np.exp(-2.0 * shell.sigma2 * k * k)
     )
-    phase = 2.0 * k * shell.radius - 2.0 * k * params.r_phase
+    phase = 2.0 * k * shell.radius - 2.0 * k * params["r_phase"]
     chi = amplitude * np.sin(phase)
     return float(chi) if chi.ndim == 0 else chi
 
@@ -72,13 +73,13 @@ def reference_shells(s, absorber, params, cutoff=6.0):
         key = (s.sites[nb.index].element.atomic_number, round(nb.distance / 0.01))
         groups.setdefault(key, []).append(nb.distance)
     return [
-        ScatteringShell(len(dists), float(np.mean(dists)), z, params.sigma2)
+        ScatteringShell(len(dists), float(np.mean(dists)), z, params["sigma2"])
         for (z, _), dists in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0]))
     ]
 
 
 def reference_mu(s, absorber, params, grid, cutoff=6.0):
-    k = wavenumber(grid.values, params.e0_ev)
+    k = wavenumber(grid.values, params["e0_ev"])
     chi = np.zeros_like(k)
     for shell in shells_from_structure(s, absorber, params, cutoff):
         chi += reference_chi_shell(shell, params, k)
@@ -109,33 +110,27 @@ class TestWavenumber:
 class TestParams:
     def test_s0_squared_range(self):
         with pytest.raises(ValueError):
-            OracleParams(s0_squared=0.0)
+            check_config({"s0_squared": 0.0})
         with pytest.raises(ValueError):
-            OracleParams(s0_squared=1.3)
+            check_config({"s0_squared": 1.3})
 
     def test_mean_free_path_positivity(self):
         with pytest.raises(ValueError):
-            OracleParams(lambda_a=0.1, lambda_b=-1.0)
+            check_config({"lambda_a": 0.1, "lambda_b": -1.0})
         with pytest.raises(ValueError):
-            OracleParams(lambda_a=-1.0, lambda_b=3.0)
+            check_config({"lambda_a": -1.0, "lambda_b": 3.0})
 
-    def test_from_config(self):
-        # it reads the oracle rows of the config-key table; a training key is not its to check
-        p = OracleParams.from_config({"s0_squared": "0.8", "r_phase": 0.4, "lr": "abc"})
-        assert p.s0_squared == 0.8
-        assert p.r_phase == 0.4
-        assert p.lambda_b == 3.0
-        # e0_ev= is the default edge energy; a set e0_ev wins over it
-        assert OracleParams.from_config({}, e0_ev=7112.0).e0_ev == 7112.0
-        assert OracleParams.from_config({"e0_ev": "5000"}, e0_ev=7112.0).e0_ev == 5000.0
-        with pytest.raises(ValueError, match=r"^config key 's0_squared' must lie in \(0, 1.2\], "
-                                             r"got 2.0$"):
-            OracleParams.from_config({"s0_squared": "2"})
+    def test_edge_energy_is_a_set_e0_ev_else_the_elements_own(self):
+        for symbol in ("Ti", "Cu", "Se"):
+            el = Element.from_symbol(symbol)
+            assert edge_energy(check_config({}), el) == default_edge_energy(el)
+            assert edge_energy(check_config({"e0_ev": "5000"}), el) == 5000.0
+            assert edge_energy(P, el) == 8979.0
 
     @pytest.mark.parametrize("e0", [0.0, -5.0, math.inf, math.nan])
     def test_edge_energy_positive_and_finite(self, e0):
         with pytest.raises(ValueError, match="e0_ev"):
-            OracleParams(e0_ev=e0)
+            check_config({"e0_ev": e0})
 
     def test_shell_validation(self):
         with pytest.raises(ValueError):
@@ -161,7 +156,7 @@ class TestChiShell:
     def test_zero_crossing_spacing(self):
         # crossings of sin(2kR - 2 k r_phase) sit at k = m*pi/(2R - 2 r_phase)
         R = 2.5
-        expected = math.pi / (2 * R - 2 * P.r_phase)
+        expected = math.pi / (2 * R - 2 * P["r_phase"])
         k = np.linspace(2.5, 12.5, 400)
         chi = chi_shell(ScatteringShell(6, R, 8, 0.003), P, k)
         assert median_crossing_spacing(k, chi) == pytest.approx(expected, rel=1e-3)
@@ -171,7 +166,7 @@ class TestChiShell:
         k = np.linspace(2.5, 12.5, 800)
         chi = chi_shell(ScatteringShell(6, R, 8, 0.003), P, k)
         crossings = zero_crossings(k, chi)
-        period = math.pi / (2 * R - 2 * P.r_phase)
+        period = math.pi / (2 * R - 2 * P["r_phase"])
         offsets = np.mod(crossings, period)
         # each crossing lands on the analytic lattice m*period
         assert np.all(np.minimum(offsets, period - offsets) < 1e-3)
@@ -190,8 +185,8 @@ class TestChiShell:
 
     def test_equals_the_scalar_formula_exactly(self):
         rng = np.random.default_rng(5)
-        params = OracleParams(s0_squared=0.83, lambda_a=0.7, lambda_b=2.6, amp_scale=1.3,
-                              sigma2=0.004, r_phase=0.31)
+        params = check_config({"s0_squared": 0.83, "lambda_a": 0.7, "lambda_b": 2.6,
+                               "amp_scale": 1.3, "sigma2": 0.004, "r_phase": 0.31})
         radii = list(POW_SENSITIVE_RADII) + list(rng.uniform(1.5, 6.0, size=5))
         k = np.linspace(2.5, 12.5, 100)
         for i, radius in enumerate(radii):
@@ -210,36 +205,36 @@ class TestSynthExafs:
     def test_isolated_atom_raises(self):
         s = cubic_structure(a=9.0)
         with pytest.raises(NoNeighborsError):
-            synth_exafs(s, 0, P, default_exafs_grid(P.e0_ev))
+            synth_exafs(s, 0, P, default_exafs_grid(P["e0_ev"]))
 
     def test_neighbor_at_half_an_angstrom_is_below_the_shell_minimum(self):
         # the closest sites CrystalStructure admits: a shell at exactly 0.5 A
         cu, o = Element.from_symbol("Cu"), Element.from_symbol("O")
         s = CrystalStructure(Lattice(np.eye(3)), (Site(cu, np.zeros(3)), Site(o, np.array([0.5, 0, 0]))))
         with pytest.raises(ValueError, match="shell radius 0.5 below physical minimum"):
-            synth_exafs(s, 0, P, default_exafs_grid(P.e0_ev))
+            synth_exafs(s, 0, P, default_exafs_grid(P["e0_ev"]))
 
     def test_grid_below_edge_rejected(self):
         s = cubic_structure(a=3.0)
         with pytest.raises(BelowEdgeError):
-            synth_exafs(s, 0, P, EnergyGrid(np.array([P.e0_ev - 1.0, P.e0_ev + 50.0])))
+            synth_exafs(s, 0, P, EnergyGrid(np.array([P["e0_ev"] - 1.0, P["e0_ev"] + 50.0])))
 
     def test_simple_cubic_dominant_radius(self):
-        grid = default_exafs_grid(P.e0_ev)
+        grid = default_exafs_grid(P["e0_ev"])
         sp = synth_exafs(cubic_structure(a=3.0), 0, P, grid)
-        k = wavenumber(grid.values, P.e0_ev)
+        k = wavenumber(grid.values, P["e0_ev"])
         # chi ~ sin(2k(R - r_phase)) peaks at (R - r_phase)/pi cycles per unit k in
         # |FFT(k^2 chi)|; k^2 flattens the envelope, Hann keeps the shells apart
         n_fft = 16 * k.size
         magnitude = np.abs(np.fft.rfft((sp.mu - 1.0) * k**2 * np.hanning(k.size), n_fft))
         freqs = np.fft.rfftfreq(n_fft, d=float(np.mean(np.diff(k))))
-        lo = int(np.searchsorted(freqs, (1.0 - P.r_phase) / math.pi))  # skip DC leakage
-        est = math.pi * float(freqs[lo + int(np.argmax(magnitude[lo:]))]) + P.r_phase
+        lo = int(np.searchsorted(freqs, (1.0 - P["r_phase"]) / math.pi))  # skip DC leakage
+        est = math.pi * float(freqs[lo + int(np.argmax(magnitude[lo:]))]) + P["r_phase"]
         assert abs(est - 3.0) / 3.0 < 0.05
 
     def test_lattice_scaling_compresses_spacing(self):
-        grid = default_exafs_grid(P.e0_ev, n=400)
-        k = wavenumber(grid.values, P.e0_ev)
+        grid = default_exafs_grid(P["e0_ev"], n=400)
+        k = wavenumber(grid.values, P["e0_ev"])
         d1 = median_crossing_spacing(k, synth_exafs(cubic_structure(3.0), 0, P, grid).mu - 1.0)
         d2 = median_crossing_spacing(k, synth_exafs(cubic_structure(3.3), 0, P, grid).mu - 1.0)
         assert d2 / d1 == pytest.approx(1.0 / 1.1, rel=0.03)
@@ -248,9 +243,9 @@ class TestSynthExafs:
         # rebuild the shells straight from the brute-force neighbor oracle
         # and check mu - 1 equals the plain per-shell sum
         s = rocksalt_structure(a=5.64)
-        grid = default_exafs_grid(P.e0_ev)
+        grid = default_exafs_grid(P["e0_ev"])
         sp = synth_exafs(s, 0, P, grid)
-        k = wavenumber(grid.values, P.e0_ev)
+        k = wavenumber(grid.values, P["e0_ev"])
 
         groups = {}
         for j, _, d in brute_force_neighbors(s, 0, 6.0):
@@ -258,13 +253,13 @@ class TestSynthExafs:
             groups.setdefault(key, []).append(d)
         total = np.zeros_like(k)
         for (z, _), dists in groups.items():
-            shell = ScatteringShell(len(dists), float(np.mean(dists)), z, P.sigma2)
+            shell = ScatteringShell(len(dists), float(np.mean(dists)), z, P["sigma2"])
             total += chi_shell(shell, P, k)
         assert np.max(np.abs((sp.mu - 1.0) - total)) < 1e-12
 
     def test_mu_equals_the_per_shell_loop_exactly(self, rng):
-        params = OracleParams(e0_ev=7112.0, sigma2=0.005, r_phase=0.4)
-        grid = default_exafs_grid(params.e0_ev, n=120)
+        params = check_config({"e0_ev": 7112.0, "sigma2": 0.005, "r_phase": 0.4})
+        grid = default_exafs_grid(params["e0_ev"], n=120)
         checked = 0
         for _ in range(30):
             s = random_structure(rng)
@@ -298,7 +293,7 @@ class TestSynthExafs:
         from xastruct.crystal import neighbor_search
 
         s = rocksalt_structure()
-        grid = default_exafs_grid(P.e0_ev)
+        grid = default_exafs_grid(P["e0_ev"])
         nbs = neighbor_search(s, 0, 6.0)
         want = synth_exafs(s, 0, P, grid).mu
         monkeypatch.setattr(exafs_oracle, "neighbor_search", None)
@@ -314,13 +309,13 @@ class TestSynthExafs:
             sites=tuple(Site(x.element, x.frac_coords + np.array([0.13, 0.57, 0.91])) for x in s.sites),
             id=s.id,
         )
-        grid = default_exafs_grid(P.e0_ev)
+        grid = default_exafs_grid(P["e0_ev"])
         a = synth_exafs(s, 0, P, grid)
         b = synth_exafs(shifted, 0, P, grid)
         assert np.allclose(a.mu, b.mu, atol=1e-9)
 
     def test_metadata(self):
-        sp = synth_exafs(cubic_structure(a=3.0, symbol="Cu", sid="sc-3"), 0, P, default_exafs_grid(P.e0_ev))
+        sp = synth_exafs(cubic_structure(a=3.0, symbol="Cu", sid="sc-3"), 0, P, default_exafs_grid(P["e0_ev"]))
         assert sp.kind == "EXAFS"
         assert sp.absorber == Element.from_symbol("Cu")
         assert sp.structure_id == "sc-3"
@@ -362,7 +357,7 @@ class TestSynthXanes:
 
     def grid(self):
         # 1 eV spacing puts the mnnd=2.5 white line (e0 + 8 eV) exactly on-grid
-        return EnergyGrid(np.linspace(P.e0_ev - 30.0, P.e0_ev + 70.0, 101))
+        return EnergyGrid(np.linspace(P["e0_ev"] - 30.0, P["e0_ev"] + 70.0, 101))
 
     def test_deterministic(self):
         cu = Element.from_symbol("Cu")
@@ -397,13 +392,13 @@ class TestSynthXanes:
     def test_grid_must_span_edge(self):
         cu = Element.from_symbol("Cu")
         with pytest.raises(ValueError):
-            synth_xanes(self.labels(6), cu, P, EnergyGrid(np.linspace(P.e0_ev + 1, P.e0_ev + 50, 20)))
+            synth_xanes(self.labels(6), cu, P, EnergyGrid(np.linspace(P["e0_ev"] + 1, P["e0_ev"] + 50, 20)))
 
     def test_normalizes_to_unit_tail(self):
         # edge-jump normalization with the pre-edge and post-edge plateaus taken
         # as the first and last tenth of the default 100-point grid
         cu = Element.from_symbol("Cu")
-        mu = synth_xanes(self.labels(6), cu, P, default_xanes_grid(P.e0_ev)).mu
+        mu = synth_xanes(self.labels(6), cu, P, default_xanes_grid(P["e0_ev"])).mu
         pre_edge = float(np.mean(mu[:10]))
         jump = float(np.mean(mu[-10:])) - pre_edge
         assert jump > 1e-9
@@ -428,10 +423,10 @@ class TestDefaults:
     def test_single_shell_estimate_round_trip(self):
         from xastruct.spectra import Spectrum
 
-        grid = default_exafs_grid(P.e0_ev, n=400)
-        k = wavenumber(grid.values, P.e0_ev)
+        grid = default_exafs_grid(P["e0_ev"], n=400)
+        k = wavenumber(grid.values, P["e0_ev"])
         for R in (2.0, 2.5, 3.0):
             chi = chi_shell(ScatteringShell(6, R, 8, 0.003), P, k)
             sp = Spectrum(grid, 1.0 + chi, "EXAFS", "K", Element.from_symbol("Cu"), "stub")
-            est = radius_from_spacing(median_crossing_spacing(k, sp.mu - 1.0), P.r_phase)
+            est = radius_from_spacing(median_crossing_spacing(k, sp.mu - 1.0), P["r_phase"])
             assert abs(est - R) / R < 0.05

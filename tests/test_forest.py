@@ -8,17 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xastruct.config import check_config
 from xastruct.forest import (
     DecisionTree,
-    ForestConfig,
     RandomForest,
     _best_split,
+    _grow_tree,
     fit,
     forest_from_doc,
     forest_to_doc,
     predict,
     predict_proba,
 )
+
+
+# the config of a forest that a test builds from its trees, as fit writes it
+CONFIG = {"n_trees": 1, "max_depth": 16, "min_samples_leaf": 2, "max_features": "sqrt",
+          "bootstrap": True, "seed": 0}
 
 
 def reference_gini(hist):
@@ -70,6 +76,15 @@ def reference_proba(forest, x):
     return proba / len(forest.trees)
 
 
+def grown_on_every_row(X, y, rng):
+    """A one-tree forest grown on every row of X, each once, with one-row leaves allowed and
+    depth enough to grow until every leaf is pure: it memorizes consistent labels."""
+    n_classes = int(y.max()) + 1
+    cfg = check_config({"max_depth": len(y), "min_samples_leaf": 1})
+    nodes = _grow_tree(X, y, np.arange(len(y)), n_classes, cfg, rng)
+    return RandomForest([DecisionTree(nodes, n_classes)], CONFIG, X.shape[1], n_classes)
+
+
 def pure_leaf_tree(class_index, n_classes=2):
     hist = [0] * n_classes
     hist[class_index] = 1
@@ -80,7 +95,7 @@ class TestFit:
     def test_single_class_always_predicted(self):
         X = np.random.default_rng(0).normal(size=(20, 3))
         y = np.full(20, 2)
-        forest = fit(X, y, ForestConfig(n_trees=5, seed=1))
+        forest = fit(X, y, check_config({"n_trees": 5, "seed": 1}))
         assert all(predict(forest, row) == 2 for row in X)
 
     def test_linearly_separable_training_accuracy(self):
@@ -89,14 +104,15 @@ class TestFit:
         X = rng.uniform(-1, 1, size=(80, 2))
         X = X[np.abs(X.sum(axis=1)) > 0.1]  # margin keeps the task clean
         y = (X.sum(axis=1) > 0).astype(int)
-        forest = fit(X, y, ForestConfig(n_trees=30, max_depth=8, min_samples_leaf=1, seed=3))
+        cfg = check_config({"n_trees": 30, "max_depth": 8, "min_samples_leaf": 1, "seed": 3})
+        forest = fit(X, y, cfg)
         assert np.mean(np.array([predict(forest, x) for x in X]) == y) == 1.0
 
     def test_fixed_seed_reproduces_forest(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(40, 5))
         y = rng.integers(0, 3, size=40)
-        cfg = ForestConfig(n_trees=7, seed=11)
+        cfg = check_config({"n_trees": 7, "seed": 11})
         a, b = fit(X, y, cfg), fit(X, y, cfg)
         assert json.dumps(forest_to_doc(a)) == json.dumps(forest_to_doc(b))
 
@@ -104,35 +120,31 @@ class TestFit:
         # XOR: zero Gini gain at the root, still must split and reach purity
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
-        cfg = ForestConfig(
-            n_trees=1, max_depth=None, min_samples_leaf=1, max_features=None, bootstrap=False
-        )
-        forest = fit(X, y, cfg)
+        forest = grown_on_every_row(X, y, np.random.default_rng(0))
         assert [predict(forest, x) for x in X] == [0, 1, 1, 0]
 
     def test_memorizes_random_consistent_data(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(60, 4))
         y = rng.integers(0, 4, size=60)
-        cfg = ForestConfig(
-            n_trees=3, max_depth=None, min_samples_leaf=1, max_features=None, bootstrap=False
-        )
-        forest = fit(X, y, cfg)
+        forest = grown_on_every_row(X, y, rng)
         assert np.mean(np.array([predict(forest, x) for x in X]) == y) == 1.0
 
     def test_input_validation(self):
+        cfg = check_config({})
         with pytest.raises(ValueError):
-            fit(np.zeros((1, 2)), np.zeros(1, dtype=int))
+            fit(np.zeros((1, 2)), np.zeros(1, dtype=int), cfg)
         with pytest.raises(ValueError):
-            fit(np.zeros((4, 2)), np.array([0, 1, 0, -1]))
-        with pytest.raises(ValueError):
-            fit(np.zeros((4, 2)), np.array([0, 1, 0, 1]), ForestConfig(n_trees=0))
+            fit(np.zeros((4, 2)), np.array([0, 1, 0, -1]), cfg)
+        with pytest.raises(ValueError, match="n_trees"):  # the config refuses a forest of none
+            fit(np.zeros((4, 2)), np.array([0, 1, 0, 1]), check_config({"n_trees": 0}))
 
     def test_leaf_histograms_count_routed_rows(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(30, 3))
         y = rng.integers(0, 2, size=30)
-        forest = fit(X, y, ForestConfig(n_trees=1, bootstrap=False, max_features=None, seed=7))
+        # a bootstrap sample draws 30 rows too, some more than once
+        forest = fit(X, y, check_config({"n_trees": 1, "seed": 7}))
         leaf_total = sum(
             sum(node["histogram"]) for node in forest.trees[0].nodes if "histogram" in node
         )
@@ -170,7 +182,7 @@ class TestSplitSearch:
         X = np.round(rng.normal(size=(90, 12)), 1)
         X[:, 3] = 0.0
         y = rng.integers(0, 3, size=90)
-        forest = fit(X, y, ForestConfig(n_trees=6, max_depth=6, seed=5))
+        forest = fit(X, y, check_config({"n_trees": 6, "max_depth": 6, "seed": 5}))
         text = json.dumps(forest_to_doc(forest), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "31a9c49721fc62fa0986d4c3bbd015d260b8dbe969078607a6ad9bec2ef098a5"
@@ -187,7 +199,7 @@ class TestPredict:
             ],
             2,
         )
-        forest = RandomForest([tree], ForestConfig(n_trees=1), 1, 2)
+        forest = RandomForest([tree], CONFIG, 1, 2)
         assert np.allclose(predict_proba(forest, [0.2]), [0.75, 0.25])
         assert np.allclose(predict_proba(forest, [0.9]), [0.0, 1.0])
 
@@ -195,33 +207,33 @@ class TestPredict:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(50, 4))
         y = rng.integers(0, 3, size=50)
-        forest = fit(X, y, ForestConfig(n_trees=9, seed=9))
+        forest = fit(X, y, check_config({"n_trees": 9, "seed": 9}))
         for row in X[:10]:
             assert abs(predict_proba(forest, row).sum() - 1.0) < 1e-12
 
     def test_two_to_one_vote(self):
         trees = [pure_leaf_tree(0), pure_leaf_tree(0), pure_leaf_tree(1)]
-        forest = RandomForest(trees, ForestConfig(n_trees=3), 2, 2)
+        forest = RandomForest(trees, CONFIG, 2, 2)
         proba = predict_proba(forest, [0.0, 0.0])
         assert np.allclose(proba, [2.0 / 3.0, 1.0 / 3.0])
         assert predict(forest, [0.0, 0.0]) == 0
 
     def test_tie_breaks_to_lowest_class(self):
         trees = [pure_leaf_tree(1), pure_leaf_tree(0)]
-        forest = RandomForest(trees, ForestConfig(n_trees=2), 2, 2)
+        forest = RandomForest(trees, CONFIG, 2, 2)
         assert predict(forest, [0.0, 0.0]) == 0
 
     def test_duplicating_every_tree_preserves_argmax(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 3, size=40)
-        forest = fit(X, y, ForestConfig(n_trees=5, seed=12))
+        forest = fit(X, y, check_config({"n_trees": 5, "seed": 12}))
         doubled = RandomForest(forest.trees * 2, forest.config, forest.n_features, 3)
         queries = rng.normal(size=(20, 3))
         assert [predict(forest, x) for x in queries] == [predict(doubled, x) for x in queries]
 
     def test_dimension_mismatch(self):
-        forest = RandomForest([pure_leaf_tree(0)], ForestConfig(n_trees=1), 2, 2)
+        forest = RandomForest([pure_leaf_tree(0)], CONFIG, 2, 2)
         for x in ([1.0, 2.0, 3.0], np.zeros((4, 3)), np.zeros((1, 2, 2)), 0.0):
             with pytest.raises(ValueError, match="expected 2 features"):
                 predict_proba(forest, x)
@@ -237,7 +249,7 @@ class TestPredict:
             ],
             2,
         )
-        forest = RandomForest([tree, pure_leaf_tree(0)], ForestConfig(n_trees=2), 2, 2)
+        forest = RandomForest([tree, pure_leaf_tree(0)], CONFIG, 2, 2)
         # x1 <= 0.5 goes left; on the threshold goes left; nan compares false and goes right
         X = np.array([[9.0, 0.5], [-1.0, 0.6], [0.0, 0.7], [np.nan, np.nan]])
         proba = predict_proba(forest, X)
@@ -248,7 +260,7 @@ class TestPredict:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(2, 40),
            n_features=st.integers(1, 6), n_classes=st.integers(1, 5),
-           n_trees=st.integers(1, 20), max_depth=st.sampled_from([1, 3, None]),
+           n_trees=st.integers(1, 20), max_depth=st.sampled_from([1, 3, 64]),
            decimals=st.integers(0, 2))
     def test_batched_and_one_row_probabilities_have_the_same_bytes(
         self, seed, n_rows, n_features, n_classes, n_trees, max_depth, decimals
@@ -256,7 +268,8 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         X = np.round(rng.normal(size=(n_rows, n_features)), decimals)
         y = rng.integers(0, n_classes, size=n_rows)
-        cfg = ForestConfig(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=1, seed=seed)
+        cfg = check_config({"n_trees": n_trees, "max_depth": max_depth, "min_samples_leaf": 1,
+                            "seed": seed})
         forest = fit(X, y, cfg)
         # one seed, one forest: a second fit writes the same checkpoint bytes
         assert json.dumps(forest_to_doc(fit(X, y, cfg))) == json.dumps(forest_to_doc(forest))
@@ -273,20 +286,19 @@ class TestCheckpoint:
         rng = np.random.default_rng(13)
         X = rng.normal(size=(60, 6))
         y = rng.integers(0, 4, size=60)
-        forest = fit(X, y, ForestConfig(n_trees=11, seed=14))
+        forest = fit(X, y, check_config({"n_trees": 11, "seed": 14}))
         loaded = forest_from_doc(json.loads(json.dumps(forest_to_doc(forest))))
         queries = rng.normal(size=(25, 6))
         assert [predict(forest, x) for x in queries] == [predict(loaded, x) for x in queries]
         for row in queries[:5]:
             assert np.allclose(predict_proba(forest, row), predict_proba(loaded, row), atol=1e-15)
 
-    # max_depth None grows unbounded trees; max_features None takes every feature
-    @pytest.mark.parametrize("options", [{"max_depth": None, "max_features": None},
-                                         {"max_depth": 3, "max_features": 2}])
-    def test_every_config_fit_takes_round_trips(self, options):
+    @pytest.mark.parametrize("max_depth", [3, 16])
+    def test_every_config_fit_takes_round_trips(self, max_depth):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(60, 6))
-        forest = fit(X, rng.integers(0, 4, size=60), ForestConfig(n_trees=5, seed=14, **options))
+        cfg = check_config({"n_trees": 5, "seed": 14, "max_depth": max_depth, "min_samples_leaf": 1})
+        forest = fit(X, rng.integers(0, 4, size=60), cfg)
         loaded = forest_from_doc(json.loads(json.dumps(forest_to_doc(forest))))
         assert loaded.config == forest.config
         assert forest_to_doc(loaded) == forest_to_doc(forest)
@@ -294,18 +306,20 @@ class TestCheckpoint:
         assert predict_proba(loaded, queries).tobytes() == predict_proba(forest, queries).tobytes()
 
     def test_header_fields(self):
-        forest = fit(np.zeros((4, 2)) + np.arange(4)[:, None], np.array([0, 0, 1, 1]))
+        cfg = check_config({"n_trees": 3, "max_depth": 5, "seed": 9})
+        forest = fit(np.zeros((4, 2)) + np.arange(4)[:, None], np.array([0, 0, 1, 1]), cfg)
         doc = json.loads(json.dumps(forest_to_doc(forest)))
-        assert doc["header"]["n_features"] == 2
-        assert doc["header"]["n_classes"] == 2
-        assert doc["header"]["max_features"] == "sqrt"
+        assert doc["header"] == {"n_trees": 3, "max_depth": 5, "min_samples_leaf": 2,
+                                 "max_features": "sqrt", "bootstrap": True, "seed": 9,
+                                 "n_features": 2, "n_classes": 2}
 
 
 def _fitted_doc():
     rng = np.random.default_rng(15)
     X = rng.normal(size=(40, 5))
     y = rng.integers(0, 3, size=40)
-    return json.loads(json.dumps(forest_to_doc(fit(X, y, ForestConfig(n_trees=4, seed=16)))))
+    forest = fit(X, y, check_config({"n_trees": 4, "seed": 16}))
+    return json.loads(json.dumps(forest_to_doc(forest)))
 
 
 def _first_split(nodes) -> int:
@@ -384,7 +398,7 @@ class TestFromDoc:
     def test_a_forest_built_in_python_checks_its_nodes(self, nodes, message):
         trees = [pure_leaf_tree(0), DecisionTree(nodes, 2)]
         with pytest.raises(ValueError, match=message):
-            RandomForest(trees, ForestConfig(n_trees=2), 1, 2)
+            RandomForest(trees, CONFIG, 1, 2)
 
     @pytest.mark.parametrize("key", ["n_features", "n_classes"])
     @pytest.mark.parametrize("value", [0, 3.0, "3", True, None])
@@ -398,9 +412,13 @@ class TestFromDoc:
     @pytest.mark.parametrize("key,value,what", [
         ("max_depth", 0, "an integer of at least 1"),
         ("max_depth", 2.5, "an integer of at least 1"),
+        ("max_depth", None, "an integer of at least 1"),
         ("max_features", "log2", "one of 'sqrt'"),
-        ("max_features", True, "an integer of at least 1"),
-        ("bootstrap", 1, "one of True, False"),
+        ("max_features", True, "one of 'sqrt'"),
+        ("max_features", 2, "one of 'sqrt'"),
+        ("max_features", None, "one of 'sqrt'"),
+        ("bootstrap", 1, "one of True"),
+        ("bootstrap", False, "one of True"),
         ("seed", -1, "an integer of at least 0"),
     ])
     def test_header_config_field_fit_never_writes_is_named(self, key, value, what):
